@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test test-fast test-oracle bench bench-fast bench-geost bench-runtime profile-smoke runtime-smoke backends-smoke defrag-smoke temporal-smoke analytical-smoke
+.PHONY: test test-fast test-oracle bench bench-fast bench-geost bench-runtime profile-smoke runtime-smoke backends-smoke defrag-smoke temporal-smoke analytical-smoke examples-smoke
 
 ## full tier-1 suite (what CI runs)
 test:
@@ -75,3 +75,11 @@ temporal-smoke:
 ## and the A3 bar (>= annealing utilization at a quarter of its budget)
 analytical-smoke:
 	$(PY) scripts/analytical_smoke.py
+
+## run the examples that drive the online manager and the phase
+## scheduler end to end (compiling them is not enough: an example that
+## calls a removed API only fails when it runs)
+examples-smoke:
+	$(PY) examples/online_service_level.py
+	$(PY) examples/interactive_floorplanning.py
+	$(PY) examples/phase_scheduling.py

@@ -14,7 +14,7 @@ from benchmarks.conftest import run_once
 from repro.core.defrag import defragment
 from repro.core.placer import CPPlacer, PlacerConfig
 from repro.core.result import PlacementResult
-from repro.experiments.online import format_online, online_comparison
+from repro.experiments.runtime_exp import format_runtime, online_comparison
 from repro.fabric.devices import irregular_device
 from repro.fabric.region import PartialRegion
 from repro.modules.generator import GeneratorConfig, ModuleGenerator
@@ -22,18 +22,18 @@ from repro.modules.generator import GeneratorConfig, ModuleGenerator
 
 class TestA5Online:
     def test_bench_ablation_online(self, benchmark, report):
-        stats = run_once(benchmark, online_comparison, 30, 3)
-        report("A5 — online service level", format_online(stats))
-        by = {s.label: s for s in stats}
-        assert all(s.total == 30 for s in stats)
+        rows = run_once(benchmark, online_comparison, 30, 3)
+        report("A5 — online service level", format_runtime(rows))
+        by = {r.label: r for r in rows}
+        assert all(r.total == 30 for r in rows)
         # alternatives never lose requests, and on this loaded trace they
         # must win some (the fragmentation-reduction claim at runtime)
         assert (
-            by["first-fit (alternatives)"].accepted
-            > by["first-fit (1 shape)"].accepted
+            by["first-fit (alternatives)"].admitted
+            > by["first-fit (1 shape)"].admitted
         )
         assert (
-            by["cp (alternatives)"].accepted >= by["cp (1 shape)"].accepted
+            by["cp (alternatives)"].admitted >= by["cp (1 shape)"].admitted
         )
 
 
@@ -94,7 +94,7 @@ class TestRuntimeManagerThroughput:
 
         region = default_fabric()
         trace = generate_workload(100, seed=3)
-        config = RuntimeConfig(probe="cp", probe_time_limit=0.05)
+        config = RuntimeConfig(chain=("cp", "greedy"), probe_time_limit=0.05)
 
         def serve():
             return RuntimePlacementManager(region, config).run(trace)

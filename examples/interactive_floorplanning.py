@@ -2,16 +2,23 @@
 """Interactive floorplanning with reconfiguration-cost accounting.
 
 The paper motivates short solve times so the placer can sit inside an
-interactive tool.  This example drives the :class:`IncrementalPlacer` like
-such a tool would: modules arrive and leave at runtime, each change is
-placed on the residual region in well under a second, and the mock
+interactive tool.  This example drives the
+:class:`~repro.core.runtime.RuntimePlacementManager` like such a tool
+would: modules arrive (``submit``) and leave (``depart``) at runtime, each
+arrival is CP-placed on the residual region in well under a second while
+committed modules stay put (queue and defrag off), and the mock
 bitstream assembler reports how many configuration frames each
 reconfiguration rewrites (the reconfiguration-time proxy).
 
 Run:  python examples/interactive_floorplanning.py
 """
 
-from repro.core import IncrementalPlacer, PlacerConfig, render_placement
+from repro.core import (
+    RuntimeConfig,
+    RuntimePlacementManager,
+    RuntimeRequest,
+    render_placement,
+)
 from repro.fabric import PartialRegion, irregular_device
 from repro.flow import assemble_bitstream, partial_diff
 from repro.modules import GeneratorConfig, ModuleGenerator
@@ -19,8 +26,15 @@ from repro.modules import GeneratorConfig, ModuleGenerator
 
 def main() -> None:
     region = PartialRegion.whole_device(irregular_device(40, 12, seed=9))
-    placer = IncrementalPlacer(
-        region, PlacerConfig(time_limit=1.0, first_solution_only=True)
+    placer = RuntimePlacementManager(
+        region,
+        RuntimeConfig(
+            chain=("cp",),
+            probe_time_limit=1.0,
+            queue_capacity=0,
+            defrag_on_reject=False,
+            frag_threshold=1.0,
+        ),
     )
     generator = ModuleGenerator(
         seed=5,
@@ -37,14 +51,16 @@ def main() -> None:
     )
     for action, module in script:
         if action == "add":
-            placement = placer.add(module)
+            # the designer's session never advances the clock: modules
+            # stay until removed
+            placement = placer.submit(RuntimeRequest(module, 0, 1)).placement
             what = (
                 f"add    {module.name} -> "
                 + (f"alt {placement.shape_index} at ({placement.x},{placement.y})"
                    if placement else "REJECTED (no space)")
             )
         else:
-            placer.remove(module.name)
+            placer.depart(module.name)
             what = f"remove {module.name}"
         new_bitstream = assemble_bitstream(placer.result())
         frames = partial_diff(bitstream, new_bitstream)

@@ -1,19 +1,19 @@
 #!/usr/bin/env python3
 """Online placement service level (the related-work setting, Section II).
 
-Modules arrive, run, and depart; the space manager accepts or rejects each
-request.  We compare first-fit and incremental-CP managers, each with and
-without design alternatives — transplanting the paper's thesis to the
-online setting: more layouts per module, fewer rejections.
+Modules arrive, run, and depart; the runtime placement manager admits or
+rejects each request.  We compare a first-fit and a CP admission chain,
+each with and without design alternatives — transplanting the paper's
+thesis to the online setting: more layouts per module, fewer rejections.
 
 Run:  python examples/online_service_level.py
 """
 
-from repro.experiments import format_online, generate_trace, online_comparison
+from repro.experiments import format_runtime, online_comparison, online_trace
 
 
 def main() -> None:
-    trace = generate_trace(40, seed=3)
+    trace = online_trace(40, seed=3)
     peak = max(
         sum(
             r.module.primary().area
@@ -26,12 +26,12 @@ def main() -> None:
         f"trace: {len(trace)} requests, peak concurrent demand "
         f"{peak} tiles\n"
     )
-    stats = online_comparison(n_requests=40, seed=3)
-    print(format_online(stats))
-    by = {s.label: s for s in stats}
+    rows = online_comparison(n_requests=40, seed=3)
+    print(format_runtime(rows))
+    by = {r.label: r for r in rows}
     gain = (
-        by["first-fit (alternatives)"].accepted
-        - by["first-fit (1 shape)"].accepted
+        by["first-fit (alternatives)"].admitted
+        - by["first-fit (1 shape)"].admitted
     )
     print(
         f"\ndesign alternatives serve {gain} additional requests on this "

@@ -101,7 +101,7 @@ def main() -> int:
             f"{res.elapsed:6.2f}s"
         )
 
-    chain = RuntimeConfig().effective_chain()
+    chain = tuple(RuntimeConfig().chain)
     for name in chain:
         if not backend_capabilities(name).relocatable:
             problems.append(f"default chain names non-relocatable {name!r}")

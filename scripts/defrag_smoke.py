@@ -39,7 +39,7 @@ def run_one(strategy: str, problems: list) -> str:
     manager = RuntimePlacementManager(
         region,
         RuntimeConfig(
-            probe="greedy",
+            chain=("greedy",),
             defragmenter=strategy,
             verify_moves=True,
             tracer=tracer,

@@ -46,7 +46,7 @@ def main() -> int:
     tracer = RecordingTracer()
     manager = RuntimePlacementManager(
         region,
-        RuntimeConfig(probe="cp", probe_time_limit=0.02, tracer=tracer),
+        RuntimeConfig(chain=("cp", "greedy"), probe_time_limit=0.02, tracer=tracer),
     )
     t0 = time.monotonic()
     log = manager.run(trace)

@@ -160,7 +160,7 @@ def check_reservations(problems: list) -> str:
     manager = RuntimePlacementManager(
         region,
         RuntimeConfig(
-            probe="greedy",
+            chain=("greedy",),
             queue_capacity=0,
             reservation_horizon=16,
             frag_threshold=1.0,

@@ -14,7 +14,6 @@ from repro.core.placement_model import PlacementModel
 from repro.core.objective import ObjectiveKind
 from repro.core.placer import CPPlacer, PlacerConfig, place
 from repro.core.alternatives import expand_alternatives, legal_rigid_transforms
-from repro.core.incremental import IncrementalPlacer
 from repro.core.lns import LNSConfig, LNSPlacer
 from repro.core.relocation import (
     RelocationSite,
@@ -86,7 +85,6 @@ __all__ = [
     "place",
     "expand_alternatives",
     "legal_rigid_transforms",
-    "IncrementalPlacer",
     "LNSPlacer",
     "LNSConfig",
     "RelocationSite",

@@ -364,10 +364,7 @@ class CPPlacer:
         )
         profile.restarts = restarts
         if pm.cache_stats is not None:
-            profile.cache_hits = pm.cache_stats["hits"]
-            profile.cache_evictions = pm.cache_stats.get("evictions", 0)
-            profile.cache_misses = pm.cache_stats["misses"]
-            profile.cache_narrowed = pm.cache_stats["narrowed"]
+            profile.add_cache_stats(pm.cache_stats)
         inc = pm.kernel.inc_stats
         profile.geost_dirty = inc.dirty
         profile.geost_reused = inc.reused

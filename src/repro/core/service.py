@@ -41,7 +41,9 @@ determinism tests.
 Observability: routing decisions emit ``service.route``, spills
 ``service.spill``, drains ``service.drain``; per-shard stats merge via
 ``RuntimeStats.__add__`` and per-shard profiles (labelled with their
-shard name) via ``SolveProfile.__add__``.
+shard name) via ``SolveProfile.__add__``.  Shards peak at different
+ticks, so the merged ``peak_occupied_cells`` is the service's own
+sample of the fleet's total occupancy after every submit.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from repro.core.runtime import (
     RuntimePlacementManager,
     RuntimeRequest,
     RuntimeStats,
+    runtime_profile,
 )
 from repro.fabric.cache import AnchorMaskCache
 from repro.fabric.grid import FabricGrid
@@ -118,11 +121,10 @@ class RoundRobinRouter(Router):
 class LeastLoadedRouter(Router):
     """Prefer the shard with the lowest occupied fraction.
 
-    Load is occupied cells over available area — O(live placements) per
-    shard, no geometry scan.  Outstanding reservations count at their
-    planned footprint: booked cells are promised capacity the shard
-    cannot offer a new arrival, exactly like placed cells.  Ties break
-    on shard index.
+    Load is occupied cells over available area — no geometry scan.
+    Outstanding reservations count at their planned footprint: booked
+    cells are promised capacity the shard cannot offer a new arrival,
+    exactly like placed cells.  Ties break on shard index.
     """
 
     name = "least-loaded"
@@ -132,8 +134,7 @@ class LeastLoadedRouter(Router):
         area = shard.region.available_area()
         if area == 0:
             return 1.0
-        occupied = sum(p.footprint.area for p in shard.placements)
-        occupied += sum(
+        occupied = shard.occupied_cells + sum(
             r.placement.footprint.area for r in shard.reservations
         )
         return occupied / area
@@ -270,11 +271,11 @@ class ServiceLog:
 
     #: outcomes in submission order (the admitting/owning shard's record)
     outcomes: List[RequestOutcome]
-    #: merged service-level stats (sum of the per-shard stats)
+    #: merged service-level stats (see :meth:`ShardedPlacementService.stats`)
     stats: RuntimeStats
     #: per-shard stats keyed by shard name
     per_shard: Dict[str, RuntimeStats]
-    #: admitted module name -> shard name that holds it
+    #: admitted module name -> shard name that held it
     shard_of: Dict[str, str] = field(default_factory=dict)
 
     @property
@@ -334,6 +335,8 @@ class ShardedPlacementService:
         self._tracer = (
             tracer if tracer is not None and tracer.enabled else None
         )
+        #: largest total occupancy sampled across shards (after submits)
+        self._peak_occupied = 0
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -402,9 +405,15 @@ class ShardedPlacementService:
 
     @property
     def stats(self) -> RuntimeStats:
+        """The per-shard stats merged into one record; the peak is the
+        larger of the sampled fleet total and the largest shard peak (a
+        shard can peak between two submits)."""
         merged = RuntimeStats()
         for shard in self.shards:
             merged = merged + shard.stats
+        merged.peak_occupied_cells = max(
+            merged.peak_occupied_cells, self._peak_occupied
+        )
         return merged
 
     def shard_stats(self) -> Dict[str, RuntimeStats]:
@@ -429,43 +438,13 @@ class ShardedPlacementService:
         counters deduplicated by cache instance — under ``share_cache``
         every shard reports the *same* cache, which must count once.
         """
-        s = self.stats
-        caches = {id(sh._cache): sh._cache for sh in self.shards}
-        cache_totals = {"hits": 0, "misses": 0, "narrowed": 0, "evictions": 0}
-        for cache in caches.values():
-            for key, value in cache.stats().items():
-                if key in cache_totals:
-                    cache_totals[key] += value
-        return SolveProfile(
-            elapsed=s.total_latency_s,
-            stop_reason="service",
-            cache_hits=cache_totals["hits"],
-            cache_misses=cache_totals["misses"],
-            cache_narrowed=cache_totals["narrowed"],
-            cache_evictions=cache_totals["evictions"],
-            meta={
-                "shards": self.n_shards,
-                "router": self.config.router,
-                "defragmenter": self.config.runtime.defragmenter,
-                "runtime.arrivals": s.arrivals,
-                "runtime.admitted": s.admitted,
-                "runtime.rejected": s.rejected,
-                "runtime.departures": s.departures,
-                "runtime.defrags": s.defrags,
-                "runtime.defrag_moves": s.defrag_moves,
-                "runtime.defrag_planned": s.defrag_planned_moves,
-                "runtime.defrag_executed": s.defrag_executed_moves,
-                "runtime.defrag_aborted": s.defrag_aborted_moves,
-                "runtime.defrag_time_s": round(s.defrag_time_s, 6),
-                "runtime.probe_errors": s.probe_errors,
-                "runtime.queued_admits": s.queued_admits,
-                "runtime.reservations_booked": s.reservations_booked,
-                "runtime.reservation_admits": s.reservation_admits,
-                "runtime.reservations_expired": s.reservations_expired,
-                "runtime.mean_latency_s": round(s.mean_latency_s, 6),
-                "runtime.max_latency_s": round(s.max_latency_s, 6),
-                "runtime.peak_occupied_cells": s.peak_occupied_cells,
-            },
+        return runtime_profile(
+            self.stats,
+            [sh._cache for sh in self.shards],
+            "service",
+            shards=self.n_shards,
+            router=self.config.router,
+            defragmenter=self.config.runtime.defragmenter,
         )
 
     # ------------------------------------------------------------------
@@ -475,8 +454,18 @@ class ShardedPlacementService:
         """Route one arrival; spill across shards before rejecting.
 
         Single-shard services delegate to the shard's own ``submit`` —
-        bit-identical to a bare manager by construction.
+        bit-identical to a bare manager by construction.  Afterwards
+        every shard sits at the arrival tick, so the summed occupancy is
+        a true simultaneous sample.
         """
+        outcome = self._route(request)
+        self._peak_occupied = max(
+            self._peak_occupied,
+            sum(shard.occupied_cells for shard in self.shards),
+        )
+        return outcome
+
+    def _route(self, request: RuntimeRequest) -> RequestOutcome:
         if self.n_shards == 1:
             return self.shards[0].submit(request)
         # every shard observes the clock advance (departures are played
@@ -546,16 +535,13 @@ class ShardedPlacementService:
         for request in sorted(trace, key=lambda r: r.arrival):
             outcomes.append(self.submit(request))
         self.drain()
-        shard_of = {
-            o.placement.module.name: self.shard_of(o.placement.module.name)
-            for o in outcomes
-            if o.admitted and o.placement is not None
-        }
         return ServiceLog(
             outcomes=outcomes,
             stats=self.stats,
             per_shard=self.shard_stats(),
-            shard_of={k: v for k, v in shard_of.items() if v is not None},
+            shard_of={
+                o.request.module.name: o.shard for o in outcomes if o.admitted
+            },
         )
 
     # ------------------------------------------------------------------
@@ -591,7 +577,7 @@ class ShardedPlacementService:
     def _make_worker_solver(
         self, shard_name: str, shard_cfg: RuntimeConfig
     ) -> Callable[[Module, PartialRegion], Optional[Tuple[Placement, str]]]:
-        chain = shard_cfg.effective_chain()
+        chain = tuple(shard_cfg.chain)
         time_limit = shard_cfg.probe_time_limit
         capacity = self.config.worker_cache_capacity
 

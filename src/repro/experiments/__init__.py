@@ -20,10 +20,10 @@ from repro.experiments.ablations import (
     solver_strategy_sweep,
     static_fraction_sweep,
 )
-from repro.experiments.online import (
-    format_online,
-    generate_trace,
+from repro.experiments.runtime_exp import (
+    format_runtime,
     online_comparison,
+    online_trace,
 )
 from repro.experiments.service_load import (
     LoadReport,
@@ -47,8 +47,8 @@ __all__ = [
     "solver_strategy_sweep",
     "static_fraction_sweep",
     "online_comparison",
-    "generate_trace",
-    "format_online",
+    "online_trace",
+    "format_runtime",
     "LoadReport",
     "run_load",
     "serving_config",

@@ -108,9 +108,9 @@ def _a8() -> str:
 
 
 def _a5() -> str:
-    from repro.experiments.online import format_online, online_comparison
+    from repro.experiments.runtime_exp import format_runtime, online_comparison
 
-    return format_online(online_comparison())
+    return format_runtime(online_comparison())
 
 
 def _a6() -> str:

@@ -19,11 +19,18 @@ that no intermediate state ever overlapped a running module.
 The greedy probe is used so both runs are deterministic (no wall-clock
 budget in the admission decision); the CP probe variant is exercised by
 ``benchmarks/test_bench_runtime.py``.
+
+The online service-level ablation (A5, :func:`online_comparison`) is the
+related-work setting of Section II — "the amount of module requests that
+can be fulfilled" [4, 5] — served by the same manager: a first-fit and a
+CP admission chain, each with and without design alternatives, with the
+queue and every defrag trigger off so each arrival is admitted now or
+rejected.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.core.runtime import (
@@ -37,8 +44,20 @@ from repro.fabric.region import PartialRegion
 from repro.modules.generator import GeneratorConfig
 
 
+class _Admissions:
+    """``total``/``rejection_ratio`` of a row's admitted/rejected counts."""
+
+    @property
+    def total(self) -> int:
+        return self.admitted + self.rejected
+
+    @property
+    def rejection_ratio(self) -> float:
+        return self.rejected / self.total if self.total else 0.0
+
+
 @dataclass
-class RuntimeRow:
+class RuntimeRow(_Admissions):
     """One serving run, summarized."""
 
     label: str
@@ -48,14 +67,8 @@ class RuntimeRow:
     defrags: int
     defrag_moves: int
     mean_latency_ms: float
-
-    @property
-    def total(self) -> int:
-        return self.admitted + self.rejected
-
-    @property
-    def rejection_ratio(self) -> float:
-        return self.rejected / self.total if self.total else 0.0
+    #: names of the rejected requests, in rejection order
+    rejected_names: List[str] = field(default_factory=list)
 
 
 def default_runtime_region(seed: int = 9) -> PartialRegion:
@@ -105,7 +118,7 @@ def serve_trace(
     config: Optional[RuntimeConfig] = None,
 ) -> RuntimeRow:
     """One serving run; returns the summary row."""
-    cfg = config or RuntimeConfig(probe="greedy")
+    cfg = config or RuntimeConfig(chain=("greedy",))
     cfg.with_alternatives = with_alternatives
     manager = RuntimePlacementManager(region, cfg)
     log: RuntimeLog = manager.run(trace)
@@ -117,6 +130,9 @@ def serve_trace(
         defrags=log.stats.defrags,
         defrag_moves=log.stats.defrag_moves,
         mean_latency_ms=1e3 * log.stats.mean_latency_s,
+        rejected_names=[
+            o.request.module.name for o in log.outcomes if not o.admitted
+        ],
     )
 
 
@@ -141,15 +157,58 @@ def runtime_comparison(
                 with_alts,
                 label,
                 RuntimeConfig(
-                    probe="greedy", allow_shape_change=allow_shape_change
+                    chain=("greedy",), allow_shape_change=allow_shape_change
                 ),
             )
         )
     return rows
 
 
+def online_trace(n_requests: int = 40, seed: int = 3) -> List[RuntimeRequest]:
+    """The A5 trace: small modules arriving every ~2 ticks, living ~30."""
+    return generate_workload(
+        n_requests,
+        seed=seed,
+        mean_interarrival=2,
+        mean_lifetime=30,
+        generator_config=GeneratorConfig(
+            clb_min=16, clb_max=56, bram_max=2, height_min=3, height_max=6
+        ),
+    )
+
+
+def online_comparison(
+    n_requests: int = 40,
+    seed: int = 3,
+    region: Optional[PartialRegion] = None,
+) -> List[RuntimeRow]:
+    """A5: first-fit vs CP admission, with and without alternatives."""
+    from repro.fabric.devices import irregular_device
+
+    region = region or PartialRegion.whole_device(
+        irregular_device(40, 12, seed=9)
+    )
+    trace = online_trace(n_requests, seed)
+    return [
+        serve_trace(
+            region,
+            trace,
+            with_alts,
+            f"{backend} ({'alternatives' if with_alts else '1 shape'})",
+            RuntimeConfig(
+                chain=(backend,),
+                queue_capacity=0,
+                defrag_on_reject=False,
+                frag_threshold=1.0,
+            ),
+        )
+        for backend in ("first-fit", "cp")
+        for with_alts in (False, True)
+    ]
+
+
 @dataclass
-class DefragRow:
+class DefragRow(_Admissions):
     """One defrag-strategy serving run, summarized."""
 
     label: str
@@ -161,14 +220,6 @@ class DefragRow:
     executed_moves: int
     aborted_moves: int
     defrag_time_ms: float
-
-    @property
-    def total(self) -> int:
-        return self.admitted + self.rejected
-
-    @property
-    def rejection_ratio(self) -> float:
-        return self.rejected / self.total if self.total else 0.0
 
 
 def _p99_ms(log: RuntimeLog) -> float:
@@ -188,13 +239,13 @@ def defrag_strategy_config(strategy: str) -> RuntimeConfig:
     """
     if strategy == "disabled":
         return RuntimeConfig(
-            probe="greedy",
+            chain=("greedy",),
             defrag_on_reject=False,
             frag_threshold=1.0,
             sample_timeline=False,
         )
     return RuntimeConfig(
-        probe="greedy",
+        chain=("greedy",),
         defragmenter=strategy,
         verify_moves=(strategy == "no-break"),
         sample_timeline=False,
@@ -270,7 +321,7 @@ def format_runtime(rows: Sequence[RuntimeRow]) -> str:
 
 
 @dataclass
-class ReservationRow:
+class ReservationRow(_Admissions):
     """One admission-policy serving run, summarized."""
 
     label: str
@@ -280,14 +331,6 @@ class ReservationRow:
     reservation_admits: int
     expired: int
     mean_utilization: float
-
-    @property
-    def total(self) -> int:
-        return self.admitted + self.rejected
-
-    @property
-    def rejection_ratio(self) -> float:
-        return self.rejected / self.total if self.total else 0.0
 
 
 def reservation_runtime_region(seed: int = 9) -> PartialRegion:
@@ -332,7 +375,7 @@ def reservation_admission_config(horizon: int) -> RuntimeConfig:
     runs so the comparison isolates the reservation mechanism from
     queueing — every non-fitting request either books or rejects."""
     return RuntimeConfig(
-        probe="greedy",
+        chain=("greedy",),
         queue_capacity=0,
         reservation_horizon=horizon,
         frag_threshold=1.0,

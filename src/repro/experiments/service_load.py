@@ -17,7 +17,7 @@ measured throughput against the stored threshold, mirroring the
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.runtime import RuntimeConfig, RuntimeRequest, generate_workload
@@ -69,30 +69,15 @@ class LoadReport:
     per_shard_admitted: Dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> Dict:
-        return {
-            "n_requests": self.n_requests,
-            "n_shards": self.n_shards,
-            "router": self.router,
-            "elapsed_s": round(self.elapsed_s, 4),
-            "req_per_s": round(self.req_per_s, 1),
-            "p50_latency_s": round(self.p50_latency_s, 6),
-            "p99_latency_s": round(self.p99_latency_s, 6),
-            "max_latency_s": round(self.max_latency_s, 6),
-            "admitted": self.admitted,
-            "rejected": self.rejected,
-            "reject_rate": round(self.reject_rate, 4),
-            "defrag": self.defrag,
-            "defrags": self.defrags,
-            "defrag_planned_moves": self.defrag_planned_moves,
-            "defrag_executed_moves": self.defrag_executed_moves,
-            "defrag_aborted_moves": self.defrag_aborted_moves,
-            "defrag_time_s": round(self.defrag_time_s, 6),
-            "reservations_booked": self.reservations_booked,
-            "reservation_admits": self.reservation_admits,
-            "reservations_expired": self.reservations_expired,
-            "rejected_by_reason": dict(self.rejected_by_reason),
-            "per_shard_admitted": dict(self.per_shard_admitted),
-        }
+        doc = asdict(self)
+        for key, value in doc.items():
+            if isinstance(value, float):
+                doc[key] = round(value, _DIGITS.get(key, 6))
+        return doc
+
+
+#: decimal places of the exported floats (the rest keep 6)
+_DIGITS = {"elapsed_s": 4, "req_per_s": 1, "reject_rate": 4}
 
 
 def serving_config(

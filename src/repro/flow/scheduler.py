@@ -10,9 +10,11 @@ survive a transition *in place* and only write frames for what changes.
 :class:`ReconfigurationScheduler` plans placements for a phase sequence
 under two policies:
 
-* **sticky** — modules present in consecutive phases keep their placement;
-  only departures are erased and arrivals placed (into the residual
-  region, CP-placed);
+* **sticky** — one :class:`~repro.core.runtime.RuntimePlacementManager`
+  lives across all phases: departures leave through ``depart()`` and
+  arrivals are CP-placed into the residual region through ``submit()``,
+  with the queue and every defrag trigger off, so modules present in
+  consecutive phases never move;
 * **naive** — every phase is placed from scratch (each transition rewrites
   everything that moved).
 
@@ -29,10 +31,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.incremental import IncrementalPlacer
 from repro.core.lns import LNSConfig, LNSPlacer
-from repro.core.placer import PlacerConfig
-from repro.core.result import Placement, PlacementResult
+from repro.core.result import PlacementResult
+from repro.core.runtime import (
+    RuntimeConfig,
+    RuntimePlacementManager,
+    RuntimeRequest,
+)
 from repro.fabric.region import PartialRegion
 from repro.modules.module import Module
 
@@ -117,6 +122,11 @@ class ScheduleResult:
         )
 
 
+#: lifetime of a scheduled module: phases never advance the manager's
+#: clock, so placements leave only through an explicit ``depart()``
+_RESIDENT = 1
+
+
 class ReconfigurationScheduler:
     """Plan placements across phases, minimizing rewritten frames."""
 
@@ -124,15 +134,35 @@ class ReconfigurationScheduler:
         self,
         region: PartialRegion,
         sticky: bool = True,
-        placer_config: Optional[PlacerConfig] = None,
         fresh_time_limit: float = 4.0,
     ) -> None:
         self.region = region
         self.sticky = sticky
-        self.placer_config = placer_config or PlacerConfig(
-            time_limit=1.0, first_solution_only=True
-        )
         self.fresh_time_limit = fresh_time_limit
+
+    def _manager(self) -> RuntimePlacementManager:
+        """A manager that CP-places arrivals and never moves a module."""
+        return RuntimePlacementManager(
+            self.region,
+            RuntimeConfig(
+                chain=("cp",),
+                probe_time_limit=1.0,
+                queue_capacity=0,
+                defrag_on_reject=False,
+                frag_threshold=1.0,
+            ),
+        )
+
+    @staticmethod
+    def _admit(
+        manager: RuntimePlacementManager, modules: Sequence[Module]
+    ) -> List[str]:
+        """Submit modules one by one; returns the names that did not fit."""
+        return [
+            m.name
+            for m in modules
+            if not manager.submit(RuntimeRequest(m, 0, _RESIDENT)).admitted
+        ]
 
     # ------------------------------------------------------------------
     def schedule(self, phases: Sequence[Phase]) -> ScheduleResult:
@@ -144,9 +174,10 @@ class ReconfigurationScheduler:
         previous: Optional[PlacementResult] = None
         prev_phase_name = "<empty>"
 
+        manager = self._manager() if self.sticky else None
         for phase in phases:
-            if self.sticky and previous is not None:
-                result, failed = self._sticky_step(previous, phase)
+            if manager is not None:
+                result, failed = self._sticky_step(manager, phase)
             else:
                 result, failed = self._fresh_step(phase)
             if failed:
@@ -191,29 +222,24 @@ class ReconfigurationScheduler:
         result = placer.place(self.region, list(phase.modules))
         if result.all_placed and result.placements:
             return result, []
-        # partial fallback: place greedily one by one so the schedule can
+        # partial fallback: place one by one so the schedule can
         # continue and report precisely what did not fit
-        inc = IncrementalPlacer(self.region, self.placer_config)
-        rejected = inc.add_all(list(phase.modules))
-        return inc.result(), [m.name for m in rejected]
+        manager = self._manager()
+        rejected = self._admit(manager, phase.modules)
+        return manager.result(), rejected
 
     def _sticky_step(
-        self, previous: PlacementResult, phase: Phase
+        self, manager: RuntimePlacementManager, phase: Phase
     ) -> Tuple[PlacementResult, List[str]]:
         """Keep surviving modules in place; place only the arrivals."""
-        wanted = {m.name: m for m in phase.modules}
-        kept = [
-            p for p in previous.placements if p.module.name in wanted
-        ]
-        inc = IncrementalPlacer(self.region, self.placer_config)
-        for p in kept:
-            inc._placements[p.module.name] = p  # trusted: verified before
-        arrivals = [
-            m for m in phase.modules
-            if m.name not in {p.module.name for p in kept}
-        ]
-        rejected = inc.add_all(arrivals)
-        return inc.result(), [m.name for m in rejected]
+        wanted = set(phase.module_names())
+        for p in manager.placements:
+            if p.module.name not in wanted:
+                manager.depart(p.module.name)
+        placed = {p.module.name for p in manager.placements}
+        arrivals = [m for m in phase.modules if m.name not in placed]
+        rejected = self._admit(manager, arrivals)
+        return manager.result(), rejected
 
 
 def compare_policies(

@@ -16,11 +16,38 @@ and fail on any drift of the counters.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import asdict, dataclass, field, fields
+from typing import Any, Dict, List, Optional, Tuple
 
 #: bump when the exported dict layout changes incompatibly
 PROFILE_SCHEMA_VERSION = 1
+
+
+def merge_records(a, b, **override):
+    """Field-wise merge of two records of one dataclass.
+
+    ``max_*``/``peak_*`` fields merge by max, strings by first non-empty,
+    dicts per key (values merged by ``+``), every other field by sum.
+    ``override`` supplies merged values for fields that follow none of
+    these rules.
+    """
+    merged = dict(override)
+    for f in fields(a):
+        if f.name in merged:
+            continue
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name.startswith(("max_", "peak_")):
+            merged[f.name] = max(x, y)
+        elif isinstance(x, str):
+            merged[f.name] = x or y
+        elif isinstance(x, dict):
+            out = dict(x)
+            for key, value in y.items():
+                out[key] = out[key] + value if key in out else value
+            merged[f.name] = out
+        else:
+            merged[f.name] = x + y
+    return type(a)(**merged)
 
 
 @dataclass
@@ -40,27 +67,15 @@ class PropagatorProfile:
     def __add__(self, other: "PropagatorProfile") -> "PropagatorProfile":
         if self.name != other.name:
             raise ValueError(f"cannot merge {self.name!r} with {other.name!r}")
-        return PropagatorProfile(
-            self.name,
-            self.calls + other.calls,
-            self.time_s + other.time_s,
-            self.prunes + other.prunes,
-            self.failures + other.failures,
-        )
+        return merge_records(self, other)
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "calls": self.calls,
-            "time_s": self.time_s,
-            "prunes": self.prunes,
-            "failures": self.failures,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: Dict[str, Any]) -> "PropagatorProfile":
         return PropagatorProfile(
-            d["name"], d["calls"], d["time_s"], d["prunes"], d["failures"]
+            **{f.name: d[f.name] for f in fields(PropagatorProfile)}
         )
 
 
@@ -137,72 +152,26 @@ class SolveProfile:
             p.stop_reason = search_stats.stop_reason
         return p
 
+    def add_cache_stats(self, stats: Dict[str, int]) -> None:
+        """Add an anchor-mask cache's ``stats()`` (hits, misses, ...) onto
+        the matching ``cache_*`` counters."""
+        for key, value in stats.items():
+            name = f"cache_{key}"
+            if name in COUNTERS:
+                setattr(self, name, getattr(self, name) + value)
+
     # ------------------------------------------------------------------
     # Aggregation
     # ------------------------------------------------------------------
     def __add__(self, other: "SolveProfile") -> "SolveProfile":
-        props: Dict[str, PropagatorProfile] = {
-            k: PropagatorProfile(v.name, v.calls, v.time_s, v.prunes, v.failures)
-            for k, v in self.propagators.items()
-        }
-        for k, v in other.propagators.items():
-            props[k] = (props[k] + v) if k in props else v
         meta = dict(self.meta)
         for k, v in other.meta.items():
             meta.setdefault(k, v)
-        return SolveProfile(
-            nodes=self.nodes + other.nodes,
-            backtracks=self.backtracks + other.backtracks,
-            solutions=self.solutions + other.solutions,
-            max_depth=max(self.max_depth, other.max_depth),
-            restarts=self.restarts + other.restarts,
-            elapsed=self.elapsed + other.elapsed,
-            stop_reason=self.stop_reason or other.stop_reason,
-            propagations=self.propagations + other.propagations,
-            domain_updates=self.domain_updates + other.domain_updates,
-            failures=self.failures + other.failures,
-            cache_hits=self.cache_hits + other.cache_hits,
-            cache_misses=self.cache_misses + other.cache_misses,
-            cache_narrowed=self.cache_narrowed + other.cache_narrowed,
-            cache_evictions=self.cache_evictions + other.cache_evictions,
-            geost_dirty=self.geost_dirty + other.geost_dirty,
-            geost_reused=self.geost_reused + other.geost_reused,
-            geost_rasterized=self.geost_rasterized + other.geost_rasterized,
-            bitboard_rows_tested=(
-                self.bitboard_rows_tested + other.bitboard_rows_tested
-            ),
-            bitboard_fallbacks=self.bitboard_fallbacks + other.bitboard_fallbacks,
-            analytical_iterations=(
-                self.analytical_iterations + other.analytical_iterations
-            ),
-            analytical_snapped=self.analytical_snapped + other.analytical_snapped,
-            propagators=props,
-            meta=meta,
-        )
+        return merge_records(self, other, meta=meta)
 
     def counts(self) -> Dict[str, int]:
         """The integer counters that golden tests pin (no wall-clock)."""
-        return {
-            "nodes": self.nodes,
-            "backtracks": self.backtracks,
-            "solutions": self.solutions,
-            "max_depth": self.max_depth,
-            "restarts": self.restarts,
-            "propagations": self.propagations,
-            "domain_updates": self.domain_updates,
-            "failures": self.failures,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_narrowed": self.cache_narrowed,
-            "cache_evictions": self.cache_evictions,
-            "geost_dirty": self.geost_dirty,
-            "geost_reused": self.geost_reused,
-            "geost_rasterized": self.geost_rasterized,
-            "bitboard_rows_tested": self.bitboard_rows_tested,
-            "bitboard_fallbacks": self.bitboard_fallbacks,
-            "analytical_iterations": self.analytical_iterations,
-            "analytical_snapped": self.analytical_snapped,
-        }
+        return {name: getattr(self, name) for name in COUNTERS}
 
     # ------------------------------------------------------------------
     # Serialization
@@ -229,27 +198,7 @@ class SolveProfile:
             )
         props = [PropagatorProfile.from_dict(p) for p in d.get("propagators", [])]
         return SolveProfile(
-            nodes=d["nodes"],
-            backtracks=d["backtracks"],
-            solutions=d["solutions"],
-            max_depth=d["max_depth"],
-            restarts=d.get("restarts", 0),
-            elapsed=d.get("elapsed", 0.0),
-            stop_reason=d.get("stop_reason", ""),
-            propagations=d["propagations"],
-            domain_updates=d["domain_updates"],
-            failures=d["failures"],
-            cache_hits=d.get("cache_hits", 0),
-            cache_misses=d.get("cache_misses", 0),
-            cache_narrowed=d.get("cache_narrowed", 0),
-            cache_evictions=d.get("cache_evictions", 0),
-            geost_dirty=d.get("geost_dirty", 0),
-            geost_reused=d.get("geost_reused", 0),
-            geost_rasterized=d.get("geost_rasterized", 0),
-            bitboard_rows_tested=d.get("bitboard_rows_tested", 0),
-            bitboard_fallbacks=d.get("bitboard_fallbacks", 0),
-            analytical_iterations=d.get("analytical_iterations", 0),
-            analytical_snapped=d.get("analytical_snapped", 0),
+            **{f.name: d.get(f.name, f.default) for f in SCALARS},
             propagators={p.name: p for p in props},
             meta=dict(d.get("meta", {})),
         )
@@ -279,6 +228,17 @@ class SolveProfile:
                 f"{p.name},{p.calls},{p.time_s:.6f},{p.prunes},{p.failures}"
             )
         return "\n".join(lines) + "\n"
+
+
+#: every scalar field of :class:`SolveProfile` (all but the per-propagator
+#: breakdown and ``meta``), in declaration order
+SCALARS: Tuple = tuple(
+    f for f in fields(SolveProfile) if f.name not in ("propagators", "meta")
+)
+#: the integer counters: exported, schema-required, never negative
+COUNTERS: Tuple[str, ...] = tuple(
+    f.name for f in SCALARS if type(f.default) is int
+)
 
 
 def profile_report(profile: SolveProfile) -> str:

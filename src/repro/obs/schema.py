@@ -17,28 +17,14 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from repro.obs.profile import PROFILE_SCHEMA_VERSION
+from repro.obs.profile import COUNTERS, PROFILE_SCHEMA_VERSION, SCALARS
 
-#: required top-level fields of a profile document and their types
+#: required top-level fields of a profile document and their types: one
+#: per scalar field of :class:`~repro.obs.profile.SolveProfile`, typed
+#: by its default
 PROFILE_SCHEMA: Dict[str, type] = {
     "schema_version": int,
-    "nodes": int,
-    "backtracks": int,
-    "solutions": int,
-    "max_depth": int,
-    "restarts": int,
-    "propagations": int,
-    "domain_updates": int,
-    "failures": int,
-    "geost_dirty": int,
-    "geost_reused": int,
-    "geost_rasterized": int,
-    "bitboard_rows_tested": int,
-    "bitboard_fallbacks": int,
-    "analytical_iterations": int,
-    "analytical_snapped": int,
-    "elapsed": float,
-    "stop_reason": str,
+    **{f.name: type(f.default) for f in SCALARS},
     "propagators": list,
     "meta": dict,
 }
@@ -134,14 +120,7 @@ def validate_profile(doc: Dict[str, Any]) -> List[str]:
         problems.append(
             f"profile: schema_version {version} != {PROFILE_SCHEMA_VERSION}"
         )
-    for key in (
-        "nodes", "backtracks", "solutions", "max_depth", "restarts",
-        "propagations", "domain_updates", "failures",
-        "cache_hits", "cache_misses", "cache_narrowed", "cache_evictions",
-        "geost_dirty", "geost_reused", "geost_rasterized",
-        "bitboard_rows_tested", "bitboard_fallbacks",
-        "analytical_iterations", "analytical_snapped",
-    ):
+    for key in COUNTERS:
         value = doc.get(key)
         if isinstance(value, int) and not isinstance(value, bool) and value < 0:
             problems.append(f"profile: field {key!r} is negative ({value})")

@@ -262,16 +262,17 @@ class TestRuntimeChainConfig:
             ),
         )
 
-    def test_default_chain_reproduces_probe_greedy(self):
+    def test_default_chain_is_cp_then_greedy(self):
+        assert tuple(RuntimeConfig().chain) == ("cp", "greedy")
         region = PartialRegion.whole_device(homogeneous_device(10, 2))
-        by_probe = RuntimePlacementManager(
-            region, RuntimeConfig(probe="greedy")
+        by_default = RuntimePlacementManager(
+            region, RuntimeConfig()
         ).run(self._workload())
         by_chain = RuntimePlacementManager(
-            region, RuntimeConfig(chain=("greedy",))
+            region, RuntimeConfig(chain=("cp", "greedy"))
         ).run(self._workload())
         assert [
-            (o.status, o.method, o.placement) for o in by_probe.outcomes
+            (o.status, o.method, o.placement) for o in by_default.outcomes
         ] == [(o.status, o.method, o.placement) for o in by_chain.outcomes]
 
     def test_custom_chain_method_labels_are_backend_names(self):

@@ -48,7 +48,7 @@ def corridor(width=8):
 
 
 def no_break_cfg(**kw):
-    kw.setdefault("probe", "greedy")
+    kw.setdefault("chain", ("greedy",))
     kw.setdefault("defragmenter", "no-break")
     kw.setdefault("frag_threshold", 1.0)  # reject-triggered passes only
     kw.setdefault("verify_moves", True)
@@ -130,7 +130,7 @@ class TestDefragLatencyAccounting:
             mgr = RuntimePlacementManager(
                 corridor(8),
                 RuntimeConfig(
-                    probe="greedy",
+                    chain=("greedy",),
                     defragmenter="slow-noop-test",
                     frag_threshold=1.0,
                     queue_capacity=0,

@@ -62,7 +62,7 @@ def _service():
     cfg = ServiceConfig(
         router="least-fragmented",
         runtime=RuntimeConfig(
-            probe="greedy", frag_threshold=1.0, sample_timeline=False
+            chain=("greedy",), frag_threshold=1.0, sample_timeline=False
         ),
     )
     return ShardedPlacementService.replicated(region, N_SHARDS, cfg)
@@ -87,7 +87,7 @@ class TestFragmentationMemo:
         mgr = RuntimePlacementManager(
             region,
             RuntimeConfig(
-                probe="greedy", frag_threshold=1.0, sample_timeline=False
+                chain=("greedy",), frag_threshold=1.0, sample_timeline=False
             ),
         )
         mgr.submit(
@@ -110,7 +110,7 @@ class TestFragmentationMemo:
         mgr = RuntimePlacementManager(
             region,
             RuntimeConfig(
-                probe="greedy", frag_threshold=1.0, sample_timeline=False
+                chain=("greedy",), frag_threshold=1.0, sample_timeline=False
             ),
         )
         mgr.submit(

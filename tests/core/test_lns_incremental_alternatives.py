@@ -1,4 +1,5 @@
-"""LNS placer, incremental placement, alternative expansion."""
+"""LNS placer, incremental placement on the runtime manager, alternative
+expansion."""
 
 from __future__ import annotations
 
@@ -9,9 +10,13 @@ from repro.core.alternatives import (
     legal_rigid_transforms,
     with_alternatives,
 )
-from repro.core.incremental import IncrementalPlacer
 from repro.core.lns import LNSConfig, LNSPlacer
-from repro.core.placer import PlacerConfig
+from repro.core.runtime import (
+    RejectReason,
+    RuntimeConfig,
+    RuntimePlacementManager,
+    RuntimeRequest,
+)
 from repro.fabric.devices import homogeneous_device, irregular_device
 from repro.fabric.region import PartialRegion
 from repro.fabric.resource import ResourceType
@@ -63,66 +68,80 @@ class TestLNS:
         assert res.extent <= res.stats["initial_extent"]
 
 
-class TestIncremental:
-    def _placer(self):
-        region = PartialRegion.whole_device(homogeneous_device(12, 4))
-        return IncrementalPlacer(region, PlacerConfig(time_limit=1.0,
-                                                      first_solution_only=True))
+def interactive_manager(width, height):
+    """An interactive session: CP-placed arrivals, committed modules never
+    move (queue and defrag off), the clock never advances."""
+    region = PartialRegion.whole_device(homogeneous_device(width, height))
+    return RuntimePlacementManager(
+        region,
+        RuntimeConfig(
+            chain=("cp",),
+            probe_time_limit=1.0,
+            queue_capacity=0,
+            defrag_on_reject=False,
+            frag_threshold=1.0,
+        ),
+    )
 
+
+def add(mgr, module):
+    return mgr.submit(RuntimeRequest(module, 0, 1))
+
+
+class TestIncremental:
     def test_add_and_remove(self):
-        inc = self._placer()
-        m = Module("a", [Footprint.rectangle(3, 2)])
-        p = inc.add(m)
-        assert p is not None
-        assert inc.occupancy().sum() == 6
-        inc.remove("a")
-        assert inc.occupancy().sum() == 0
+        mgr = interactive_manager(12, 4)
+        out = add(mgr, Module("a", [Footprint.rectangle(3, 2)]))
+        assert out.admitted and out.method == "cp"
+        assert mgr.occupancy_mask().sum() == 6 == mgr.occupied_cells
+        assert mgr.depart("a") == out.placement
+        assert mgr.occupancy_mask().sum() == 0 == mgr.occupied_cells
+        mgr.check_invariants()
 
     def test_duplicate_add_rejected(self):
-        inc = self._placer()
+        mgr = interactive_manager(12, 4)
         m = Module("a", [Footprint.rectangle(2, 2)])
-        inc.add(m)
-        with pytest.raises(ValueError):
-            inc.add(m)
+        assert add(mgr, m).admitted
+        dup = add(mgr, m)
+        assert dup.status == "rejected"
+        assert dup.reason == RejectReason.DUPLICATE
+        assert len(mgr.placements) == 1
 
     def test_remove_unknown_rejected(self):
-        with pytest.raises(KeyError):
-            self._placer().remove("ghost")
+        mgr = interactive_manager(12, 4)
+        assert mgr.depart("ghost") is None
+        assert mgr.stats.departures == 0
 
     def test_modules_do_not_overlap(self):
-        inc = self._placer()
+        mgr = interactive_manager(12, 4)
         for i in range(4):
-            assert inc.add(Module(f"m{i}", [Footprint.rectangle(3, 2)])) is not None
-        result = inc.result()
+            assert add(mgr, Module(f"m{i}", [Footprint.rectangle(3, 2)])).admitted
+        result = mgr.result()
         result.verify()
         assert len(result.placements) == 4
+        mgr.check_invariants()
 
     def test_rejection_when_full(self):
-        region = PartialRegion.whole_device(homogeneous_device(4, 2))
-        inc = IncrementalPlacer(region, PlacerConfig(time_limit=1.0,
-                                                     first_solution_only=True))
-        assert inc.add(Module("a", [Footprint.rectangle(4, 2)])) is not None
-        assert inc.add(Module("b", [Footprint.rectangle(1, 1)])) is None
+        mgr = interactive_manager(4, 2)
+        assert add(mgr, Module("a", [Footprint.rectangle(4, 2)])).admitted
+        out = add(mgr, Module("b", [Footprint.rectangle(1, 1)]))
+        assert out.status == "rejected" and out.reason == RejectReason.NO_FIT
 
     def test_add_all_reports_rejects(self):
-        region = PartialRegion.whole_device(homogeneous_device(4, 2))
-        inc = IncrementalPlacer(region, PlacerConfig(time_limit=1.0,
-                                                     first_solution_only=True))
+        mgr = interactive_manager(4, 2)
         mods = [
             Module("a", [Footprint.rectangle(4, 2)]),
             Module("b", [Footprint.rectangle(2, 2)]),
         ]
-        rejected = inc.add_all(mods)
-        assert [m.name for m in rejected] == ["b"]
+        rejected = [m.name for m in mods if not add(mgr, m).admitted]
+        assert rejected == ["b"]
 
     def test_removal_frees_space_for_new_module(self):
-        region = PartialRegion.whole_device(homogeneous_device(4, 2))
-        inc = IncrementalPlacer(region, PlacerConfig(time_limit=1.0,
-                                                     first_solution_only=True))
-        inc.add(Module("a", [Footprint.rectangle(4, 2)]))
-        assert inc.add(Module("b", [Footprint.rectangle(2, 1)])) is None
-        inc.remove("a")
-        assert inc.add(Module("b2", [Footprint.rectangle(2, 1)])) is not None
+        mgr = interactive_manager(4, 2)
+        assert add(mgr, Module("a", [Footprint.rectangle(4, 2)])).admitted
+        assert not add(mgr, Module("b", [Footprint.rectangle(2, 1)])).admitted
+        mgr.depart("a")
+        assert add(mgr, Module("b2", [Footprint.rectangle(2, 1)])).admitted
 
 
 class TestAlternatives:

@@ -86,7 +86,7 @@ def _fingerprint(payload) -> str:
 class TestHorizonZeroBitIdentity:
     def test_manager_replay_matches_golden(self):
         mgr = RuntimePlacementManager(
-            default_runtime_region(), RuntimeConfig(probe="greedy")
+            default_runtime_region(), RuntimeConfig(chain=("greedy",))
         )
         log = mgr.run(default_runtime_trace(60, seed=7))
         payload = {
@@ -108,17 +108,39 @@ class TestHorizonZeroBitIdentity:
             shards,
             ServiceConfig(
                 router=router,
-                runtime=RuntimeConfig(probe="greedy", sample_timeline=False),
+                runtime=RuntimeConfig(chain=("greedy",), sample_timeline=False),
             ),
         )
         slog = svc.run(default_runtime_trace(60, seed=7))
+        # the golden capture predates two fixes: shard_of listed only the
+        # modules still resident after the drain, and the merged peak was
+        # the sum of the shard peaks — rebuild that legacy payload, then
+        # check the fixed values
+        admitted = [o for o in slog.outcomes if o.admitted]
+        resident = {
+            o.request.module.name: svc.shard_of(o.request.module.name)
+            for o in admitted
+        }
+        profile = _profile_row(svc.profile())
+        shard_peaks = [s.peak_occupied_cells for s in slog.per_shard.values()]
+        peak = profile["meta"]["runtime.peak_occupied_cells"]
+        profile["meta"]["runtime.peak_occupied_cells"] = sum(shard_peaks)
         payload = {
             "outcomes": [_outcome_row(o) for o in slog.outcomes],
-            "shard_of": dict(sorted(slog.shard_of.items())),
-            "profile": _profile_row(svc.profile()),
+            "shard_of": {
+                k: v for k, v in sorted(resident.items()) if v is not None
+            },
+            "profile": profile,
         }
         assert _fingerprint(payload) == SERVICE_FP[router]
         assert slog.stats.reservations_booked == 0
+        assert slog.shard_of == {
+            o.request.module.name: o.shard for o in admitted
+        }
+        assert len(slog.shard_of) == len(admitted) > 0
+        assert set(slog.shard_of.values()) <= set(slog.per_shard)
+        assert peak == slog.stats.peak_occupied_cells
+        assert max(shard_peaks) <= peak < sum(shard_peaks)
 
     def test_workload_traces_byte_identical(self):
         def blob(reqs):
@@ -195,7 +217,7 @@ def req(name, arrival, lifetime, deadline=None, w=2, h=2):
 
 
 def resv_config(**kw):
-    kw.setdefault("probe", "greedy")
+    kw.setdefault("chain", ("greedy",))
     kw.setdefault("queue_capacity", 0)
     kw.setdefault("reservation_horizon", 10)
     kw.setdefault("frag_threshold", 1.0)

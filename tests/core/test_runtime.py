@@ -37,7 +37,7 @@ def req(module: Module, arrival: int, lifetime: int = 100, deadline=None):
 
 
 def greedy_cfg(**kw) -> RuntimeConfig:
-    return RuntimeConfig(probe="greedy", **kw)
+    return RuntimeConfig(chain=("greedy",), **kw)
 
 
 class TestAdmissionBasics:
@@ -263,7 +263,7 @@ class TestCrashInjection:
                 raise RuntimeError("injected solver crash")
 
         monkeypatch.setattr(adapters, "CPPlacer", Boom)
-        mgr = RuntimePlacementManager(region_w(6), RuntimeConfig(probe="cp"))
+        mgr = RuntimePlacementManager(region_w(6), RuntimeConfig(chain=("cp", "greedy")))
         out = mgr.submit(req(rect("a", 2), 1))
         assert out.admitted and out.method == "greedy"
         assert out.errors and "injected" in out.errors[0]
@@ -287,7 +287,7 @@ class TestCrashInjection:
             adapters.BaselineBackend, "_solve", greedy_boom
         )
         mgr = RuntimePlacementManager(
-            region_w(6), RuntimeConfig(probe="cp", queue_capacity=0)
+            region_w(6), RuntimeConfig(chain=("cp", "greedy"), queue_capacity=0)
         )
         out = mgr.submit(req(rect("a", 2), 1))
         assert out.status == "rejected"
@@ -374,7 +374,7 @@ class TestWorkloadGenerator:
         with pytest.raises(ValueError):
             RuntimeRequest(rect("x", 1), arrival=0, lifetime=0)
         with pytest.raises(ValueError):
-            RuntimeConfig(probe="quantum").validate()
+            RuntimeConfig(chain=("quantum",)).validate()
 
 
 class TestAlternativesServeMore:

@@ -24,6 +24,7 @@ from repro.core.runtime import (
     RuntimeConfig,
     RuntimePlacementManager,
     RuntimeRequest,
+    RuntimeStats,
     generate_workload,
 )
 from repro.core.service import (
@@ -59,7 +60,7 @@ def req(module: Module, arrival: int, lifetime: int = 100, deadline=None):
 
 def greedy_service_cfg(**kw) -> ServiceConfig:
     runtime_kw = kw.pop("runtime_kw", {})
-    runtime_kw.setdefault("probe", "greedy")
+    runtime_kw.setdefault("chain", ("greedy",))
     runtime_kw.setdefault("frag_threshold", 1.0)
     runtime_kw.setdefault("sample_timeline", False)
     return ServiceConfig(runtime=RuntimeConfig(**runtime_kw), **kw)
@@ -119,7 +120,7 @@ class TestRouterPolicies:
         return [
             RuntimePlacementManager(
                 region_w(width, name=f"s{k}"),
-                RuntimeConfig(probe="greedy", frag_threshold=1.0),
+                RuntimeConfig(chain=("greedy",), frag_threshold=1.0),
             )
             for k in range(n)
         ]
@@ -238,7 +239,7 @@ class TestSpill:
             [region_w(2, name="s0"), region_w(2, name="s1")],
             greedy_service_cfg(
                 router="round-robin", tracer=tracer,
-                runtime_kw={"probe": "greedy", "frag_threshold": 1.0,
+                runtime_kw={"chain": ("greedy",), "frag_threshold": 1.0,
                             "queue_capacity": 4},
             ),
         )
@@ -257,7 +258,7 @@ class TestSpill:
             [region_w(2, name="s0"), region_w(4, name="s1")],
             greedy_service_cfg(
                 router="round-robin", spill=False,
-                runtime_kw={"probe": "greedy", "frag_threshold": 1.0,
+                runtime_kw={"chain": ("greedy",), "frag_threshold": 1.0,
                             "queue_capacity": 4},
             ),
         )
@@ -283,6 +284,70 @@ class TestSpill:
 
 
 # ----------------------------------------------------------------------
+# Service log and merged stats
+# ----------------------------------------------------------------------
+class TestServiceLog:
+    def test_shard_of_names_every_admitted_module(self):
+        # round-robin primaries: fill->s0, b->s1, spilled->s0 (spills to
+        # s1), c->s1 (everything full: queued, admitted when b departs)
+        svc = ShardedPlacementService(
+            [region_w(2, name="s0"), region_w(4, name="s1")],
+            greedy_service_cfg(
+                router="round-robin",
+                runtime_kw={"chain": ("greedy",), "frag_threshold": 1.0,
+                            "queue_capacity": 4},
+            ),
+        )
+        slog = svc.run([
+            req(rect("fill", 2), 1, lifetime=10),
+            req(rect("b", 2), 1, lifetime=3),
+            req(rect("spilled", 2), 2, lifetime=20),
+            req(rect("c", 2), 3, lifetime=5),
+        ])
+        assert all(o.admitted for o in slog.outcomes)
+        assert slog.shard_of == {
+            "fill": "s0", "b": "s1", "spilled": "s1", "c": "s1",
+        }
+        # the map outlives residency: the drain departed every module
+        assert all(not s.placements for s in svc.shards)
+
+    def test_merged_peak_is_the_simultaneous_peak(self):
+        # s0 peaks at t0 (a: 6 cells), s1 at t5 (b + d: 8 cells); the
+        # fleet total after each submit is 6, 8, 4 (a left at t3), 10
+        svc = ShardedPlacementService(
+            [region_w(4, name="s0"), region_w(4, name="s1")],
+            greedy_service_cfg(router="round-robin"),
+        )
+        slog = svc.run([
+            req(rect("a", 3), 0, lifetime=3),
+            req(rect("b", 1), 1, lifetime=20),
+            req(rect("c", 1), 4, lifetime=20),
+            req(rect("d", 3), 5, lifetime=20),
+        ])
+        peaks = {k: s.peak_occupied_cells for k, s in slog.per_shard.items()}
+        assert peaks == {"s0": 6, "s1": 8}
+        assert slog.stats.peak_occupied_cells == 10
+        assert svc.profile().meta["runtime.peak_occupied_cells"] == 10
+        assert [o.shard for o in slog.outcomes] == ["s0", "s1", "s0", "s1"]
+
+    def test_stats_merge_by_field_rule(self):
+        a = RuntimeStats(
+            admitted=2, max_latency_s=0.5, peak_occupied_cells=7,
+            rejected_by_reason={"no_fit": 1},
+        )
+        b = RuntimeStats(
+            admitted=3, max_latency_s=0.2, peak_occupied_cells=9,
+            rejected_by_reason={"no_fit": 2, "duplicate": 1},
+        )
+        merged = a + b
+        assert merged.admitted == 5
+        assert merged.max_latency_s == 0.5
+        assert merged.peak_occupied_cells == 9
+        assert merged.rejected_by_reason == {"no_fit": 3, "duplicate": 1}
+        assert a.rejected_by_reason == {"no_fit": 1}  # inputs untouched
+
+
+# ----------------------------------------------------------------------
 # Determinism (the satellite pins)
 # ----------------------------------------------------------------------
 class TestDeterminism:
@@ -293,7 +358,7 @@ class TestDeterminism:
         trace = self._table1_trace()
         bare = RuntimePlacementManager(
             default_fabric(60, 12),
-            RuntimeConfig(probe="greedy", frag_threshold=1.0,
+            RuntimeConfig(chain=("greedy",), frag_threshold=1.0,
                           sample_timeline=False),
         )
         bare_log = bare.run(trace)

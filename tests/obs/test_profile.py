@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -20,6 +21,7 @@ from repro.obs import (
     validate_profile,
 )
 from repro.obs.context import current
+from repro.obs.schema import PROFILE_SCHEMA
 
 
 def _tiny_instance():
@@ -134,6 +136,51 @@ class TestExportFormats:
         assert "nodes" in text
         for name in profile.propagators:
             assert name in text
+
+
+def _sample_value(f: dataclasses.Field):
+    """A non-default value for one SolveProfile field."""
+    if f.name == "propagators":
+        return {"p": PropagatorProfile("p", 1, 0.5, 2, 0)}
+    if f.name == "meta":
+        return {"instance": "x"}
+    return {int: 3, float: 1.5, str: "done"}[type(f.default)]
+
+
+class TestSchemaDrift:
+    """Every SolveProfile field is exported, schema-required, merged and
+    round-tripped — the counter lists derive from the dataclass, so a new
+    counter cannot be left out of one of them."""
+
+    @pytest.mark.parametrize(
+        "f", dataclasses.fields(SolveProfile), ids=lambda f: f.name
+    )
+    def test_field_is_covered_everywhere(self, f):
+        value = _sample_value(f)
+        profile = SolveProfile(**{f.name: value})
+        doc = profile.to_dict()
+        assert f.name in doc
+        assert f.name in PROFILE_SCHEMA
+        assert validate_profile(doc) == []
+        if type(f.default) is int:
+            problems = validate_profile({**doc, f.name: -1})
+            assert any(
+                repr(f.name) in p and "negative" in p for p in problems
+            ), problems
+        assert getattr(profile + SolveProfile(), f.name) == value
+        assert getattr(SolveProfile() + profile, f.name) == value
+        restored = SolveProfile.from_dict(json.loads(json.dumps(doc)))
+        assert getattr(restored, f.name) == value
+
+    def test_merge_rules(self):
+        a = SolveProfile(nodes=2, max_depth=5, stop_reason="", meta={"k": 1})
+        b = SolveProfile(nodes=3, max_depth=4, stop_reason="limit",
+                         meta={"k": 2, "j": 3})
+        merged = a + b
+        assert merged.nodes == 5
+        assert merged.max_depth == 5
+        assert merged.stop_reason == "limit"
+        assert merged.meta == {"k": 1, "j": 3}
 
 
 class TestProfilingSession:
