@@ -15,14 +15,16 @@ test-fast:
 
 ## the full differential oracle surface, slow legs included: the
 ## cross-kernel oracle-ladder suite plus every cross-validation /
-## property file that pins one implementation against another
+## property file that pins one implementation against another (the
+## anchor-mask kernel against its brute-force and per-cell oracles too)
 test-oracle:
 	$(PY) -m pytest -q \
 	  tests/geost/test_differential_oracle.py \
 	  tests/geost/test_incremental_differential.py \
 	  tests/geost/test_cross_validation.py \
 	  tests/geost/test_bitboard_planes.py \
-	  tests/geost/test_sweep_monotonic.py
+	  tests/geost/test_sweep_monotonic.py \
+	  tests/fabric/test_anchor_mask_oracle.py
 
 ## pytest-benchmark suite (not part of tier-1)
 bench:

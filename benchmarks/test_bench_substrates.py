@@ -9,18 +9,34 @@ deltas rather than mysterious solver slowdowns.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.cp.domain import Domain
 from repro.cp.model import Model
 from repro.fabric.devices import irregular_device
-from repro.fabric.masks import compatibility_masks, valid_anchor_mask
+from repro.core.runtime import generate_workload
+from repro.core.service import ShardedPlacementService
+from repro.experiments.config import default_fabric
+from repro.fabric.masks import (
+    blocked_prefix_counts,
+    compatibility_masks,
+    valid_anchor_mask,
+)
 from repro.fabric.region import PartialRegion
 from repro.geost.boxes import Box
 from repro.geost.placement import PlacementKernel
 from repro.geost.sweep import sweep_min
+from repro.modules.footprint import Footprint
 from repro.modules.generator import ModuleGenerator
+from tests.support import slice_and_anchor_mask
+
+#: the run/prefix kernel must beat the per-cell slice-AND oracle by this
+#: factor on the serving trace's footprints (measured ~4-6x on a 2-core
+#: x86 host; the gate leaves room for noisy hosts)
+RUN_KERNEL_SPEEDUP_MIN = 2.0
 
 
 class TestDomainOps:
@@ -47,19 +63,75 @@ class TestAnchorMasks:
     def setup(self):
         region = PartialRegion.whole_device(irregular_device(160, 24, seed=42))
         module = ModuleGenerator(seed=1).generate()
-        compat = compatibility_masks(region)
-        return region, module, compat
+        planes = blocked_prefix_counts(region)
+        return region, module, planes
 
     def test_bench_valid_anchor_mask(self, benchmark, setup):
-        region, module, compat = setup
+        region, module, planes = setup
         fp = module.primary()
-        mask = benchmark(valid_anchor_mask, region, sorted(fp.cells), compat)
+        mask = benchmark(valid_anchor_mask, region, fp, planes)
         assert mask.shape == (24, 160)
+
+    def test_bench_blocked_prefix_counts(self, benchmark, setup):
+        region, _, _ = setup
+        planes = benchmark(blocked_prefix_counts, region)
+        assert planes.shape[1:] == (25, 160) and planes.dtype == np.uint8
 
     def test_bench_compatibility_masks(self, benchmark, setup):
         region, _, _ = setup
         compat = benchmark(compatibility_masks, region)
         assert len(compat) >= 3
+
+
+class TestRunKernelSpeedup:
+    """Ratio gate: run/prefix kernel vs the per-cell slice-AND oracle.
+
+    The workload is the serving benchmark's: every shape of the seeded
+    500-request trace over the four column shards of the Table-I fabric.
+    The footprint cache is cold — each timed pass gets fresh
+    :class:`Footprint` objects, so the new kernel pays its run
+    decomposition — and each side gets its region planes (prefix counts
+    or compatibility masks) precomputed once per shard, as in serving.
+    """
+
+    def test_run_kernel_beats_per_cell_oracle(self, report):
+        regions = ShardedPlacementService.split(default_fabric(), 4)
+        shapes = [
+            sorted(fp.cells)
+            for request in generate_workload(500, seed=0)
+            for fp in request.module.shapes
+        ]
+        planes = [blocked_prefix_counts(r) for r in regions]
+        compat = [compatibility_masks(r) for r in regions]
+
+        def run_kernel():
+            fps = [Footprint(cells) for cells in shapes]
+            t0 = time.perf_counter()
+            for i, fp in enumerate(fps):
+                valid_anchor_mask(regions[i % 4], fp, planes[i % 4])
+            return time.perf_counter() - t0
+
+        def per_cell():
+            t0 = time.perf_counter()
+            for i, cells in enumerate(shapes):
+                slice_and_anchor_mask(regions[i % 4], cells, compat[i % 4])
+            return time.perf_counter() - t0
+
+        t_new = min(run_kernel() for _ in range(3))
+        t_old = min(per_cell() for _ in range(3))
+        speedup = t_old / t_new
+        report(
+            "anchor-mask kernel: run/prefix vs per-cell slice-AND",
+            "500-request serving trace footprints x 4 shards\n"
+            f"  per-cell oracle {t_old / len(shapes) * 1e6:8.1f} us/call\n"
+            f"  run/prefix      {t_new / len(shapes) * 1e6:8.1f} us/call "
+            "(cold footprint runs)\n"
+            f"  speedup         {speedup:8.2f}x  "
+            f"(gate >= {RUN_KERNEL_SPEEDUP_MIN}x)"
+        )
+        assert speedup >= RUN_KERNEL_SPEEDUP_MIN, (
+            f"run/prefix kernel only {speedup:.2f}x the per-cell oracle"
+        )
 
 
 class TestSweep:

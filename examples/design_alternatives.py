@@ -32,11 +32,11 @@ def main() -> None:
     total = np.zeros((region.height, region.width), dtype=bool)
     print(f"{'alternative':<14} {'bbox':>7} {'valid anchors':>14}")
     for i, fp in enumerate(module.shapes):
-        mask = valid_anchor_mask(region, sorted(fp.cells))
+        mask = valid_anchor_mask(region, fp)
         total |= mask
         print(f"alt {i:<10} {f'{fp.width}x{fp.height}':>7} {int(mask.sum()):>14}")
 
-    only_first = valid_anchor_mask(region, sorted(module.shapes[0].cells))
+    only_first = valid_anchor_mask(region, module.shapes[0])
     print(f"\nanchors with only the base layout: {int(only_first.sum())}")
     print(f"anchors with all alternatives:     {int(total.sum())}")
     gain = int(total.sum()) / max(1, int(only_first.sum()))

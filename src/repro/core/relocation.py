@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.core.result import Placement, PlacementResult
 from repro.fabric.cache import AnchorMaskCache
-from repro.fabric.masks import compatibility_masks, valid_anchor_mask
+from repro.fabric.masks import blocked_prefix_counts, valid_anchor_mask
 from repro.fabric.region import PartialRegion
 
 
@@ -92,9 +92,9 @@ def relocation_sites(
             for sid, fp in shapes
         ]
     else:
-        compat = compatibility_masks(sub_region)
+        planes = blocked_prefix_counts(sub_region)
         masks = [
-            (sid, valid_anchor_mask(sub_region, sorted(fp.cells), compat))
+            (sid, valid_anchor_mask(sub_region, fp, planes))
             for sid, fp in shapes
         ]
     sites: List[RelocationSite] = []

@@ -85,6 +85,14 @@ from repro.obs.trace import (
     Tracer,
 )
 
+#: LRU capacity of the anchor-mask cache a manager (or the sharded
+#: service) creates when none is handed in.  Residual-region masks almost
+#: never repeat, so an unbounded cache grows with the length of a serving
+#: run; the capacity bounds each store (masks, per-region planes, memo
+#: entries) and is above every committed golden trace's store size, so
+#: none of them evicts.  A cache handed in keeps its own capacity.
+RUNTIME_CACHE_CAPACITY = 4096
+
 
 # ----------------------------------------------------------------------
 # Requests and outcomes
@@ -216,7 +224,8 @@ class RuntimeConfig:
     verify_moves: bool = False
     #: structured event sink for runtime.* events (None = off)
     tracer: Optional[Tracer] = None
-    #: anchor-mask cache shared by all CP probes (None = new cache)
+    #: anchor-mask cache shared by all CP probes (None = a new cache
+    #: bounded at ``RUNTIME_CACHE_CAPACITY``)
     cache: Optional[AnchorMaskCache] = None
     #: sample (clock, occupancy, utilization, fragmentation) into the log
     #: timeline after every request — the fragmentation metric is a pure
@@ -441,7 +450,11 @@ class RuntimePlacementManager:
         #: one shared anchor-mask cache across every probe of every rung
         # explicit None test: AnchorMaskCache has __len__, so an *empty*
         # shared cache is falsy — `or` would silently un-share it
-        self._cache = cfg.cache if cfg.cache is not None else AnchorMaskCache()
+        self._cache = (
+            cfg.cache
+            if cfg.cache is not None
+            else AnchorMaskCache(capacity=RUNTIME_CACHE_CAPACITY)
+        )
         #: the registered defragmentation strategy (planner)
         self._defragmenter: Defragmenter = create_defragmenter(
             cfg.defragmenter
@@ -752,14 +765,25 @@ class RuntimePlacementManager:
             self._commit_due_reservations()
         self._maybe_defrag(trigger="fragmentation")
 
+    def _play_out(self) -> None:
+        """Advance until no departure or move completion is scheduled.
+
+        A queued request admitted during the playback gets a departure
+        later than every one known when the playback started, so this
+        loops until the departure heap is empty rather than advancing
+        once to the latest known departure.  No-break plans still
+        executing finish (or abort) so the final floorplan reflects every
+        move that could complete.
+        """
+        while self._departures or self._active_move is not None:
+            if self._departures:
+                self.advance_to(max(t for t, _ in self._departures))
+            else:
+                self.advance_to(self._active_move.ends)
+
     def drain(self) -> None:
         """Play out every scheduled departure and settle the queue."""
-        if self._departures:
-            self.advance_to(max(t for t, _ in self._departures))
-        # finish (or abort) any no-break plan still executing so the
-        # final floorplan reflects every move that could complete
-        while self._active_move is not None:
-            self.advance_to(self._active_move.ends)
+        self._play_out()
         # settle every outstanding reservation: step to each remaining
         # start (commits add new departures — re-drain those), then to
         # the deadlines so blocked bookings expire honestly rather than
@@ -779,10 +803,7 @@ class RuntimePlacementManager:
                         for r in self._reservations
                     )
                 )
-            if self._departures:
-                self.advance_to(max(t for t, _ in self._departures))
-            while self._active_move is not None:
-                self.advance_to(self._active_move.ends)
+            self._play_out()
         # whatever is still pending can never be admitted: its module
         # didn't fit an otherwise empty(er) fabric.  Label honestly —
         # only requests whose deadline actually passed are deadline

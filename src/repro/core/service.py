@@ -58,6 +58,7 @@ import numpy as np
 from repro.core.backend.worker import solve_in_worker, warm_process_cache
 from repro.core.result import Placement
 from repro.core.runtime import (
+    RUNTIME_CACHE_CAPACITY,
     RequestOutcome,
     RuntimeConfig,
     RuntimePlacementManager,
@@ -310,7 +311,7 @@ class ShardedPlacementService:
             (
                 cfg.runtime.cache
                 if cfg.runtime.cache is not None
-                else AnchorMaskCache()
+                else AnchorMaskCache(capacity=RUNTIME_CACHE_CAPACITY)
             )
             if cfg.share_cache
             else None

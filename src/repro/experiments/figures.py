@@ -18,7 +18,7 @@ from repro.core.alternatives import expand_alternatives
 from repro.core.lns import LNSConfig, LNSPlacer
 from repro.core.result import PlacementResult
 from repro.experiments.config import default_fabric
-from repro.fabric.masks import compatibility_masks, valid_anchor_mask
+from repro.fabric.masks import valid_anchor_mask
 from repro.fabric.region import PartialRegion
 from repro.flow.visualize import alternatives_gallery, comparison_figure
 from repro.modules.footprint import Footprint
@@ -102,19 +102,19 @@ def figure4_constraint_anatomy(
 
     # (b) + resource matching on the whole device
     whole = PartialRegion.whole_device(grid)
-    resource_matched = int(valid_anchor_mask(whole, sorted(fp.cells)).sum())
+    resource_matched = int(valid_anchor_mask(whole, fp).sum())
 
     # (c) + static region masked off (right half static, like Fig 4c)
     region = PartialRegion.with_static_box(
         grid, grid.width // 2, 0, grid.width - grid.width // 2, grid.height
     )
-    in_region_mask = valid_anchor_mask(region, sorted(fp.cells))
+    in_region_mask = valid_anchor_mask(region, fp)
     in_region = int(in_region_mask.sum())
 
     # (d) + one placed module blocking part of the region
     blocker = ModuleGenerator(seed=module_seed + 1).generate()
     bfp = blocker.primary()
-    bmask = valid_anchor_mask(region, sorted(bfp.cells))
+    bmask = valid_anchor_mask(region, bfp)
     ys, xs = np.nonzero(bmask)
     if xs.size == 0:
         non_overlapping = in_region

@@ -13,8 +13,11 @@ so this module memoizes it:
 * :class:`AnchorMaskCache` maps ``(region fingerprint, footprint
   signature)`` to the finished :func:`~repro.fabric.masks.valid_anchor_mask`
   array (stored read-only; consumers copy into their own mutable banks),
-  and caches :func:`~repro.fabric.masks.compatibility_masks` per region so
-  a miss only pays the cross-correlation, never the per-resource setup.
+  and caches the region's blocked-cell prefix planes
+  (:func:`~repro.fabric.masks.blocked_prefix_counts`, one column-wise
+  prefix count per resource kind, smallest unsigned dtype) per region, so
+  the shapes probed against one region share them and a miss only pays
+  the per-run compares, never the per-resource setup.
 * :func:`region_fingerprint` / :func:`footprint_signature` define the keys:
   pure content hashes, so two structurally identical regions (e.g. the
   same payload deserialized in two worker processes) share entries and the
@@ -26,13 +29,15 @@ in the hundreds, so the working set is small and eviction would only add
 a way to lose the hits this layer exists to provide.  Long-running shard
 workers are different — the runtime manager probes every arrival against
 the current *residual* region, whose fingerprint changes with every
-admission and departure, so entries accumulate without bound over a long
-serving run.  For that consumer the cache takes an opt-in LRU
-``capacity``; evictions are counted (``evictions``) and surface in the
+admission and departure (residual fingerprints practically never repeat),
+so entries accumulate without bound over a long serving run.  For that
+consumer the cache takes an LRU ``capacity``: the runtime manager and the
+sharded service create their own cache with
+:data:`repro.core.runtime.RUNTIME_CACHE_CAPACITY` when none is handed
+in.  Evictions are counted (``evictions``) and surface in the
 ``cache.masks`` trace event and the
 :class:`~repro.obs.profile.SolveProfile` so memory pressure is
-observable, and the default stays unbounded so existing pins are
-bit-identical.
+observable; an evicted mask recomputes bit-identically.
 
 Warmed entries can be persisted (:meth:`AnchorMaskCache.save` /
 :meth:`AnchorMaskCache.load`) so pools of worker processes — the sharded
@@ -57,9 +62,8 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from repro.fabric.masks import compatibility_masks, valid_anchor_mask
+from repro.fabric.masks import blocked_prefix_counts, valid_anchor_mask
 from repro.fabric.region import PartialRegion
-from repro.fabric.resource import ResourceType
 
 if TYPE_CHECKING:  # avoid a fabric -> modules import at runtime
     from repro.modules.footprint import Footprint
@@ -91,7 +95,7 @@ def footprint_signature(footprint: "Footprint") -> FootprintKey:
 
 
 class AnchorMaskCache:
-    """Memoizes valid-anchor masks and compatibility masks per region.
+    """Memoizes valid-anchor masks and blocked-cell prefix planes per region.
 
     One cache instance is intended per *process* (the portfolio creates one
     per worker; the LNS driver one per ``place`` call unless handed a
@@ -106,10 +110,10 @@ class AnchorMaskCache:
 
     ``capacity`` (None = unbounded, the default) turns the mask store into
     an LRU: a hit refreshes the entry, an insert past capacity evicts the
-    least recently used mask.  The per-region compatibility masks are
-    bounded by the same capacity (they are the larger entries for a
-    runtime shard worker, one dict of per-resource planes per residual
-    fingerprint); both kinds of eviction count into ``evictions``.
+    least recently used mask.  The per-region prefix planes are bounded
+    by the same capacity (they are the larger entries for a runtime shard
+    worker, one ``(K, H + 1, W)`` array per residual fingerprint); both
+    kinds of eviction count into ``evictions``.
     """
 
     def __init__(self, capacity: Optional[int] = None) -> None:
@@ -119,9 +123,7 @@ class AnchorMaskCache:
         self._masks: "OrderedDict[Tuple[RegionKey, FootprintKey], np.ndarray]" = (
             OrderedDict()
         )
-        self._compat: "OrderedDict[RegionKey, Dict[ResourceType, np.ndarray]]" = (
-            OrderedDict()
-        )
+        self._planes: "OrderedDict[RegionKey, np.ndarray]" = OrderedDict()
         #: derived-artifact memo (see :meth:`memo`); not persisted by save
         self._aux: "OrderedDict[Tuple, object]" = OrderedDict()
         #: anchor-mask lookups served from the cache
@@ -140,21 +142,23 @@ class AnchorMaskCache:
     def region_key(self, region: PartialRegion) -> RegionKey:
         return region_fingerprint(region)
 
-    def compat(
+    def planes(
         self, region: PartialRegion, region_key: Optional[RegionKey] = None
-    ) -> Dict[ResourceType, np.ndarray]:
-        """Cached :func:`compatibility_masks` of one region."""
+    ) -> np.ndarray:
+        """Cached :func:`~repro.fabric.masks.blocked_prefix_counts` of one
+        region (read-only)."""
         key = region_key if region_key is not None else self.region_key(region)
-        found = self._compat.get(key)
+        found = self._planes.get(key)
         if found is None:
-            found = compatibility_masks(region)
-            self._compat[key] = found
+            found = blocked_prefix_counts(region)
+            found.setflags(write=False)
+            self._planes[key] = found
             if self.capacity is not None:
-                while len(self._compat) > self.capacity:
-                    self._compat.popitem(last=False)
+                while len(self._planes) > self.capacity:
+                    self._planes.popitem(last=False)
                     self.evictions += 1
         elif self.capacity is not None:
-            self._compat.move_to_end(key)
+            self._planes.move_to_end(key)
         return found
 
     def anchor_mask(
@@ -176,9 +180,7 @@ class AnchorMaskCache:
                 self._masks.move_to_end(entry)
             return mask
         self.misses += 1
-        mask = valid_anchor_mask(
-            region, sorted(footprint.cells), self.compat(region, key)
-        )
+        mask = valid_anchor_mask(region, footprint, self.planes(region, key))
         mask.setflags(write=False)
         self._store(entry, mask)
         return mask
@@ -271,7 +273,7 @@ class AnchorMaskCache:
     # ------------------------------------------------------------------
     # Persistence (warmed entries shared across worker processes)
     # ------------------------------------------------------------------
-    SAVE_VERSION = 1
+    SAVE_VERSION = 2
 
     def save(self, path: str) -> int:
         """Persist the finished masks; returns the entry count.
@@ -287,9 +289,8 @@ class AnchorMaskCache:
                 (key, sorted(sig), np.asarray(mask))
                 for (key, sig), mask in self._masks.items()
             ],
-            "compat": [
-                (key, {kind: np.asarray(m) for kind, m in compat.items()})
-                for key, compat in self._compat.items()
+            "planes": [
+                (key, np.asarray(planes)) for key, planes in self._planes.items()
             ],
         }
         with open(path, "wb") as handle:
@@ -310,8 +311,10 @@ class AnchorMaskCache:
                 f"(expected {cls.SAVE_VERSION})"
             )
         cache = cls(capacity=capacity)
-        for key, compat in payload["compat"]:
-            cache._compat[key] = dict(compat)
+        for key, planes in payload["planes"]:
+            planes = np.asarray(planes)
+            planes.setflags(write=False)
+            cache._planes[key] = planes
         for key, cells, mask in payload["masks"]:
             mask = np.asarray(mask)
             mask.setflags(write=False)

@@ -3,12 +3,24 @@
 This realizes constraints M_a and M_b of the paper (Eqs. 2-3) as array
 algebra: an anchor position ``(x, y)`` is valid for a footprint iff every
 footprint cell ``(dx, dy, k)`` lands on an available tile of resource type
-``k``.  The computation ANDs shifted per-resource compatibility masks — a
-boolean cross-correlation evaluated with NumPy views (no copies of the
-fabric are made; each cell contributes one slice-AND).
+``k``.  The test runs one footprint *column run* at a time rather than one
+cell at a time:
 
-Footprint cells must be normalized so ``min dx == min dy == 0``; anchors
-are then the footprint's lower-left bounding-box corner.
+* a footprint decomposes into maximal vertical runs ``(dx, dy0, length,
+  kind)`` of same-kind cells (:func:`vertical_runs`) — generated module
+  shapes are a handful of full-height columns, so a footprint of ~60
+  cells is ~6 runs;
+* a region provides, per resource kind, the column-wise prefix count of
+  cells a tile of that kind may *not* use (:func:`blocked_prefix_counts`,
+  ``cum_k = cumsum(~compat_k, axis=0)`` with a leading zero row);
+* an anchor passes a run iff the run's column span holds no blocked cell,
+  ``cum_k[y + dy0 + length, x + dx] == cum_k[y + dy0, x + dx]`` — one
+  slice subtraction over every anchor at once, evaluated on NumPy views
+  (no copies of the fabric are made) and OR-accumulated across the runs.
+
+Anchors whose bounding box leaves the grid are invalid.  Footprint cells
+must be normalized so ``min dx == min dy == 0``; anchors are then the
+footprint's lower-left bounding-box corner.
 
 The module also hosts the shared sliding-window correlation kernels the
 geost bitboard sweep batches through:
@@ -30,7 +42,7 @@ of magnitude, so no size-thresholded FFT path is wired in.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,8 +50,13 @@ from repro.fabric.grid import FabricGrid
 from repro.fabric.region import PartialRegion
 from repro.fabric.resource import ResourceType
 
+if TYPE_CHECKING:  # avoid a fabric -> modules import at runtime
+    from repro.modules.footprint import Footprint
+
 #: (dx, dy, kind) relative cell of a footprint
 Cell = Tuple[int, int, ResourceType]
+#: (dx, dy0, length, kind) maximal vertical same-kind run of a footprint
+Run = Tuple[int, int, int, ResourceType]
 
 
 def compatibility_masks(region: PartialRegion) -> Dict[ResourceType, np.ndarray]:
@@ -53,45 +70,114 @@ def compatibility_masks(region: PartialRegion) -> Dict[ResourceType, np.ndarray]
     return out
 
 
+def blocked_prefix_counts(region: PartialRegion) -> np.ndarray:
+    """Column-wise prefix counts of the cells each resource kind cannot use.
+
+    Returns a ``(K, H + 1, W)`` array indexed by ``int(kind)`` for every
+    placeable kind: ``out[k, y, x]`` is the number of cells in column
+    ``x`` below row ``y`` that a module tile of kind ``k`` may not occupy
+    (another resource type, static, or unavailable).  Row 0 is zero, so a
+    half-open column span ``[y0, y1)`` is free for kind ``k`` iff
+    ``out[k, y1, x] == out[k, y0, x]``.  The dtype is the smallest
+    unsigned type holding ``H + 1``: for regions up to 254 rows the planes
+    take no more memory than the boolean compatibility masks.
+    """
+    cells = region.grid.cells
+    H, W = cells.shape
+    kinds = np.arange(int(ResourceType.UNAVAILABLE), dtype=cells.dtype)
+    blocked = (cells[None] != kinds[:, None, None]) | ~region.allowed_mask()
+    out = np.zeros((len(kinds), H + 1, W), dtype=np.min_scalar_type(H + 1))
+    np.cumsum(blocked, axis=1, dtype=out.dtype, out=out[:, 1:])
+    return out
+
+
+def vertical_runs(cells: Iterable[Cell]) -> Tuple[Run, ...]:
+    """Maximal vertical same-kind runs of ``cells`` sorted by (dx, dy).
+
+    Each run is ``(dx, dy0, length, kind)``: the cells ``(dx, dy0 + i,
+    kind)`` for ``i < length``.  Consecutive cells of one column extend
+    the current run while they are adjacent and of the same kind; a gap
+    or a change of kind starts a new one.
+    """
+    runs: List[Run] = []
+    cur_x = cur_y0 = cur_n = -1
+    cur_kind = None
+    for dx, dy, kind in cells:
+        if dx == cur_x and kind == cur_kind and dy == cur_y0 + cur_n:
+            cur_n += 1
+            continue
+        if cur_n > 0:
+            runs.append((cur_x, cur_y0, cur_n, cur_kind))
+        cur_x, cur_y0, cur_n, cur_kind = dx, dy, 1, kind
+    if cur_n > 0:
+        runs.append((cur_x, cur_y0, cur_n, cur_kind))
+    return tuple(runs)
+
+
+def _cell_runs(cells: Sequence[Cell]) -> Tuple[Run, ...]:
+    """Validated runs of a raw cell sequence (a Footprint is valid by
+    construction and memoizes its own :meth:`Footprint.runs`)."""
+    if not cells:
+        raise ValueError("footprint has no cells")
+    if min(c[0] for c in cells) != 0 or min(c[1] for c in cells) != 0:
+        raise ValueError("footprint cells must be normalized to origin 0,0")
+    if any(c[2] == ResourceType.UNAVAILABLE for c in cells):
+        raise ValueError("footprint cells cannot require UNAVAILABLE")
+    return vertical_runs(sorted(cells))
+
+
 def valid_anchor_mask(
     region: Union[PartialRegion, FabricGrid],
-    cells: Sequence[Cell],
-    compat: Dict[ResourceType, np.ndarray] | None = None,
+    footprint: Union["Footprint", Sequence[Cell]],
+    planes: np.ndarray | None = None,
 ) -> np.ndarray:
     """Boolean (H, W) array: True where the footprint may be anchored.
+
+    Every vertical run of the footprint is tested against the region's
+    blocked-cell prefix counts with one slice subtraction per run (see
+    the module docstring); the anchor lattice is restricted to the
+    positions whose bounding box fits the grid, and the loop stops as
+    soon as no anchor survives.
 
     Parameters
     ----------
     region:
         The partial region (or a bare grid, treated as fully reconfigurable).
-    cells:
-        Normalized footprint cells ``(dx, dy, kind)`` with ``dx, dy >= 0``
-        and ``min dx == min dy == 0``.
-    compat:
-        Optional precomputed :func:`compatibility_masks` (reused across the
-        many footprints of a module library).
+    footprint:
+        A :class:`~repro.modules.footprint.Footprint`, or normalized
+        footprint cells ``(dx, dy, kind)`` with ``dx, dy >= 0`` and
+        ``min dx == min dy == 0``.
+    planes:
+        Optional precomputed :func:`blocked_prefix_counts` of ``region``
+        (shared by the many footprints probed against one region).
     """
     if isinstance(region, FabricGrid):
         region = PartialRegion.whole_device(region)
-    if not cells:
-        raise ValueError("footprint has no cells")
-    if min(c[0] for c in cells) != 0 or min(c[1] for c in cells) != 0:
-        raise ValueError("footprint cells must be normalized to origin 0,0")
-    if compat is None:
-        compat = compatibility_masks(region)
-
+    if hasattr(footprint, "runs"):
+        runs = footprint.runs()
+    else:
+        runs = _cell_runs(footprint)
     H, W = region.height, region.width
-    valid = np.ones((H, W), dtype=bool)
-    for dx, dy, kind in cells:
-        if kind is ResourceType.UNAVAILABLE:
-            raise ValueError("footprint cells cannot require UNAVAILABLE")
-        source = compat[kind]
-        shifted = np.zeros((H, W), dtype=bool)
-        if dy < H and dx < W:
-            shifted[: H - dy, : W - dx] = source[dy:, dx:]
-        valid &= shifted
-        if not valid.any():
-            break
+    valid = np.zeros((H, W), dtype=bool)
+    rows = H - max(dy0 + n for _, dy0, n, _ in runs) + 1
+    cols = W - max(dx for dx, _, _, _ in runs)
+    if rows <= 0 or cols <= 0:
+        return valid
+    if planes is None:
+        planes = blocked_prefix_counts(region)
+    # blocked cells under each run, OR-accumulated over the runs: an
+    # anchor is valid iff every run's count cum[hi] - cum[lo] is zero
+    # (the counts are non-negative, so the OR is zero iff all are)
+    blocked = np.zeros((rows, cols), dtype=planes.dtype)
+    for dx, dy0, n, kind in runs:
+        cum = planes[kind]
+        blocked |= (
+            cum[dy0 + n : dy0 + n + rows, dx : dx + cols]
+            - cum[dy0 : dy0 + rows, dx : dx + cols]
+        )
+        if blocked.all():
+            return valid
+    np.equal(blocked, 0, out=valid[:rows, :cols])
     return valid
 
 
@@ -200,28 +286,3 @@ def anchors_list(valid: np.ndarray) -> list[Tuple[int, int]]:
     ys, xs = np.nonzero(valid)
     order = np.lexsort((ys, xs))
     return [(int(xs[i]), int(ys[i])) for i in order]
-
-
-def brute_force_anchor_mask(
-    region: PartialRegion, cells: Sequence[Cell]
-) -> np.ndarray:
-    """Reference implementation: per-anchor loop.
-
-    Exists solely so property-based tests can cross-check the vectorized
-    fast path; do not use in production code paths.
-    """
-    H, W = region.height, region.width
-    allowed = region.allowed_mask()
-    grid = region.grid.cells
-    valid = np.zeros((H, W), dtype=bool)
-    for y in range(H):
-        for x in range(W):
-            ok = True
-            for dx, dy, kind in cells:
-                xx, yy = x + dx, y + dy
-                if xx >= W or yy >= H or not allowed[yy, xx] or \
-                        grid[yy, xx] != int(kind):
-                    ok = False
-                    break
-            valid[y, x] = ok
-    return valid

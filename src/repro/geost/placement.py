@@ -41,7 +41,7 @@ from repro.cp.trail import Revision
 from repro.cp.variable import IntVar
 from repro.fabric.cache import AnchorMaskCache
 from repro.fabric.masks import (
-    compatibility_masks,
+    blocked_prefix_counts,
     count_anchors,
     count_anchors_batch,
     valid_anchor_mask,
@@ -236,9 +236,9 @@ class PlacementKernel(Propagator):
                 region, fp, region_key=key
             )
         else:
-            compat = compatibility_masks(region)
+            planes = blocked_prefix_counts(region)
             mask_of = lambda fp: valid_anchor_mask(  # noqa: E731
-                region, sorted(fp.cells), compat
+                region, fp, planes
             )
         # anchor masks live in one contiguous "bank" (one row per shape of
         # every item) so the non-overlap narrowing after an imprint is one

@@ -17,6 +17,7 @@ from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.fabric.masks import Run, vertical_runs
 from repro.fabric.resource import RESOURCE_CHARS, ResourceType, parse_resource
 from repro.fabric.tile import Tile, TileSet
 
@@ -26,7 +27,7 @@ Cell = Tuple[int, int, ResourceType]
 class Footprint:
     """An immutable, normalized shape."""
 
-    __slots__ = ("cells", "width", "height", "_grid")
+    __slots__ = ("cells", "width", "height", "_grid", "_runs")
 
     def __init__(self, cells: Iterable[Cell]) -> None:
         raw = list(cells)
@@ -53,6 +54,7 @@ class Footprint:
             self, "height", max(c[1] for c in normalized) + 1
         )
         object.__setattr__(self, "_grid", None)
+        object.__setattr__(self, "_runs", None)
 
     def __setattr__(self, *a):  # immutability
         raise AttributeError("Footprint is immutable")
@@ -123,6 +125,17 @@ class Footprint:
                 g[y, x] = int(k)
             object.__setattr__(self, "_grid", g)
         return self._grid
+
+    def runs(self) -> Tuple[Run, ...]:
+        """Maximal vertical same-kind runs ``(dx, dy0, length, kind)``.
+
+        The unit the anchor-mask kernel tests (one prefix-count compare
+        per run, see :func:`repro.fabric.masks.valid_anchor_mask`);
+        computed on first use and kept, like :meth:`grid`.
+        """
+        if self._runs is None:
+            object.__setattr__(self, "_runs", vertical_runs(sorted(self.cells)))
+        return self._runs
 
     def occupancy(self) -> np.ndarray:
         """Dense (h, w) boolean mask of used cells."""

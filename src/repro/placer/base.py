@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.result import Placement, PlacementResult
 from repro.fabric.cache import AnchorMaskCache
-from repro.fabric.masks import compatibility_masks, valid_anchor_mask
+from repro.fabric.masks import blocked_prefix_counts, valid_anchor_mask
 from repro.fabric.region import PartialRegion
 from repro.modules.footprint import Footprint
 from repro.modules.module import Module
@@ -55,12 +55,9 @@ class _State:
                 for m in self.modules
             ]
         else:
-            compat = compatibility_masks(region)
+            planes = blocked_prefix_counts(region)
             self.static = [
-                [
-                    valid_anchor_mask(region, sorted(fp.cells), compat)
-                    for fp in m.shapes
-                ]
+                [valid_anchor_mask(region, fp, planes) for fp in m.shapes]
                 for m in self.modules
             ]
         #: per (module, shape) cell offset arrays (dy, dx)

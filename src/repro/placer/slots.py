@@ -26,7 +26,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.result import Placement, PlacementResult
-from repro.fabric.masks import compatibility_masks, valid_anchor_mask
 from repro.fabric.region import PartialRegion
 from repro.modules.module import Module
 from repro.placer.base import BasePlacer, _State

@@ -12,12 +12,12 @@ from repro.core.placer import CPPlacer, PlacerConfig, place
 from repro.core.placement_model import PlacementModel
 from repro.fabric.devices import homogeneous_device, irregular_device
 from repro.fabric.grid import FabricGrid
-from repro.fabric.masks import brute_force_anchor_mask
 from repro.fabric.region import PartialRegion
 from repro.fabric.resource import ResourceType
 from repro.modules.footprint import Footprint
 from repro.modules.generator import GeneratorConfig, ModuleGenerator
 from repro.modules.module import Module
+from tests.support import brute_force_anchor_mask
 
 
 def brute_force_min_extent(region, modules):

@@ -111,28 +111,51 @@ class TestHorizonZeroBitIdentity:
                 runtime=RuntimeConfig(chain=("greedy",), sample_timeline=False),
             ),
         )
-        slog = svc.run(default_runtime_trace(60, seed=7))
-        # the golden capture predates two fixes: shard_of listed only the
-        # modules still resident after the drain, and the merged peak was
-        # the sum of the shard peaks — rebuild that legacy payload, then
-        # check the fixed values
+        trace = default_runtime_trace(60, seed=7)
+        slog = svc.run(trace)
+        # the golden capture predates three fixes: shard_of listed only
+        # the modules still resident after the drain, the merged peak was
+        # the sum of the shard peaks, and the drain advanced once to the
+        # latest departure known when it started, so a module admitted
+        # from the queue during that playback with a later departure was
+        # never played out — rebuild that legacy payload, then check the
+        # fixed values
         admitted = [o for o in slog.outcomes if o.admitted]
-        resident = {
-            o.request.module.name: svc.shard_of(o.request.module.name)
+        due = {
+            o.request.module.name: o.admitted_at + o.request.lifetime
             for o in admitted
         }
+        drain_start = max(r.arrival for r in trace)
+        legacy_clock = max(
+            [drain_start]
+            + [
+                due[o.request.module.name]
+                for o in admitted
+                if o.admitted_at <= drain_start
+            ]
+        )
+        legacy_resident = {
+            o.request.module.name: o.shard
+            for o in admitted
+            if due[o.request.module.name] > legacy_clock
+        }
         profile = _profile_row(svc.profile())
+        meta = profile["meta"]
+        departures = meta["runtime.departures"]
+        meta["runtime.departures"] = departures - len(legacy_resident)
         shard_peaks = [s.peak_occupied_cells for s in slog.per_shard.values()]
-        peak = profile["meta"]["runtime.peak_occupied_cells"]
-        profile["meta"]["runtime.peak_occupied_cells"] = sum(shard_peaks)
+        peak = meta["runtime.peak_occupied_cells"]
+        meta["runtime.peak_occupied_cells"] = sum(shard_peaks)
         payload = {
             "outcomes": [_outcome_row(o) for o in slog.outcomes],
-            "shard_of": {
-                k: v for k, v in sorted(resident.items()) if v is not None
-            },
+            "shard_of": dict(sorted(legacy_resident.items())),
             "profile": profile,
         }
         assert _fingerprint(payload) == SERVICE_FP[router]
+        # the drain plays every departure out: nothing stays placed
+        assert departures == len(admitted)
+        assert all(svc.shard_of(name) is None for name in due)
+        assert svc.clock >= max(due.values())
         assert slog.stats.reservations_booked == 0
         assert slog.shard_of == {
             o.request.module.name: o.shard for o in admitted

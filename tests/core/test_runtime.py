@@ -236,6 +236,25 @@ class TestQueueRegressions:
         assert never.reason == RejectReason.DRAINED  # pre-fix: DEADLINE
         assert mgr.clock < 1000  # its deadline genuinely had not passed
 
+    def test_drain_plays_out_departures_of_queue_admissions(self):
+        """Drain regression: a request admitted from the queue while drain
+        plays out departures gets a departure later than every one known
+        when drain started.  Pre-fix, drain advanced once to the latest
+        known departure (A's, t=10) and left B placed at clock 10."""
+        mgr = RuntimePlacementManager(
+            PartialRegion.whole_device(homogeneous_device(4, 4)),
+            greedy_cfg(queue_capacity=4, defrag_on_reject=False),
+        )
+        a = mgr.submit(req(rect("A", 4, 4), 0, lifetime=10))
+        b = mgr.submit(req(rect("B", 4, 4), 1, lifetime=50))
+        assert a.admitted and b.status == "queued"
+        mgr.drain()
+        assert b.admitted and b.admitted_at == 10
+        assert not mgr.placements  # pre-fix: B still placed
+        assert mgr.clock == 60  # B's departure was played
+        assert mgr.stats.departures == 2
+        mgr.check_invariants()
+
     def test_drain_still_reports_real_deadline_misses(self):
         """The honest counterpart: a queued request whose deadline passes
         while drain plays out departures is still a DEADLINE reject."""

@@ -21,6 +21,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.runtime import (
+    RUNTIME_CACHE_CAPACITY,
     RuntimeConfig,
     RuntimePlacementManager,
     RuntimeRequest,
@@ -39,6 +40,7 @@ from repro.core.service import (
     register_router,
 )
 from repro.experiments.config import default_fabric
+from repro.fabric.cache import AnchorMaskCache
 from repro.fabric.devices import homogeneous_device
 from repro.fabric.region import PartialRegion
 from repro.modules.footprint import Footprint
@@ -350,6 +352,52 @@ class TestServiceLog:
 # ----------------------------------------------------------------------
 # Determinism (the satellite pins)
 # ----------------------------------------------------------------------
+class TestSelfCreatedCacheBound:
+    """A service (or manager) that creates its own anchor-mask cache
+    bounds it: residual fingerprints practically never repeat, so an
+    unbounded cache grows with the length of the serving run."""
+
+    def test_managers_create_bounded_caches(self):
+        svc = ShardedPlacementService([region_w(4), region_w(4, name="b")])
+        mgr = RuntimePlacementManager(region_w(4), RuntimeConfig())
+        for shard in (*svc.shards, mgr):
+            assert shard._cache.capacity == RUNTIME_CACHE_CAPACITY
+        handed = AnchorMaskCache()
+        mgr = RuntimePlacementManager(region_w(4), RuntimeConfig(cache=handed))
+        assert mgr._cache is handed and handed.capacity is None
+
+    @pytest.mark.slow
+    def test_long_replay_stays_bounded_with_identical_outcomes(self):
+        trace = generate_workload(2000, seed=0)
+
+        def replay(cache):
+            svc = ShardedPlacementService(
+                ShardedPlacementService.split(default_fabric(), 4),
+                ServiceConfig(
+                    runtime=RuntimeConfig(
+                        chain=("greedy",), sample_timeline=False, cache=cache
+                    )
+                ),
+            )
+            log = svc.run(trace)
+            rows = [
+                (o.request.module.name, o.status, o.shard, o.admitted_at,
+                 None if o.placement is None
+                 else (o.placement.shape_index, o.placement.x, o.placement.y))
+                for o in log.outcomes
+            ]
+            return rows, svc.shards[0]._cache
+
+        bounded_rows, bounded = replay(None)
+        unbounded_rows, unbounded = replay(AnchorMaskCache())
+        assert bounded.capacity == RUNTIME_CACHE_CAPACITY
+        assert len(bounded) <= RUNTIME_CACHE_CAPACITY
+        assert len(bounded._planes) <= RUNTIME_CACHE_CAPACITY
+        assert bounded.evictions > 0  # the bound was actually exercised
+        assert len(unbounded) > RUNTIME_CACHE_CAPACITY
+        assert bounded_rows == unbounded_rows
+
+
 class TestDeterminism:
     def _table1_trace(self, n=80, seed=11):
         return generate_workload(n, seed=seed)

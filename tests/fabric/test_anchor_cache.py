@@ -236,8 +236,8 @@ class TestLRUCapacity:
         regions = self._regions(4)
         cache = AnchorMaskCache(capacity=2)
         for r in regions:
-            cache.compat(r)
-        assert len(cache._compat) == 2
+            cache.planes(r)
+        assert len(cache._planes) == 2
         assert cache.evictions >= 2
 
     def test_unbounded_default_never_evicts(self):

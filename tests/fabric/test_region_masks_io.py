@@ -12,14 +12,14 @@ from repro.fabric.grid import FabricGrid
 from repro.fabric.io import load_region, region_from_dict, region_to_dict, save_region
 from repro.fabric.masks import (
     anchors_list,
-    brute_force_anchor_mask,
-    compatibility_masks,
+    blocked_prefix_counts,
     valid_anchor_mask,
 )
 from repro.fabric.region import PartialRegion
 from repro.fabric.resource import ResourceType
 from repro.modules.footprint import Footprint
 from repro.modules.generator import ModuleGenerator
+from tests.support import brute_force_anchor_mask
 
 
 class TestPartialRegion:
@@ -123,8 +123,8 @@ class TestAnchorMasks:
     def test_precomputed_compat_equivalent(self):
         region = PartialRegion.whole_device(irregular_device(16, 8, seed=1))
         fp = ModuleGenerator(seed=2).generate().primary()
-        compat = compatibility_masks(region)
-        a = valid_anchor_mask(region, sorted(fp.cells), compat)
+        planes = blocked_prefix_counts(region)
+        a = valid_anchor_mask(region, fp, planes)
         b = valid_anchor_mask(region, sorted(fp.cells))
         assert np.array_equal(a, b)
 

@@ -6,6 +6,12 @@ The geost cross-validation machinery lived as near-identical copies in
 the differential harness (many random instances, three independent
 implementations of the paper's constraint) is now used by several files.
 
+Two anchor-mask oracles for the run/prefix kernel
+:func:`repro.fabric.masks.valid_anchor_mask` live here too:
+:func:`brute_force_anchor_mask` (a per-anchor, per-cell loop) and
+:func:`slice_and_anchor_mask` (the earlier vectorized kernel, one shifted
+slice-AND per footprint cell).
+
 Three ways to enumerate the solutions of one placement instance:
 
 * :func:`brute_force_solutions` — literal M_a ∧ M_b ∧ M_c from the
@@ -37,7 +43,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -46,7 +52,7 @@ from repro.cp.model import Model
 from repro.cp.search import DepthFirstSearch
 from repro.cp.solver import Solver
 from repro.fabric.devices import homogeneous_device, irregular_device
-from repro.fabric.masks import brute_force_anchor_mask
+from repro.fabric.masks import compatibility_masks
 from repro.fabric.region import PartialRegion
 from repro.fabric.resource import ResourceType
 from repro.geost.boxes import Box, ShiftedBox
@@ -61,6 +67,66 @@ from repro.modules.module import Module
 
 #: one placement: per-module (shape index, anchor x, anchor y)
 SolutionSet = Set[Tuple[Tuple[int, int, int], ...]]
+
+#: (dx, dy, kind) relative cell of a footprint
+Cell = Tuple[int, int, ResourceType]
+
+
+def brute_force_anchor_mask(
+    region: PartialRegion, cells: Sequence[Cell]
+) -> np.ndarray:
+    """Reference implementation: per-anchor loop.
+
+    Exists solely so property-based tests can cross-check the vectorized
+    fast path; do not use in production code paths.
+    """
+    H, W = region.height, region.width
+    allowed = region.allowed_mask()
+    grid = region.grid.cells
+    valid = np.zeros((H, W), dtype=bool)
+    for y in range(H):
+        for x in range(W):
+            ok = True
+            for dx, dy, kind in cells:
+                xx, yy = x + dx, y + dy
+                if xx >= W or yy >= H or not allowed[yy, xx] or \
+                        grid[yy, xx] != int(kind):
+                    ok = False
+                    break
+            valid[y, x] = ok
+    return valid
+
+
+def slice_and_anchor_mask(
+    region: PartialRegion,
+    cells: Sequence[Cell],
+    compat: Optional[Dict[ResourceType, np.ndarray]] = None,
+) -> np.ndarray:
+    """The per-cell kernel: AND one shifted compatibility slice per cell.
+
+    The production kernel before the run/prefix rewrite, kept verbatim as
+    a second (fast, vectorized) oracle.
+    """
+    if not cells:
+        raise ValueError("footprint has no cells")
+    if min(c[0] for c in cells) != 0 or min(c[1] for c in cells) != 0:
+        raise ValueError("footprint cells must be normalized to origin 0,0")
+    if compat is None:
+        compat = compatibility_masks(region)
+
+    H, W = region.height, region.width
+    valid = np.ones((H, W), dtype=bool)
+    for dx, dy, kind in cells:
+        if kind is ResourceType.UNAVAILABLE:
+            raise ValueError("footprint cells cannot require UNAVAILABLE")
+        source = compat[kind]
+        shifted = np.zeros((H, W), dtype=bool)
+        if dy < H and dx < W:
+            shifted[: H - dy, : W - dx] = source[dy:, dx:]
+        valid &= shifted
+        if not valid.any():
+            break
+    return valid
 
 
 def build_kernel(
