@@ -16,7 +16,9 @@ test-fast:
 ## the full differential oracle surface, slow legs included: the
 ## cross-kernel oracle-ladder suite plus every cross-validation /
 ## property file that pins one implementation against another (the
-## anchor-mask kernel against its brute-force and per-cell oracles too)
+## anchor-mask kernel against its brute-force and per-cell oracles, and
+## the defrag planners' maintained occupancy grid against per-cell
+## floorplan rebuilds, too)
 test-oracle:
 	$(PY) -m pytest -q \
 	  tests/geost/test_differential_oracle.py \
@@ -24,7 +26,8 @@ test-oracle:
 	  tests/geost/test_cross_validation.py \
 	  tests/geost/test_bitboard_planes.py \
 	  tests/geost/test_sweep_monotonic.py \
-	  tests/fabric/test_anchor_mask_oracle.py
+	  tests/fabric/test_anchor_mask_oracle.py \
+	  tests/core/test_defrag_occupancy_oracle.py
 
 ## pytest-benchmark suite (not part of tier-1)
 bench:

@@ -8,16 +8,25 @@ module relocation.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
+import repro.core.defrag as defrag_mod
 from benchmarks.conftest import run_once
-from repro.core.defrag import defragment
+from repro.core.defrag import NoBreakDefragmenter, defragment
 from repro.core.placer import CPPlacer, PlacerConfig
 from repro.core.result import PlacementResult
 from repro.experiments.runtime_exp import format_runtime, online_comparison
 from repro.fabric.devices import irregular_device
 from repro.fabric.region import PartialRegion
 from repro.modules.generator import GeneratorConfig, ModuleGenerator
+from tests.support import per_cell_relocation_sites
+
+#: no-break planning on the maintained occupancy grid must beat the same
+#: planner probing through per-cell floorplan rebuilds by this factor
+#: (same host, same floorplans; measured 2.2-2.3x on a 2-core x86 host)
+DEFRAG_PLAN_SPEEDUP_MIN = 1.6
 
 
 class TestA5Online:
@@ -76,6 +85,84 @@ class TestDefrag:
         free.result.verify()
         # alternative-aware relocation compacts at least as far
         assert free.final_extent <= frozen.final_extent
+
+
+def _contended_floorplans(monkeypatch, n_requests=400, keep=60):
+    """Shard floorplans the no-break planner sees while the contended
+    serving profile (reservations, queue, reject-triggered no-break
+    defrag) replays a seeded overloaded Table-I trace; ``keep`` of them,
+    evenly spaced."""
+    from repro.core.runtime import generate_workload
+    from repro.core.service import ShardedPlacementService
+    from repro.experiments.config import default_fabric
+    from repro.experiments.service_load import serving_config
+
+    recorded = []
+    plan = NoBreakDefragmenter.plan
+
+    def record(self, result, *args, **kwargs):
+        recorded.append(result)
+        return plan(self, result, *args, **kwargs)
+
+    monkeypatch.setattr(NoBreakDefragmenter, "plan", record)
+    service = ShardedPlacementService(
+        ShardedPlacementService.split(default_fabric(), 4),
+        serving_config(defrag="no-break", reservation_horizon=16),
+    )
+    trace = generate_workload(
+        n_requests, seed=0, mean_interarrival=1, mean_lifetime=40
+    )
+    for request in sorted(trace, key=lambda r: r.arrival):
+        service.submit(request)
+    service.close()
+    monkeypatch.undo()
+    return recorded[:: max(1, len(recorded) // keep)][:keep]
+
+
+class TestDefragPlanOccupancy:
+    def test_maintained_grid_beats_per_cell_rebuild(self, monkeypatch, report):
+        """Ratio gate: ``NoBreakDefragmenter.plan`` keeping one occupancy
+        grid per plan vs the same planner with the per-cell
+        ``relocation_sites`` oracle patched in (a floorplan rebuild per
+        probe).  Both sides must plan the same moves."""
+        floorplans = _contended_floorplans(monkeypatch)
+        assert len(floorplans) >= 40
+
+        def run(oracle):
+            if oracle:
+                monkeypatch.setattr(
+                    defrag_mod, "relocation_sites", per_cell_relocation_sites
+                )
+            try:
+                t0 = time.perf_counter()
+                plans = [NoBreakDefragmenter().plan(r) for r in floorplans]
+                return time.perf_counter() - t0, [p.moves for p in plans]
+            finally:
+                monkeypatch.undo()
+
+        # alternate the two sides so a drift in host speed hits both
+        t_new = t_old = float("inf")
+        for _ in range(5):
+            elapsed, moves = run(False)
+            t_new = min(t_new, elapsed)
+            elapsed, ref_moves = run(True)
+            t_old = min(t_old, elapsed)
+            assert moves == ref_moves
+        speedup = t_old / t_new
+        report(
+            "no-break defrag planning: maintained grid vs per-cell rebuild",
+            f"{len(floorplans)} contended shard floorplans, "
+            f"{sum(map(len, moves))} planned moves\n"
+            f"  per-cell rebuild {t_old / len(floorplans) * 1e3:7.2f} "
+            "ms/plan\n"
+            f"  maintained grid  {t_new / len(floorplans) * 1e3:7.2f} "
+            "ms/plan\n"
+            f"  speedup          {speedup:7.2f}x  "
+            f"(gate >= {DEFRAG_PLAN_SPEEDUP_MIN}x)",
+        )
+        assert speedup >= DEFRAG_PLAN_SPEEDUP_MIN, (
+            f"maintained-grid planning only {speedup:.2f}x the per-cell oracle"
+        )
 
 
 class TestRuntimeManagerThroughput:

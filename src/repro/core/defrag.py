@@ -43,7 +43,11 @@ the backend and router registries):
 
 Both engines run their relocation-site probes through a shared
 :class:`~repro.fabric.cache.AnchorMaskCache` when one is supplied — the
-defrag pass is the hottest mask consumer on the serving path.
+defrag pass is the hottest mask consumer on the serving path.  Each plan
+keeps one occupancy grid: built once from the input floorplan, handed
+to every probe (which lifts its module on a copy), and updated after
+each simulated move by clearing the mover's old cells and imprinting its
+new ones.
 
 Shared algorithm skeleton: greedy left-compaction.  Repeatedly take the
 module whose right edge defines the extent, enumerate its relocation
@@ -60,12 +64,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.relocation import (
     RelocationSite,
     relocation_distance,
     relocation_sites,
 )
-from repro.core.result import Placement, PlacementResult
+from repro.core.result import Placement, PlacementResult, imprint
 from repro.fabric.cache import AnchorMaskCache
 
 
@@ -103,6 +109,12 @@ class DefragResult:
         return self.initial_extent - self.final_extent
 
 
+def _move_cells(occupied: np.ndarray, old: Placement, new: Placement) -> None:
+    """Apply one simulated move to a plan's occupancy grid."""
+    imprint(occupied, old, False)
+    imprint(occupied, new, True)
+
+
 def defragment(
     result: PlacementResult,
     allow_shape_change: bool = False,
@@ -127,6 +139,7 @@ def defragment(
     placements = list(result.placements)
     current = PlacementResult(result.region, placements, list(result.unplaced))
     initial_extent = current.extent or 0
+    occupied = current.occupancy_mask()
     moves: List[Move] = []
     # one unified move budget, checked in one place: the explicit cap, or
     # a termination guard — shape-changing moves may trade width for x,
@@ -144,7 +157,7 @@ def defragment(
         for i, p in sorted(frontier, key=lambda t: -t[1].footprint.area):
             sites = relocation_sites(
                 current, p, consider_alternatives=allow_shape_change,
-                cache=cache,
+                cache=cache, occupied=occupied,
             )
             # only strictly-left-shrinking targets count as compaction
             better = [
@@ -167,6 +180,7 @@ def defragment(
                 )
             )
             placements[i] = new_p
+            _move_cells(occupied, p, new_p)
             current = PlacementResult(
                 result.region, placements, list(result.unplaced)
             )
@@ -178,7 +192,7 @@ def defragment(
             for i, p in sorted(enumerate(placements), key=lambda t: t[1].x):
                 sites = relocation_sites(
                     current, p, consider_alternatives=allow_shape_change,
-                    cache=cache,
+                    cache=cache, occupied=occupied,
                 )
                 # a squeeze move may pick a different (wider) alternative:
                 # cap its right edge at the current extent so the pass can
@@ -206,6 +220,7 @@ def defragment(
                     )
                 )
                 placements[i] = new_p
+                _move_cells(occupied, p, new_p)
                 current = PlacementResult(
                     result.region, placements, list(result.unplaced)
                 )
@@ -432,6 +447,7 @@ class NoBreakDefragmenter(Defragmenter):
             result.region, placements, list(result.unplaced)
         )
         initial_extent = current.extent or 0
+        occupied = current.occupancy_mask()
         moves: List[PlannedMove] = []
         budget = (
             max_moves if max_moves is not None
@@ -447,7 +463,7 @@ class NoBreakDefragmenter(Defragmenter):
             for i, p in sorted(frontier, key=lambda t: -t[1].footprint.area):
                 sites = relocation_sites(
                     current, p, consider_alternatives=allow_shape_change,
-                    cache=cache,
+                    cache=cache, occupied=occupied,
                 )
                 better = [
                     s
@@ -463,7 +479,7 @@ class NoBreakDefragmenter(Defragmenter):
                     sites = relocation_sites(
                         current, p,
                         consider_alternatives=allow_shape_change,
-                        cache=cache,
+                        cache=cache, occupied=occupied,
                     )
                     # same extent cap as the instant squeeze phase: a
                     # wider alternative must never grow the floorplan
@@ -482,9 +498,11 @@ class NoBreakDefragmenter(Defragmenter):
                 break
             i, move = planned
             moves.append(move)
-            placements[i] = Placement(
+            new_p = Placement(
                 placements[i].module, move.to_shape, *move.to_pos
             )
+            _move_cells(occupied, placements[i], new_p)
+            placements[i] = new_p
             current = PlacementResult(
                 result.region, placements, list(result.unplaced)
             )

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.result import Placement, PlacementResult
+from repro.core.result import Placement, PlacementResult, imprint
 from repro.fabric.cache import AnchorMaskCache
 from repro.fabric.masks import blocked_prefix_counts, valid_anchor_mask
 from repro.fabric.region import PartialRegion
@@ -49,37 +49,38 @@ class RelocationSite:
         return self.x, self.y
 
 
-def _free_mask_excluding(result: PlacementResult, who: Placement) -> np.ndarray:
-    """Region cells free if ``who`` were lifted off the fabric."""
-    occupied = result.occupancy_mask()
-    for x, y, _ in who.absolute_cells():
-        occupied[y, x] = False
-    return result.region.allowed_mask() & ~occupied
-
-
 def relocation_sites(
     result: PlacementResult,
     placement: Placement,
     consider_alternatives: bool = True,
     cache: Optional[AnchorMaskCache] = None,
+    occupied: Optional[np.ndarray] = None,
 ) -> List[RelocationSite]:
     """All anchors ``placement``'s module could occupy instead.
 
     The module itself is lifted first (its own cells count as free), so
     the current position is always among the sites of its current shape.
 
+    ``occupied`` is the caller's ``(H, W)`` occupancy grid of ``result``
+    (every placed module imprinted, ``placement`` included); the defrag
+    planners keep one such grid per plan and update it after each
+    simulated move instead of rebuilding the floorplan for every probe.
+    The mover is lifted on a copy, so the caller's array is never
+    mutated.  Without ``occupied`` the grid is built from ``result``.
+
     ``cache`` routes the mask computation through a shared
     :class:`~repro.fabric.cache.AnchorMaskCache`, keyed on the content
-    fingerprint of the lifted-module free mask — defrag passes probe the
-    same residual floorplan for every candidate module/shape, so the
-    per-region compatibility planes and repeated (region, footprint)
-    lookups are served from cache instead of re-derived per call.  The
-    cached and uncached paths are bit-identical (pinned by the
-    differential suite).
+    fingerprint of the lifted-module free mask.  Each candidate module
+    lifts a different residual floorplan, so within one call only the
+    module's own shapes share the per-region planes; repeated
+    (region, footprint) lookups across calls and passes are served from
+    cache.  The cached and uncached paths are bit-identical (pinned by
+    the differential suite).
     """
     region = result.region
-    free = _free_mask_excluding(result, placement)
-    sub_region = PartialRegion(region.grid, free & region.reconfigurable)
+    lifted = result.occupancy_mask() if occupied is None else occupied.copy()
+    imprint(lifted, placement, False)
+    sub_region = PartialRegion(region.grid, region.allowed_mask() & ~lifted)
     shapes = (
         list(enumerate(placement.module.shapes))
         if consider_alternatives

@@ -40,6 +40,16 @@ class Placement:
             (self.x + dx, self.y + dy, k) for dx, dy, k in self.footprint.cells
         ]
 
+    def cell_index(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(ys, xs)`` index arrays of the used cells, for one fancy-index
+        read or write of an ``(H, W)`` occupancy grid."""
+        off = self.footprint.offsets()
+        # widen before adding: the offsets are stored in a compact dtype
+        return (
+            np.add(off[:, 0], self.y, dtype=np.intp),
+            np.add(off[:, 1], self.x, dtype=np.intp),
+        )
+
     def overlaps(self, other: "Placement") -> bool:
         mine = {(x, y) for x, y, _ in self.absolute_cells()}
         theirs = {(x, y) for x, y, _ in other.absolute_cells()}
@@ -90,8 +100,7 @@ class PlacementResult:
         """(H, W) boolean mask of cells used by placed modules."""
         mask = np.zeros((self.region.height, self.region.width), dtype=bool)
         for p in self.placements:
-            for x, y, _ in p.absolute_cells():
-                mask[y, x] = True
+            imprint(mask, p, True)
         return mask
 
     def verify(self) -> None:
@@ -129,3 +138,12 @@ class PlacementResult:
             f"elapsed={self.elapsed:.2f}s",
         ]
         return " ".join(parts)
+
+
+def imprint(occ: np.ndarray, placement: Placement, value: bool) -> None:
+    """Set ``placement``'s cells of the ``(H, W)`` grid ``occ`` to ``value``.
+
+    The one occupancy writer: result masks, the runtime manager's live
+    bitmap and the defrag planners' simulated grids all go through it.
+    """
+    occ[placement.cell_index()] = value

@@ -64,7 +64,7 @@ from repro.core.defrag import (
     available_defragmenters,
     create_defragmenter,
 )
-from repro.core.result import Placement, PlacementResult
+from repro.core.result import Placement, PlacementResult, imprint
 from repro.fabric.cache import AnchorMaskCache
 from repro.fabric.region import PartialRegion
 from repro.metrics.fragmentation import external_fragmentation
@@ -513,10 +513,8 @@ class RuntimePlacementManager:
         """Cells promised to outstanding reservations (H, W bool)."""
         mask = np.zeros_like(self._occupancy)
         for r in self._reservations:
-            if r is exclude:
-                continue
-            for x, y, _ in r.placement.absolute_cells():
-                mask[y, x] = True
+            if r is not exclude:
+                imprint(mask, r.placement, True)
         return mask
 
     def _residual_excluding(
@@ -532,20 +530,8 @@ class RuntimePlacementManager:
         )
 
     # -- occupancy maintenance -----------------------------------------
-    @staticmethod
-    def _imprint_into(occ: np.ndarray, placement: Placement) -> None:
-        """Mark one placement's cells in an arbitrary occupancy array
-        (the reservation probe projects onto scratch floorplans)."""
-        cells = placement.absolute_cells()
-        xs = np.fromiter((c[0] for c in cells), dtype=np.int64, count=len(cells))
-        ys = np.fromiter((c[1] for c in cells), dtype=np.int64, count=len(cells))
-        occ[ys, xs] = True
-
     def _imprint(self, placement: Placement, value: bool) -> None:
-        cells = placement.absolute_cells()
-        xs = np.fromiter((c[0] for c in cells), dtype=np.int64, count=len(cells))
-        ys = np.fromiter((c[1] for c in cells), dtype=np.int64, count=len(cells))
-        self._occupancy[ys, xs] = value
+        imprint(self._occupancy, placement, value)
         self._occupancy_rev += 1
 
     def _rebuild_occupancy(self) -> None:
@@ -1010,10 +996,7 @@ class RuntimePlacementManager:
             (
                 si,
                 cache.anchor_mask(self.region, fp, region_key=key),
-                np.array(
-                    [(dy, dx) for dx, dy, _ in sorted(fp.cells)],
-                    dtype=np.int64,
-                ),
+                fp.offsets(),
             )
             for si, fp in enumerate(module.shapes)
         ]
@@ -1072,7 +1055,7 @@ class RuntimePlacementManager:
         for name, placement in self._placements.items():
             due = dep_of.get(name)
             if due is None or due > tick:
-                self._imprint_into(occ, placement)
+                imprint(occ, placement, True)
         active = self._active_move
         if active is not None:
             for x, y in active.move.window_cells:
@@ -1080,7 +1063,7 @@ class RuntimePlacementManager:
         end = tick + lifetime
         for r in self._reservations:
             if r.start < end and tick < r.start + r.request.lifetime:
-                self._imprint_into(occ, r.placement)
+                imprint(occ, r.placement, True)
         return occ
 
     def _commit_due_reservations(self) -> None:
@@ -1109,8 +1092,7 @@ class RuntimePlacementManager:
         """One commit attempt; True when the request landed (either on
         its planned cells or replanned on the current floorplan)."""
         placement, method = r.placement, "reservation"
-        cells = placement.absolute_cells()
-        if any(self._occupancy[y, x] for x, y, _ in cells):
+        if self._occupancy[placement.cell_index()].any():
             # the planned cells were claimed since booking (a defrag
             # window, an instant pass teleporting a module onto them):
             # replan on the live floorplan with the sibling bookings

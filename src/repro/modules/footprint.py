@@ -27,7 +27,7 @@ Cell = Tuple[int, int, ResourceType]
 class Footprint:
     """An immutable, normalized shape."""
 
-    __slots__ = ("cells", "width", "height", "_grid", "_runs")
+    __slots__ = ("cells", "width", "height", "_grid", "_runs", "_offsets")
 
     def __init__(self, cells: Iterable[Cell]) -> None:
         raw = list(cells)
@@ -55,6 +55,7 @@ class Footprint:
         )
         object.__setattr__(self, "_grid", None)
         object.__setattr__(self, "_runs", None)
+        object.__setattr__(self, "_offsets", None)
 
     def __setattr__(self, *a):  # immutability
         raise AttributeError("Footprint is immutable")
@@ -142,9 +143,22 @@ class Footprint:
         return self.grid() >= 0
 
     def offsets(self) -> np.ndarray:
-        """(n, 2) array of (dy, dx) used-cell offsets, for fast imprinting."""
-        ys, xs = np.nonzero(self.occupancy())
-        return np.stack([ys, xs], axis=1)
+        """(n, 2) read-only array of ``(dy, dx)`` used-cell offsets.
+
+        The imprint primitive: a placement's cells are the anchor plus
+        these rows (:meth:`repro.core.result.Placement.cell_index`), so
+        writing or testing them in an occupancy grid is one fancy-index
+        operation.  Row-major order, in the smallest unsigned dtype that
+        holds the larger side; computed on first use and kept, like
+        :meth:`grid`.
+        """
+        if self._offsets is None:
+            ys, xs = np.nonzero(self.occupancy())
+            dtype = np.min_scalar_type(max(self.width, self.height) - 1)
+            off = np.stack([ys, xs], axis=1).astype(dtype)
+            off.setflags(write=False)
+            object.__setattr__(self, "_offsets", off)
+        return self._offsets
 
     def is_rectangular(self) -> bool:
         return self.area == self.bbox_area

@@ -1,0 +1,254 @@
+"""Differential oracle for the defrag planners' maintained occupancy grid.
+
+Both planners build one occupancy grid per plan, hand it to every
+relocation probe and update it after each simulated move (clear the
+mover's old cells, imprint its new ones).  The oracle is the per-cell
+code that rebuilt the whole floorplan for every probe
+(:func:`tests.support.per_cell_relocation_sites`).  Three checks:
+
+1. ``relocation_sites(..., occupied=grid)`` equals the oracle on every
+   intermediate state a plan passes through, and a grid kept up to date
+   move by move equals the rebuilt one;
+2. with the oracle patched into :mod:`repro.core.defrag`, both planners
+   produce identical plans (moves, kinds, frames, windows, end state)
+   and identical mask-cache counters;
+3. the caller's grid is never written.
+"""
+
+from __future__ import annotations
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.core.defrag as defrag_mod
+from repro.core.defrag import (
+    GreedyCompactionDefragmenter,
+    NoBreakDefragmenter,
+    plan_states,
+)
+from repro.core.relocation import relocation_sites
+from repro.core.result import Placement, PlacementResult, imprint
+from repro.fabric.cache import AnchorMaskCache
+from repro.fabric.devices import homogeneous_device, irregular_device
+from repro.fabric.masks import valid_anchor_mask
+from repro.fabric.region import PartialRegion
+from repro.fabric.resource import ResourceType
+from repro.modules.footprint import Footprint
+from repro.modules.generator import GeneratorConfig, ModuleGenerator
+from repro.modules.module import Module
+from tests.support import per_cell_occupancy_mask, per_cell_relocation_sites
+
+PLANNERS = [GreedyCompactionDefragmenter, NoBreakDefragmenter]
+
+
+def scatter(region, modules, pick):
+    """Place each module on a feasible anchor chosen by ``pick(n)``
+    (an index in ``range(n)``), skipping modules that do not fit: a
+    fragmented floorplan for the planners to compact."""
+    occupied = np.zeros((region.height, region.width), dtype=bool)
+    placements = []
+    for module in modules:
+        sid = pick(len(module.shapes))
+        free = PartialRegion(region.grid, region.allowed_mask() & ~occupied)
+        ys, xs = np.nonzero(valid_anchor_mask(free, module.shapes[sid]))
+        if ys.size == 0:
+            continue
+        k = pick(ys.size)
+        p = Placement(module, sid, int(xs[k]), int(ys[k]))
+        for x, y, _ in p.absolute_cells():
+            occupied[y, x] = True
+        placements.append(p)
+    return PlacementResult(region, placements)
+
+
+def seeded_floorplan(seed: int) -> PlacementResult:
+    region = PartialRegion.whole_device(
+        irregular_device(40, 10, seed=seed, bram_stride=6, jitter=1)
+    )
+    cfg = GeneratorConfig(
+        clb_min=4, clb_max=12, bram_max=1,
+        height_min=2, height_max=3, max_width=4,
+    )
+    modules = ModuleGenerator(seed=seed, config=cfg).generate_set(9)
+    rng = random.Random(seed)
+    return scatter(region, modules, rng.randrange)
+
+
+@st.composite
+def floorplans(draw):
+    """Small irregular fabrics scattered with CLB modules of 1-3 shapes."""
+    region = PartialRegion.whole_device(
+        irregular_device(
+            draw(st.integers(10, 24)), draw(st.integers(3, 7)),
+            seed=draw(st.integers(0, 50)), bram_stride=5, jitter=1,
+        )
+    )
+    modules = []
+    for i in range(draw(st.integers(2, 7))):
+        shapes = []
+        for _ in range(draw(st.integers(1, 3))):
+            w, h = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+            box = [(x, y) for x in range(w) for y in range(h)]
+            keep = draw(
+                st.lists(st.sampled_from(box), min_size=1, unique=True)
+            )
+            fp = Footprint((x, y, ResourceType.CLB) for x, y in keep)
+            if fp not in shapes:
+                shapes.append(fp)
+        modules.append(Module(f"h{i}", shapes))
+    return scatter(
+        region, modules, lambda n: draw(st.integers(0, n - 1))
+    )
+
+
+def plan_pair(result, planner_cls, allow, cache_factory=lambda: None):
+    """(product plan, its cache) and (oracle plan, its cache)."""
+    out = []
+    for oracle in (False, True):
+        cache = cache_factory()
+        mp = pytest.MonkeyPatch()
+        if oracle:
+            mp.setattr(defrag_mod, "relocation_sites", per_cell_relocation_sites)
+        try:
+            plan = planner_cls().plan(
+                result, allow_shape_change=allow, cache=cache
+            )
+        finally:
+            mp.undo()
+        out.append((plan, cache))
+    return out
+
+
+def end_state(plan):
+    return sorted(
+        (p.module.name, p.shape_index, p.x, p.y)
+        for p in plan.result.placements
+    )
+
+
+# ----------------------------------------------------------------------
+# 1. sites on every intermediate state, and the maintained grid itself
+# ----------------------------------------------------------------------
+def check_sites_on_plan_states(result: PlacementResult, allow: bool) -> int:
+    checked = 0
+    for planner_cls in PLANNERS:
+        plan = planner_cls().plan(result, allow_shape_change=allow)
+        for state in [result, *plan_states(result, plan)]:
+            grid = state.occupancy_mask()
+            np.testing.assert_array_equal(grid, per_cell_occupancy_mask(state))
+            for p in state.placements:
+                expected = per_cell_relocation_sites(state, p, allow)
+                assert relocation_sites(state, p, allow, occupied=grid) == expected
+                assert relocation_sites(state, p, allow) == expected
+                checked += 1
+    return checked
+
+
+def check_grid_follows_moves(result: PlacementResult, allow: bool) -> None:
+    for planner_cls in PLANNERS:
+        plan = planner_cls().plan(result, allow_shape_change=allow)
+        grid = result.occupancy_mask()
+        placements = {p.module.name: p for p in result.placements}
+        for move in plan.moves:
+            old = placements[move.module]
+            new = Placement(old.module, move.to_shape, *move.to_pos)
+            imprint(grid, old, False)
+            imprint(grid, new, True)
+            placements[move.module] = new
+            rebuilt = PlacementResult(result.region, list(placements.values()))
+            np.testing.assert_array_equal(grid, per_cell_occupancy_mask(rebuilt))
+
+
+class TestSitesOnPlanStates:
+    @pytest.mark.parametrize("allow", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_floorplans(self, seed, allow):
+        result = seeded_floorplan(seed)
+        assert check_sites_on_plan_states(result, allow) > 0
+        check_grid_follows_moves(result, allow)
+
+    @given(floorplans(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_hypothesis_floorplans(self, result, allow):
+        check_sites_on_plan_states(result, allow)
+        check_grid_follows_moves(result, allow)
+
+    def test_imprint_past_row_255(self):
+        """Offsets are stored in a compact dtype; anchors past its range
+        must still land on the right rows."""
+        region = PartialRegion.whole_device(homogeneous_device(4, 300))
+        fp = Footprint([(0, 0, ResourceType.CLB), (1, 4, ResourceType.CLB)])
+        assert fp.offsets().dtype == np.uint8
+        result = PlacementResult(
+            region, [Placement(Module("m", [fp]), 0, 2, 290)]
+        )
+        np.testing.assert_array_equal(
+            result.occupancy_mask(), per_cell_occupancy_mask(result)
+        )
+
+
+# ----------------------------------------------------------------------
+# 2. planners on the maintained grid plan exactly what the oracle plans
+# ----------------------------------------------------------------------
+def check_plans_identical(result: PlacementResult, allow: bool) -> int:
+    moves = 0
+    for planner_cls in PLANNERS:
+        for factory in (lambda: None, AnchorMaskCache):
+            (plan, cache), (ref, ref_cache) = plan_pair(
+                result, planner_cls, allow, factory
+            )
+            assert plan.moves == ref.moves
+            assert end_state(plan) == end_state(ref)
+            assert (plan.initial_extent, plan.final_extent) == (
+                ref.initial_extent, ref.final_extent
+            )
+            if cache is not None:
+                assert cache.stats() == ref_cache.stats()
+            moves += len(plan.moves)
+    return moves
+
+
+class TestPlansMatchOracle:
+    @pytest.mark.parametrize("allow", [False, True])
+    def test_seeded_floorplans(self, allow):
+        moves = sum(check_plans_identical(seeded_floorplan(s), allow) for s in range(6))
+        # the suite must exercise multi-move plans, where a stale grid
+        # would show
+        assert moves >= 20
+
+    @given(floorplans(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_hypothesis_floorplans(self, result, allow):
+        check_plans_identical(result, allow)
+
+
+# ----------------------------------------------------------------------
+# 3. the caller's grid is read, never written
+# ----------------------------------------------------------------------
+class TestCallerGridUntouched:
+    @pytest.mark.parametrize("allow", [False, True])
+    def test_relocation_sites_leaves_grid(self, allow):
+        result = seeded_floorplan(1)
+        grid = result.occupancy_mask()
+        before = grid.copy()
+        grid.setflags(write=False)  # any write would raise
+        for p in result.placements:
+            relocation_sites(result, p, allow, occupied=grid)
+            relocation_sites(
+                result, p, allow, cache=AnchorMaskCache(), occupied=grid
+            )
+        np.testing.assert_array_equal(grid, before)
+
+    @pytest.mark.parametrize("planner_cls", PLANNERS)
+    def test_planners_leave_input(self, planner_cls):
+        result = seeded_floorplan(2)
+        placements = list(result.placements)
+        grid = result.occupancy_mask()
+        plan = planner_cls().plan(result, allow_shape_change=True)
+        assert plan.moves
+        assert result.placements == placements
+        np.testing.assert_array_equal(result.occupancy_mask(), grid)

@@ -449,6 +449,62 @@ class TestCommitAndExpiry:
         ]
 
 
+class TestDefragOnBookedCells:
+    """Defrag plans against the live placements only (``result()``), so a
+    planned move may land on cells booked for a reservation.  The
+    designed answer is the commit-time replan: the booking lands
+    elsewhere as ``reservation+<rung>`` or expires, never silently
+    overlapping the module that moved in."""
+
+    #: (name, width, arrival, lifetime) on an 8x1 fabric
+    TRACE = [
+        ("m0", 2, 0, 1), ("m1", 2, 2, 7), ("m2", 2, 4, 12),
+        ("m3", 2, 4, 1), ("m4", 3, 4, 1), ("m5", 1, 4, 7),
+        ("m6", 3, 4, 6), ("m7", 1, 4, 10), ("m8", 3, 5, 10),
+        ("m9", 3, 5, 10),
+    ]
+
+    def test_move_onto_booked_cells_replans_at_commit(self):
+        taken = []
+
+        class Manager(RuntimePlacementManager):
+            def _start_next_move(self):
+                super()._start_next_move()
+                if self._active_move is None:
+                    return
+                window = set(self._active_move.move.window_cells)
+                for r in self.reservations:
+                    booked = {
+                        (x, y) for x, y, _ in r.placement.absolute_cells()
+                    }
+                    if window & booked:
+                        taken.append(r.request.module.name)
+
+        mgr = Manager(
+            PartialRegion.whole_device(homogeneous_device(8, 1)),
+            resv_config(
+                queue_capacity=8,
+                reservation_horizon=8,
+                defrag_on_reject=True,
+                defragmenter="no-break",
+                verify_moves=True,
+            ),
+        )
+        log = mgr.run([
+            req(name, arrival, lifetime, w=w, h=1)
+            for name, w, arrival, lifetime in self.TRACE
+        ])
+        assert taken and set(taken) == {"m4"}
+        m4 = next(o for o in log.outcomes if o.request.module.name == "m4")
+        assert m4.admitted and m4.method == "reservation+greedy"
+        s = mgr.stats
+        assert s.reservations_booked == (
+            s.reservation_admits + s.reservations_expired
+        )
+        assert not mgr.reservations
+        mgr.check_invariants()
+
+
 class TestServiceIntegration:
     def test_reservations_count_toward_shard_load(self):
         region = tiny_region(8, 2)

@@ -89,6 +89,19 @@ class TestGeometry:
         assert sorted(map(tuple, offsets.tolist())) == [[0, 0], [1, 1]] or \
             sorted(map(tuple, offsets.tolist())) == [(0, 0), (1, 1)]
 
+    def test_offsets_memoized_read_only_and_lazy(self):
+        fp = Footprint.from_rows(["B..", "B ."])
+        assert fp._offsets is None  # not computed at construction
+        first = fp.offsets()
+        assert fp.offsets() is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 7
+        assert first.shape == (fp.area, 2) and first.dtype == np.uint8
+        assert sorted(map(tuple, first.tolist())) == sorted(
+            (dy, dx) for dx, dy, _ in fp.cells
+        )
+
     def test_cells_of(self):
         fp = Footprint([(0, 0, ResourceType.CLB), (1, 0, ResourceType.BRAM)])
         assert fp.cells_of(ResourceType.BRAM) == {(1, 0)}

@@ -6,6 +6,10 @@ The geost cross-validation machinery lived as near-identical copies in
 the differential harness (many random instances, three independent
 implementations of the paper's constraint) is now used by several files.
 
+The occupancy oracles live here as well: :func:`per_cell_occupancy_mask`
+and :func:`per_cell_relocation_sites` rebuild a floorplan one cell at a
+time, as the code did before occupancy became a maintained grid.
+
 Two anchor-mask oracles for the run/prefix kernel
 :func:`repro.fabric.masks.valid_anchor_mask` live here too:
 :func:`brute_force_anchor_mask` (a per-anchor, per-cell loop) and
@@ -47,12 +51,19 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.core.relocation import RelocationSite
+from repro.core.result import Placement, PlacementResult
 from repro.cp.engine import Inconsistent
 from repro.cp.model import Model
 from repro.cp.search import DepthFirstSearch
 from repro.cp.solver import Solver
 from repro.fabric.devices import homogeneous_device, irregular_device
-from repro.fabric.masks import compatibility_masks
+from repro.fabric.cache import AnchorMaskCache
+from repro.fabric.masks import (
+    blocked_prefix_counts,
+    compatibility_masks,
+    valid_anchor_mask,
+)
 from repro.fabric.region import PartialRegion
 from repro.fabric.resource import ResourceType
 from repro.geost.boxes import Box, ShiftedBox
@@ -127,6 +138,72 @@ def slice_and_anchor_mask(
         if not valid.any():
             break
     return valid
+
+
+def per_cell_occupancy_mask(result: PlacementResult) -> np.ndarray:
+    """(H, W) boolean mask of cells used by placed modules.
+
+    ``PlacementResult.occupancy_mask`` before the fancy-index imprint,
+    kept verbatim (one Python store per cell) as the occupancy oracle.
+    """
+    mask = np.zeros((result.region.height, result.region.width), dtype=bool)
+    for p in result.placements:
+        for x, y, _ in p.absolute_cells():
+            mask[y, x] = True
+    return mask
+
+
+def per_cell_free_mask_excluding(
+    result: PlacementResult, who: Placement
+) -> np.ndarray:
+    """Region cells free if ``who`` were lifted off the fabric."""
+    occupied = per_cell_occupancy_mask(result)
+    for x, y, _ in who.absolute_cells():
+        occupied[y, x] = False
+    return result.region.allowed_mask() & ~occupied
+
+
+def per_cell_relocation_sites(
+    result: PlacementResult,
+    placement: Placement,
+    consider_alternatives: bool = True,
+    cache: Optional[AnchorMaskCache] = None,
+    occupied: Optional[np.ndarray] = None,
+) -> List[RelocationSite]:
+    """``relocation_sites`` as it was before the maintained grid.
+
+    Ignores ``occupied`` and rebuilds the floorplan of ``result`` cell
+    by cell for every probe, so a planner patched onto it plans against
+    ground truth whatever state its own grid is in.
+    """
+    region = result.region
+    free = per_cell_free_mask_excluding(result, placement)
+    sub_region = PartialRegion(region.grid, free & region.reconfigurable)
+    shapes = (
+        list(enumerate(placement.module.shapes))
+        if consider_alternatives
+        else [(placement.shape_index, placement.footprint)]
+    )
+    if cache is not None:
+        region_key = cache.region_key(sub_region)
+        masks = [
+            (sid, cache.anchor_mask(sub_region, fp, region_key=region_key))
+            for sid, fp in shapes
+        ]
+    else:
+        planes = blocked_prefix_counts(sub_region)
+        masks = [
+            (sid, valid_anchor_mask(sub_region, fp, planes))
+            for sid, fp in shapes
+        ]
+    sites: List[RelocationSite] = []
+    for sid, mask in masks:
+        ys, xs = np.nonzero(mask)
+        sites.extend(
+            RelocationSite(sid, int(x), int(y))
+            for x, y in zip(xs.tolist(), ys.tolist())
+        )
+    return sites
 
 
 def build_kernel(
