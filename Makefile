@@ -18,7 +18,10 @@ test-fast:
 ## property file that pins one implementation against another (the
 ## anchor-mask kernel against its brute-force and per-cell oracles, and
 ## the defrag planners' maintained occupancy grid against per-cell
-## floorplan rebuilds, too)
+## floorplan rebuilds, too).  The wholesale and scalar kernel oracles
+## are switches on the kernel constructors only; the backend-level
+## differentials reach them under cp/lns/portfolio through the
+## tests/support.py kernel_mode injection
 test-oracle:
 	$(PY) -m pytest -q \
 	  tests/geost/test_differential_oracle.py \

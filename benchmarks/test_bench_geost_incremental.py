@@ -40,6 +40,7 @@ from repro.cp.model import Model
 from repro.geost.kernel import Geost
 from repro.geost.objects import GeostObject
 from repro.geost.shapes import ShapeTable
+from tests.support import kernel_mode
 
 GATES_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_geost.json"
 LATEST_PATH = "bench_geost_latest.json"
@@ -88,8 +89,9 @@ def _median_time(fn, repeats: int = 5) -> float:
 def test_incremental_repropagation_speedup(report, table1_instance, gates, latest):
     region, modules = table1_instance
 
-    pm_inc = PlacementModel(region, modules, incremental=True)
-    pm_whole = PlacementModel(region, modules, incremental=False)
+    pm_inc = PlacementModel(region, modules)
+    with kernel_mode(incremental=False):
+        pm_whole = PlacementModel(region, modules)
 
     t_inc = _median_time(lambda: _repropagation_cycle(pm_inc))
     t_whole = _median_time(lambda: _repropagation_cycle(pm_whole))

@@ -88,10 +88,6 @@ class CPBackend(PlacementBackend):
             updates["cache"] = request.cache
         if tracer is not None:
             updates["tracer"] = tracer
-        if request.incremental is not None:
-            updates["incremental"] = request.incremental
-        if request.bitboard is not None:
-            updates["bitboard"] = request.bitboard
         if request.warm_start is not None:
             updates["warm_start"] = request.warm_start
         if updates:
@@ -127,10 +123,6 @@ class LNSBackend(PlacementBackend):
             updates["cache"] = request.cache
         if tracer is not None:
             updates["tracer"] = tracer
-        if request.incremental is not None:
-            updates["incremental"] = request.incremental
-        if request.bitboard is not None:
-            updates["bitboard"] = request.bitboard
         if request.warm_start is not None:
             updates["warm_start"] = request.warm_start
         if updates:
@@ -170,10 +162,6 @@ class PortfolioBackend(PlacementBackend):
             updates["profile"] = True
         if tracer is not None:
             updates["tracer"] = tracer
-        if request.incremental is not None:
-            updates["incremental"] = request.incremental
-        if request.bitboard is not None:
-            updates["bitboard"] = request.bitboard
         if updates:
             cfg = dc_replace(cfg, **updates)
         return PortfolioPlacer(cfg).place(request.region, list(request.modules))
@@ -221,7 +209,11 @@ class TemporalCPBackend(PlacementBackend):
     def __init__(self, config: Optional[int] = None) -> None:
         #: optional construction-time default horizon (an int, kept as
         #: simple as the registry's config pass-through allows)
-        self.default_horizon = config
+        if config is not None and config <= 0:
+            raise ValueError("horizon must be positive")
+        self.default_horizon = (
+            config if config is not None else self.DEFAULT_HORIZON
+        )
 
     def _solve(self, request, tracer, profiling):
         from repro.core.result import Placement
@@ -231,7 +223,7 @@ class TemporalCPBackend(PlacementBackend):
         horizon = (
             request.horizon
             if request.horizon is not None
-            else (self.default_horizon or self.DEFAULT_HORIZON)
+            else self.default_horizon
         )
         durations = (
             list(request.durations)
@@ -245,10 +237,6 @@ class TemporalCPBackend(PlacementBackend):
             placer.seed = request.seed
         if request.time_limit is not None:
             placer.time_limit = request.time_limit
-        if request.incremental is not None:
-            placer.incremental = request.incremental
-        if request.bitboard is not None:
-            placer.bitboard = request.bitboard
         tasks = [
             TemporalTask(module, d) for module, d in zip(modules, durations)
         ]

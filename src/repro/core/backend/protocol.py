@@ -77,12 +77,6 @@ class PlacementRequest:
     cache: Optional[AnchorMaskCache] = None
     #: event sink for ``backend.*`` (and engine-level) trace events
     tracer: Optional[Tracer] = None
-    #: incremental geost propagation override (None = backend default,
-    #: False = wholesale re-filtering — the differential oracle mode)
-    incremental: Optional[bool] = None
-    #: bitboard-first vectorized sweep override (None = backend default,
-    #: False = the per-shape scalar oracle path)
-    bitboard: Optional[bool] = None
     #: scheduling horizon in ticks for backends with ``schedules=True``
     #: (None = degenerate single-tick horizon: a purely spatial request)
     horizon: Optional[int] = None

@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.placer import CPPlacer, PlacerConfig
+from repro.core.placer import CPPlacer, PlacerConfig, warm_start_seed
 from repro.core.result import Placement, PlacementResult
 from repro.fabric.cache import AnchorMaskCache
 from repro.fabric.region import NarrowedRegion, PartialRegion
@@ -63,18 +63,10 @@ class LNSConfig:
     #: None = one private cache per ``place`` call (still warm across
     #: iterations).  Portfolio workers pass their per-process cache here.
     cache: Optional[AnchorMaskCache] = None
-    #: incremental geost propagation in every CP solve (initial, restart
-    #: rescue, and all subproblems); False = wholesale re-filtering
-    incremental: bool = True
-    #: bitboard-first vectorized sweep in every CP solve; False = the
-    #: per-shape scalar oracle path
-    bitboard: bool = True
     #: name of a registered backend (usually ``"analytical"``) whose
     #: legalized placement replaces the CP-dive/greedy bootstrap as the
     #: initial incumbent (None = cold construction ladder)
     warm_start: Optional[str] = None
-    #: fraction of ``time_limit`` granted to the warm-start seeder
-    warm_start_budget: float = 0.25
 
 
 class LNSPlacer:
@@ -111,7 +103,10 @@ class LNSPlacer:
         base: Optional[PlacementResult] = None
         warm_stats = {}
         if cfg.warm_start and modules:
-            warm = self._warm_solve(region, modules, tracer)
+            warm = warm_start_seed(
+                cfg.warm_start, region, modules, seed=cfg.seed,
+                time_limit=cfg.time_limit, cache=self._cache, tracer=tracer,
+            )
             if warm is not None:
                 base = warm
                 warm_stats = {
@@ -127,8 +122,6 @@ class LNSPlacer:
             initial_cfg = cfg.initial or PlacerConfig(
                 time_limit=min(cfg.time_limit / 2, 5.0),
                 first_solution_only=True,
-                incremental=cfg.incremental,
-                bitboard=cfg.bitboard,
             )
             if cfg.profile or tracer is not None:
                 initial_cfg = replace(
@@ -156,8 +149,6 @@ class LNSPlacer:
                 profile=cfg.profile,
                 tracer=tracer,
                 cache=self._cache,
-                incremental=cfg.incremental,
-                bitboard=cfg.bitboard,
             )
             restarted = CPPlacer(restart_cfg).place(region, modules)
             self._absorb_profile(restarted)
@@ -227,40 +218,6 @@ class LNSPlacer:
             stats=stats,
         )
 
-    def _warm_solve(
-        self,
-        region: PartialRegion,
-        modules: Sequence[Module],
-        tracer: Optional[Tracer],
-    ) -> Optional[PlacementResult]:
-        """Run the warm-start seeder; None when its answer is unusable.
-
-        Unusable = partial or failing verification — the caller then runs
-        the ordinary construction ladder, never adopts a wrong incumbent.
-        """
-        # function-local imports: the backend adapters import this module
-        from repro.core.backend.protocol import PlacementRequest
-        from repro.core.backend.registry import create_backend
-
-        cfg = self.config
-        result = create_backend(cfg.warm_start).place(
-            PlacementRequest(
-                region,
-                list(modules),
-                seed=cfg.seed,
-                time_limit=cfg.time_limit * cfg.warm_start_budget,
-                cache=self._cache,
-                tracer=tracer,
-            )
-        )
-        if not result.placements or not result.all_placed:
-            return None
-        try:
-            result.verify()
-        except ValueError:
-            return None
-        return result
-
     def _absorb_profile(self, result: PlacementResult) -> None:
         """Fold one CP subsolve's profile into the LNS aggregate."""
         if self._profile_total is None:
@@ -315,8 +272,7 @@ class LNSPlacer:
         budget = min(cfg.sub_time_limit, max(0.1, deadline - time.monotonic()))
         sub_cfg = PlacerConfig(
             time_limit=budget, profile=cfg.profile, tracer=tracer,
-            cache=self._cache, incremental=cfg.incremental,
-            bitboard=cfg.bitboard,
+            cache=self._cache,
         )
         free_modules = [placements[i].module for i in free_idx]
         placer = CPPlacer(sub_cfg)

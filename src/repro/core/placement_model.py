@@ -47,12 +47,9 @@ class PlacementModel:
         modules: Sequence[Module],
         objective: ObjectiveKind = ObjectiveKind.MIN_EXTENT_X,
         symmetry_breaking: bool = True,
-        redundant_cumulative: bool = True,
         tracer: Optional[Tracer] = None,
         profile: bool = False,
         cache: Optional[AnchorMaskCache] = None,
-        incremental: bool = True,
-        bitboard: bool = True,
     ) -> None:
         if not modules:
             raise ValueError("nothing to place")
@@ -72,8 +69,7 @@ class PlacementModel:
             self.ss.append(m.int_var(0, mod.n_alternatives - 1, f"s[{i}]"))
 
         self.kernel = PlacementKernel(
-            region, self.modules, self.xs, self.ys, self.ss, cache=cache,
-            incremental=incremental, bitboard=bitboard,
+            region, self.modules, self.xs, self.ys, self.ss, cache=cache
         )
         #: anchor-mask cache increments of this construction (None = uncached)
         self.cache_stats = self.kernel.cache_stats
@@ -92,8 +88,7 @@ class PlacementModel:
 
         if symmetry_breaking:
             self._break_symmetries()
-        if redundant_cumulative:
-            self._post_cumulative()
+        self._post_cumulative()
 
     # ------------------------------------------------------------------
     def _break_symmetries(self) -> None:

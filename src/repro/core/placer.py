@@ -30,6 +30,10 @@ from repro.obs.profile import SolveProfile
 from repro.obs.trace import Tracer
 
 
+#: fraction of the solve's ``time_limit`` granted to a warm-start seeder
+WARM_START_BUDGET = 0.25
+
+
 @dataclass
 class PlacerConfig:
     """Knobs of the CP placer."""
@@ -38,8 +42,6 @@ class PlacerConfig:
     #: anytime budget in seconds (None = run to proven optimality)
     time_limit: Optional[float] = 10.0
     node_limit: Optional[int] = None
-    #: module branching order: "area" (hardest first) or "input"
-    order: str = "area"
     #: variable selection: "fail-first" picks the unplaced module with the
     #: fewest remaining anchors at every node (dynamic, kernel-driven);
     #: "static" follows the fixed module order
@@ -51,7 +53,6 @@ class PlacerConfig:
     #: random seed for the "restart" construction
     seed: int = 0
     symmetry_breaking: bool = True
-    redundant_cumulative: bool = True
     #: stop at the first solution instead of optimizing (service mode)
     first_solution_only: bool = False
     #: per-propagator accounting; the run's :class:`SolveProfile` lands in
@@ -63,22 +64,50 @@ class PlacerConfig:
     #: anchor-mask cache shared across model constructions (None = compute
     #: masks fresh); the LNS driver and portfolio workers thread one in
     cache: Optional[AnchorMaskCache] = None
-    #: incremental geost propagation (dirty-object maintenance + cached
-    #: anchor counts); False re-filters every module per wake-up — the
-    #: wholesale oracle, bit-identical by construction, kept for the
-    #: differential harness
-    incremental: bool = True
-    #: bitboard-first vectorized sweep (batched per-shape mask reductions
-    #: + batched anchor counting); False keeps the per-shape scalar path
-    #: — the other rung of the differential oracle ladder
-    bitboard: bool = True
     #: name of a registered backend (usually ``"analytical"``) whose
     #: legalized placement becomes the initial incumbent: the objective is
     #: clamped to beat it before search starts, so the branch-and-bound
     #: never spends nodes reaching feasibility (None = cold start)
     warm_start: Optional[str] = None
-    #: fraction of ``time_limit`` granted to the warm-start seeder
-    warm_start_budget: float = 0.25
+
+
+def warm_start_seed(
+    backend: str,
+    region: PartialRegion,
+    modules: Sequence[Module],
+    seed: int,
+    time_limit: Optional[float],
+    cache: Optional[AnchorMaskCache],
+    tracer: Optional[Tracer],
+) -> Optional[PlacementResult]:
+    """Run the seeder ``backend``; None when its answer is unusable.
+
+    The seeder gets :data:`WARM_START_BUDGET` of ``time_limit``.  Unusable
+    = partial or failing verification — the caller then falls back to its
+    cold path, never to a wrong incumbent.
+    """
+    # function-local imports: the backend adapters import this module
+    from repro.core.backend.protocol import PlacementRequest
+    from repro.core.backend.registry import create_backend
+
+    budget = time_limit * WARM_START_BUDGET if time_limit is not None else None
+    result = create_backend(backend).place(
+        PlacementRequest(
+            region,
+            list(modules),
+            seed=seed,
+            time_limit=budget,
+            cache=cache,
+            tracer=tracer,
+        )
+    )
+    if not result.placements or not result.all_placed:
+        return None
+    try:
+        result.verify()
+    except ValueError:
+        return None
+    return result
 
 
 class CPPlacer:
@@ -112,37 +141,13 @@ class CPPlacer:
         modules: Sequence[Module],
         max_extent: Optional[int],
     ) -> Optional[PlacementResult]:
-        """Run the warm-start backend; None when its answer is unusable.
-
-        Unusable = partial, failing verification, or already violating an
-        external ``max_extent`` bound — the caller then falls back to a
-        cold search, never to a wrong incumbent.
-        """
-        # function-local imports: the backend adapters import this module
-        from repro.core.backend.protocol import PlacementRequest
-        from repro.core.backend.registry import create_backend
-
+        """The warm-start seed, or None when it breaks ``max_extent``."""
         cfg = self.config
-        budget = (
-            cfg.time_limit * cfg.warm_start_budget
-            if cfg.time_limit is not None
-            else None
+        result = warm_start_seed(
+            cfg.warm_start, region, modules, seed=cfg.seed,
+            time_limit=cfg.time_limit, cache=cfg.cache, tracer=cfg.tracer,
         )
-        result = create_backend(cfg.warm_start).place(
-            PlacementRequest(
-                region,
-                list(modules),
-                seed=cfg.seed,
-                time_limit=budget,
-                cache=cfg.cache,
-                tracer=cfg.tracer,
-            )
-        )
-        if not result.placements or not result.all_placed:
-            return None
-        try:
-            result.verify()
-        except ValueError:
+        if result is None:
             return None
         value = _objective_value(result.placements, cfg.objective)
         if max_extent is not None and value > max_extent:
@@ -209,12 +214,9 @@ class CPPlacer:
                 modules,
                 objective=cfg.objective,
                 symmetry_breaking=cfg.symmetry_breaking,
-                redundant_cumulative=cfg.redundant_cumulative,
                 tracer=cfg.tracer,
                 profile=profiling,
                 cache=cfg.cache,
-                incremental=cfg.incremental,
-                bitboard=cfg.bitboard,
             )
             if max_extent is not None:
                 pm.objective_var.remove_above(max_extent)
@@ -251,8 +253,7 @@ class CPPlacer:
                     stats=stats,
                 )
 
-        order = pm.area_order() if cfg.order == "area" else list(range(len(modules)))
-        decision_vars = pm.decision_vars(order)
+        decision_vars = pm.decision_vars(pm.area_order())
         var_select = (
             _kernel_fail_first(pm) if cfg.strategy == "fail-first" else input_order
         )

@@ -46,8 +46,6 @@ def _worker(
     seed: int,
     profile: bool = False,
     backend: str = "lns",
-    incremental: bool = True,
-    bitboard: bool = True,
 ) -> _WorkerResult:
     """Solve one portfolio member; returns (seed, extent, placements, profile)."""
     # lazy import: the backend package imports this module for its adapter
@@ -71,8 +69,6 @@ def _worker(
             time_limit=time_limit,
             profile=profile,
             cache=cache,
-            incremental=incremental,
-            bitboard=bitboard,
         )
     )
     profile_payload = None
@@ -111,12 +107,6 @@ class PortfolioConfig:
     #: event sink for ``portfolio.result`` events (parent process only —
     #: tracers do not cross into workers)
     tracer: Optional[Tracer] = None
-    #: incremental geost propagation inside every member's CP solves;
-    #: False = wholesale re-filtering (the differential oracle mode)
-    incremental: bool = True
-    #: bitboard-first vectorized sweep inside every member's CP solves;
-    #: False = the per-shape scalar oracle path
-    bitboard: bool = True
 
 
 class PortfolioPlacer:
@@ -170,8 +160,7 @@ class PortfolioPlacer:
             try:
                 outcomes.append(
                     _worker(region_payload, module_payloads, cfg.time_limit,
-                            cfg.base_seed, cfg.profile, member_names[0],
-                            cfg.incremental, cfg.bitboard)
+                            cfg.base_seed, cfg.profile, member_names[0])
                 )
             except Exception as exc:
                 record_crash(cfg.base_seed, exc)
@@ -186,8 +175,6 @@ class PortfolioPlacer:
                         cfg.base_seed + k,
                         cfg.profile,
                         member_names[k],
-                        cfg.incremental,
-                        cfg.bitboard,
                     ): cfg.base_seed + k
                     for k in range(cfg.n_workers)
                 }

@@ -406,8 +406,6 @@ class TemporalCPPlacer:
         time_limit: Optional[float] = 30.0,
         seed: int = 0,
         cache: Optional[AnchorMaskCache] = None,
-        incremental: bool = True,
-        bitboard: bool = True,
     ) -> None:
         if horizon <= 0:
             raise ValueError("horizon must be positive")
@@ -415,8 +413,6 @@ class TemporalCPPlacer:
         self.time_limit = time_limit
         self.seed = seed
         self.cache = cache
-        self.incremental = incremental
-        self.bitboard = bitboard
 
     def place(
         self,
@@ -460,8 +456,6 @@ class TemporalCPPlacer:
                     ys,
                     ss,
                     cache=cache,
-                    incremental=self.incremental,
-                    bitboard=self.bitboard,
                     horizon=self.horizon,
                     durations=durations,
                     ts=ts,

@@ -20,8 +20,7 @@ This module holds the counter block they export (surfaced as the
 ``rows_tested``
     vectorized frontier scans performed by the bitboard-first sweep
     (whole candidate lattices tested by mask intersection); surfaced as
-    ``bitboard_rows_tested`` on the profile and the ``geost.bitboard``
-    trace event.
+    ``bitboard_rows_tested`` on the profile.
 ``fallbacks``
     filter invocations that wanted the bitboard sweep but fell back to
     the scalar path because no board exists (anchor window above the

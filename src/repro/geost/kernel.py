@@ -74,11 +74,7 @@ from repro.geost.forbidden import (
 from repro.geost.incremental import IncStats
 from repro.geost.objects import GeostObject
 from repro.geost.sweep import ShapeView, SweepStats, sweep_max, sweep_min
-from repro.obs.trace import (
-    GEOST_BITBOARD,
-    GEOST_INCREMENTAL,
-    GEOST_SHAPE_REMOVED,
-)
+from repro.obs.trace import GEOST_INCREMENTAL, GEOST_SHAPE_REMOVED
 
 #: bitboard memory guard: skip rasterization when the anchor-reachable
 #: window would exceed this many cells per plane (~4 MiB of bools)
@@ -285,12 +281,6 @@ class Geost(Propagator):
         tr = engine.tracer
         if tr is not None and tr.fine:
             tr.emit(GEOST_INCREMENTAL, **self.inc_stats.as_dict())
-            if self.bitboard:
-                tr.emit(
-                    GEOST_BITBOARD,
-                    rows_tested=self.inc_stats.rows_tested,
-                    fallbacks=self.inc_stats.fallbacks,
-                )
 
     def _filter_object(self, obj: GeostObject, engine: Engine) -> bool:
         """Prune one object's shape and anchor variables; True if changed."""

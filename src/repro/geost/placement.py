@@ -50,7 +50,7 @@ from repro.fabric.region import NarrowedRegion, PartialRegion
 from repro.geost.incremental import IncStats
 from repro.modules.footprint import Footprint
 from repro.modules.module import Module
-from repro.obs.trace import GEOST_BITBOARD, GEOST_INCREMENTAL, KERNEL_IMPRINT
+from repro.obs.trace import GEOST_INCREMENTAL, KERNEL_IMPRINT
 
 
 @dataclass(frozen=True)
@@ -464,12 +464,6 @@ class PlacementKernel(Propagator):
         tr = engine.tracer
         if tr is not None and tr.fine:
             tr.emit(GEOST_INCREMENTAL, **self.inc_stats.as_dict())
-            if self.bitboard:
-                tr.emit(
-                    GEOST_BITBOARD,
-                    rows_tested=self.inc_stats.rows_tested,
-                    fallbacks=self.inc_stats.fallbacks,
-                )
 
     def _imprint(self, engine: Engine, item: _Item) -> None:
         """Commit a fixed module: occupy cells, narrow other modules' masks."""

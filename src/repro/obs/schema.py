@@ -52,7 +52,6 @@ EVENT_KINDS: Dict[str, List[str]] = {
     "geost.incremental": [
         "dirty", "reused", "rasterized", "rows_tested", "fallbacks",
     ],
-    "geost.bitboard": ["rows_tested", "fallbacks"],
     "kernel.imprint": ["module", "shape", "x", "y"],
     "lns.neighborhood": ["iteration", "free", "frontier"],
     "lns.improved": ["iteration", "extent"],

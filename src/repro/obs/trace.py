@@ -68,11 +68,9 @@ SERVICE_DRAIN = "service.drain"
 PROPAGATE = "engine.propagate"
 DOMAIN_UPDATE = "engine.domain"
 #: incremental-geost accounting of one propagator run (dirty objects
-#: filtered, cached forbidden-box lists reused, objects rasterized)
+#: filtered, cached forbidden-box lists reused, objects rasterized,
+#: vectorized frontier scans, filters that fell back to the scalar sweep)
 GEOST_INCREMENTAL = "geost.incremental"
-#: bitboard-sweep accounting of one propagator run (vectorized frontier
-#: scans performed, filters that fell back to the scalar sweep)
-GEOST_BITBOARD = "geost.bitboard"
 
 
 @dataclass(frozen=True)

@@ -493,3 +493,23 @@ class TestTemporalBackend:
             create_backend("temporal-cp").place(
                 PlacementRequest(region, modules, horizon=3, durations=[1, 2])
             )
+
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_non_positive_default_horizon_rejected_at_construction(
+        self, horizon
+    ):
+        # a horizon of 0 must not silently become the one-tick default
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            create_backend("temporal-cp", horizon)
+
+    def test_construction_horizon_is_the_request_default(self):
+        region = _tight_region(4, 2)
+        modules = [
+            Module(f"m{i}", [Footprint.rectangle(2, 2)]) for i in range(3)
+        ]
+        res = create_backend("temporal-cp", 4).place(
+            PlacementRequest(region, modules)
+        )
+        assert res.solved
+        assert res.stats["horizon"] == 4
+        assert res.stats["makespan"] == 2

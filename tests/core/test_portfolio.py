@@ -156,18 +156,16 @@ class TestPortfolio:
 # ----------------------------------------------------------------------
 
 def _crashing_worker(region_payload, module_payloads, time_limit, seed,
-                     profile=False, backend="lns", incremental=True,
-                     bitboard=True):
+                     profile=False, backend="lns"):
     raise RuntimeError(f"boom-{seed}")
 
 
 def _odd_seed_crashing_worker(region_payload, module_payloads, time_limit,
-                              seed, profile=False, backend="lns",
-                              incremental=True, bitboard=True):
+                              seed, profile=False, backend="lns"):
     if seed % 2 == 1:
         raise RuntimeError(f"boom-{seed}")
     return _worker(region_payload, module_payloads, time_limit, seed, profile,
-                   backend, incremental, bitboard)
+                   backend)
 
 
 needs_fork = pytest.mark.skipif(

@@ -15,8 +15,8 @@ solutions, max depth) and the engine failure count.  A subset repeats the
 check with the reference interval :class:`~repro.geost.kernel.Geost`
 (slower: heterogeneity as 1x1 typed regions), and the backend layer is
 exercised end-to-end through ``cp``, ``lns`` and ``portfolio`` (one
-in-process worker) with the ``incremental`` knob threaded through
-:class:`~repro.core.backend.protocol.PlacementRequest`.
+in-process worker), with :func:`tests.support.kernel_mode` swapping the
+wholesale kernel in under the unchanged solver configs.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from repro.geost.shapes import ShapeTable
 from tests.support import (
     build_kernel,
     fabric_to_forbidden_regions,
+    kernel_mode,
     random_small_instance,
 )
 
@@ -164,14 +165,15 @@ def test_reference_geost_bit_identical(seed):
 
 
 # ----------------------------------------------------------------------
-# Backend layer: the ``incremental`` request knob end-to-end
+# Backend layer: the wholesale kernel injected under each solver
 # ----------------------------------------------------------------------
-def _backend_placements(name, region, modules, seed, **req_kwargs):
+def _backend_placements(name, region, modules, seed, incremental, **req_kwargs):
     from repro.core.backend import PlacementRequest, create_backend
 
-    result = create_backend(name).place(
-        PlacementRequest(region, modules, seed=seed, **req_kwargs)
-    )
+    with kernel_mode(incremental=incremental):
+        result = create_backend(name).place(
+            PlacementRequest(region, modules, seed=seed, **req_kwargs)
+        )
     return (
         result.status,
         tuple(
@@ -179,6 +181,29 @@ def _backend_placements(name, region, modules, seed, **req_kwargs):
             for p in result.placements
         ),
     )
+
+
+def test_kernel_mode_reaches_the_solver_stack():
+    import repro.core.temporal
+    from repro.core.placement_model import PlacementModel
+    from repro.fabric.devices import homogeneous_device
+    from repro.fabric.region import PartialRegion
+    from repro.geost.placement import PlacementKernel
+    from repro.modules.footprint import Footprint
+    from repro.modules.module import Module
+
+    region = PartialRegion.whole_device(homogeneous_device(6, 4))
+    modules = [Module("a", [Footprint.rectangle(2, 2)])]
+    with kernel_mode(incremental=False, bitboard=False):
+        oracle = PlacementModel(region, modules).kernel
+        assert repro.core.temporal.PlacementKernel.keywords == {
+            "incremental": False, "bitboard": False,
+        }
+    assert not oracle.incremental and not oracle.bitboard
+    # the swap is undone on exit
+    assert repro.core.temporal.PlacementKernel is PlacementKernel
+    fast = PlacementModel(region, modules).kernel
+    assert fast.incremental and fast.bitboard
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -204,11 +229,9 @@ def test_lns_backend_differential(seed):
     region, modules = random_small_instance(seed)
     runs = {}
     for incremental in (True, False):
-        cfg = LNSConfig(
-            time_limit=60.0, stall_limit=3, seed=seed,
-            incremental=incremental,
-        )
-        result = LNSPlacer(cfg).place(region, modules)
+        cfg = LNSConfig(time_limit=60.0, stall_limit=3, seed=seed)
+        with kernel_mode(incremental=incremental):
+            result = LNSPlacer(cfg).place(region, modules)
         runs[incremental] = (
             result.status,
             tuple(
@@ -227,11 +250,9 @@ def test_portfolio_backend_differential(seed):
     region, modules = random_small_instance(seed)
     runs = {}
     for incremental in (True, False):
-        cfg = PortfolioConfig(
-            n_workers=1, time_limit=60.0, base_seed=seed,
-            incremental=incremental,
-        )
-        result = PortfolioPlacer(cfg).place(region, modules)
+        cfg = PortfolioConfig(n_workers=1, time_limit=60.0, base_seed=seed)
+        with kernel_mode(incremental=incremental):
+            result = PortfolioPlacer(cfg).place(region, modules)
         runs[incremental] = (
             result.status,
             tuple(

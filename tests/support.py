@@ -44,13 +44,17 @@ Instance generators cover sparse (:func:`random_small_instance`), dense
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+import repro.core.placement_model
+import repro.core.temporal
 from repro.core.relocation import RelocationSite
 from repro.core.result import Placement, PlacementResult
 from repro.cp.engine import Inconsistent
@@ -224,6 +228,32 @@ def build_kernel(
                              incremental=incremental, bitboard=bitboard)
     m.post(kernel)
     return kernel, xs, ys, ss
+
+
+@contextmanager
+def kernel_mode(incremental: bool = True, bitboard: bool = True) -> Iterator[None]:
+    """Run the solver stack on a chosen oracle rung of the placement kernel.
+
+    The ``incremental``/``bitboard`` switches exist only on the kernel
+    constructors; inside this block every placement kernel that
+    :class:`~repro.core.placement_model.PlacementModel` and
+    :class:`~repro.core.temporal.TemporalCPPlacer` build is the
+    ``functools.partial`` with those switches, so the ``cp``, ``lns`` and
+    in-process ``portfolio`` backends all solve on that rung.  Only
+    forked worker processes inherit the swap.
+    """
+    kernel = functools.partial(
+        PlacementKernel, incremental=incremental, bitboard=bitboard
+    )
+    builders = (repro.core.placement_model, repro.core.temporal)
+    previous = [builder.PlacementKernel for builder in builders]
+    for builder in builders:
+        builder.PlacementKernel = kernel
+    try:
+        yield
+    finally:
+        for builder, original in zip(builders, previous):
+            builder.PlacementKernel = original
 
 
 def kernel_solutions(
