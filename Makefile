@@ -16,12 +16,13 @@ test-fast:
 ## the full differential oracle surface, slow legs included: the
 ## cross-kernel oracle-ladder suite plus every cross-validation /
 ## property file that pins one implementation against another (the
-## anchor-mask kernel against its brute-force and per-cell oracles, and
-## the defrag planners' maintained occupancy grid against per-cell
-## floorplan rebuilds, too).  The wholesale and scalar kernel oracles
-## are switches on the kernel constructors only; the backend-level
-## differentials reach them under cp/lns/portfolio through the
-## tests/support.py kernel_mode injection
+## anchor-mask kernel against its brute-force and per-cell oracles, the
+## first_anchor / free_anchors mask queries against the lexsort pick and
+## the offset-table gather they replaced, and the defrag planners'
+## maintained occupancy grid against per-cell floorplan rebuilds, too).
+## The wholesale and scalar kernel oracles are switches on the kernel
+## constructors only; the backend-level differentials reach them under
+## cp/lns/portfolio through the tests/support.py kernel_mode injection
 test-oracle:
 	$(PY) -m pytest -q \
 	  tests/geost/test_differential_oracle.py \
@@ -30,6 +31,7 @@ test-oracle:
 	  tests/geost/test_bitboard_planes.py \
 	  tests/geost/test_sweep_monotonic.py \
 	  tests/fabric/test_anchor_mask_oracle.py \
+	  tests/fabric/test_first_anchor_oracle.py \
 	  tests/core/test_defrag_occupancy_oracle.py
 
 ## pytest-benchmark suite (not part of tier-1)

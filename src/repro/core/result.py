@@ -143,7 +143,10 @@ class PlacementResult:
 def imprint(occ: np.ndarray, placement: Placement, value: bool) -> None:
     """Set ``placement``'s cells of the ``(H, W)`` grid ``occ`` to ``value``.
 
-    The one occupancy writer: result masks, the runtime manager's live
-    bitmap and the defrag planners' simulated grids all go through it.
+    The one occupancy writer.  It fills :meth:`PlacementResult.occupancy_mask`,
+    the runtime manager's live bitmap, reserved-cell mask and projected
+    floorplans, the defrag planners' simulated grids and lifted
+    relocation views, the baseline placers' grid (``_State.commit`` and
+    the analytical placer's left moves) and Figure 4's blocking module.
     """
     occ[placement.cell_index()] = value

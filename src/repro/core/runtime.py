@@ -66,6 +66,7 @@ from repro.core.defrag import (
 )
 from repro.core.result import Placement, PlacementResult, imprint
 from repro.fabric.cache import AnchorMaskCache
+from repro.fabric.masks import first_anchor, free_anchors
 from repro.fabric.region import PartialRegion
 from repro.metrics.fragmentation import external_fragmentation
 from repro.metrics.utilization import region_utilization
@@ -963,10 +964,10 @@ class RuntimePlacementManager:
         projects the floorplan forward (modules still resident then, an
         in-flight move window, sibling reservations whose run window
         overlaps the request's) and gathers the request's static anchor
-        masks over that projection — the same vectorized check the
-        greedy baselines use.  The first tick with a feasible anchor
-        books a concrete planned placement at its bottom-left-most
-        anchor.
+        masks over that projection (:func:`~repro.fabric.masks.free_anchors`,
+        the check the greedy baselines use).  The first tick with a
+        feasible anchor books a concrete planned placement at its
+        bottom-left anchor (:func:`~repro.fabric.masks.first_anchor`).
         """
         cfg = self.config
         if len(self._reservations) >= cfg.reservation_capacity:
@@ -1004,21 +1005,11 @@ class RuntimePlacementManager:
             future = self._projected_occupancy(
                 start, request.lifetime, dep_of
             )
-            best: Optional[Tuple[int, int, int]] = None
-            for si, static, off in shapes:
-                ys, xs = np.nonzero(static)
-                if ys.size == 0:
-                    continue
-                cy = ys[:, None] + off[None, :, 0]
-                cx = xs[:, None] + off[None, :, 1]
-                free = ~future[cy, cx].any(axis=1)
-                if not free.any():
-                    continue
-                fy, fx = ys[free], xs[free]
-                i = np.lexsort((fy, fx))[0]  # bottom-left: min (x, y)
-                cand = (int(fx[i]), int(fy[i]), si)
-                if best is None or cand < best:
-                    best = cand
+            hits = [
+                (first_anchor(free_anchors(static, off, future)), si)
+                for si, static, off in shapes
+            ]
+            best = min((hit + (si,) for hit, si in hits if hit), default=None)
             if best is None:
                 continue
             x, y, si = best

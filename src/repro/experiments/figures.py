@@ -10,18 +10,17 @@ them and assert their quantitative shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.core.alternatives import expand_alternatives
 from repro.core.lns import LNSConfig, LNSPlacer
-from repro.core.result import PlacementResult
+from repro.core.result import Placement, PlacementResult, imprint
 from repro.experiments.config import default_fabric
-from repro.fabric.masks import valid_anchor_mask
+from repro.fabric.masks import first_anchor, free_anchors, valid_anchor_mask
 from repro.fabric.region import PartialRegion
 from repro.flow.visualize import alternatives_gallery, comparison_figure
-from repro.modules.footprint import Footprint
 from repro.modules.generator import ModuleGenerator
 from repro.modules.module import Module
 from repro.modules.transform import build_body
@@ -92,7 +91,6 @@ def figure4_constraint_anatomy(
 ) -> ConstraintAnatomy:
     """Measure the shrinking valid-placement set of Figure 4."""
     from repro.fabric.devices import irregular_device
-    from repro.fabric.resource import ResourceType
 
     grid = irregular_device(48, 16, seed=seed)
     # (a) bounding box only: anchors where the bbox fits, ignoring types
@@ -113,21 +111,12 @@ def figure4_constraint_anatomy(
 
     # (d) + one placed module blocking part of the region
     blocker = ModuleGenerator(seed=module_seed + 1).generate()
-    bfp = blocker.primary()
-    bmask = valid_anchor_mask(region, bfp)
-    ys, xs = np.nonzero(bmask)
-    if xs.size == 0:
+    hit = first_anchor(valid_anchor_mask(region, blocker.primary()))
+    if hit is None:
         non_overlapping = in_region
     else:
-        k = np.lexsort((ys, xs))[0]
-        bx, by = int(xs[k]), int(ys[k])
         occupied = np.zeros((region.height, region.width), dtype=bool)
-        for dx, dy, _ in bfp.cells:
-            occupied[by + dy, bx + dx] = True
-        remaining = 0
-        mys, mxs = np.nonzero(in_region_mask)
-        for x, y in zip(mxs.tolist(), mys.tolist()):
-            if not any(occupied[y + dy, x + dx] for dx, dy, _ in fp.cells):
-                remaining += 1
-        non_overlapping = remaining
+        imprint(occupied, Placement(blocker, 0, *hit), True)
+        free = free_anchors(in_region_mask, fp.offsets(), occupied)
+        non_overlapping = int(free.sum())
     return ConstraintAnatomy(in_bounds, resource_matched, in_region, non_overlapping)

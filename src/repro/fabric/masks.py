@@ -22,6 +22,11 @@ Anchors whose bounding box leaves the grid are invalid.  Footprint cells
 must be normalized so ``min dx == min dy == 0``; anchors are then the
 footprint's lower-left bounding-box corner.
 
+Two queries read a finished mask: :func:`free_anchors` drops the anchors
+whose cells an occupancy grid already holds, and :func:`first_anchor`
+returns the bottom-left survivor.  The baseline placers, the runtime
+manager's reservation probe and Figure 4 all pick anchors through them.
+
 The module also hosts the shared sliding-window correlation kernels the
 geost bitboard sweep batches through:
 
@@ -277,12 +282,41 @@ def nearest_anchor(
     return int(xs[k]), int(ys[k])
 
 
-def anchors_list(valid: np.ndarray) -> list[Tuple[int, int]]:
-    """The (x, y) anchor coordinates of a validity mask, bottom-left order.
+def first_anchor(valid: np.ndarray) -> Tuple[int, int] | None:
+    """The bottom-left anchor ``(x, y)`` of a validity mask, or None.
 
-    Sorted by x then y — the value ordering used by the min-extent
-    objective's branching (place as far left as possible first).
+    Smallest x, then smallest y: the min-extent objective's placement
+    rule (Eq. 6).  Two ``argmax`` scans find the leftmost non-empty
+    column and its lowest row; no anchor list is built or sorted.
     """
-    ys, xs = np.nonzero(valid)
-    order = np.lexsort((ys, xs))
-    return [(int(xs[i]), int(ys[i])) for i in order]
+    cols = valid.any(axis=0)
+    if not cols.any():
+        return None
+    x = int(cols.argmax())
+    return x, int(valid[:, x].argmax())
+
+
+def free_anchors(
+    static: np.ndarray, offsets: np.ndarray, occupied: np.ndarray
+) -> np.ndarray:
+    """The anchors of ``static`` whose footprint cells are all free.
+
+    ``offsets`` are the footprint's ``(dy, dx)`` used-cell offsets
+    (:meth:`repro.modules.footprint.Footprint.offsets`) and ``occupied``
+    the ``(H, W)`` occupancy grid.  Every static anchor is tested in one
+    vectorized gather of ``occupied`` under its cells.  Returns
+    ``static`` itself when nothing is occupied or it holds no anchor
+    (callers must not mutate the result), else a new mask.
+    """
+    if not occupied.any():
+        return static
+    ys, xs = np.nonzero(static)
+    if ys.size == 0:
+        return static
+    # the intp anchor rows widen the compact offset dtype before adding
+    cy = ys[:, None] + offsets[None, :, 0]
+    cx = xs[:, None] + offsets[None, :, 1]
+    free = ~occupied[cy, cx].any(axis=1)
+    out = np.zeros_like(static)
+    out[ys[free], xs[free]] = True
+    return out

@@ -42,7 +42,8 @@ import numpy as np
 
 from repro.fabric.masks import compatibility_masks, nearest_anchor
 from repro.fabric.resource import ResourceType
-from repro.core.result import Placement
+from repro.core.result import Placement, imprint
+from repro.modules.footprint import Footprint
 from repro.modules.module import Module
 from repro.obs.trace import ANALYTICAL_ITERATE, Tracer
 from repro.placer.base import BasePlacer, _State
@@ -258,8 +259,9 @@ class AnalyticalPlacer(BasePlacer):
     # Legalization
     # ------------------------------------------------------------------
     @staticmethod
-    def _shape_centroid(off: np.ndarray) -> Tuple[float, float]:
+    def _shape_centroid(fp: Footprint) -> Tuple[float, float]:
         """Mean (dx, dy) of one shape's cells (offsets are (dy, dx))."""
+        off = fp.offsets()
         return float(off[:, 1].mean()), float(off[:, 0].mean())
 
     def _snap(
@@ -274,9 +276,9 @@ class AnalyticalPlacer(BasePlacer):
         movement = 0.0
         for mi in order:
             best: Optional[Tuple[float, int, int, int]] = None
-            for si in range(state.modules[mi].n_alternatives):
+            for si, fp in enumerate(state.modules[mi].shapes):
                 mask = state.anchors(mi, si)
-                ox, oy = self._shape_centroid(state.offsets[mi][si])
+                ox, oy = self._shape_centroid(fp)
                 hit = nearest_anchor(mask, cx[mi] - ox, cy[mi] - oy)
                 if hit is None:
                     continue
@@ -301,27 +303,21 @@ class AnalyticalPlacer(BasePlacer):
         reduces its right edge; the floorplan stays valid throughout (the
         module only ever lands on currently-free valid anchors)."""
         p = state.placements[pi]
-        off = state.offsets[mi][p.shape_index]
-        state.occupancy[p.y + off[:, 0], p.x + off[:, 1]] = False
-        best: Optional[Tuple[int, int, int, int]] = None
-        for si, fp in enumerate(p.module.shapes):
-            mask = state.anchors(mi, si)
-            ys, xs = np.nonzero(mask)
-            if xs.size == 0:
-                continue
-            rights = xs + fp.width
-            k = np.lexsort((ys, xs, rights))[0]
-            key = (int(rights[k]), int(xs[k]), int(ys[k]), si)
-            if best is None or key < best:
-                best = key
-        if best is not None and best[0] < p.right:
+        imprint(state.occupancy, p, False)
+        shapes = p.module.shapes
+        best = min(
+            (
+                (x + shapes[si].width, x, y, si)
+                for x, y, si in state.first_anchors(mi)
+            ),
+            default=None,
+        )
+        moved = best is not None and best[0] < p.right
+        if moved:
             _, x, y, si = best
-            new_off = state.offsets[mi][si]
-            state.occupancy[y + new_off[:, 0], x + new_off[:, 1]] = True
-            state.placements[pi] = Placement(p.module, si, x, y)
-            return True
-        state.occupancy[p.y + off[:, 0], p.x + off[:, 1]] = True
-        return False
+            p = state.placements[pi] = Placement(p.module, si, x, y)
+        imprint(state.occupancy, p, True)
+        return moved
 
     def _compact(self, state: _State) -> int:
         """Bounded left-compaction polish; returns the move count.
@@ -377,16 +373,7 @@ class AnalyticalPlacer(BasePlacer):
         still: List[Module] = []
         for m in unplaced:
             mi = mi_of_name[m.name]
-            best: Optional[Tuple[int, int, int]] = None
-            for si in range(m.n_alternatives):
-                mask = state.anchors(mi, si)
-                ys, xs = np.nonzero(mask)
-                if xs.size == 0:
-                    continue
-                k = np.lexsort((ys, xs))[0]
-                key = (int(xs[k]), int(ys[k]), si)
-                if best is None or key < best:
-                    best = key
+            best = min(state.first_anchors(mi), default=None)
             if best is None:
                 still.append(m)
             else:

@@ -23,9 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from repro.core.result import Placement
+from repro.fabric.masks import first_anchor
 from repro.modules.module import Module
 from repro.placer.base import BasePlacer, _State
 
@@ -70,13 +69,11 @@ class AnnealingPlacer(BasePlacer):
         unplaced: List[Module] = []
         for mi in order:
             si = shape_choice[mi]
-            mask = state.anchors(mi, si)
-            ys, xs = np.nonzero(mask)
-            if xs.size == 0:
+            hit = first_anchor(state.anchors(mi, si))
+            if hit is None:
                 unplaced.append(state.modules[mi])
                 continue
-            k = np.lexsort((ys, xs))[0]
-            state.commit(mi, si, int(xs[k]), int(ys[k]))
+            state.commit(mi, si, *hit)
         energy = state.extent() + self.config.unplaced_penalty * len(unplaced)
         return energy, state.placements, unplaced
 

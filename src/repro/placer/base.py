@@ -2,9 +2,12 @@
 
 Baselines maintain an explicit occupancy mask and query anchor feasibility
 through the same vectorized machinery as the kernel
-(:func:`repro.fabric.masks.valid_anchor_mask` plus an occupancy
-convolution), so their placements satisfy M_a / M_b / M_c by construction
-and are cross-checked by ``PlacementResult.verify`` in the tests.
+(:func:`repro.fabric.masks.valid_anchor_mask` plus the occupancy gather
+:func:`repro.fabric.masks.free_anchors`), so their placements satisfy
+M_a / M_b / M_c by construction and are cross-checked by
+``PlacementResult.verify`` in the tests.  Every placer reads the
+bottom-left anchor of each shape (:meth:`_State.first_anchors`) and
+writes cells through :func:`repro.core.result.imprint`.
 
 Seeding, wall-clock budgets and :class:`~repro.fabric.cache.AnchorMaskCache`
 reuse are owned here, once: ``BasePlacer.place`` builds one :class:`_State`
@@ -18,15 +21,19 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.result import Placement, PlacementResult
+from repro.core.result import Placement, PlacementResult, imprint
 from repro.fabric.cache import AnchorMaskCache
-from repro.fabric.masks import blocked_prefix_counts, valid_anchor_mask
+from repro.fabric.masks import (
+    blocked_prefix_counts,
+    first_anchor,
+    free_anchors,
+    valid_anchor_mask,
+)
 from repro.fabric.region import PartialRegion
-from repro.modules.footprint import Footprint
 from repro.modules.module import Module
 
 
@@ -60,14 +67,6 @@ class _State:
                 [valid_anchor_mask(region, fp, planes) for fp in m.shapes]
                 for m in self.modules
             ]
-        #: per (module, shape) cell offset arrays (dy, dx)
-        self.offsets: List[List[np.ndarray]] = [
-            [
-                np.array([(dy, dx) for dx, dy, _ in sorted(fp.cells)], dtype=np.int64)
-                for fp in m.shapes
-            ]
-            for m in self.modules
-        ]
         self.placements: List[Placement] = []
         #: seeded RNG for stochastic placers (annealing); deterministic per
         #: (placer seed) because it is drawn nowhere else
@@ -80,25 +79,22 @@ class _State:
     # ------------------------------------------------------------------
     def anchors(self, mi: int, si: int) -> np.ndarray:
         """Current (H, W) anchor feasibility of one shape."""
-        static = self.static[mi][si]
-        if not self.occupancy.any():
-            return static
-        off = self.offsets[mi][si]
-        ys, xs = np.nonzero(static)
-        if ys.size == 0:
-            return static
-        # check occupancy under each candidate anchor (vectorized gather)
-        cy = ys[:, None] + off[None, :, 0]
-        cx = xs[:, None] + off[None, :, 1]
-        free = ~self.occupancy[cy, cx].any(axis=1)
-        out = np.zeros_like(static)
-        out[ys[free], xs[free]] = True
-        return out
+        fp = self.modules[mi].shapes[si]
+        return free_anchors(self.static[mi][si], fp.offsets(), self.occupancy)
+
+    def first_anchors(self, mi: int) -> Iterator[Tuple[int, int, int]]:
+        """``(x, y, shape)``: the bottom-left free anchor of every shape of
+        module ``mi`` that has one, in shape order.  Their minimum is the
+        module's bottom-left placement (lowest shape index on ties)."""
+        for si in range(len(self.modules[mi].shapes)):
+            hit = first_anchor(self.anchors(mi, si))
+            if hit is not None:
+                yield *hit, si
 
     def commit(self, mi: int, si: int, x: int, y: int) -> None:
-        off = self.offsets[mi][si]
-        self.occupancy[y + off[:, 0], x + off[:, 1]] = True
-        self.placements.append(Placement(self.modules[mi], si, x, y))
+        placement = Placement(self.modules[mi], si, x, y)
+        imprint(self.occupancy, placement, True)
+        self.placements.append(placement)
 
     def reset(self) -> None:
         """Clear occupancy and placements (decode loops re-place from zero)."""

@@ -2,41 +2,28 @@
 
 Three classics, all alternative-aware (they consider every shape of a
 module when scoring candidate positions, so the benefit of design
-alternatives can be measured for cheap heuristics too):
+alternatives can be measured for cheap heuristics too).  All three read
+the same per-shape candidate, the bottom-left free anchor of each shape
+(:meth:`repro.placer.base._State.first_anchors`), and differ only in the
+key that compares those candidates across shapes:
 
 * :class:`BottomLeftPlacer` — modules by decreasing area, each at the
-  lowest-leftmost feasible anchor over all its shapes.
-* :class:`FirstFitPlacer` — modules in input order, first feasible anchor
-  scanning columns left to right (shape order as given).
-* :class:`BestFitPlacer` — each module at the position minimizing the
-  resulting global extent, ties broken by lower-left preference.
+  lowest-leftmost anchor over all its shapes: key ``(x, y)``.
+* :class:`FirstFitPlacer` — modules in input order, the first shape (in
+  the order given) that has an anchor.
+* :class:`BestFitPlacer` — modules by decreasing area, each where the
+  resulting global extent is smallest: key ``(max(x + w, extent), x, y)``.
+  Within one shape that key is minimized by the bottom-left anchor too.
+
+Ties go to the lower shape index.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import List
 
 from repro.modules.module import Module
 from repro.placer.base import BasePlacer, _State
-
-
-def _bottom_left_anchor(state: _State, mi: int) -> Optional[Tuple[int, int, int]]:
-    """(shape, x, y) minimizing (x, y) over all shapes; None if unplaceable."""
-    best: Optional[Tuple[int, int, int]] = None  # (x, y, shape)
-    for si in range(len(state.modules[mi].shapes)):
-        mask = state.anchors(mi, si)
-        ys, xs = np.nonzero(mask)
-        if xs.size == 0:
-            continue
-        order = np.lexsort((ys, xs))
-        x, y = int(xs[order[0]]), int(ys[order[0]])
-        if best is None or (x, y) < (best[0], best[1]):
-            best = (x, y, si)
-    if best is None:
-        return None
-    return best[2], best[0], best[1]
 
 
 class BottomLeftPlacer(BasePlacer):
@@ -51,11 +38,11 @@ class BottomLeftPlacer(BasePlacer):
         )
         unplaced: List[Module] = []
         for mi in order:
-            pick = _bottom_left_anchor(state, mi)
+            pick = min(state.first_anchors(mi), default=None)
             if pick is None:
                 unplaced.append(state.modules[mi])
                 continue
-            si, x, y = pick
+            x, y, si = pick
             state.commit(mi, si, x, y)
         return unplaced
 
@@ -68,18 +55,12 @@ class FirstFitPlacer(BasePlacer):
     def _run(self, state: _State) -> List[Module]:
         unplaced: List[Module] = []
         for mi in range(len(state.modules)):
-            placed = False
-            for si in range(len(state.modules[mi].shapes)):
-                mask = state.anchors(mi, si)
-                ys, xs = np.nonzero(mask)
-                if xs.size == 0:
-                    continue
-                order = np.lexsort((ys, xs))
-                state.commit(mi, si, int(xs[order[0]]), int(ys[order[0]]))
-                placed = True
-                break
-            if not placed:
+            pick = next(state.first_anchors(mi), None)
+            if pick is None:
                 unplaced.append(state.modules[mi])
+                continue
+            x, y, si = pick
+            state.commit(mi, si, x, y)
         return unplaced
 
 
@@ -96,23 +77,17 @@ class BestFitPlacer(BasePlacer):
         unplaced: List[Module] = []
         for mi in order:
             current = state.extent()
-            best: Optional[Tuple[Tuple[int, int, int], Tuple[int, int, int]]] = None
-            for si, fp in enumerate(state.modules[mi].shapes):
-                mask = state.anchors(mi, si)
-                ys, xs = np.nonzero(mask)
-                if xs.size == 0:
-                    continue
-                rights = xs + fp.width
-                # resulting extent if placed here
-                scores = np.maximum(rights, current)
-                key = np.lexsort((ys, xs, scores))
-                j = key[0]
-                cand_score = (int(scores[j]), int(xs[j]), int(ys[j]))
-                if best is None or cand_score < best[0]:
-                    best = (cand_score, (si, int(xs[j]), int(ys[j])))
-            if best is None:
+            shapes = state.modules[mi].shapes
+            pick = min(
+                (
+                    (max(x + shapes[si].width, current), x, y, si)
+                    for x, y, si in state.first_anchors(mi)
+                ),
+                default=None,
+            )
+            if pick is None:
                 unplaced.append(state.modules[mi])
                 continue
-            si, x, y = best[1]
+            _, x, y, si = pick
             state.commit(mi, si, x, y)
         return unplaced

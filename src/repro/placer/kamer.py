@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-import numpy as np
-
+from repro.fabric.masks import first_anchor
 from repro.modules.module import Module
 from repro.placer.base import BasePlacer, _State
 
@@ -66,14 +65,10 @@ def prune_non_maximal(rects: List[Rect]) -> List[Rect]:
 
 
 class KamerPlacer(BasePlacer):
-    """Online first-fit over maximal empty rectangles."""
+    """Online best-area fit over maximal empty rectangles: the smallest
+    MER that holds a resource-feasible anchor of some shape wins."""
 
     name = "kamer"
-
-    def __init__(self, fit: str = "best-area") -> None:
-        if fit not in ("best-area", "first", "bottom-left"):
-            raise ValueError(f"unknown fit rule {fit!r}")
-        self.fit = fit
 
     # ------------------------------------------------------------------
     def _initial_mers(self, state: _State) -> List[Rect]:
@@ -90,23 +85,19 @@ class KamerPlacer(BasePlacer):
         if fp.width > w or fp.height > h:
             return None
         mask = state.anchors(mi, si)
-        sub = mask[y0 : y0 + h - fp.height + 1, x0 : x0 + w - fp.width + 1]
-        ys, xs = np.nonzero(sub)
-        if xs.size == 0:
+        hit = first_anchor(
+            mask[y0 : y0 + h - fp.height + 1, x0 : x0 + w - fp.width + 1]
+        )
+        if hit is None:
             return None
-        order = np.lexsort((ys, xs))
-        return x0 + int(xs[order[0]]), y0 + int(ys[order[0]])
+        return x0 + hit[0], y0 + hit[1]
 
     def _run(self, state: _State) -> List[Module]:
         mers = self._initial_mers(state)
         unplaced: List[Module] = []
         for mi, module in enumerate(state.modules):
             choice = None  # (score, si, x, y, mer)
-            for mer in sorted(
-                mers,
-                key=(lambda r: r[2] * r[3]) if self.fit == "best-area" else
-                    (lambda r: (r[0], r[1])),
-            ):
+            for mer in sorted(mers, key=lambda r: r[2] * r[3]):
                 for si in range(len(module.shapes)):
                     pos = self._candidate_in_mer(state, mi, si, mer)
                     if pos is None:

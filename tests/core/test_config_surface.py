@@ -5,7 +5,8 @@ propagation paths are reference oracles: they live on the two kernel
 constructors (:class:`~repro.geost.placement.PlacementKernel` and
 :class:`~repro.geost.kernel.Geost`) and tests reach them through
 :func:`tests.support.kernel_mode`.  This guard keeps them, and the knobs
-that only ever took their default, off the solver surface.
+that only ever took their default, off the solver surface, and the
+baseline placers' single-rule options off their constructors.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.core.placement_model import PlacementModel
 from repro.core.placer import PlacerConfig
 from repro.core.portfolio import PortfolioConfig
 from repro.core.temporal import TemporalCPPlacer
+from repro.placer import KamerPlacer
 
 REMOVED_FIELDS = {
     PlacerConfig: {
@@ -37,6 +39,9 @@ REMOVED_PARAMETERS = {
     PlacementModel: {"incremental", "bitboard", "redundant_cumulative"},
     TemporalCPPlacer: {"incremental", "bitboard"},
     portfolio._worker: {"incremental", "bitboard"},
+    # best-area is KAMER's only MER rule; "first" and "bottom-left"
+    # both ordered MERs by (x, y)
+    KamerPlacer: {"fit"},
 }
 
 

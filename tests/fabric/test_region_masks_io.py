@@ -11,8 +11,8 @@ from repro.fabric.devices import homogeneous_device, irregular_device
 from repro.fabric.grid import FabricGrid
 from repro.fabric.io import load_region, region_from_dict, region_to_dict, save_region
 from repro.fabric.masks import (
-    anchors_list,
     blocked_prefix_counts,
+    first_anchor,
     valid_anchor_mask,
 )
 from repro.fabric.region import PartialRegion
@@ -128,11 +128,10 @@ class TestAnchorMasks:
         b = valid_anchor_mask(region, sorted(fp.cells))
         assert np.array_equal(a, b)
 
-    def test_anchors_list_bottom_left_order(self):
+    def test_first_anchor_bottom_left(self):
         mask = np.zeros((4, 4), dtype=bool)
         mask[2, 1] = mask[0, 1] = mask[3, 0] = True
-        anchors = anchors_list(mask)
-        assert anchors == [(0, 3), (1, 0), (1, 2)]
+        assert first_anchor(mask) == (0, 3)
 
     def test_footprint_too_large_has_no_anchor(self):
         region = PartialRegion.whole_device(homogeneous_device(4, 4))

@@ -169,10 +169,6 @@ class TestKamerMechanics:
             mers = prune_non_maximal(list(dict.fromkeys(new)))
         assert sorted(mers) == sorted(maximal_empty_rectangles(free))
 
-    def test_invalid_fit_rule_rejected(self):
-        with pytest.raises(ValueError):
-            KamerPlacer(fit="nonsense")
-
 
 class TestAnnealing:
     def test_improves_or_equals_bottom_left(self):

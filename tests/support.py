@@ -14,7 +14,11 @@ Two anchor-mask oracles for the run/prefix kernel
 :func:`repro.fabric.masks.valid_anchor_mask` live here too:
 :func:`brute_force_anchor_mask` (a per-anchor, per-cell loop) and
 :func:`slice_and_anchor_mask` (the earlier vectorized kernel, one shifted
-slice-AND per footprint cell).
+slice-AND per footprint cell).  The two mask queries have theirs:
+:func:`lexsort_first_anchor` (the ``nonzero`` + ``lexsort`` pick each
+placer used to hand-roll) for :func:`repro.fabric.masks.first_anchor`, and
+:func:`cell_table_free_anchors` (the baseline state's gather over its own
+``int64`` offset table) for :func:`repro.fabric.masks.free_anchors`.
 
 Three ways to enumerate the solutions of one placement instance:
 
@@ -142,6 +146,34 @@ def slice_and_anchor_mask(
         if not valid.any():
             break
     return valid
+
+
+def lexsort_first_anchor(valid: np.ndarray) -> Optional[Tuple[int, int]]:
+    """Bottom-left anchor of a mask: sort every anchor by (x, y), take the
+    first.  The pick each placer made before ``first_anchor``."""
+    ys, xs = np.nonzero(valid)
+    if xs.size == 0:
+        return None
+    k = np.lexsort((ys, xs))[0]
+    return int(xs[k]), int(ys[k])
+
+
+def cell_table_free_anchors(
+    static: np.ndarray, footprint: Footprint, occupied: np.ndarray
+) -> np.ndarray:
+    """Anchors of ``static`` free of ``occupied``: the baseline state's
+    gather before ``free_anchors``, over an ``int64`` ``(dy, dx)`` offset
+    table built from the footprint's cells."""
+    off = np.array(
+        [(dy, dx) for dx, dy, _ in sorted(footprint.cells)], dtype=np.int64
+    )
+    ys, xs = np.nonzero(static)
+    cy = ys[:, None] + off[None, :, 0]
+    cx = xs[:, None] + off[None, :, 1]
+    free = ~occupied[cy, cx].any(axis=1)
+    out = np.zeros_like(static)
+    out[ys[free], xs[free]] = True
+    return out
 
 
 def per_cell_occupancy_mask(result: PlacementResult) -> np.ndarray:
