@@ -18,11 +18,13 @@ test-fast:
 ## property file that pins one implementation against another (the
 ## anchor-mask kernel against its brute-force and per-cell oracles, the
 ## first_anchor / free_anchors mask queries against the lexsort pick and
-## the offset-table gather they replaced, and the defrag planners'
-## maintained occupancy grid against per-cell floorplan rebuilds, too).
+## the offset-table gather they replaced, the defrag planners'
+## maintained occupancy grid against per-cell floorplan rebuilds, and the
+## CP placer's one-module closed form against the full CP model, too).
 ## The wholesale and scalar kernel oracles are switches on the kernel
 ## constructors only; the backend-level differentials reach them under
-## cp/lns/portfolio through the tests/support.py kernel_mode injection
+## cp/lns/portfolio through the tests/support.py kernel_mode injection,
+## and the full CP model through its full_cp_model injection
 test-oracle:
 	$(PY) -m pytest -q \
 	  tests/geost/test_differential_oracle.py \
@@ -32,7 +34,8 @@ test-oracle:
 	  tests/geost/test_sweep_monotonic.py \
 	  tests/fabric/test_anchor_mask_oracle.py \
 	  tests/fabric/test_first_anchor_oracle.py \
-	  tests/core/test_defrag_occupancy_oracle.py
+	  tests/core/test_defrag_occupancy_oracle.py \
+	  tests/core/test_one_module_oracle.py
 
 ## pytest-benchmark suite (not part of tier-1)
 bench:

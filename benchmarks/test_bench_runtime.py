@@ -8,7 +8,9 @@ module relocation.
 
 from __future__ import annotations
 
+import contextlib
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -18,15 +20,24 @@ from repro.core.defrag import NoBreakDefragmenter, defragment
 from repro.core.placer import CPPlacer, PlacerConfig
 from repro.core.result import PlacementResult
 from repro.experiments.runtime_exp import format_runtime, online_comparison
+from repro.fabric.cache import AnchorMaskCache
 from repro.fabric.devices import irregular_device
 from repro.fabric.region import PartialRegion
 from repro.modules.generator import GeneratorConfig, ModuleGenerator
-from tests.support import per_cell_relocation_sites
+from tests.support import (
+    full_cp_model,
+    per_cell_relocation_sites,
+    recorded_cp_probes,
+)
 
 #: no-break planning on the maintained occupancy grid must beat the same
 #: planner probing through per-cell floorplan rebuilds by this factor
 #: (same host, same floorplans; measured 2.2-2.3x on a 2-core x86 host)
 DEFRAG_PLAN_SPEEDUP_MIN = 1.6
+#: the closed-form one-module CP probe must beat the same probe through
+#: the full CP model by this factor (same host, same recorded probes;
+#: measured 3.5-4.2x over four runs on a 2-core x86 host)
+CLOSED_FORM_SPEEDUP_MIN = 3.0
 
 
 class TestA5Online:
@@ -162,6 +173,52 @@ class TestDefragPlanOccupancy:
         )
         assert speedup >= DEFRAG_PLAN_SPEEDUP_MIN, (
             f"maintained-grid planning only {speedup:.2f}x the per-cell oracle"
+        )
+
+
+class TestClosedFormAdmission:
+    def test_closed_form_beats_full_cp_model(self, report):
+        """Ratio gate: the serving CP probe (one module, first solution,
+        min extent) answered in closed form vs the same probe through
+        :func:`tests.support.full_cp_model`.  Each run reads its masks
+        through a fresh cache, as a probe on a new residual region does.
+        Both sides must give the same answers."""
+        probes = recorded_cp_probes(n_requests=400, keep=200)
+        assert len(probes) >= 150
+        config = PlacerConfig(time_limit=None, first_solution_only=True)
+
+        def run(full):
+            placer = CPPlacer(replace(config, cache=AnchorMaskCache()))
+            with full_cp_model() if full else contextlib.nullcontext():
+                t0 = time.perf_counter()
+                results = [placer.place(r, [m]) for r, m in probes]
+                elapsed = time.perf_counter() - t0
+            return elapsed, [
+                (r.status, [(p.shape_index, p.x, p.y) for p in r.placements])
+                for r in results
+            ]
+
+        # alternate the two sides so a drift in host speed hits both
+        t_closed = t_full = float("inf")
+        for _ in range(5):
+            elapsed, answers = run(False)
+            t_closed = min(t_closed, elapsed)
+            elapsed, ref_answers = run(True)
+            t_full = min(t_full, elapsed)
+            assert answers == ref_answers
+        infeasible = sum(status == "infeasible" for status, _ in answers)
+        speedup = t_full / t_closed
+        report(
+            "one-module CP probe: closed form vs full CP model",
+            f"{len(probes)} recorded serve-contended probes, "
+            f"{infeasible} with no fit\n"
+            f"  full CP model {t_full / len(probes) * 1e3:7.3f} ms/probe\n"
+            f"  closed form   {t_closed / len(probes) * 1e3:7.3f} ms/probe\n"
+            f"  speedup       {speedup:7.2f}x  "
+            f"(gate >= {CLOSED_FORM_SPEEDUP_MIN}x)",
+        )
+        assert speedup >= CLOSED_FORM_SPEEDUP_MIN, (
+            f"closed form only {speedup:.2f}x the full CP model"
         )
 
 

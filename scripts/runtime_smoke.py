@@ -3,7 +3,7 @@
 
 Streams a seeded Table-I-style workload through the
 :class:`~repro.core.runtime.RuntimePlacementManager` (full fallback
-chain: budgeted CP probe, greedy rung, defrag on rejection), then checks
+chain: CP probe, greedy rung, defrag on rejection), then checks
 the invariants a serving loop must uphold:
 
 * every request resolves to admitted or rejected (nothing left queued),

@@ -10,6 +10,7 @@ from repro.core.backend.protocol import (
     BackendCapabilities,
     PlacementBackend,
     PlacementRequest,
+    sweep_chain,
 )
 from repro.core.backend.registry import (
     available_backends,
@@ -36,6 +37,7 @@ __all__ = [
     "BackendCapabilities",
     "PlacementBackend",
     "PlacementRequest",
+    "sweep_chain",
     "available_backends",
     "backend_capabilities",
     "create_backend",

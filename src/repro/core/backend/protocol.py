@@ -18,13 +18,16 @@ request/response protocol:
 * :class:`BackendCapabilities` declares what a backend can honestly do, so
   orchestration layers (the runtime admission chain, the experiment
   runner) can validate a configuration instead of failing at serve time.
+* :func:`sweep_chain` is the one pass down an admission chain that the
+  runtime manager and the remote worker solve share: the first placement
+  wins, and a rung's proof of no fit ends the pass.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.core.result import PlacementResult
 from repro.fabric.cache import AnchorMaskCache
@@ -178,3 +181,30 @@ class PlacementBackend:
         profiling: bool,
     ) -> PlacementResult:
         raise NotImplementedError
+
+
+def sweep_chain(
+    chain: Sequence[str],
+    backend_of: Callable[[str], PlacementBackend],
+    request: PlacementRequest,
+    on_error: Callable[[str, Exception], None],
+) -> Tuple[Optional[PlacementResult], str]:
+    """One pass of ``request`` down an admission chain of backend names.
+
+    Returns the result and name of the rung that ended the pass: the
+    first one that placed, or the first one whose status is
+    ``"infeasible"``.  That status is a proof that nothing fits, so no
+    later rung could place either.  A rung that returns ``"unknown"`` or
+    ``"partial"`` (out of budget, or a heuristic miss) falls through, and
+    one that raises is handed to ``on_error`` and falls through too.
+    Returns ``(None, "none")`` when every rung fell through.
+    """
+    for name in chain:
+        try:
+            result = backend_of(name).place(request)
+        except Exception as exc:  # graceful: fall through to the next rung
+            on_error(name, exc)
+            continue
+        if result.placements or result.status == "infeasible":
+            return result, name
+    return None, "none"

@@ -103,38 +103,42 @@ def solve_in_worker(
 ) -> Optional[WorkerPlacement]:
     """Admit one module on one region through a backend chain, remotely.
 
-    Returns ``(shape_index, x, y, backend_name)`` for the first rung that
-    produces a placement, or None when every rung ran cleanly and none
-    fit — a *definitive* no-fit the caller must not second-guess.  If
-    every rung raised instead, the last error propagates so the caller's
-    graceful-degradation path (the runtime manager falls back to its
-    in-process chain) can take over.
+    The chain runs through :func:`~repro.core.backend.protocol.sweep_chain`,
+    the pass the in-process manager uses.  Returns ``(shape_index, x, y,
+    backend_name)`` for the rung that placed, or None when a rung proved
+    no fit or every rung ran cleanly and none fit — a *definitive* no-fit
+    the caller must not second-guess.  If every rung raised instead, an
+    error naming them all propagates so the caller's graceful-degradation
+    path (the runtime manager falls back to its in-process chain) can
+    take over.
     """
     # lazy: workers import the registry on first solve, not at fork time
-    from repro.core.backend import PlacementRequest, create_backend
+    from repro.core.backend import (
+        PlacementRequest,
+        create_backend,
+        sweep_chain,
+    )
 
     region = region_from_dict(region_payload)
     module = module_from_dict(module_payload)
     cache = process_cache(cache_key, capacity=capacity, load_path=load_path)
     errors: List[str] = []
-    for name in chain:
-        try:
-            res = create_backend(name).place(
-                PlacementRequest(
-                    region=region,
-                    modules=[module],
-                    seed=seed,
-                    time_limit=time_limit,
-                    first_solution_only=True,
-                    cache=cache,
-                )
-            )
-        except Exception as exc:
-            errors.append(f"{name}: {exc}")
-            continue
-        if res.placements:
-            p = res.placements[0]
-            return p.shape_index, p.x, p.y, name
+    res, name = sweep_chain(
+        chain,
+        create_backend,
+        PlacementRequest(
+            region=region,
+            modules=[module],
+            seed=seed,
+            time_limit=time_limit,
+            first_solution_only=True,
+            cache=cache,
+        ),
+        lambda rung, exc: errors.append(f"{rung}: {exc}"),
+    )
+    if res is not None and res.placements:
+        p = res.placements[0]
+        return p.shape_index, p.x, p.y, name
     if errors and len(errors) == len(chain):
         raise RuntimeError(
             "every chain rung failed in worker: " + "; ".join(errors)

@@ -7,6 +7,16 @@ then the row, then the shape alternative — usually already fixed by kernel
 propagation once the anchor is known.  Branch-and-bound tightens the
 extent after every solution; interrupted runs return the best placement
 found, which makes the Table I experiments budget-controllable.
+
+One request shape skips the model: a single module, stopped at its first
+solution under the min-extent objective, with no warm start, extent
+clamp, restarts or node budget (:func:`closed_form_applies`, the runtime
+admission probe).  That dive provably lands on the minimum ``(x, y,
+shape)`` over the shapes' valid anchors, so :meth:`CPPlacer._place`
+returns :func:`~repro.fabric.masks.bottom_left_pick` over the masks read
+through the request's cache, or a proven ``"infeasible"`` when no shape
+has an anchor.  The full model stays the test oracle
+(``tests/support.py::full_cp_model``).
 """
 
 from __future__ import annotations
@@ -14,6 +24,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from repro.cp.bnb import BranchAndBound, Objective
 from repro.cp.branching import input_order, min_value
@@ -23,11 +35,16 @@ from repro.core.objective import ObjectiveKind
 from repro.core.placement_model import PlacementModel
 from repro.core.result import Placement, PlacementResult
 from repro.fabric.cache import AnchorMaskCache
+from repro.fabric.masks import (
+    blocked_prefix_counts,
+    bottom_left_pick,
+    valid_anchor_mask,
+)
 from repro.fabric.region import PartialRegion
 from repro.modules.module import Module
 from repro.obs import context as obs_context
 from repro.obs.profile import SolveProfile
-from repro.obs.trace import Tracer
+from repro.obs.trace import CACHE_MASKS, Tracer
 
 
 #: fraction of the solve's ``time_limit`` granted to a warm-start seeder
@@ -163,6 +180,11 @@ class CPPlacer:
         cfg = self.config
         start = time.monotonic()
         profiling = cfg.profile or obs_context.current() is not None
+
+        if closed_form_applies(cfg, modules, max_extent):
+            # one module, first solution, min extent: the dive's answer is
+            # the bottom-left pick over the shapes' masks, no search required
+            return self._closed_form(region, modules[0], start, profiling)
 
         warm_placements: Optional[List[Placement]] = None
         warm_value: Optional[int] = None
@@ -352,6 +374,73 @@ class CPPlacer:
             stats=stats,
         )
 
+    def _closed_form(
+        self,
+        region: PartialRegion,
+        module: Module,
+        start: float,
+        profiling: bool,
+    ) -> PlacementResult:
+        """Answer a :func:`closed_form_applies` request without a model.
+
+        Reads each shape's static mask the way the kernel reads a plain
+        region's (same cache lookups, so the cache counters match a model
+        build) and returns the bottom-left ``(x, y, shape)`` over them, or
+        a proven ``"infeasible"`` when no shape has an anchor.  As with
+        the dive, the answer is ``"optimal"`` only when it is the one
+        anchor there is (root propagation then fixes every variable),
+        else ``"feasible"``.
+        """
+        cfg = self.config
+        cache, shapes = cfg.cache, module.shapes
+        cache_stats = None
+        if cache is None:
+            planes = blocked_prefix_counts(region)
+            masks = [valid_anchor_mask(region, fp, planes) for fp in shapes]
+        else:
+            snap = cache.snapshot()
+            key = cache.region_key(region)
+            masks = [cache.anchor_mask(region, fp, key) for fp in shapes]
+            cache_stats = cache.delta(snap)
+        pick = bottom_left_pick(masks)
+        tracer = cfg.tracer
+        if cache_stats is not None and tracer is not None and tracer.enabled:
+            tracer.emit(CACHE_MASKS, **cache_stats)
+        elapsed = time.monotonic() - start
+        stats: Dict[str, object] = {
+            "shapes_considered": module.n_alternatives,
+            "first_incumbent_nodes": 0,
+        }
+        if profiling:
+            profile = SolveProfile(
+                elapsed=elapsed,
+                stop_reason="closed-form",
+                meta={"instance": region.name, "modules": 1, "placer": "cp"},
+            )
+            if cache_stats is not None:
+                profile.add_cache_stats(cache_stats)
+            session = obs_context.current()
+            if session is not None:
+                session.record(profile)
+            stats["profile"] = profile
+        if pick is None:
+            return PlacementResult(
+                region, [], [module], status="infeasible", elapsed=elapsed,
+                stats=stats,
+            )
+        x, y, si = pick
+        placement = Placement(module, si, x, y)
+        unique = sum(int(np.count_nonzero(m)) for m in masks) == 1
+        return PlacementResult(
+            region,
+            [placement],
+            [],
+            extent=placement.right,
+            status="optimal" if unique else "feasible",
+            elapsed=elapsed,
+            stats=stats,
+        )
+
     def _capture_profile(
         self, pm, search_stats, region, modules, restarts: int = 0
     ) -> SolveProfile:
@@ -439,6 +528,28 @@ class CPPlacer:
             elapsed=elapsed,
             stats=stats,
         )
+
+
+def closed_form_applies(
+    cfg: PlacerConfig, modules: Sequence[Module], max_extent: Optional[int]
+) -> bool:
+    """True when the CP dive provably returns the bottom-left pick.
+
+    One module, stopped at its first solution under the min-extent
+    objective, with no warm start, no extent clamp, the plain dive and no
+    node budget: branching x, then y, then shape at the smallest value
+    finds the minimum ``(x, y, shape)`` over the shapes' valid anchors,
+    and an empty mask set is the proof of no fit.
+    """
+    return (
+        len(modules) == 1
+        and cfg.first_solution_only
+        and cfg.objective is ObjectiveKind.MIN_EXTENT_X
+        and cfg.warm_start is None
+        and max_extent is None
+        and cfg.construction == "dive"
+        and cfg.node_limit is None
+    )
 
 
 def _objective_value(

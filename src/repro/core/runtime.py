@@ -9,10 +9,15 @@ repo's existing parts under such a load:
 
 * **Admission** — each arrival is placed on the residual region through a
   deterministic fallback chain of registered placement backends
-  (:mod:`repro.core.backend`): by default a budgeted CP probe (anchor
-  masks served from a shared :class:`~repro.fabric.cache.AnchorMaskCache`),
-  then the bottom-left greedy rung, then reject.  ``RuntimeConfig.chain``
-  names the rungs declaratively by backend name.
+  (:mod:`repro.core.backend`): by default a CP probe, then the
+  bottom-left greedy rung, then reject.  ``RuntimeConfig.chain`` names
+  the rungs declaratively by backend name.  The CP probe is one module
+  at its first solution, which the CP placer answers in closed form
+  (the bottom-left anchor over the shapes' masks, served from a shared
+  :class:`~repro.fabric.cache.AnchorMaskCache`); when no shape has an
+  anchor its ``"infeasible"`` is a proof that ends the sweep
+  (:func:`~repro.core.backend.protocol.sweep_chain`), so the greedy rung
+  only runs after a rung that gave up or raised.
 * **Fragmentation control** — external fragmentation of the live
   floorplan is monitored (:mod:`repro.metrics.fragmentation`); crossing a
   threshold, or any rejection, triggers a :func:`~repro.core.defrag.defragment`
@@ -38,8 +43,10 @@ repo's existing parts under such a load:
   existing :mod:`repro.obs` layer.
 
 Time model: the manager runs on the *logical* clock carried by the
-requests (arrival/lifetime/deadline are simulation time units); solver
-budgets (``probe_time_limit``) are wall-clock seconds.
+requests (arrival/lifetime/deadline are simulation time units).  The
+solver budget ``probe_time_limit`` is wall-clock seconds, but it is a
+safety net only the model-backed rungs read: on the default
+``("cp", "greedy")`` chain it decides no outcome.
 """
 
 from __future__ import annotations
@@ -57,6 +64,7 @@ from repro.core.backend import (
     PlacementRequest,
     available_backends,
     create_backend,
+    sweep_chain,
 )
 from repro.core.defrag import (
     Defragmenter,
@@ -66,7 +74,7 @@ from repro.core.defrag import (
 )
 from repro.core.result import Placement, PlacementResult, imprint
 from repro.fabric.cache import AnchorMaskCache
-from repro.fabric.masks import first_anchor, free_anchors
+from repro.fabric.masks import bottom_left_pick, free_anchors
 from repro.fabric.region import PartialRegion
 from repro.metrics.fragmentation import external_fragmentation
 from repro.metrics.utilization import region_utilization
@@ -182,11 +190,12 @@ class RuntimeConfig:
     #: admit with the full alternative set (False = primary shape only)
     with_alternatives: bool = True
     #: admission chain as registered backend names, tried in order: by
-    #: default a budgeted CP probe, then the bottom-left greedy rung;
-    #: ("greedy",) skips the CP probe — deterministic and much faster.
-    #: Every name must be registered and relocatable.
+    #: default a CP probe, then the bottom-left greedy rung; ("greedy",)
+    #: skips the CP probe.  Every name must be registered and relocatable.
     chain: Sequence[str] = ("cp", "greedy")
-    #: wall-clock budget of one CP probe (seconds)
+    #: wall-clock budget of one probe (seconds): a safety net that only
+    #: model-backed rungs read; the closed-form CP probe and the greedy
+    #: rung ignore it, so it decides no outcome on the default chain
     probe_time_limit: float = 0.25
     #: bounded pending queue (0 = reject immediately, no queueing)
     queue_capacity: int = 8
@@ -464,10 +473,8 @@ class RuntimePlacementManager:
         #: the single move currently holding its window on the fabric
         self._move_queue: Deque[PlannedMove] = deque()
         self._active_move: Optional[_ActiveMove] = None
-        #: the admission rungs, instantiated once per manager
-        self._chain = [
-            (name, create_backend(name)) for name in cfg.chain
-        ]
+        #: the admission rungs by name, instantiated once per manager
+        self._backends = {name: create_backend(name) for name in cfg.chain}
         tracer = cfg.tracer
         self._tracer = tracer if tracer is not None and tracer.enabled else None
 
@@ -856,7 +863,9 @@ class RuntimePlacementManager:
         outcome: RequestOutcome,
         region: Optional[PartialRegion] = None,
     ) -> Tuple[Optional[Placement], str]:
-        """One sweep down the fallback chain; exceptions degrade a rung.
+        """One sweep down the fallback chain
+        (:func:`~repro.core.backend.protocol.sweep_chain`): a rung's proof
+        of no fit ends it, exceptions degrade a rung.
 
         ``region`` overrides the residual region (reservation replanning
         carves its own residual that keeps sibling bookings protected).
@@ -873,22 +882,26 @@ class RuntimePlacementManager:
             except Exception as exc:  # graceful: fall back to the chain
                 self.stats.probe_errors += 1
                 outcome.errors.append(f"solver: {exc}")
-        for name, backend in self._chain:
-            try:
-                request = PlacementRequest(
-                    region=region,
-                    modules=[module],
-                    time_limit=cfg.probe_time_limit,
-                    first_solution_only=True,
-                    cache=self._cache,
-                    tracer=self._tracer,
-                )
-                res = backend.place(request)
-                if res.placements:
-                    return res.placements[0], name
-            except Exception as exc:  # graceful: fall through to next rung
-                self.stats.probe_errors += 1
-                outcome.errors.append(f"{name}: {exc}")
+
+        def on_error(name: str, exc: Exception) -> None:
+            self.stats.probe_errors += 1
+            outcome.errors.append(f"{name}: {exc}")
+
+        res, name = sweep_chain(
+            cfg.chain,
+            self._backends.__getitem__,
+            PlacementRequest(
+                region=region,
+                modules=[module],
+                time_limit=cfg.probe_time_limit,
+                first_solution_only=True,
+                cache=self._cache,
+                tracer=self._tracer,
+            ),
+            on_error,
+        )
+        if res is not None and res.placements:
+            return res.placements[0], name
         return None, "none"
 
     def _commit(
@@ -967,7 +980,7 @@ class RuntimePlacementManager:
         masks over that projection (:func:`~repro.fabric.masks.free_anchors`,
         the check the greedy baselines use).  The first tick with a
         feasible anchor books a concrete planned placement at its
-        bottom-left anchor (:func:`~repro.fabric.masks.first_anchor`).
+        bottom-left anchor (:func:`~repro.fabric.masks.bottom_left_pick`).
         """
         cfg = self.config
         if len(self._reservations) >= cfg.reservation_capacity:
@@ -994,22 +1007,16 @@ class RuntimePlacementManager:
         cache = self._cache
         key = cache.region_key(self.region)
         shapes = [
-            (
-                si,
-                cache.anchor_mask(self.region, fp, region_key=key),
-                fp.offsets(),
-            )
-            for si, fp in enumerate(module.shapes)
+            (cache.anchor_mask(self.region, fp, region_key=key), fp.offsets())
+            for fp in module.shapes
         ]
         for start in ticks:
             future = self._projected_occupancy(
                 start, request.lifetime, dep_of
             )
-            hits = [
-                (first_anchor(free_anchors(static, off, future)), si)
-                for si, static, off in shapes
-            ]
-            best = min((hit + (si,) for hit, si in hits if hit), default=None)
+            best = bottom_left_pick(
+                free_anchors(static, off, future) for static, off in shapes
+            )
             if best is None:
                 continue
             x, y, si = best

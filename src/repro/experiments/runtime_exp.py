@@ -16,8 +16,7 @@ no-break run verifies every move transition against the full floorplan
 invariants (``verify_moves=True``), so a passing run is also a proof
 that no intermediate state ever overlapped a running module.
 
-The greedy probe is used so both runs are deterministic (no wall-clock
-budget in the admission decision); the CP probe variant is exercised by
+Both runs use the greedy probe; the CP probe variant is exercised by
 ``benchmarks/test_bench_runtime.py``.
 
 The online service-level ablation (A5, :func:`online_comparison`) is the

@@ -22,9 +22,11 @@ Anchors whose bounding box leaves the grid are invalid.  Footprint cells
 must be normalized so ``min dx == min dy == 0``; anchors are then the
 footprint's lower-left bounding-box corner.
 
-Two queries read a finished mask: :func:`free_anchors` drops the anchors
-whose cells an occupancy grid already holds, and :func:`first_anchor`
-returns the bottom-left survivor.  The baseline placers, the runtime
+Three queries read finished masks: :func:`free_anchors` drops the
+anchors whose cells an occupancy grid already holds, :func:`first_anchor`
+returns the bottom-left survivor of one mask, and :func:`bottom_left_pick`
+the bottom-left ``(x, y, shape)`` over one module's per-shape masks.  The
+baseline placers, the CP placer's one-module closed form, the runtime
 manager's reservation probe and Figure 4 all pick anchors through them.
 
 The module also hosts the shared sliding-window correlation kernels the
@@ -294,6 +296,25 @@ def first_anchor(valid: np.ndarray) -> Tuple[int, int] | None:
         return None
     x = int(cols.argmax())
     return x, int(valid[:, x].argmax())
+
+
+def bottom_left_pick(
+    masks: Iterable[np.ndarray],
+) -> Tuple[int, int, int] | None:
+    """The bottom-left ``(x, y, shape index)`` over per-shape masks, or None.
+
+    ``masks`` holds one validity mask per shape of a module, in shape
+    order.  The pick is the minimum of ``(x, y, shape index)`` over each
+    mask's :func:`first_anchor`: lowest shape index on ties.  For one
+    module under the min-extent objective (Eq. 6) this is exactly what a
+    CP dive branching x, then y, then shape at the smallest value finds.
+    """
+    best: Tuple[int, int, int] | None = None
+    for si, valid in enumerate(masks):
+        hit = first_anchor(valid)
+        if hit is not None and (best is None or hit < best[:2]):
+            best = (*hit, si)
+    return best
 
 
 def free_anchors(

@@ -373,7 +373,7 @@ class AnalyticalPlacer(BasePlacer):
         still: List[Module] = []
         for m in unplaced:
             mi = mi_of_name[m.name]
-            best = min(state.first_anchors(mi), default=None)
+            best = state.bottom_left(mi)
             if best is None:
                 still.append(m)
             else:

@@ -7,7 +7,9 @@ through the same vectorized machinery as the kernel
 M_a / M_b / M_c by construction and are cross-checked by
 ``PlacementResult.verify`` in the tests.  Every placer reads the
 bottom-left anchor of each shape (:meth:`_State.first_anchors`) and
-writes cells through :func:`repro.core.result.imprint`.
+writes cells through :func:`repro.core.result.imprint`; the bottom-left
+pick across shapes is :meth:`_State.bottom_left`, the same helper the CP
+placer's one-module closed form calls.
 
 Seeding, wall-clock budgets and :class:`~repro.fabric.cache.AnchorMaskCache`
 reuse are owned here, once: ``BasePlacer.place`` builds one :class:`_State`
@@ -29,6 +31,7 @@ from repro.core.result import Placement, PlacementResult, imprint
 from repro.fabric.cache import AnchorMaskCache
 from repro.fabric.masks import (
     blocked_prefix_counts,
+    bottom_left_pick,
     first_anchor,
     free_anchors,
     valid_anchor_mask,
@@ -84,12 +87,18 @@ class _State:
 
     def first_anchors(self, mi: int) -> Iterator[Tuple[int, int, int]]:
         """``(x, y, shape)``: the bottom-left free anchor of every shape of
-        module ``mi`` that has one, in shape order.  Their minimum is the
-        module's bottom-left placement (lowest shape index on ties)."""
+        module ``mi`` that has one, in shape order."""
         for si in range(len(self.modules[mi].shapes)):
             hit = first_anchor(self.anchors(mi, si))
             if hit is not None:
                 yield *hit, si
+
+    def bottom_left(self, mi: int) -> Optional[Tuple[int, int, int]]:
+        """Module ``mi``'s bottom-left free ``(x, y, shape)``, or None
+        (:func:`~repro.fabric.masks.bottom_left_pick`)."""
+        return bottom_left_pick(
+            self.anchors(mi, si) for si in range(len(self.modules[mi].shapes))
+        )
 
     def commit(self, mi: int, si: int, x: int, y: int) -> None:
         placement = Placement(self.modules[mi], si, x, y)

@@ -8,7 +8,8 @@ the same per-shape candidate, the bottom-left free anchor of each shape
 key that compares those candidates across shapes:
 
 * :class:`BottomLeftPlacer` — modules by decreasing area, each at the
-  lowest-leftmost anchor over all its shapes: key ``(x, y)``.
+  lowest-leftmost anchor over all its shapes: key ``(x, y)``
+  (:meth:`repro.placer.base._State.bottom_left`).
 * :class:`FirstFitPlacer` — modules in input order, the first shape (in
   the order given) that has an anchor.
 * :class:`BestFitPlacer` — modules by decreasing area, each where the
@@ -38,7 +39,7 @@ class BottomLeftPlacer(BasePlacer):
         )
         unplaced: List[Module] = []
         for mi in order:
-            pick = min(state.first_anchors(mi), default=None)
+            pick = state.bottom_left(mi)
             if pick is None:
                 unplaced.append(state.modules[mi])
                 continue

@@ -16,12 +16,22 @@ from repro.core.runtime import (
     RuntimeRequest,
     generate_workload,
 )
+from repro.core.backend import (
+    PlacementBackend,
+    register_backend,
+    solve_in_worker,
+    unregister_backend,
+)
+from repro.core.result import PlacementResult
 from repro.modules.generator import GeneratorConfig
 from repro.fabric.devices import homogeneous_device
+from repro.fabric.io import region_to_dict
 from repro.fabric.region import PartialRegion
 from repro.modules.footprint import Footprint
 from repro.modules.module import Module
+from repro.modules.spec import module_to_dict
 from repro.obs import RecordingTracer, profiling_session, validate_event
+from repro.placer.greedy import BottomLeftPlacer
 
 
 def region_w(width: int, height: int = 2) -> PartialRegion:
@@ -313,6 +323,107 @@ class TestCrashInjection:
         assert out.reason == RejectReason.NO_FIT
         assert len(out.errors) >= 2
         assert mgr.stats.probe_errors >= 2
+
+
+class TestChainSweep:
+    """A rung's proof of no fit ends the sweep; running out of budget
+    does not.  Both the in-process manager and the remote worker solve
+    run the chain through the same sweep."""
+
+    @pytest.fixture
+    def rungs(self):
+        """Registers a ``spy`` rung (bottom-left, logging each call) and an
+        ``out-of-budget`` rung (always ``"unknown"``); yields the log."""
+        calls = []
+
+        class Spy(PlacementBackend):
+            name = "spy"
+
+            def __init__(self, config=None):
+                pass
+
+            def _solve(self, request, tracer, profiling):
+                calls.append(request.modules[0].name)
+                return BottomLeftPlacer().place(
+                    request.region, list(request.modules)
+                )
+
+        class OutOfBudget(PlacementBackend):
+            name = "out-of-budget"
+
+            def __init__(self, config=None):
+                pass
+
+            def _solve(self, request, tracer, profiling):
+                return PlacementResult(
+                    request.region, [], list(request.modules),
+                    status="unknown",
+                )
+
+        register_backend("spy", Spy)
+        register_backend("out-of-budget", OutOfBudget)
+        try:
+            yield calls
+        finally:
+            unregister_backend("spy")
+            unregister_backend("out-of-budget")
+
+    @staticmethod
+    def _submit(chain, module):
+        mgr = RuntimePlacementManager(
+            region_w(4),
+            RuntimeConfig(
+                chain=chain, queue_capacity=0, defrag_on_reject=False
+            ),
+        )
+        return mgr.submit(req(module, 1))
+
+    @staticmethod
+    def _worker(chain, module):
+        return solve_in_worker(
+            region_to_dict(region_w(4)), module_to_dict(module), chain, 1.0
+        )
+
+    def test_proof_of_no_fit_ends_the_sweep(self, rungs):
+        big = rect("big", 6)
+        out = self._submit(("cp", "spy"), big)
+        assert out.reason == RejectReason.NO_FIT and not out.errors
+        assert self._worker(("cp", "spy"), big) is None
+        assert rungs == []
+        # a rung that ran out of budget falls through to the next one
+        out = self._submit(("out-of-budget", "spy"), rect("a", 2))
+        assert out.admitted and out.method == "spy"
+        assert self._worker(("out-of-budget", "spy"), rect("b", 2)) == (
+            0, 0, 0, "spy"
+        )
+        assert rungs == ["a", "b"]
+
+    def test_each_cp_probe_records_one_profile(self):
+        tracer = RecordingTracer()
+        with profiling_session("cp") as session:
+            mgr = RuntimePlacementManager(
+                region_w(8),
+                RuntimeConfig(
+                    chain=("cp",), queue_capacity=0, defrag_on_reject=False,
+                    tracer=tracer,
+                ),
+            )
+            # the 6-wide arrivals only fit while the fabric is empty, so
+            # the replay probes both outcomes
+            mgr.run(
+                [req(rect(f"m{i}", 6 if i % 3 else 2), i, lifetime=2)
+                 for i in range(12)]
+            )
+        probes = [
+            e for e in tracer.by_kind("backend.start")
+            if e.data["backend"] == "cp"
+        ]
+        recorded = [
+            p for p in session.profiles if p.meta.get("placer") == "cp"
+        ]
+        assert mgr.stats.admitted and mgr.stats.rejected
+        assert len(recorded) == len(probes) == 12
+        assert {p.stop_reason for p in recorded} == {"closed-form"}
 
 
 class TestObservability:

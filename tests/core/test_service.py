@@ -454,6 +454,35 @@ class TestDeterminism:
         # and the merged multiset covers every submitted request
         assert len(first_outcomes) == len(trace)
 
+    def test_wall_clock_budget_decides_no_outcome_on_default_chain(self):
+        """The default ``("cp", "greedy")`` chain gives the same outcome
+        rows, method labels included, under a CP probe budget nobody can
+        meet as under the default one: CP answers one-module probes in
+        closed form and its no-fit is a proof that ends the chain."""
+        trace = generate_workload(
+            150, seed=3, mean_interarrival=1, mean_lifetime=40
+        )
+
+        def replay(probe_time_limit):
+            svc = ShardedPlacementService(
+                ShardedPlacementService.split(default_fabric(), 4),
+                greedy_service_cfg(
+                    router="affinity",
+                    runtime_kw={
+                        "chain": ("cp", "greedy"),
+                        "probe_time_limit": probe_time_limit,
+                    },
+                ),
+            )
+            log = svc.run(trace)
+            return log, [outcome_key(o) for o in log.outcomes]
+
+        log, default = replay(RuntimeConfig.probe_time_limit)
+        starved, rows = replay(1e-9)
+        assert rows == default
+        assert log.stats.admits_by_method.get("cp") and log.rejected
+        assert starved.stats.probe_errors == 0
+
     def test_one_vs_many_shards_serve_the_same_stream(self):
         """1 shard and N shards replay the same trace: arrivals conserved
         and every admitted module lands somewhere exactly once."""

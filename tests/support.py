@@ -20,6 +20,9 @@ placer used to hand-roll) for :func:`repro.fabric.masks.first_anchor`, and
 :func:`cell_table_free_anchors` (the baseline state's gather over its own
 ``int64`` offset table) for :func:`repro.fabric.masks.free_anchors`.
 
+:func:`full_cp_model` is the oracle switch of the CP placer's one-module
+closed form: inside it every request builds the full model and searches.
+
 Three ways to enumerate the solutions of one placement instance:
 
 * :func:`brute_force_solutions` — literal M_a ∧ M_b ∧ M_c from the
@@ -58,7 +61,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 import repro.core.placement_model
+import repro.core.placer
 import repro.core.temporal
+from repro.core.placer import CPPlacer
 from repro.core.relocation import RelocationSite
 from repro.core.result import Placement, PlacementResult
 from repro.cp.engine import Inconsistent
@@ -260,6 +265,68 @@ def build_kernel(
                              incremental=incremental, bitboard=bitboard)
     m.post(kernel)
     return kernel, xs, ys, ss
+
+
+@contextmanager
+def full_cp_model() -> Iterator[None]:
+    """Run every one-module CP request through the full model and search.
+
+    :class:`~repro.core.placer.CPPlacer` answers one-module,
+    first-solution, min-extent requests in closed form (the bottom-left
+    pick over the shapes' masks) when
+    :func:`repro.core.placer.closed_form_applies` says so.  Inside this
+    block that predicate is always False, so the request builds the
+    :class:`~repro.core.placement_model.PlacementModel` and dives, the
+    oracle the closed form is checked against.  Only forked worker
+    processes inherit the swap.
+    """
+    previous = repro.core.placer.closed_form_applies
+    repro.core.placer.closed_form_applies = lambda *args: False
+    try:
+        yield
+    finally:
+        repro.core.placer.closed_form_applies = previous
+
+
+def recorded_cp_probes(
+    n_requests: int = 200, keep: int = 60, seed: int = 0
+) -> List[Tuple[PartialRegion, Module]]:
+    """``(region, module)`` of the one-module CP probes an overloaded
+    Table-I replay sends: four shards, the ``("cp", "greedy")`` chain,
+    queue, reservations and no-break defrag (the ``serve-contended``
+    profile); ``keep`` of them, evenly spaced."""
+    from repro.core.runtime import generate_workload
+    from repro.core.service import ShardedPlacementService
+    from repro.experiments.config import default_fabric
+    from repro.experiments.service_load import serving_config
+
+    recorded = []
+    place = CPPlacer.place
+
+    def record(self, region, modules):
+        if repro.core.placer.closed_form_applies(self.config, modules, None):
+            recorded.append((region, modules[0]))
+        return place(self, region, modules)
+
+    CPPlacer.place = record
+    try:
+        service = ShardedPlacementService(
+            ShardedPlacementService.split(default_fabric(), 4),
+            serving_config(
+                chain=("cp", "greedy"),
+                defrag="no-break",
+                reservation_horizon=16,
+            ),
+        )
+        trace = generate_workload(
+            n_requests, seed=seed, mean_interarrival=1, mean_lifetime=40
+        )
+        for request in sorted(trace, key=lambda r: r.arrival):
+            service.submit(request)
+        service.close()
+    finally:
+        CPPlacer.place = place
+    return recorded[:: max(1, len(recorded) // keep)][:keep]
 
 
 @contextmanager
