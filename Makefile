@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test test-fast test-oracle bench bench-fast bench-geost bench-runtime profile-smoke runtime-smoke backends-smoke defrag-smoke temporal-smoke analytical-smoke examples-smoke
+.PHONY: test test-fast test-oracle bench bench-fast bench-geost bench-masks bench-runtime profile-smoke runtime-smoke backends-smoke defrag-smoke temporal-smoke analytical-smoke examples-smoke
 
 ## full tier-1 suite (what CI runs)
 test:
@@ -49,6 +49,16 @@ bench-fast:
 ## over wholesale re-filtering on the Table-I workload
 bench-geost:
 	$(PY) -m pytest benchmarks/test_bench_geost_incremental.py -q -s
+
+## the anchor-kernel ratio gates, each a same-machine ratio: the run
+## kernel vs the per-cell slice-AND oracle, the CP closed form vs the
+## full CP model, and the closed form's packed-word mask stage vs the
+## prefix-count kernel it replaced (both on recorded serving probes)
+bench-masks:
+	$(PY) -m pytest -q -s \
+	  "benchmarks/test_bench_substrates.py::TestRunKernelSpeedup" \
+	  "benchmarks/test_bench_runtime.py::TestClosedFormAdmission" \
+	  "benchmarks/test_bench_runtime.py::TestPackedAnchorWords"
 
 ## sharded-service trace replay on the seeded Table-I workload: reads
 ## its req/s and p99-latency gates from the committed BENCH_runtime.json

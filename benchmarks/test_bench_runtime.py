@@ -22,11 +22,14 @@ from repro.core.result import PlacementResult
 from repro.experiments.runtime_exp import format_runtime, online_comparison
 from repro.fabric.cache import AnchorMaskCache
 from repro.fabric.devices import irregular_device
+from repro.fabric.masks import anchor_words, bottom_left_pick, column_words
 from repro.fabric.region import PartialRegion
 from repro.modules.generator import GeneratorConfig, ModuleGenerator
 from tests.support import (
+    blocked_prefix_counts,
     full_cp_model,
     per_cell_relocation_sites,
+    prefix_count_anchor_mask,
     recorded_cp_probes,
 )
 
@@ -38,6 +41,11 @@ DEFRAG_PLAN_SPEEDUP_MIN = 1.6
 #: the full CP model by this factor (same host, same recorded probes;
 #: measured 3.5-4.2x over four runs on a 2-core x86 host)
 CLOSED_FORM_SPEEDUP_MIN = 3.0
+#: the closed form's mask stage on packed column words (region words +
+#: shape words + pick) must beat the prefix-count kernel + pick by this
+#: factor (same host, same recorded probes; measured 1.79-1.95x over ten
+#: runs on a 2-core x86 host, median 1.85x: the gate is 2/3 of that)
+PACKED_WORDS_SPEEDUP_MIN = 1.2
 
 
 class TestA5Online:
@@ -219,6 +227,60 @@ class TestClosedFormAdmission:
         )
         assert speedup >= CLOSED_FORM_SPEEDUP_MIN, (
             f"closed form only {speedup:.2f}x the full CP model"
+        )
+
+
+class TestPackedAnchorWords:
+    def test_packed_words_beat_prefix_count_kernel(self, report):
+        """Ratio gate: the CP closed form's mask stage — the region's
+        column words, every shape's anchor words, the bottom-left pick —
+        vs the prefix-count kernel it replaced (region planes, one mask
+        per shape, the same pick) on recorded serving probes.  Both
+        sides must pick the same ``(x, y, shape)``."""
+        probes = recorded_cp_probes(n_requests=400, keep=200)
+        assert len(probes) >= 150
+
+        def packed():
+            t0 = time.perf_counter()
+            picks = [
+                bottom_left_pick(anchor_words(column_words(r), m.shapes))
+                for r, m in probes
+            ]
+            return time.perf_counter() - t0, picks
+
+        def prefix_counts():
+            t0 = time.perf_counter()
+            picks = []
+            for r, m in probes:
+                planes = blocked_prefix_counts(r)
+                picks.append(
+                    bottom_left_pick(
+                        prefix_count_anchor_mask(r, fp, planes)
+                        for fp in m.shapes
+                    )
+                )
+            return time.perf_counter() - t0, picks
+
+        # alternate the two sides so a drift in host speed hits both
+        t_packed = t_prefix = float("inf")
+        for _ in range(7):
+            elapsed, picks = packed()
+            t_packed = min(t_packed, elapsed)
+            elapsed, ref_picks = prefix_counts()
+            t_prefix = min(t_prefix, elapsed)
+            assert picks == ref_picks
+        speedup = t_prefix / t_packed
+        report(
+            "closed-form mask stage: packed words vs prefix counts",
+            f"{len(probes)} recorded serve-contended probes, "
+            f"{sum(p is None for p in picks)} with no fit\n"
+            f"  prefix counts + pick {t_prefix / len(probes) * 1e6:7.1f} us/probe\n"
+            f"  packed words + pick  {t_packed / len(probes) * 1e6:7.1f} us/probe\n"
+            f"  speedup              {speedup:7.2f}x  "
+            f"(gate >= {PACKED_WORDS_SPEEDUP_MIN}x)",
+        )
+        assert speedup >= PACKED_WORDS_SPEEDUP_MIN, (
+            f"packed words only {speedup:.2f}x the prefix-count kernel"
         )
 
 

@@ -21,7 +21,7 @@ from repro.core.runtime import generate_workload
 from repro.core.service import ShardedPlacementService
 from repro.experiments.config import default_fabric
 from repro.fabric.masks import (
-    blocked_prefix_counts,
+    column_words,
     compatibility_masks,
     valid_anchor_mask,
 )
@@ -33,9 +33,10 @@ from repro.modules.footprint import Footprint
 from repro.modules.generator import ModuleGenerator
 from tests.support import slice_and_anchor_mask
 
-#: the run/prefix kernel must beat the per-cell slice-AND oracle by this
-#: factor on the serving trace's footprints (measured ~4-6x on a 2-core
-#: x86 host; the gate leaves room for noisy hosts)
+#: the run kernel (packed column words since the prefix counts moved to
+#: the tests) must beat the per-cell slice-AND oracle by this factor on
+#: the serving trace's footprints (measured ~4-6x for the prefix counts
+#: on a 2-core x86 host; the gate leaves room for noisy hosts)
 RUN_KERNEL_SPEEDUP_MIN = 2.0
 
 
@@ -63,19 +64,19 @@ class TestAnchorMasks:
     def setup(self):
         region = PartialRegion.whole_device(irregular_device(160, 24, seed=42))
         module = ModuleGenerator(seed=1).generate()
-        planes = blocked_prefix_counts(region)
-        return region, module, planes
+        words = column_words(region)
+        return region, module, words
 
     def test_bench_valid_anchor_mask(self, benchmark, setup):
-        region, module, planes = setup
+        region, module, words = setup
         fp = module.primary()
-        mask = benchmark(valid_anchor_mask, region, fp, planes)
+        mask = benchmark(valid_anchor_mask, region, fp, words)
         assert mask.shape == (24, 160)
 
-    def test_bench_blocked_prefix_counts(self, benchmark, setup):
+    def test_bench_column_words(self, benchmark, setup):
         region, _, _ = setup
-        planes = benchmark(blocked_prefix_counts, region)
-        assert planes.shape[1:] == (25, 160) and planes.dtype == np.uint8
+        words = benchmark(column_words, region)
+        assert words.shape[1:] == (160, 1) and words.dtype == np.uint64
 
     def test_bench_compatibility_masks(self, benchmark, setup):
         region, _, _ = setup
@@ -84,13 +85,13 @@ class TestAnchorMasks:
 
 
 class TestRunKernelSpeedup:
-    """Ratio gate: run/prefix kernel vs the per-cell slice-AND oracle.
+    """Ratio gate: the run kernel vs the per-cell slice-AND oracle.
 
     The workload is the serving benchmark's: every shape of the seeded
     500-request trace over the four column shards of the Table-I fabric.
     The footprint cache is cold — each timed pass gets fresh
-    :class:`Footprint` objects, so the new kernel pays its run
-    decomposition — and each side gets its region planes (prefix counts
+    :class:`Footprint` objects, so the run kernel pays its run
+    decomposition — and each side gets its region planes (column words
     or compatibility masks) precomputed once per shard, as in serving.
     """
 
@@ -101,7 +102,7 @@ class TestRunKernelSpeedup:
             for request in generate_workload(500, seed=0)
             for fp in request.module.shapes
         ]
-        planes = [blocked_prefix_counts(r) for r in regions]
+        planes = [column_words(r) for r in regions]
         compat = [compatibility_masks(r) for r in regions]
 
         def run_kernel():
@@ -121,16 +122,16 @@ class TestRunKernelSpeedup:
         t_old = min(per_cell() for _ in range(3))
         speedup = t_old / t_new
         report(
-            "anchor-mask kernel: run/prefix vs per-cell slice-AND",
+            "anchor-mask kernel: run words vs per-cell slice-AND",
             "500-request serving trace footprints x 4 shards\n"
             f"  per-cell oracle {t_old / len(shapes) * 1e6:8.1f} us/call\n"
-            f"  run/prefix      {t_new / len(shapes) * 1e6:8.1f} us/call "
+            f"  run words       {t_new / len(shapes) * 1e6:8.1f} us/call "
             "(cold footprint runs)\n"
             f"  speedup         {speedup:8.2f}x  "
             f"(gate >= {RUN_KERNEL_SPEEDUP_MIN}x)"
         )
         assert speedup >= RUN_KERNEL_SPEEDUP_MIN, (
-            f"run/prefix kernel only {speedup:.2f}x the per-cell oracle"
+            f"run kernel only {speedup:.2f}x the per-cell oracle"
         )
 
 

@@ -35,11 +35,7 @@ from repro.core.objective import ObjectiveKind
 from repro.core.placement_model import PlacementModel
 from repro.core.result import Placement, PlacementResult
 from repro.fabric.cache import AnchorMaskCache
-from repro.fabric.masks import (
-    blocked_prefix_counts,
-    bottom_left_pick,
-    valid_anchor_mask,
-)
+from repro.fabric.masks import anchor_words, bottom_left_pick, column_words
 from repro.fabric.region import PartialRegion
 from repro.modules.module import Module
 from repro.obs import context as obs_context
@@ -383,26 +379,25 @@ class CPPlacer:
     ) -> PlacementResult:
         """Answer a :func:`closed_form_applies` request without a model.
 
-        Reads each shape's static mask the way the kernel reads a plain
-        region's (same cache lookups, so the cache counters match a model
-        build) and returns the bottom-left ``(x, y, shape)`` over them, or
-        a proven ``"infeasible"`` when no shape has an anchor.  As with
-        the dive, the answer is ``"optimal"`` only when it is the one
-        anchor there is (root propagation then fixes every variable),
-        else ``"feasible"``.
+        Reads each shape's anchor words with the lookups the kernel makes
+        for a plain region (one per shape, so the cache counters match a
+        model build) and returns the bottom-left ``(x, y, shape)`` over
+        them, or a proven ``"infeasible"`` when no shape has an anchor; no
+        ``(H, W)`` mask is built.  As with the dive, the answer is
+        ``"optimal"`` only when it is the one anchor there is (root
+        propagation then fixes every variable): exactly one bit set across
+        the shapes' words.  Otherwise it is ``"feasible"``.
         """
         cfg = self.config
         cache, shapes = cfg.cache, module.shapes
         cache_stats = None
         if cache is None:
-            planes = blocked_prefix_counts(region)
-            masks = [valid_anchor_mask(region, fp, planes) for fp in shapes]
+            words = anchor_words(column_words(region), shapes)
         else:
             snap = cache.snapshot()
-            key = cache.region_key(region)
-            masks = [cache.anchor_mask(region, fp, key) for fp in shapes]
+            words = cache.anchor_words(region, shapes)
             cache_stats = cache.delta(snap)
-        pick = bottom_left_pick(masks)
+        pick = bottom_left_pick(words)
         tracer = cfg.tracer
         if cache_stats is not None and tracer is not None and tracer.enabled:
             tracer.emit(CACHE_MASKS, **cache_stats)
@@ -430,7 +425,12 @@ class CPPlacer:
             )
         x, y, si = pick
         placement = Placement(module, si, x, y)
-        unique = sum(int(np.count_nonzero(m)) for m in masks) == 1
+        stacked = np.stack(words)
+        set_words = stacked[stacked != 0]
+        # one nonzero word, and a power of two: a single anchor
+        unique = set_words.size == 1 and not (
+            int(set_words[0]) & (int(set_words[0]) - 1)
+        )
         return PlacementResult(
             region,
             [placement],

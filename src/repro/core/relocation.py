@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.core.result import Placement, PlacementResult, imprint
 from repro.fabric.cache import AnchorMaskCache
-from repro.fabric.masks import blocked_prefix_counts, valid_anchor_mask
+from repro.fabric.masks import anchor_words, column_words, unpack_columns
 from repro.fabric.region import PartialRegion
 
 
@@ -68,11 +68,11 @@ def relocation_sites(
     The mover is lifted on a copy, so the caller's array is never
     mutated.  Without ``occupied`` the grid is built from ``result``.
 
-    ``cache`` routes the mask computation through a shared
+    ``cache`` routes the anchor-word computation through a shared
     :class:`~repro.fabric.cache.AnchorMaskCache`, keyed on the content
     fingerprint of the lifted-module free mask.  Each candidate module
     lifts a different residual floorplan, so within one call only the
-    module's own shapes share the per-region planes; repeated
+    module's own shapes share the region's column words; repeated
     (region, footprint) lookups across calls and passes are served from
     cache.  The cached and uncached paths are bit-identical (pinned by
     the differential suite).
@@ -86,21 +86,14 @@ def relocation_sites(
         if consider_alternatives
         else [(placement.shape_index, placement.footprint)]
     )
+    footprints = [fp for _, fp in shapes]
     if cache is not None:
-        region_key = cache.region_key(sub_region)
-        masks = [
-            (sid, cache.anchor_mask(sub_region, fp, region_key=region_key))
-            for sid, fp in shapes
-        ]
+        words = cache.anchor_words(sub_region, footprints)
     else:
-        planes = blocked_prefix_counts(sub_region)
-        masks = [
-            (sid, valid_anchor_mask(sub_region, fp, planes))
-            for sid, fp in shapes
-        ]
+        words = anchor_words(column_words(sub_region), footprints)
     sites: List[RelocationSite] = []
-    for sid, mask in masks:
-        ys, xs = np.nonzero(mask)
+    for (sid, _), found in zip(shapes, words):
+        ys, xs = np.nonzero(unpack_columns(found, region.height))
         sites.extend(
             RelocationSite(sid, int(x), int(y))
             for x, y in zip(xs.tolist(), ys.tolist())

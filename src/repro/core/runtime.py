@@ -1004,12 +1004,8 @@ class RuntimePlacementManager:
         )
         if not ticks:
             return False
-        cache = self._cache
-        key = cache.region_key(self.region)
-        shapes = [
-            (cache.anchor_mask(self.region, fp, region_key=key), fp.offsets())
-            for fp in module.shapes
-        ]
+        static = self._cache.anchor_masks(self.region, module.shapes)
+        shapes = [(mask, fp.offsets()) for mask, fp in zip(static, module.shapes)]
         for start in ticks:
             future = self._projected_occupancy(
                 start, request.lifetime, dep_of

@@ -11,13 +11,14 @@ free-space recomputation (cf. the defragmentation line of Fekete et al.),
 so this module memoizes it:
 
 * :class:`AnchorMaskCache` maps ``(region fingerprint, footprint
-  signature)`` to the finished :func:`~repro.fabric.masks.valid_anchor_mask`
-  array (stored read-only; consumers copy into their own mutable banks),
-  and caches the region's blocked-cell prefix planes
-  (:func:`~repro.fabric.masks.blocked_prefix_counts`, one column-wise
-  prefix count per resource kind, smallest unsigned dtype) per region, so
-  the shapes probed against one region share them and a miss only pays
-  the per-run compares, never the per-resource setup.
+  signature)`` to the footprint's finished anchor words
+  (:func:`~repro.fabric.masks.anchor_words`, one ``(W, L)`` ``uint64``
+  array per entry, bit ``y`` of column ``x`` set iff anchor ``(x, y)`` is
+  valid; stored read-only).  That is the one store: :meth:`anchor_mask`
+  and :meth:`anchor_masks` unpack the words into ``(H, W)`` booleans on
+  read, and the CP placer's closed form reads the words themselves.  A
+  batch lookup builds the region's column words once for all its
+  misses; nothing per region is kept.
 * :func:`region_fingerprint` / :func:`footprint_signature` define the keys:
   pure content hashes, so two structurally identical regions (e.g. the
   same payload deserialized in two worker processes) share entries and the
@@ -43,7 +44,7 @@ Warmed entries can be persisted (:meth:`AnchorMaskCache.save` /
 :meth:`AnchorMaskCache.load`) so pools of worker processes — the sharded
 placement service, the portfolio — deserialize finished masks instead of
 re-deriving every cross-correlation per process.  The file is a pickle of
-plain numpy arrays and cache keys: a local, trusted artifact (same trust
+the anchor words and cache keys: a local, trusted artifact (same trust
 model as a ``.npy`` file), not an interchange format.
 
 The *incremental* consumer of this cache is the kernel itself: for an LNS
@@ -58,11 +59,13 @@ from __future__ import annotations
 import hashlib
 import pickle
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
-from repro.fabric.masks import blocked_prefix_counts, valid_anchor_mask
+from repro.fabric.masks import anchor_words, column_words, unpack_columns
 from repro.fabric.region import PartialRegion
 
 if TYPE_CHECKING:  # avoid a fabric -> modules import at runtime
@@ -95,40 +98,39 @@ def footprint_signature(footprint: "Footprint") -> FootprintKey:
 
 
 class AnchorMaskCache:
-    """Memoizes valid-anchor masks and blocked-cell prefix planes per region.
+    """Memoizes each (region, footprint)'s anchor words.
 
     One cache instance is intended per *process* (the portfolio creates one
     per worker; the LNS driver one per ``place`` call unless handed a
-    shared instance).  Entries are stored write-protected and returned as
-    views — callers that mutate masks (the kernel's non-overlap narrowing)
-    copy them into their own bank first, which :func:`numpy.stack` already
-    does.
+    shared instance).  Entries are stored write-protected; the unpacked
+    masks :meth:`anchor_mask` / :meth:`anchor_masks` return are
+    write-protected too — callers that mutate masks (the kernel's
+    non-overlap narrowing) copy them into their own bank first, which
+    :func:`numpy.stack` already does.
 
     Counters (``hits``/``misses``/``narrowed``/``evictions``) are
     cumulative; consumers snapshot them around a model construction to
-    attribute deltas (see :meth:`snapshot` / :meth:`delta`).
+    attribute deltas (see :meth:`snapshot` / :meth:`delta`).  A batch
+    lookup counts one hit or miss per footprint, in order, exactly as
+    that many single lookups would.
 
-    ``capacity`` (None = unbounded, the default) turns the mask store into
-    an LRU: a hit refreshes the entry, an insert past capacity evicts the
-    least recently used mask.  The per-region prefix planes are bounded
-    by the same capacity (they are the larger entries for a runtime shard
-    worker, one ``(K, H + 1, W)`` array per residual fingerprint); both
-    kinds of eviction count into ``evictions``.
+    ``capacity`` (None = unbounded, the default) turns the store into an
+    LRU: a hit refreshes the entry, an insert past capacity evicts the
+    least recently used entry and counts into ``evictions``.
     """
 
     def __init__(self, capacity: Optional[int] = None) -> None:
         if capacity is not None and capacity < 1:
             raise ValueError("cache capacity must be >= 1 (or None)")
         self.capacity = capacity
-        self._masks: "OrderedDict[Tuple[RegionKey, FootprintKey], np.ndarray]" = (
+        self._words: "OrderedDict[Tuple[RegionKey, FootprintKey], np.ndarray]" = (
             OrderedDict()
         )
-        self._planes: "OrderedDict[RegionKey, np.ndarray]" = OrderedDict()
         #: derived-artifact memo (see :meth:`memo`); not persisted by save
         self._aux: "OrderedDict[Tuple, object]" = OrderedDict()
-        #: anchor-mask lookups served from the cache
+        #: anchor lookups served from the cache
         self.hits = 0
-        #: anchor-mask lookups that had to run the cross-correlation
+        #: anchor lookups that had to run the kernel
         self.misses = 0
         #: mask rows derived incrementally from cached base-region masks
         #: (maintained by the kernel via :meth:`note_narrowed`)
@@ -142,24 +144,68 @@ class AnchorMaskCache:
     def region_key(self, region: PartialRegion) -> RegionKey:
         return region_fingerprint(region)
 
-    def planes(
-        self, region: PartialRegion, region_key: Optional[RegionKey] = None
-    ) -> np.ndarray:
-        """Cached :func:`~repro.fabric.masks.blocked_prefix_counts` of one
-        region (read-only)."""
+    def anchor_words(
+        self,
+        region: PartialRegion,
+        footprints: Sequence["Footprint"],
+        region_key: Optional[RegionKey] = None,
+    ) -> List[np.ndarray]:
+        """Cached :func:`~repro.fabric.masks.anchor_words` of each
+        footprint against one region, in order (read-only ``(W, L)``
+        ``uint64`` arrays).
+
+        The misses are built together, from one
+        :func:`~repro.fabric.masks.column_words` of the region.  Each one
+        holds its store slot from the moment it is counted, so a repeat
+        later in the same batch is a hit and evictions fall as they would
+        for single lookups.
+        """
         key = region_key if region_key is not None else self.region_key(region)
-        found = self._planes.get(key)
-        if found is None:
-            found = blocked_prefix_counts(region)
-            found.setflags(write=False)
-            self._planes[key] = found
-            if self.capacity is not None:
-                while len(self._planes) > self.capacity:
-                    self._planes.popitem(last=False)
-                    self.evictions += 1
-        elif self.capacity is not None:
-            self._planes.move_to_end(key)
-        return found
+        store = self._words
+        out: list = []
+        missed: list = []  # (entry, footprint), in miss order
+        for fp in footprints:
+            entry = (key, footprint_signature(fp))
+            found = store.get(entry)
+            if found is None:
+                self.misses += 1
+                found = len(missed)  # placeholder until the batch is built
+                missed.append((entry, fp))
+                self._store(entry, found)
+            else:
+                self.hits += 1
+                if self.capacity is not None:
+                    store.move_to_end(entry)
+            out.append(found)
+        if not missed:
+            return out
+        try:
+            built = anchor_words(column_words(region), [fp for _, fp in missed])
+        except BaseException:
+            for entry, _ in missed:
+                if isinstance(store.get(entry), int):
+                    del store[entry]
+            raise
+        for (entry, _), words in zip(missed, built):
+            words.setflags(write=False)
+            if entry in store:
+                store[entry] = words
+        return [built[f] if isinstance(f, int) else f for f in out]
+
+    def anchor_masks(
+        self,
+        region: PartialRegion,
+        footprints: Sequence["Footprint"],
+        region_key: Optional[RegionKey] = None,
+    ) -> List[np.ndarray]:
+        """:meth:`anchor_words` unpacked: one read-only ``(H, W)`` boolean
+        valid-anchor mask per footprint."""
+        words = self.anchor_words(region, footprints, region_key)
+        if not words:
+            return []
+        masks = unpack_columns(np.array(words), region.height)
+        masks.setflags(write=False)
+        return list(masks)
 
     def anchor_mask(
         self,
@@ -171,27 +217,13 @@ class AnchorMaskCache:
 
         Returns a read-only (H, W) boolean array; copy before mutating.
         """
-        key = region_key if region_key is not None else self.region_key(region)
-        entry = (key, footprint_signature(footprint))
-        mask = self._masks.get(entry)
-        if mask is not None:
-            self.hits += 1
-            if self.capacity is not None:
-                self._masks.move_to_end(entry)
-            return mask
-        self.misses += 1
-        mask = valid_anchor_mask(region, footprint, self.planes(region, key))
-        mask.setflags(write=False)
-        self._store(entry, mask)
-        return mask
+        return self.anchor_masks(region, [footprint], region_key)[0]
 
-    def _store(
-        self, entry: Tuple[RegionKey, FootprintKey], mask: np.ndarray
-    ) -> None:
-        self._masks[entry] = mask
+    def _store(self, entry: Tuple[RegionKey, FootprintKey], words) -> None:
+        self._words[entry] = words
         if self.capacity is not None:
-            while len(self._masks) > self.capacity:
-                self._masks.popitem(last=False)
+            while len(self._words) > self.capacity:
+                self._words.popitem(last=False)
                 self.evictions += 1
 
     def memo(self, key: Tuple, build: "Callable[[], object]") -> object:
@@ -223,18 +255,15 @@ class AnchorMaskCache:
         return found
 
     def warm(self, region: PartialRegion, modules: Iterable) -> int:
-        """Precompute every shape's mask for one region; returns the count.
+        """Precompute every shape's anchor words for one region; returns
+        the count.
 
         Used by portfolio workers so all subsequent model constructions —
         including the very first — run entirely on hits.
         """
-        key = self.region_key(region)
-        n = 0
-        for module in modules:
-            for fp in module.shapes:
-                self.anchor_mask(region, fp, region_key=key)
-                n += 1
-        return n
+        shapes = [fp for module in modules for fp in module.shapes]
+        self.anchor_words(region, shapes)
+        return len(shapes)
 
     # ------------------------------------------------------------------
     # Accounting
@@ -244,7 +273,7 @@ class AnchorMaskCache:
         self.narrowed += rows
 
     def __len__(self) -> int:
-        return len(self._masks)
+        return len(self._words)
 
     def snapshot(self) -> Tuple[int, int, int, int]:
         """Current (hits, misses, narrowed, evictions) counter values."""
@@ -267,16 +296,16 @@ class AnchorMaskCache:
             "misses": self.misses,
             "narrowed": self.narrowed,
             "evictions": self.evictions,
-            "entries": len(self._masks),
+            "entries": len(self._words),
         }
 
     # ------------------------------------------------------------------
     # Persistence (warmed entries shared across worker processes)
     # ------------------------------------------------------------------
-    SAVE_VERSION = 2
+    SAVE_VERSION = 3
 
     def save(self, path: str) -> int:
-        """Persist the finished masks; returns the entry count.
+        """Persist the finished anchor words; returns the entry count.
 
         The artifact is a pickle of cache keys and numpy arrays — a local,
         trusted file (load only what this process, or a sibling worker of
@@ -285,23 +314,24 @@ class AnchorMaskCache:
         """
         payload = {
             "version": self.SAVE_VERSION,
-            "masks": [
-                (key, sorted(sig), np.asarray(mask))
-                for (key, sig), mask in self._masks.items()
-            ],
-            "planes": [
-                (key, np.asarray(planes)) for key, planes in self._planes.items()
+            "words": [
+                (key, sorted(sig), np.asarray(words))
+                for (key, sig), words in self._words.items()
             ],
         }
         with open(path, "wb") as handle:
             pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        return len(self._masks)
+        return len(self._words)
 
     @classmethod
     def load(
         cls, path: str, capacity: Optional[int] = None
     ) -> "AnchorMaskCache":
-        """Rebuild a cache from :meth:`save` output (counters start at 0)."""
+        """Rebuild a cache from :meth:`save` output (counters start at 0).
+
+        Entries go through the LRU bound: a ``capacity`` smaller than the
+        artifact keeps its most recently stored entries.
+        """
         with open(path, "rb") as handle:
             payload = pickle.load(handle)
         version = payload.get("version")
@@ -311,22 +341,18 @@ class AnchorMaskCache:
                 f"(expected {cls.SAVE_VERSION})"
             )
         cache = cls(capacity=capacity)
-        for key, planes in payload["planes"]:
-            planes = np.asarray(planes)
-            planes.setflags(write=False)
-            cache._planes[key] = planes
-        for key, cells, mask in payload["masks"]:
-            mask = np.asarray(mask)
-            mask.setflags(write=False)
-            cache._store((key, frozenset(cells)), mask)
-        # a capacity smaller than the artifact truncates silently here;
-        # runtime accounting starts clean
+        for key, cells, words in payload["words"]:
+            words = np.asarray(words)
+            words.setflags(write=False)
+            cache._store((key, frozenset(cells)), words)
+        # the truncation above is not runtime eviction: accounting starts
+        # clean
         cache.evictions = 0
         return cache
 
     def __repr__(self) -> str:
         return (
-            f"AnchorMaskCache(entries={len(self._masks)}, hits={self.hits}, "
+            f"AnchorMaskCache(entries={len(self._words)}, hits={self.hits}, "
             f"misses={self.misses}, narrowed={self.narrowed}, "
             f"evictions={self.evictions})"
         )

@@ -34,6 +34,8 @@ class FabricGrid:
         if not codes <= valid:
             raise ValueError(f"unknown resource codes: {codes - valid}")
         self.cells = cells
+        #: (cells bytes, kind words) memo of repro.fabric.masks.kind_words
+        self._kind_words = None
 
     # ------------------------------------------------------------------
     # Constructors

@@ -1,33 +1,43 @@
 """Vectorized valid-anchor computation and cross-correlation machinery.
 
-This realizes constraints M_a and M_b of the paper (Eqs. 2-3) as array
+This realizes constraints M_a and M_b of the paper (Eqs. 2-3) as bit
 algebra: an anchor position ``(x, y)`` is valid for a footprint iff every
 footprint cell ``(dx, dy, k)`` lands on an available tile of resource type
-``k``.  The test runs one footprint *column run* at a time rather than one
-cell at a time:
+``k``.  Each fabric column is packed into ``L = ceil(H / 64)``
+little-endian ``uint64`` lanes, bit ``y`` for cell ``(x, y)``, so a
+column's whole anchor lattice is one word on every product fabric:
 
+* :func:`column_words` gives, per resource kind, the ``(W, L)`` words of
+  the cells a tile of that kind may use in a region: the kind words of
+  the static grid (computed once per :class:`FabricGrid`) AND the
+  region's packed reconfigurable mask;
 * a footprint decomposes into maximal vertical runs ``(dx, dy0, length,
   kind)`` of same-kind cells (:func:`vertical_runs`) — generated module
   shapes are a handful of full-height columns, so a footprint of ~60
   cells is ~6 runs;
-* a region provides, per resource kind, the column-wise prefix count of
-  cells a tile of that kind may *not* use (:func:`blocked_prefix_counts`,
-  ``cum_k = cumsum(~compat_k, axis=0)`` with a leading zero row);
-* an anchor passes a run iff the run's column span holds no blocked cell,
-  ``cum_k[y + dy0 + length, x + dx] == cum_k[y + dy0, x + dx]`` — one
-  slice subtraction over every anchor at once, evaluated on NumPy views
-  (no copies of the fabric are made) and OR-accumulated across the runs.
+* a doubling table ``F_0 = kind words``, ``F_{j+1} = F_j & (F_j >> 2^j)``
+  has bit ``y`` set iff the ``2^j`` cells from ``y`` up are usable, so a
+  run of ``n`` cells from ``dy0`` holds above anchor ``y`` iff bit ``y``
+  of ``(F_j & (F_j >> (n - 2^j))) >> dy0`` is set, ``j = floor(log2 n)``
+  — one or two shifted table words per run (:func:`run_index`);
+* :func:`anchor_words` answers a batch of footprints with one gather of
+  those words for every run of every footprint and one AND-``reduceat``
+  per footprint.
 
-Anchors whose bounding box leaves the grid are invalid.  Footprint cells
-must be normalized so ``min dx == min dy == 0``; anchors are then the
-footprint's lower-left bounding-box corner.
+Bits past the grid (higher rows, columns right of it) read as zero, so an
+anchor whose footprint leaves the grid fails by construction.  Footprint
+cells must be normalized so ``min dx == min dy == 0``; anchors are then
+the footprint's lower-left bounding-box corner.  :func:`valid_anchor_mask`
+is the unpacked ``(H, W)`` boolean form of one footprint's words.
 
-Three queries read finished masks: :func:`free_anchors` drops the
+Three queries read finished anchors: :func:`free_anchors` drops the
 anchors whose cells an occupancy grid already holds, :func:`first_anchor`
-returns the bottom-left survivor of one mask, and :func:`bottom_left_pick`
-the bottom-left ``(x, y, shape)`` over one module's per-shape masks.  The
-baseline placers, the CP placer's one-module closed form, the runtime
-manager's reservation probe and Figure 4 all pick anchors through them.
+returns the bottom-left survivor of one mask or one footprint's words
+(first nonzero column, then its lowest set bit), and
+:func:`bottom_left_pick` the bottom-left ``(x, y, shape)`` over one
+module's per-shape masks or words.  The baseline placers, the CP placer's
+one-module closed form, the runtime manager's reservation probe and
+Figure 4 all pick anchors through them.
 
 The module also hosts the shared sliding-window correlation kernels the
 geost bitboard sweep batches through:
@@ -49,6 +59,7 @@ of magnitude, so no size-thresholded FFT path is wired in.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -77,25 +88,173 @@ def compatibility_masks(region: PartialRegion) -> Dict[ResourceType, np.ndarray]
     return out
 
 
-def blocked_prefix_counts(region: PartialRegion) -> np.ndarray:
-    """Column-wise prefix counts of the cells each resource kind cannot use.
+#: bits per column word lane
+LANE_BITS = 64
+#: placeable resource kinds, the leading axis of :func:`column_words`
+N_KINDS = int(ResourceType.UNAVAILABLE)
+#: every shift count as a ``uint64`` scalar (NumPy 1.x refuses to shift
+#: a ``uint64`` array by a Python int)
+_SHIFT = tuple(np.uint64(n) for n in range(LANE_BITS + 1))
 
-    Returns a ``(K, H + 1, W)`` array indexed by ``int(kind)`` for every
-    placeable kind: ``out[k, y, x]`` is the number of cells in column
-    ``x`` below row ``y`` that a module tile of kind ``k`` may not occupy
-    (another resource type, static, or unavailable).  Row 0 is zero, so a
-    half-open column span ``[y0, y1)`` is free for kind ``k`` iff
-    ``out[k, y1, x] == out[k, y0, x]``.  The dtype is the smallest
-    unsigned type holding ``H + 1``: for regions up to 254 rows the planes
-    take no more memory than the boolean compatibility masks.
+
+def pack_columns(mask: np.ndarray) -> np.ndarray:
+    """``(..., H, W)`` booleans as ``(..., W, L)`` ``uint64`` column words.
+
+    Bit ``y % 64`` of lane ``y // 64`` of column ``x`` is ``mask[..., y,
+    x]``; ``L = ceil(H / 64)`` and every bit past row ``H - 1`` is zero.
     """
-    cells = region.grid.cells
-    H, W = cells.shape
-    kinds = np.arange(int(ResourceType.UNAVAILABLE), dtype=cells.dtype)
-    blocked = (cells[None] != kinds[:, None, None]) | ~region.allowed_mask()
-    out = np.zeros((len(kinds), H + 1, W), dtype=np.min_scalar_type(H + 1))
-    np.cumsum(blocked, axis=1, dtype=out.dtype, out=out[:, 1:])
+    *lead, H, W = mask.shape
+    bits = np.zeros((*lead, W, -(-H // LANE_BITS) * LANE_BITS), dtype=bool)
+    bits[..., :H] = np.swapaxes(mask, -1, -2)
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    return packed.view("<u8").astype(np.uint64, copy=False)
+
+
+def unpack_columns(words: np.ndarray, height: int) -> np.ndarray:
+    """The ``(..., H, W)`` booleans of :func:`pack_columns` output (a
+    transposed view of the unpacked ``(..., W, H)`` bits)."""
+    raw = words.astype("<u8", copy=False).view(np.uint8)
+    bits = np.unpackbits(raw, axis=-1, count=height, bitorder="little")
+    return np.swapaxes(bits, -1, -2).view(bool)
+
+
+def kind_words(grid: FabricGrid) -> np.ndarray:
+    """``(K, W, L)`` column words of the cells holding each placeable kind.
+
+    Depends only on the static grid, so it is computed once per
+    :class:`FabricGrid` and kept on it (read-only), recomputed only if the
+    grid's cells were changed in place since.
+    """
+    cells = grid.cells
+    stamp = cells.tobytes()
+    memo = getattr(grid, "_kind_words", None)
+    if memo is None or memo[0] != stamp:
+        kinds = np.arange(N_KINDS, dtype=cells.dtype)
+        words = pack_columns(cells[None] == kinds[:, None, None])
+        words.setflags(write=False)
+        memo = grid._kind_words = (stamp, words)
+    return memo[1]
+
+
+def column_words(region: Union[PartialRegion, FabricGrid]) -> np.ndarray:
+    """``(K, W, L)`` words of the cells a tile of each kind may use.
+
+    Indexed by ``int(kind)`` for every placeable kind: bit ``y`` of column
+    ``x`` of plane ``k`` is set iff a module tile of kind ``k`` may occupy
+    cell ``(x, y)`` (the cell holds kind ``k`` and is reconfigurable).
+    A bare grid is treated as fully reconfigurable.
+    """
+    if isinstance(region, FabricGrid):
+        return kind_words(region)
+    return kind_words(region.grid) & pack_columns(region.reconfigurable)
+
+
+def run_index(runs: Sequence[Run]) -> np.ndarray:
+    """``(6, T)`` rows ``(level, kind, dx, lane, bit, 63 - bit)`` of a
+    footprint's word terms.
+
+    A run ``(dx, dy0, n, kind)`` holds above anchor ``y`` iff bit ``y`` of
+    ``F_j[kind] >> dy0`` and of ``F_j[kind] >> (dy0 + n - 2^j)`` are both
+    set in column ``x + dx``, with ``j = floor(log2 n)`` (the doubling
+    table of :func:`anchor_words`); the two terms coincide when ``n`` is
+    a power of two.  Each term's shift is stored split into whole lanes
+    and the remaining bits.  The AND of every term is the anchor lattice.
+    """
+    rows: Tuple[List[int], ...] = ([], [], [], [], [], [])
+    level, kinds, dxs, lane, bit, up = rows
+    for dx, dy0, n, kind in runs:
+        j = n.bit_length() - 1
+        for shift in (dy0,) if n == 1 << j else (dy0, dy0 + n - (1 << j)):
+            level.append(j)
+            kinds.append(kind)
+            dxs.append(dx)
+            lane.append(shift // LANE_BITS)
+            bit.append(shift % LANE_BITS)
+            up.append(LANE_BITS - 1 - shift % LANE_BITS)
+    out = np.array(rows, dtype=np.int64)
+    out.setflags(write=False)
     return out
+
+
+def _doubling_table(
+    words: np.ndarray, levels: int, lanes: int, width: int
+) -> np.ndarray:
+    """``(levels, lanes, K, width)``: ``F_0 = words``, ``F_{j+1} = F_j &
+    (F_j >> 2^j)``, lane-major so every lane slice is one contiguous
+    block, zero-padded above the grid's lanes and right of its columns so
+    shifted reads past the grid read zero (``lanes`` must cover the
+    grid's lanes plus the largest lane shift)."""
+    K, W, L = words.shape
+    table = np.zeros((levels, lanes, K, width), dtype=np.uint64)
+    table[0, :L, :, :W] = words.transpose(2, 0, 1)
+    for j in range(1, levels):
+        prev, down = table[j - 1], table[j, :L]
+        q, r = divmod(1 << (j - 1), LANE_BITS)
+        np.right_shift(prev[q : q + L], _SHIFT[r], out=down)
+        if r:  # carry from the lane above; the top lane's is above the grid
+            down[:-1] |= prev[q + 1 : q + L] << _SHIFT[LANE_BITS - r]
+        down &= prev[:L]
+    return table
+
+
+def _run_index_of(footprint: Union["Footprint", Sequence[Cell]]) -> np.ndarray:
+    if hasattr(footprint, "run_index"):
+        return footprint.run_index()
+    return run_index(_cell_runs(footprint))
+
+
+def anchor_words(
+    words: np.ndarray,
+    footprints: Sequence[Union["Footprint", Sequence[Cell]]],
+) -> List[np.ndarray]:
+    """One ``(W, L)`` ``uint64`` anchor-word array per footprint.
+
+    ``words`` is a region's :func:`column_words`.  Bit ``y`` of column
+    ``x`` of a result is set iff anchor ``(x, y)`` is valid for that
+    footprint.  Every term of every footprint (:func:`run_index`) is read
+    from one doubling table in one gather — shifted down across lanes,
+    past-the-grid columns and lanes reading zero — and each footprint's
+    terms are AND-reduced in one ``reduceat``.
+    """
+    if not footprints:
+        return []
+    K, W, L = words.shape
+    index = [_run_index_of(fp) for fp in footprints]
+    rows = np.concatenate(index, axis=1)
+    top_level, _, top_dx, top_q, _, _ = rows.max(axis=1).tolist()
+    levels = top_level + 1
+    # pad wide and high enough that no read needs clipping: a term reads
+    # columns dx .. dx + W - 1 and lanes q .. q + L, the table build lanes
+    # up to 2^(levels - 2) bits higher
+    width = W + top_dx
+    lanes = L + max(top_q, (1 << max(levels - 2, 0)) // LANE_BITS)
+    table = _doubling_table(words, levels, lanes, width)
+    # flat offset of each term's first word, table[level, q, kind, dx],
+    # and of every (column, lane) read from it
+    plane = K * width
+    base = np.array([lanes * plane, width, 1, plane]) @ rows[:4]
+    grid = np.arange(W)[:, None] + np.arange(0, L * plane, plane)
+    got = table.reshape(-1)[base[:, None, None] + grid]  # (T, W, L)
+    # result lane l: lane q + l shifted down by r, plus the carry from
+    # lane q + l + 1 (shifted up by 63 - r, then 1, so r == 0 carries
+    # nothing); the top lane's carry would come from above the grid
+    r, up = rows[4:, :, None, None].view(np.uint64)
+    terms = got >> r
+    terms[..., :-1] |= (got[..., 1:] << up) << _SHIFT[1]
+    starts = list(accumulate([0] + [t.shape[1] for t in index[:-1]]))
+    return list(np.bitwise_and.reduceat(terms, starts, axis=0))
+
+
+def anchor_masks(
+    region: Union[PartialRegion, FabricGrid],
+    footprints: Sequence[Union["Footprint", Sequence[Cell]]],
+) -> List[np.ndarray]:
+    """One ``(H, W)`` boolean valid-anchor mask per footprint: the
+    unpacked :func:`anchor_words` of one :func:`column_words` build."""
+    words = anchor_words(column_words(region), footprints)
+    if not words:
+        return []
+    return list(unpack_columns(np.array(words), region.height))
 
 
 def vertical_runs(cells: Iterable[Cell]) -> Tuple[Run, ...]:
@@ -136,15 +295,12 @@ def _cell_runs(cells: Sequence[Cell]) -> Tuple[Run, ...]:
 def valid_anchor_mask(
     region: Union[PartialRegion, FabricGrid],
     footprint: Union["Footprint", Sequence[Cell]],
-    planes: np.ndarray | None = None,
+    words: np.ndarray | None = None,
 ) -> np.ndarray:
     """Boolean (H, W) array: True where the footprint may be anchored.
 
-    Every vertical run of the footprint is tested against the region's
-    blocked-cell prefix counts with one slice subtraction per run (see
-    the module docstring); the anchor lattice is restricted to the
-    positions whose bounding box fits the grid, and the loop stops as
-    soon as no anchor survives.
+    The unpacked :func:`anchor_words` of one footprint (see the module
+    docstring).
 
     Parameters
     ----------
@@ -154,38 +310,14 @@ def valid_anchor_mask(
         A :class:`~repro.modules.footprint.Footprint`, or normalized
         footprint cells ``(dx, dy, kind)`` with ``dx, dy >= 0`` and
         ``min dx == min dy == 0``.
-    planes:
-        Optional precomputed :func:`blocked_prefix_counts` of ``region``
-        (shared by the many footprints probed against one region).
+    words:
+        Optional precomputed :func:`column_words` of ``region`` (shared by
+        the many footprints probed against one region).
     """
-    if isinstance(region, FabricGrid):
-        region = PartialRegion.whole_device(region)
-    if hasattr(footprint, "runs"):
-        runs = footprint.runs()
-    else:
-        runs = _cell_runs(footprint)
-    H, W = region.height, region.width
-    valid = np.zeros((H, W), dtype=bool)
-    rows = H - max(dy0 + n for _, dy0, n, _ in runs) + 1
-    cols = W - max(dx for dx, _, _, _ in runs)
-    if rows <= 0 or cols <= 0:
-        return valid
-    if planes is None:
-        planes = blocked_prefix_counts(region)
-    # blocked cells under each run, OR-accumulated over the runs: an
-    # anchor is valid iff every run's count cum[hi] - cum[lo] is zero
-    # (the counts are non-negative, so the OR is zero iff all are)
-    blocked = np.zeros((rows, cols), dtype=planes.dtype)
-    for dx, dy0, n, kind in runs:
-        cum = planes[kind]
-        blocked |= (
-            cum[dy0 + n : dy0 + n + rows, dx : dx + cols]
-            - cum[dy0 : dy0 + rows, dx : dx + cols]
-        )
-        if blocked.all():
-            return valid
-    np.equal(blocked, 0, out=valid[:rows, :cols])
-    return valid
+    if words is None:
+        words = column_words(region)
+    (found,) = anchor_words(words, [footprint])
+    return unpack_columns(found, region.height)
 
 
 def count_anchors(valid: np.ndarray, col: np.ndarray, row: np.ndarray) -> int:
@@ -288,9 +420,19 @@ def first_anchor(valid: np.ndarray) -> Tuple[int, int] | None:
     """The bottom-left anchor ``(x, y)`` of a validity mask, or None.
 
     Smallest x, then smallest y: the min-extent objective's placement
-    rule (Eq. 6).  Two ``argmax`` scans find the leftmost non-empty
-    column and its lowest row; no anchor list is built or sorted.
+    rule (Eq. 6).  ``valid`` is an ``(H, W)`` boolean mask — two
+    ``argmax`` scans find the leftmost non-empty column and its lowest
+    row — or one footprint's ``(W, L)`` ``uint64`` :func:`anchor_words`:
+    the first nonzero word in column-major order, then its lowest set
+    bit.  No anchor list is built or sorted.
     """
+    if valid.dtype == np.uint64:
+        xs, lanes = valid.nonzero()
+        if xs.size == 0:
+            return None
+        x, lane = int(xs[0]), int(lanes[0])
+        word = int(valid[x, lane])
+        return x, lane * LANE_BITS + (word & -word).bit_length() - 1
     cols = valid.any(axis=0)
     if not cols.any():
         return None
@@ -303,9 +445,10 @@ def bottom_left_pick(
 ) -> Tuple[int, int, int] | None:
     """The bottom-left ``(x, y, shape index)`` over per-shape masks, or None.
 
-    ``masks`` holds one validity mask per shape of a module, in shape
-    order.  The pick is the minimum of ``(x, y, shape index)`` over each
-    mask's :func:`first_anchor`: lowest shape index on ties.  For one
+    ``masks`` holds one validity mask (or one :func:`anchor_words` array)
+    per shape of a module, in shape order.  The pick is the minimum of
+    ``(x, y, shape index)`` over each mask's :func:`first_anchor`: lowest
+    shape index on ties.  For one
     module under the min-extent objective (Eq. 6) this is exactly what a
     CP dive branching x, then y, then shape at the smallest value finds.
     """

@@ -10,8 +10,9 @@ constraint families (Section III-C):
 over objects with polymorphic shapes (design alternatives).  M_a and M_b
 are *static*: they only depend on the fabric, so they are precomputed once
 as per-(module, shape) boolean anchor masks
-(:func:`repro.fabric.masks.valid_anchor_mask` — the resource-typed
-forbidden-region extension evaluated wholesale).  M_c is dynamic: when a
+(:func:`repro.fabric.masks.anchor_masks`, one batch of packed column-word
+tests per module — the resource-typed forbidden-region extension
+evaluated wholesale).  M_c is dynamic: when a
 module becomes fixed its cells are imprinted into an occupancy grid and the
 anchor masks of the remaining modules are narrowed by exactly the anchors
 that would now collide — a vectorized difference-of-coordinates kernel.
@@ -40,12 +41,7 @@ from repro.cp.propagator import Priority, Propagator
 from repro.cp.trail import Revision
 from repro.cp.variable import IntVar
 from repro.fabric.cache import AnchorMaskCache
-from repro.fabric.masks import (
-    blocked_prefix_counts,
-    count_anchors,
-    count_anchors_batch,
-    valid_anchor_mask,
-)
+from repro.fabric.masks import anchor_masks, count_anchors, count_anchors_batch
 from repro.fabric.region import NarrowedRegion, PartialRegion
 from repro.geost.incremental import IncStats
 from repro.modules.footprint import Footprint
@@ -222,24 +218,22 @@ class PlacementKernel(Propagator):
         # three mask sources, cheapest first: a NarrowedRegion with a cache
         # reuses the *base* region's memoized masks and fixes them up below
         # (the incremental LNS path); a cache alone memoizes per (region,
-        # footprint); no cache recomputes the cross-correlation every time
+        # footprint); no cache recomputes them.  Each module's shapes are
+        # one kernel batch
         snap = cache.snapshot() if cache is not None else None
         narrowed = cache is not None and isinstance(region, NarrowedRegion)
         if narrowed:
             base_key = cache.region_key(region.base)
-            mask_of = lambda fp: cache.anchor_mask(  # noqa: E731
-                region.base, fp, region_key=base_key
+            masks_of = lambda shapes: cache.anchor_masks(  # noqa: E731
+                region.base, shapes, base_key
             )
         elif cache is not None:
             key = cache.region_key(region)
-            mask_of = lambda fp: cache.anchor_mask(  # noqa: E731
-                region, fp, region_key=key
+            masks_of = lambda shapes: cache.anchor_masks(  # noqa: E731
+                region, shapes, key
             )
         else:
-            planes = blocked_prefix_counts(region)
-            mask_of = lambda fp: valid_anchor_mask(  # noqa: E731
-                region, fp, planes
-            )
+            masks_of = lambda shapes: anchor_masks(region, shapes)  # noqa: E731
         # anchor masks live in one contiguous "bank" (one row per shape of
         # every item) so the non-overlap narrowing after an imprint is one
         # batched fancy-index update instead of hundreds of small ones
@@ -252,8 +246,7 @@ class PlacementKernel(Propagator):
         for item in self.items:
             row_ids = []
             start = offset_cursor
-            for sid, fp in enumerate(item.module.shapes):
-                mask = mask_of(fp)
+            for sid, mask in enumerate(masks_of(item.module.shapes)):
                 row_ids.append(len(rows))
                 rows.append(mask.reshape(-1))
                 off_chunks.append(item.cells[sid])

@@ -17,7 +17,7 @@ from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.fabric.masks import Run, vertical_runs
+from repro.fabric.masks import Run, run_index, vertical_runs
 from repro.fabric.resource import RESOURCE_CHARS, ResourceType, parse_resource
 from repro.fabric.tile import Tile, TileSet
 
@@ -27,7 +27,9 @@ Cell = Tuple[int, int, ResourceType]
 class Footprint:
     """An immutable, normalized shape."""
 
-    __slots__ = ("cells", "width", "height", "_grid", "_runs", "_offsets")
+    __slots__ = (
+        "cells", "width", "height", "_grid", "_runs", "_run_index", "_offsets",
+    )
 
     def __init__(self, cells: Iterable[Cell]) -> None:
         raw = list(cells)
@@ -55,6 +57,7 @@ class Footprint:
         )
         object.__setattr__(self, "_grid", None)
         object.__setattr__(self, "_runs", None)
+        object.__setattr__(self, "_run_index", None)
         object.__setattr__(self, "_offsets", None)
 
     def __setattr__(self, *a):  # immutability
@@ -130,13 +133,22 @@ class Footprint:
     def runs(self) -> Tuple[Run, ...]:
         """Maximal vertical same-kind runs ``(dx, dy0, length, kind)``.
 
-        The unit the anchor-mask kernel tests (one prefix-count compare
-        per run, see :func:`repro.fabric.masks.valid_anchor_mask`);
-        computed on first use and kept, like :meth:`grid`.
+        The unit the anchor-word kernel tests (one or two shifted words of
+        its doubling table per run, see :meth:`run_index` and
+        :func:`repro.fabric.masks.anchor_words`); computed on first use
+        and kept, like :meth:`grid`.
         """
         if self._runs is None:
             object.__setattr__(self, "_runs", vertical_runs(sorted(self.cells)))
         return self._runs
+
+    def run_index(self) -> np.ndarray:
+        """The ``(level, kind, dx, shift)`` term rows of :meth:`runs`
+        (:func:`repro.fabric.masks.run_index`), read-only; computed on
+        first use and kept, like :meth:`runs`."""
+        if self._run_index is None:
+            object.__setattr__(self, "_run_index", run_index(self.runs()))
+        return self._run_index
 
     def occupancy(self) -> np.ndarray:
         """Dense (h, w) boolean mask of used cells."""

@@ -2,7 +2,7 @@
 
 Baselines maintain an explicit occupancy mask and query anchor feasibility
 through the same vectorized machinery as the kernel
-(:func:`repro.fabric.masks.valid_anchor_mask` plus the occupancy gather
+(:func:`repro.fabric.masks.anchor_masks` plus the occupancy gather
 :func:`repro.fabric.masks.free_anchors`), so their placements satisfy
 M_a / M_b / M_c by construction and are cross-checked by
 ``PlacementResult.verify`` in the tests.  Every placer reads the
@@ -30,11 +30,10 @@ import numpy as np
 from repro.core.result import Placement, PlacementResult, imprint
 from repro.fabric.cache import AnchorMaskCache
 from repro.fabric.masks import (
-    blocked_prefix_counts,
+    anchor_masks,
     bottom_left_pick,
     first_anchor,
     free_anchors,
-    valid_anchor_mask,
 )
 from repro.fabric.region import PartialRegion
 from repro.modules.module import Module
@@ -61,15 +60,10 @@ class _State:
         if cache is not None:
             key = cache.region_key(region)
             self.static: List[List[np.ndarray]] = [
-                [cache.anchor_mask(region, fp, region_key=key) for fp in m.shapes]
-                for m in self.modules
+                cache.anchor_masks(region, m.shapes, key) for m in self.modules
             ]
         else:
-            planes = blocked_prefix_counts(region)
-            self.static = [
-                [valid_anchor_mask(region, fp, planes) for fp in m.shapes]
-                for m in self.modules
-            ]
+            self.static = [anchor_masks(region, m.shapes) for m in self.modules]
         self.placements: List[Placement] = []
         #: seeded RNG for stochastic placers (annealing); deterministic per
         #: (placer seed) because it is drawn nowhere else

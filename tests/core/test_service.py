@@ -18,6 +18,7 @@ Scenario tests run greedy-only so every admission decision is forced.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.runtime import (
@@ -40,6 +41,7 @@ from repro.core.service import (
     register_router,
 )
 from repro.experiments.config import default_fabric
+from repro.experiments.service_load import serving_config
 from repro.fabric.cache import AnchorMaskCache
 from repro.fabric.devices import homogeneous_device
 from repro.fabric.region import PartialRegion
@@ -366,6 +368,36 @@ class TestSelfCreatedCacheBound:
         mgr = RuntimePlacementManager(region_w(4), RuntimeConfig(cache=handed))
         assert mgr._cache is handed and handed.capacity is None
 
+    def test_cache_holds_only_anchor_words(self):
+        """The memory pin: after a defrag + reservations replay on the
+        four shards, every entry of an unbounded cache is one footprint's
+        ``(W, L)`` ``uint64`` anchor words, and nothing per region is
+        held beside them (the entries are the only stored arrays)."""
+        cache = AnchorMaskCache()
+        config = serving_config(
+            chain=("cp", "greedy"), defrag="no-break", reservation_horizon=16
+        )
+        config.runtime.cache = cache
+        regions = ShardedPlacementService.split(default_fabric(), 4)
+        svc = ShardedPlacementService(regions, config)
+        trace = generate_workload(
+            120, seed=0, mean_interarrival=1, mean_lifetime=40
+        )
+        svc.run(trace)
+        assert svc.stats.reservations_booked > 0 and svc.stats.defrags > 0
+        assert len(cache) > 100
+        shapes = {(r.width, -(-r.height // 64)) for r in regions}
+        for words in cache._words.values():
+            assert words.dtype == np.uint64 and words.shape in shapes
+        stored = [
+            value
+            for store in vars(cache).values()
+            if isinstance(store, dict)
+            for value in store.values()
+            if isinstance(value, np.ndarray)
+        ]
+        assert len(stored) == len(cache)
+
     @pytest.mark.slow
     def test_long_replay_stays_bounded_with_identical_outcomes(self):
         trace = generate_workload(2000, seed=0)
@@ -392,7 +424,6 @@ class TestSelfCreatedCacheBound:
         unbounded_rows, unbounded = replay(AnchorMaskCache())
         assert bounded.capacity == RUNTIME_CACHE_CAPACITY
         assert len(bounded) <= RUNTIME_CACHE_CAPACITY
-        assert len(bounded._planes) <= RUNTIME_CACHE_CAPACITY
         assert bounded.evictions > 0  # the bound was actually exercised
         assert len(unbounded) > RUNTIME_CACHE_CAPACITY
         assert bounded_rows == unbounded_rows

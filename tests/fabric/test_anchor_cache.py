@@ -98,7 +98,12 @@ class TestCacheLookups:
         first = cache.anchor_mask(region, fp)
         again = cache.anchor_mask(region, fp)
         assert cache.misses == 1 and cache.hits == 1
-        assert again is first  # the memoized array itself
+        # the store holds the words: a hit serves the memoized array
+        # itself, and the mask is unpacked from it on every read
+        (words,) = cache.anchor_words(region, [fp])
+        assert cache.anchor_words(region, [fp])[0] is words
+        assert not words.flags.writeable
+        assert np.array_equal(again, first)
         fresh = valid_anchor_mask(region, sorted(fp.cells))
         assert np.array_equal(first, fresh)
 
@@ -232,14 +237,6 @@ class TestLRUCapacity:
         again = cache.anchor_mask(region, fp)
         assert np.array_equal(first, again)
 
-    def test_compat_store_is_bounded_too(self):
-        regions = self._regions(4)
-        cache = AnchorMaskCache(capacity=2)
-        for r in regions:
-            cache.planes(r)
-        assert len(cache._planes) == 2
-        assert cache.evictions >= 2
-
     def test_unbounded_default_never_evicts(self):
         regions = self._regions(5)
         cache = AnchorMaskCache()
@@ -309,6 +306,37 @@ class TestPersistence:
         )
         with pytest.raises(ValueError, match="version"):
             AnchorMaskCache.load(str(path))
+
+    def test_load_rejects_version_2_files(self, tmp_path):
+        # version 2 stored (H, W) masks plus per-region prefix planes
+        import pickle
+
+        path = tmp_path / "v2.pkl"
+        path.write_bytes(
+            pickle.dumps({"version": 2, "masks": [], "planes": []})
+        )
+        with pytest.raises(ValueError, match="unsupported cache file version 2"):
+            AnchorMaskCache.load(str(path))
+
+    def test_load_with_capacity_bounds_every_stored_array(self, tmp_path):
+        cache = AnchorMaskCache()
+        for seed in range(3):
+            region = PartialRegion.whole_device(
+                irregular_device(24, 8, seed=20 + seed)
+            )
+            cache.anchor_mask(region, Footprint.rectangle(2, 2))
+        path = tmp_path / "masks.pkl"
+        cache.save(str(path))
+        loaded = AnchorMaskCache.load(str(path), capacity=1)
+        stored = [
+            value
+            for store in vars(loaded).values()
+            if isinstance(store, dict)
+            for value in store.values()
+            if isinstance(value, np.ndarray)
+        ]
+        assert len(stored) <= 1
+        assert len(loaded) == 1
 
     def test_load_with_capacity_bounds_and_resets_evictions(self, tmp_path):
         region = PartialRegion.whole_device(irregular_device(24, 8, seed=13))

@@ -1,8 +1,11 @@
 """Differential suite: the two anchor-mask queries against their oracles.
 
-* :func:`repro.fabric.masks.first_anchor` (two ``argmax`` scans) must
-  return what :func:`tests.support.lexsort_first_anchor` returns: the
-  ``nonzero`` + ``lexsort`` pick the placers used to hand-roll.
+* :func:`repro.fabric.masks.first_anchor` (two ``argmax`` scans on a
+  boolean mask; first nonzero word and its lowest set bit on packed
+  column words) must return what :func:`tests.support.lexsort_first_anchor`
+  returns on the mask: the ``nonzero`` + ``lexsort`` pick the placers
+  used to hand-roll.  :func:`repro.fabric.masks.bottom_left_pick` must
+  pick the same ``(x, y, shape)`` from words as from masks.
 * :func:`repro.fabric.masks.free_anchors` (a gather over the footprint's
   compact ``uint8`` offsets) must equal
   :func:`tests.support.cell_table_free_anchors`, the same gather over an
@@ -10,8 +13,9 @@
 
 The masks are random, and the draws include the empty mask, the full
 mask, ``1 x N`` and ``N x 1`` masks, masks taller than 255 rows (where an
-offset added in ``uint8`` would wrap) and non-contiguous sub-window
-views (the KAMER placer queries one maximal empty rectangle at a time).
+offset added in ``uint8`` would wrap, and the words span several 64-bit
+lanes) and non-contiguous sub-window views (the KAMER placer queries one
+maximal empty rectangle at a time).
 """
 
 from __future__ import annotations
@@ -20,7 +24,12 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.fabric.masks import first_anchor, free_anchors
+from repro.fabric.masks import (
+    bottom_left_pick,
+    first_anchor,
+    free_anchors,
+    pack_columns,
+)
 from repro.fabric.resource import ResourceType
 from repro.modules.footprint import Footprint
 from tests.support import cell_table_free_anchors, lexsort_first_anchor
@@ -52,6 +61,40 @@ def random_mask(shape, density, seed):
 def test_first_anchor_matches_lexsort(size, density, seed):
     mask = random_mask(size, density, seed)
     assert first_anchor(mask) == lexsort_first_anchor(mask)
+
+
+@settings(max_examples=300, deadline=None)
+@given(size=SIZES, density=DENSITIES, seed=SEEDS)
+@example(size=(7, 5), density=0.0, seed=0)
+@example(size=(64, 3), density=0.005, seed=1)
+@example(size=(65, 3), density=0.005, seed=2)
+@example(size=(300, 6), density=0.005, seed=3)
+@example(size=(300, 6), density=1.0, seed=3)
+@example(size=(5, 0), density=1.0, seed=0)
+def test_first_anchor_on_words_matches_lexsort(size, density, seed):
+    mask = random_mask(size, density, seed)
+    words = pack_columns(mask)
+    assert words.dtype == np.uint64
+    assert first_anchor(words) == lexsort_first_anchor(mask)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    size=SIZES,
+    n_shapes=st.integers(1, 5),
+    density=DENSITIES,
+    seed=SEEDS,
+)
+def test_bottom_left_pick_on_words_matches_masks(size, n_shapes, density, seed):
+    masks = [random_mask(size, density, seed + i) for i in range(n_shapes)]
+    want = bottom_left_pick(masks)
+    assert bottom_left_pick(pack_columns(m) for m in masks) == want
+    hits = [
+        (*hit, si)
+        for si, hit in enumerate(map(lexsort_first_anchor, masks))
+        if hit is not None
+    ]
+    assert want == (min(hits) if hits else None)
 
 
 @settings(max_examples=200, deadline=None)

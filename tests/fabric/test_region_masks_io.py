@@ -10,11 +10,7 @@ from hypothesis import strategies as st
 from repro.fabric.devices import homogeneous_device, irregular_device
 from repro.fabric.grid import FabricGrid
 from repro.fabric.io import load_region, region_from_dict, region_to_dict, save_region
-from repro.fabric.masks import (
-    blocked_prefix_counts,
-    first_anchor,
-    valid_anchor_mask,
-)
+from repro.fabric.masks import column_words, first_anchor, valid_anchor_mask
 from repro.fabric.region import PartialRegion
 from repro.fabric.resource import ResourceType
 from repro.modules.footprint import Footprint
@@ -123,8 +119,8 @@ class TestAnchorMasks:
     def test_precomputed_compat_equivalent(self):
         region = PartialRegion.whole_device(irregular_device(16, 8, seed=1))
         fp = ModuleGenerator(seed=2).generate().primary()
-        planes = blocked_prefix_counts(region)
-        a = valid_anchor_mask(region, fp, planes)
+        words = column_words(region)
+        a = valid_anchor_mask(region, fp, words)
         b = valid_anchor_mask(region, sorted(fp.cells))
         assert np.array_equal(a, b)
 

@@ -10,11 +10,14 @@ The occupancy oracles live here as well: :func:`per_cell_occupancy_mask`
 and :func:`per_cell_relocation_sites` rebuild a floorplan one cell at a
 time, as the code did before occupancy became a maintained grid.
 
-Two anchor-mask oracles for the run/prefix kernel
-:func:`repro.fabric.masks.valid_anchor_mask` live here too:
-:func:`brute_force_anchor_mask` (a per-anchor, per-cell loop) and
-:func:`slice_and_anchor_mask` (the earlier vectorized kernel, one shifted
-slice-AND per footprint cell).  The two mask queries have theirs:
+Three anchor-mask oracles for the packed column-word kernel
+(:func:`repro.fabric.masks.anchor_words`, unpacked by
+:func:`repro.fabric.masks.valid_anchor_mask`) live here too:
+:func:`brute_force_anchor_mask` (a per-anchor, per-cell loop),
+:func:`slice_and_anchor_mask` (an earlier vectorized kernel, one shifted
+slice-AND per footprint cell) and :func:`prefix_count_anchor_mask` (the
+kernel the words replaced, one prefix-count subtraction per vertical run
+over :func:`blocked_prefix_counts`).  The two mask queries have theirs:
 :func:`lexsort_first_anchor` (the ``nonzero`` + ``lexsort`` pick each
 placer used to hand-roll) for :func:`repro.fabric.masks.first_anchor`, and
 :func:`cell_table_free_anchors` (the baseline state's gather over its own
@@ -73,7 +76,7 @@ from repro.cp.solver import Solver
 from repro.fabric.devices import homogeneous_device, irregular_device
 from repro.fabric.cache import AnchorMaskCache
 from repro.fabric.masks import (
-    blocked_prefix_counts,
+    column_words,
     compatibility_masks,
     valid_anchor_mask,
 )
@@ -121,6 +124,62 @@ def brute_force_anchor_mask(
     return valid
 
 
+def blocked_prefix_counts(region: PartialRegion) -> np.ndarray:
+    """Column-wise prefix counts of the cells each resource kind cannot use.
+
+    Returns a ``(K, H + 1, W)`` array indexed by ``int(kind)`` for every
+    placeable kind: ``out[k, y, x]`` is the number of cells in column
+    ``x`` below row ``y`` that a module tile of kind ``k`` may not occupy
+    (another resource type, static, or unavailable).  Row 0 is zero, so a
+    half-open column span ``[y0, y1)`` is free for kind ``k`` iff
+    ``out[k, y1, x] == out[k, y0, x]``.  The dtype is the smallest
+    unsigned type holding ``H + 1``.
+    """
+    cells = region.grid.cells
+    H, W = cells.shape
+    kinds = np.arange(int(ResourceType.UNAVAILABLE), dtype=cells.dtype)
+    blocked = (cells[None] != kinds[:, None, None]) | ~region.allowed_mask()
+    out = np.zeros((len(kinds), H + 1, W), dtype=np.min_scalar_type(H + 1))
+    np.cumsum(blocked, axis=1, dtype=out.dtype, out=out[:, 1:])
+    return out
+
+
+def prefix_count_anchor_mask(
+    region: PartialRegion,
+    footprint: Footprint,
+    planes: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The run/prefix-count kernel: one slice subtraction per vertical run.
+
+    The production kernel before the packed column words, kept as an
+    oracle: an anchor passes a run ``(dx, dy0, n, kind)`` iff
+    ``cum[y + dy0 + n, x + dx] == cum[y + dy0, x + dx]`` in the kind's
+    :func:`blocked_prefix_counts` plane.
+    """
+    runs = footprint.runs()
+    H, W = region.height, region.width
+    valid = np.zeros((H, W), dtype=bool)
+    rows = H - max(dy0 + n for _, dy0, n, _ in runs) + 1
+    cols = W - max(dx for dx, _, _, _ in runs)
+    if rows <= 0 or cols <= 0:
+        return valid
+    if planes is None:
+        planes = blocked_prefix_counts(region)
+    # blocked cells under each run, OR-accumulated over the runs: an
+    # anchor is valid iff every run's count cum[hi] - cum[lo] is zero
+    blocked = np.zeros((rows, cols), dtype=planes.dtype)
+    for dx, dy0, n, kind in runs:
+        cum = planes[kind]
+        blocked |= (
+            cum[dy0 + n : dy0 + n + rows, dx : dx + cols]
+            - cum[dy0 : dy0 + rows, dx : dx + cols]
+        )
+        if blocked.all():
+            return valid
+    np.equal(blocked, 0, out=valid[:rows, :cols])
+    return valid
+
+
 def slice_and_anchor_mask(
     region: PartialRegion,
     cells: Sequence[Cell],
@@ -129,7 +188,7 @@ def slice_and_anchor_mask(
     """The per-cell kernel: AND one shifted compatibility slice per cell.
 
     The production kernel before the run/prefix rewrite, kept verbatim as
-    a second (fast, vectorized) oracle.
+    a fast, vectorized oracle.
     """
     if not cells:
         raise ValueError("footprint has no cells")
@@ -232,9 +291,9 @@ def per_cell_relocation_sites(
             for sid, fp in shapes
         ]
     else:
-        planes = blocked_prefix_counts(sub_region)
+        words = column_words(sub_region)
         masks = [
-            (sid, valid_anchor_mask(sub_region, fp, planes))
+            (sid, valid_anchor_mask(sub_region, fp, words))
             for sid, fp in shapes
         ]
     sites: List[RelocationSite] = []
