@@ -99,10 +99,11 @@ temporal-smoke:
 analytical-smoke:
 	$(PY) scripts/analytical_smoke.py
 
-## run the examples that drive the online manager and the phase
-## scheduler end to end (compiling them is not enough: an example that
-## calls a removed API only fails when it runs)
+## run the examples that drive the online manager, the phase scheduler
+## and the instant defrag pass end to end (compiling them is not enough:
+## an example that calls a removed API only fails when it runs)
 examples-smoke:
 	$(PY) examples/online_service_level.py
 	$(PY) examples/interactive_floorplanning.py
 	$(PY) examples/phase_scheduling.py
+	$(PY) examples/runtime_defrag.py

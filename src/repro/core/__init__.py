@@ -22,7 +22,6 @@ from repro.core.relocation import (
 )
 from repro.core.defrag import (
     DefragPlan,
-    DefragResult,
     Defragmenter,
     GreedyCompactionDefragmenter,
     NoBreakDefragmenter,
@@ -91,7 +90,6 @@ __all__ = [
     "relocation_sites",
     "relocatability_report",
     "DefragPlan",
-    "DefragResult",
     "Defragmenter",
     "GreedyCompactionDefragmenter",
     "NoBreakDefragmenter",

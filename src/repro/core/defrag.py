@@ -1,4 +1,4 @@
-"""Runtime defragmentation: instant repacking and no-break move planning.
+"""Runtime defragmentation: one compaction pass, two move rules.
 
 The runtime counterpart of the paper's offline result: as modules come and
 go, the free space of a runtime reconfigurable system shatters (external
@@ -18,53 +18,48 @@ policies:
 * ``allow_shape_change=True`` (valid for stateless/restartable modules) —
   relocation may pick a different alternative.
 
-Two engines live behind a name-keyed registry
+Both engines run one greedy left-compaction pass (:func:`_compact`).
+Repeatedly take the module whose right edge defines the extent, enumerate
+its relocation sites strictly left of its current right edge, and move it
+to the bottom-left-most reachable one; when the frontier is stuck,
+squeeze interior modules left (never past the current extent — a squeeze
+move may change shape, and an unguarded wider alternative could *grow*
+the floorplan); stop when no module can move or the move budget is
+exhausted.  Each pass keeps one occupancy grid: built once from the input
+floorplan, handed to every relocation probe (which lifts its module on a
+copy), and updated after each simulated move by clearing the mover's old
+cells and imprinting its new ones.  Probes run through a shared
+:class:`~repro.fabric.cache.AnchorMaskCache` when one is supplied — the
+defrag pass is the hottest mask consumer on the serving path.
+
+The engines differ only in the *move rule* that turns a mover's
+candidate sites into a move.  Both live behind a name-keyed registry
 (:func:`register_defragmenter` / :func:`create_defragmenter`, mirroring
 the backend and router registries):
 
-* ``greedy-compaction`` — the original *instant* pass wrapped as a
-  planner: :func:`defragment` teleports modules atomically and reports
-  per-move frame costs without scheduling them.  It stays registered as
-  the oracle the incremental engine is differential-tested against.
-* ``no-break`` — plans move *sequences* that respect running modules,
-  after van der Veen et al. ("Defragmenting the Module Layout of a
-  Partially Reconfigurable Device") and Fekete et al. ("No-Break Dynamic
-  Defragmentation of Reconfigurable Devices").  A module may only
-  **slide** through currently-free space (an axis-aligned glide whose
-  every intermediate anchor is a feasible free anchor), or **copy** to a
-  disjoint free site and switch over.  Either way the move costs
-  reconfiguration frames derived from :func:`~repro.core.relocation.relocation_distance`
-  (the distinct columns the move touches), and during its move window
-  the module occupies *both* source and target (plus, for a slide, every
-  cell glided over) — the cells a mover holds are not obstacle-free for
-  admission or for later moves.  The runtime manager executes the plan
-  incrementally on its logical clock between arrivals
-  (:mod:`repro.core.runtime`).
-
-Both engines run their relocation-site probes through a shared
-:class:`~repro.fabric.cache.AnchorMaskCache` when one is supplied — the
-defrag pass is the hottest mask consumer on the serving path.  Each plan
-keeps one occupancy grid: built once from the input floorplan, handed
-to every probe (which lifts its module on a copy), and updated after
-each simulated move by clearing the mover's old cells and imprinting its
-new ones.
-
-Shared algorithm skeleton: greedy left-compaction.  Repeatedly take the
-module whose right edge defines the extent, enumerate its relocation
-sites strictly left of its current anchor, move it to the
-bottom-left-most feasible one; when the frontier is stuck, squeeze
-interior modules left (never past the current extent — a squeeze move
-may change shape, and an unguarded wider alternative could *grow* the
-floorplan); stop when no module can move or the move budget is
-exhausted.
+* ``greedy-compaction`` (:func:`defragment`) — teleports the mover to its
+  bottom-left-most candidate as an ``instant`` move costing
+  :func:`~repro.core.relocation.relocation_distance` frames; the runtime
+  manager applies the whole plan atomically.  It is the oracle the
+  no-break engine is differential-tested against.
+* ``no-break`` — takes the bottom-left-most candidate the mover can reach
+  without stopping running modules, after van der Veen et al.
+  ("Defragmenting the Module Layout of a Partially Reconfigurable
+  Device") and Fekete et al. ("No-Break Dynamic Defragmentation of
+  Reconfigurable Devices").  A module may only **slide** through
+  currently-free space (an axis-aligned glide whose every intermediate
+  anchor is a feasible free anchor), or **copy** to a disjoint free site
+  and switch over.  During its move window the module occupies *both*
+  source and target (plus, for a slide, every cell glided over) — the
+  cells a mover holds are not obstacle-free for admission or for later
+  moves.  The runtime manager executes the plan incrementally on its
+  logical clock between arrivals (:mod:`repro.core.runtime`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
-
-import numpy as np
 
 from repro.core.relocation import (
     RelocationSite,
@@ -74,175 +69,8 @@ from repro.core.relocation import (
 from repro.core.result import Placement, PlacementResult, imprint
 from repro.fabric.cache import AnchorMaskCache
 
-
-@dataclass
-class Move:
-    """One executed relocation (instant engine)."""
-
-    module: str
-    from_pos: Tuple[int, int]
-    to_pos: Tuple[int, int]
-    from_shape: int
-    to_shape: int
-    frames: int
-
-    @property
-    def changed_shape(self) -> bool:
-        return self.from_shape != self.to_shape
-
-
-@dataclass
-class DefragResult:
-    """Outcome of an instant defragmentation pass."""
-
-    result: PlacementResult
-    moves: List[Move] = field(default_factory=list)
-    initial_extent: int = 0
-    final_extent: int = 0
-
-    @property
-    def total_frames(self) -> int:
-        return sum(m.frames for m in self.moves)
-
-    @property
-    def improvement(self) -> int:
-        return self.initial_extent - self.final_extent
-
-
-def _move_cells(occupied: np.ndarray, old: Placement, new: Placement) -> None:
-    """Apply one simulated move to a plan's occupancy grid."""
-    imprint(occupied, old, False)
-    imprint(occupied, new, True)
-
-
-def defragment(
-    result: PlacementResult,
-    allow_shape_change: bool = False,
-    max_moves: Optional[int] = None,
-    cache: Optional[AnchorMaskCache] = None,
-) -> DefragResult:
-    """Greedy left-compaction of a placed system (instant moves).
-
-    Returns a new :class:`PlacementResult` (the input is not modified)
-    plus the move list with per-move reconfiguration frame costs.
-    ``max_moves`` is a hard cap on executed relocations; when None an
-    internal termination guard bounds the pass instead.  ``cache``
-    serves the relocation-site masks (see
-    :func:`~repro.core.relocation.relocation_sites`).
-
-    A pass never returns a worse floorplan: frontier moves strictly
-    shrink the mover's right edge, and squeeze moves are capped at the
-    current extent — without that cap a lexicographically-smaller anchor
-    of a *wider* design alternative could grow the extent (a real
-    regression, pinned by the tests).
-    """
-    placements = list(result.placements)
-    current = PlacementResult(result.region, placements, list(result.unplaced))
-    initial_extent = current.extent or 0
-    occupied = current.occupancy_mask()
-    moves: List[Move] = []
-    # one unified move budget, checked in one place: the explicit cap, or
-    # a termination guard — shape-changing moves may trade width for x,
-    # so bound the pass length instead of relying on a monotone metric
-    budget = max_moves if max_moves is not None else 4 * max(1, len(placements))
-
-    # each loop iteration executes at most one move (frontier OR squeeze),
-    # so this single guard caps both phases consistently
-    while len(moves) < budget:
-        extent = max((p.right for p in placements), default=0)
-        frontier = [
-            (i, p) for i, p in enumerate(placements) if p.right == extent
-        ]
-        moved = False
-        for i, p in sorted(frontier, key=lambda t: -t[1].footprint.area):
-            sites = relocation_sites(
-                current, p, consider_alternatives=allow_shape_change,
-                cache=cache, occupied=occupied,
-            )
-            # only strictly-left-shrinking targets count as compaction
-            better = [
-                s
-                for s in sites
-                if s.x + p.module.shapes[s.shape_index].width < p.right
-            ]
-            if not better:
-                continue
-            target = min(better, key=lambda s: (s.x, s.y, s.shape_index))
-            new_p = Placement(p.module, target.shape_index, target.x, target.y)
-            moves.append(
-                Move(
-                    module=p.module.name,
-                    from_pos=(p.x, p.y),
-                    to_pos=(target.x, target.y),
-                    from_shape=p.shape_index,
-                    to_shape=target.shape_index,
-                    frames=relocation_distance(p, target),
-                )
-            )
-            placements[i] = new_p
-            _move_cells(occupied, p, new_p)
-            current = PlacementResult(
-                result.region, placements, list(result.unplaced)
-            )
-            moved = True
-            break
-        if not moved:
-            # the frontier is stuck: squeeze interior modules left to open
-            # space (in x order), then retry; stop when nothing moves at all
-            for i, p in sorted(enumerate(placements), key=lambda t: t[1].x):
-                sites = relocation_sites(
-                    current, p, consider_alternatives=allow_shape_change,
-                    cache=cache, occupied=occupied,
-                )
-                # a squeeze move may pick a different (wider) alternative:
-                # cap its right edge at the current extent so the pass can
-                # never worsen the floorplan it was asked to compact
-                better = [
-                    s
-                    for s in sites
-                    if (s.x, s.y) < (p.x, p.y)
-                    and s.x + p.module.shapes[s.shape_index].width <= extent
-                ]
-                if not better:
-                    continue
-                target = min(better, key=lambda s: (s.x, s.y, s.shape_index))
-                new_p = Placement(
-                    p.module, target.shape_index, target.x, target.y
-                )
-                moves.append(
-                    Move(
-                        module=p.module.name,
-                        from_pos=(p.x, p.y),
-                        to_pos=(target.x, target.y),
-                        from_shape=p.shape_index,
-                        to_shape=target.shape_index,
-                        frames=relocation_distance(p, target),
-                    )
-                )
-                placements[i] = new_p
-                _move_cells(occupied, p, new_p)
-                current = PlacementResult(
-                    result.region, placements, list(result.unplaced)
-                )
-                moved = True
-                break
-        if not moved:
-            break
-
-    final = PlacementResult(result.region, placements, list(result.unplaced))
-    return DefragResult(
-        result=final,
-        moves=moves,
-        initial_extent=initial_extent,
-        final_extent=final.extent or 0,
-    )
-
-
-# ----------------------------------------------------------------------
-# Planned (no-break) moves
-# ----------------------------------------------------------------------
 #: move kinds a plan may contain
-MOVE_INSTANT = "instant"  # teleport (oracle engine only)
+MOVE_INSTANT = "instant"  # teleport (greedy-compaction only)
 MOVE_SLIDE = "slide"      # glide through free space, same shape
 MOVE_COPY = "copy"        # copy-then-switch to a disjoint free site
 
@@ -278,12 +106,11 @@ class PlannedMove:
 class DefragPlan:
     """A defragmenter's answer: the move sequence and its end state.
 
-    ``instant`` plans (the ``greedy-compaction`` oracle) are applied
-    atomically by the runtime manager, exactly like the original pass;
-    incremental plans are executed move by move on the logical clock.
-    ``result`` is the *simulated* end state assuming every move executes
-    — the live outcome may fall short when moves are aborted by
-    interleaved arrivals.
+    ``instant`` plans (the ``greedy-compaction`` engine) are applied
+    atomically by the runtime manager; incremental plans are executed
+    move by move on the logical clock.  ``result`` is the *simulated*
+    end state assuming every move executes — the live outcome may fall
+    short when moves are aborted by interleaved arrivals.
     """
 
     result: PlacementResult
@@ -299,6 +126,202 @@ class DefragPlan:
     @property
     def improvement(self) -> int:
         return self.initial_extent - self.final_extent
+
+
+#: move rule: ``reach(mover, candidates, all its sites)`` -> the move to
+#: the bottom-left-most candidate it can take, or None
+MoveRule = Callable[
+    [Placement, List[RelocationSite], List[RelocationSite]],
+    Optional[PlannedMove],
+]
+
+
+def _compact(
+    result: PlacementResult,
+    allow_shape_change: bool,
+    max_moves: Optional[int],
+    cache: Optional[AnchorMaskCache],
+    reach: MoveRule,
+) -> DefragPlan:
+    """Greedy left-compaction of a placed system under move rule ``reach``.
+
+    Never returns a worse floorplan: frontier moves strictly shrink the
+    mover's right edge, and squeeze moves are capped at the current
+    extent — without that cap a lexicographically-smaller anchor of a
+    *wider* design alternative could grow the extent (a real
+    regression, pinned by the tests).  Each move is simulated before the
+    next is chosen, so move ``k`` is feasible in the state left by moves
+    ``0..k-1``.
+    """
+    placements = list(result.placements)
+    current = PlacementResult(result.region, placements, list(result.unplaced))
+    initial_extent = current.extent or 0
+    occupied = current.occupancy_mask()
+    moves: List[PlannedMove] = []
+    # one move budget for both phases: the explicit cap, or a termination
+    # guard — shape-changing moves may trade width for x, so bound the
+    # pass length instead of relying on a monotone metric
+    budget = max_moves if max_moves is not None else 4 * max(1, len(placements))
+
+    def first_move(movers, squeeze_cap=None):
+        """The first of ``movers`` that ``reach`` can move.  Frontier
+        phase: to a site that strictly shrinks its right edge.  Squeeze
+        phase (``squeeze_cap`` = the current extent): to a
+        lexicographically smaller anchor whose right edge stays within
+        the cap."""
+        for i, p in movers:
+            sites = relocation_sites(
+                current, p, consider_alternatives=allow_shape_change,
+                cache=cache, occupied=occupied,
+            )
+            limit = p.right - 1 if squeeze_cap is None else squeeze_cap
+            candidates = [
+                s for s in sites
+                if s.x + p.module.shapes[s.shape_index].width <= limit
+                and (squeeze_cap is None or (s.x, s.y) < (p.x, p.y))
+            ]
+            move = reach(p, candidates, sites)
+            if move is not None:
+                return i, move
+        return None
+
+    while len(moves) < budget:
+        extent = max((p.right for p in placements), default=0)
+        frontier = [(i, p) for i, p in enumerate(placements) if p.right == extent]
+        # the extent-defining modules, largest first; when none can move,
+        # squeeze any module, in x order
+        found = first_move(
+            sorted(frontier, key=lambda t: -t[1].footprint.area)
+        ) or first_move(
+            sorted(enumerate(placements), key=lambda t: t[1].x),
+            squeeze_cap=extent,
+        )
+        if found is None:
+            break
+        i, move = found
+        moves.append(move)
+        old = placements[i]
+        new = Placement(old.module, move.to_shape, *move.to_pos)
+        imprint(occupied, old, False)
+        imprint(occupied, new, True)
+        placements[i] = new
+        current = PlacementResult(result.region, placements, list(result.unplaced))
+
+    final = PlacementResult(result.region, placements, list(result.unplaced))
+    return DefragPlan(
+        result=final,
+        moves=moves,
+        initial_extent=initial_extent,
+        final_extent=final.extent or 0,
+        # teleports are applied atomically
+        instant=reach is _teleport,
+    )
+
+
+def _move(
+    placement: Placement,
+    site: RelocationSite,
+    kind: str,
+    frames: int,
+    window_cells: Tuple[Tuple[int, int], ...] = (),
+) -> PlannedMove:
+    return PlannedMove(
+        module=placement.module.name,
+        from_shape=placement.shape_index,
+        from_pos=(placement.x, placement.y),
+        to_shape=site.shape_index,
+        to_pos=(site.x, site.y),
+        kind=kind,
+        frames=frames,
+        window_cells=window_cells,
+    )
+
+
+def _bottom_left(site: RelocationSite) -> Tuple[int, int, int]:
+    return site.x, site.y, site.shape_index
+
+
+def _teleport(
+    placement: Placement,
+    candidates: List[RelocationSite],
+    sites: List[RelocationSite],
+) -> Optional[PlannedMove]:
+    """``greedy-compaction`` rule: jump to the bottom-left-most candidate."""
+    if not candidates:
+        return None
+    site = min(candidates, key=_bottom_left)
+    return _move(
+        placement, site, MOVE_INSTANT, relocation_distance(placement, site)
+    )
+
+
+def _first_feasible(
+    placement: Placement,
+    candidates: List[RelocationSite],
+    sites: List[RelocationSite],
+) -> Optional[PlannedMove]:
+    """``no-break`` rule: the bottom-left-most candidate reachable as a
+    slide or a copy, or None."""
+    site_set = {(s.shape_index, s.x, s.y) for s in sites}
+    for site in sorted(candidates, key=_bottom_left):
+        move = _plan_move(placement, site, site_set)
+        if move is not None:
+            return move
+    return None
+
+
+def _plan_move(
+    placement: Placement, site: RelocationSite, site_set: set
+) -> Optional[PlannedMove]:
+    """One candidate site as a slide or copy move (None = unreachable)."""
+    source_cells = {(x, y) for x, y, _ in placement.absolute_cells()}
+    fp = placement.module.shapes[site.shape_index]
+    target_cells = {(site.x + dx, site.y + dy) for dx, dy, _ in fp.cells}
+    slide = (
+        site.shape_index == placement.shape_index
+        and (site.x == placement.x or site.y == placement.y)
+    )
+    if slide:
+        window = set(source_cells)
+        feasible = True
+        for x, y in _slide_anchors(placement, (site.x, site.y)):
+            if (site.shape_index, x, y) not in site_set:
+                feasible = False
+                break
+            window |= {(x + dx, y + dy) for dx, dy, _ in fp.cells}
+        if feasible:
+            # a glide rewrites every column it passes through, not just
+            # the endpoints relocation_distance sees
+            frames = len({x for x, _ in window})
+            return _move(
+                placement, site, MOVE_SLIDE, frames, tuple(sorted(window))
+            )
+        # an infeasible glide may still be reachable as a copy
+    if not target_cells.isdisjoint(source_cells):
+        # copy-then-switch needs both footprints live at once
+        return None
+    return _move(
+        placement, site, MOVE_COPY, relocation_distance(placement, site),
+        tuple(sorted(source_cells | target_cells)),
+    )
+
+
+def defragment(
+    result: PlacementResult,
+    allow_shape_change: bool = False,
+    max_moves: Optional[int] = None,
+    cache: Optional[AnchorMaskCache] = None,
+) -> DefragPlan:
+    """Greedy left-compaction of a placed system (instant moves).
+
+    Returns an instant :class:`DefragPlan`: a new :class:`PlacementResult`
+    (the input is not modified) plus the move list with per-move
+    reconfiguration frame costs.  ``max_moves`` is a hard cap on
+    relocations; when None an internal termination guard bounds the pass
+    instead.  ``cache`` serves the relocation-site masks (see
+    :func:`~repro.core.relocation.relocation_sites`).
+    """
+    return _compact(result, allow_shape_change, max_moves, cache, _teleport)
 
 
 def plan_states(
@@ -359,16 +382,13 @@ def _slide_anchors(
 class Defragmenter:
     """Plans one defragmentation pass over a live floorplan.
 
-    Planners are pure: they never mutate the input result.  ``instant``
-    engines teleport (their moves carry no window and the runtime
-    manager applies the end state atomically); incremental engines
-    return windowed move sequences the manager schedules on its logical
-    clock.
+    Planners are pure: they never mutate the input result.  An
+    ``instant`` plan carries no move windows and the runtime manager
+    applies its end state atomically; any other plan is a windowed move
+    sequence the manager schedules on its logical clock.
     """
 
     name = "defragmenter"
-    #: True = the plan is applied atomically (the pre-no-break behavior)
-    instant = True
 
     def plan(
         self,
@@ -381,10 +401,9 @@ class Defragmenter:
 
 
 class GreedyCompactionDefragmenter(Defragmenter):
-    """The original instant pass, wrapped as a planner (the oracle)."""
+    """The compaction pass with teleporting moves (the oracle)."""
 
     name = "greedy-compaction"
-    instant = True
 
     def plan(
         self,
@@ -393,47 +412,20 @@ class GreedyCompactionDefragmenter(Defragmenter):
         max_moves: Optional[int] = None,
         cache: Optional[AnchorMaskCache] = None,
     ) -> DefragPlan:
-        out = defragment(
-            result,
-            allow_shape_change=allow_shape_change,
-            max_moves=max_moves,
-            cache=cache,
-        )
-        moves = [
-            PlannedMove(
-                module=m.module,
-                from_shape=m.from_shape,
-                from_pos=m.from_pos,
-                to_shape=m.to_shape,
-                to_pos=m.to_pos,
-                kind=MOVE_INSTANT,
-                frames=m.frames,
-            )
-            for m in out.moves
-        ]
-        return DefragPlan(
-            result=out.result,
-            moves=moves,
-            initial_extent=out.initial_extent,
-            final_extent=out.final_extent,
-            instant=True,
-        )
+        return defragment(result, allow_shape_change, max_moves, cache)
 
 
 class NoBreakDefragmenter(Defragmenter):
-    """Greedy left-compaction as a no-break move sequence.
+    """The compaction pass as a no-break move sequence.
 
-    Same skeleton as the oracle, but every move must be *executable
-    against running modules*: a slide needs a free glide path, a copy
-    needs a target disjoint from its own source (the module occupies
-    both for the move window).  The plan simulates each move before
-    appending the next, so move ``k`` is feasible in the state left by
-    moves ``0..k-1`` — the runtime manager re-validates each move at
-    start time anyway, because arrivals interleave with execution.
+    Every move must be *executable against running modules*: a slide
+    needs a free glide path, a copy needs a target disjoint from its own
+    source (the module occupies both for the move window).  The runtime
+    manager re-validates each move at start time anyway, because
+    arrivals interleave with execution.
     """
 
     name = "no-break"
-    instant = False
 
     def plan(
         self,
@@ -442,150 +434,8 @@ class NoBreakDefragmenter(Defragmenter):
         max_moves: Optional[int] = None,
         cache: Optional[AnchorMaskCache] = None,
     ) -> DefragPlan:
-        placements = list(result.placements)
-        current = PlacementResult(
-            result.region, placements, list(result.unplaced)
-        )
-        initial_extent = current.extent or 0
-        occupied = current.occupancy_mask()
-        moves: List[PlannedMove] = []
-        budget = (
-            max_moves if max_moves is not None
-            else 4 * max(1, len(placements))
-        )
-
-        while len(moves) < budget:
-            extent = max((p.right for p in placements), default=0)
-            frontier = [
-                (i, p) for i, p in enumerate(placements) if p.right == extent
-            ]
-            planned = None
-            for i, p in sorted(frontier, key=lambda t: -t[1].footprint.area):
-                sites = relocation_sites(
-                    current, p, consider_alternatives=allow_shape_change,
-                    cache=cache, occupied=occupied,
-                )
-                better = [
-                    s
-                    for s in sites
-                    if s.x + p.module.shapes[s.shape_index].width < p.right
-                ]
-                planned = self._first_feasible(p, better, sites)
-                if planned is not None:
-                    planned = (i, planned)
-                    break
-            if planned is None:
-                for i, p in sorted(enumerate(placements), key=lambda t: t[1].x):
-                    sites = relocation_sites(
-                        current, p,
-                        consider_alternatives=allow_shape_change,
-                        cache=cache, occupied=occupied,
-                    )
-                    # same extent cap as the instant squeeze phase: a
-                    # wider alternative must never grow the floorplan
-                    better = [
-                        s
-                        for s in sites
-                        if (s.x, s.y) < (p.x, p.y)
-                        and s.x + p.module.shapes[s.shape_index].width
-                        <= extent
-                    ]
-                    planned = self._first_feasible(p, better, sites)
-                    if planned is not None:
-                        planned = (i, planned)
-                        break
-            if planned is None:
-                break
-            i, move = planned
-            moves.append(move)
-            new_p = Placement(
-                placements[i].module, move.to_shape, *move.to_pos
-            )
-            _move_cells(occupied, placements[i], new_p)
-            placements[i] = new_p
-            current = PlacementResult(
-                result.region, placements, list(result.unplaced)
-            )
-
-        final = PlacementResult(
-            result.region, placements, list(result.unplaced)
-        )
-        return DefragPlan(
-            result=final,
-            moves=moves,
-            initial_extent=initial_extent,
-            final_extent=final.extent or 0,
-            instant=False,
-        )
-
-    # ------------------------------------------------------------------
-    def _first_feasible(
-        self,
-        placement: Placement,
-        candidates: List[RelocationSite],
-        sites: List[RelocationSite],
-    ) -> Optional[PlannedMove]:
-        """Bottom-left-most candidate reachable no-break, or None."""
-        site_set = {(s.shape_index, s.x, s.y) for s in sites}
-        for site in sorted(
-            candidates, key=lambda s: (s.x, s.y, s.shape_index)
-        ):
-            move = self._plan_move(placement, site, site_set)
-            if move is not None:
-                return move
-        return None
-
-    def _plan_move(
-        self,
-        placement: Placement,
-        site: RelocationSite,
-        site_set: set,
-    ) -> Optional[PlannedMove]:
-        """One candidate site as a slide or copy move (None = unreachable)."""
-        source_cells = {(x, y) for x, y, _ in placement.absolute_cells()}
-        fp = placement.module.shapes[site.shape_index]
-        target_cells = {
-            (site.x + dx, site.y + dy) for dx, dy, _ in fp.cells
-        }
-        slide = (
-            site.shape_index == placement.shape_index
-            and (site.x == placement.x or site.y == placement.y)
-        )
-        if slide:
-            window = set(source_cells)
-            feasible = True
-            for x, y in _slide_anchors(placement, (site.x, site.y)):
-                if (site.shape_index, x, y) not in site_set:
-                    feasible = False
-                    break
-                window |= {(x + dx, y + dy) for dx, dy, _ in fp.cells}
-            if feasible:
-                # a glide rewrites every column it passes through, not
-                # just the endpoints relocation_distance sees
-                frames = len({x for x, _ in window})
-                return PlannedMove(
-                    module=placement.module.name,
-                    from_shape=placement.shape_index,
-                    from_pos=(placement.x, placement.y),
-                    to_shape=site.shape_index,
-                    to_pos=(site.x, site.y),
-                    kind=MOVE_SLIDE,
-                    frames=frames,
-                    window_cells=tuple(sorted(window)),
-                )
-            # an infeasible glide may still be reachable as a copy
-        if not target_cells.isdisjoint(source_cells):
-            # copy-then-switch needs both footprints live at once
-            return None
-        return PlannedMove(
-            module=placement.module.name,
-            from_shape=placement.shape_index,
-            from_pos=(placement.x, placement.y),
-            to_shape=site.shape_index,
-            to_pos=(site.x, site.y),
-            kind=MOVE_COPY,
-            frames=relocation_distance(placement, site),
-            window_cells=tuple(sorted(source_cells | target_cells)),
+        return _compact(
+            result, allow_shape_change, max_moves, cache, _first_feasible
         )
 
 

@@ -20,8 +20,9 @@ repo's existing parts under such a load:
   only runs after a rung that gave up or raised.
 * **Fragmentation control** — external fragmentation of the live
   floorplan is monitored (:mod:`repro.metrics.fragmentation`); crossing a
-  threshold, or any rejection, triggers a :func:`~repro.core.defrag.defragment`
-  pass honoring either shape-change policy.
+  threshold, or any rejection, triggers a pass of the configured
+  defragmenter (:mod:`repro.core.defrag`) honoring either shape-change
+  policy.
 * **Backpressure** — rejected arrivals wait in a bounded pending queue
   with per-request deadlines; the queue is retried after every departure
   and defrag pass, expired or overflowing requests are rejected
@@ -97,9 +98,9 @@ from repro.obs.trace import (
 #: LRU capacity of the anchor-mask cache a manager (or the sharded
 #: service) creates when none is handed in.  Residual-region masks almost
 #: never repeat, so an unbounded cache grows with the length of a serving
-#: run; the capacity bounds each store (masks, per-region planes, memo
-#: entries) and is above every committed golden trace's store size, so
-#: none of them evicts.  A cache handed in keeps its own capacity.
+#: run; the capacity bounds each of its two stores (packed anchor-mask
+#: words, memo entries) and is above every committed golden trace's store
+#: size, so none of them evicts.  A cache handed in keeps its own capacity.
 RUNTIME_CACHE_CAPACITY = 4096
 
 
@@ -220,10 +221,11 @@ class RuntimeConfig:
     defrag_max_moves: Optional[int] = None
     #: minimum logical ticks between fragmentation-triggered passes
     defrag_cooldown: int = 4
-    #: registered defragmentation strategy: "greedy-compaction" applies
-    #: the whole pass atomically (the historical teleporting behavior,
-    #: kept as the oracle); "no-break" plans move sequences that respect
-    #: running modules and executes them on the logical clock
+    #: registered defragmentation strategy; both built-ins run the same
+    #: compaction pass and differ in the move rule: "greedy-compaction"
+    #: teleports and the manager applies the whole plan atomically (the
+    #: oracle); "no-break" plans slides and copies that respect running
+    #: modules and executes them move by move on the logical clock
     defragmenter: str = "greedy-compaction"
     #: reconfiguration frames rewritten per logical tick — a planned
     #: move's window lasts ceil(frames / this) ticks, during which the
@@ -325,6 +327,13 @@ class RuntimeStats:
     def mean_latency_s(self) -> float:
         total = self.admitted + self.rejected
         return self.total_latency_s / total if total else 0.0
+
+    def charge_latency(self, latency_s: float) -> None:
+        """Charge one terminal outcome's probe time (admitted or
+        rejected, exactly once), so the mean covers every outcome it
+        divides by."""
+        self.total_latency_s += latency_s
+        self.max_latency_s = max(self.max_latency_s, latency_s)
 
     def count_reject(self, reason: RejectReason) -> None:
         self.rejected += 1
@@ -924,16 +933,14 @@ class RuntimePlacementManager:
         outcome.placement = placement
         outcome.admitted_at = self.clock
         self.stats.count_admit(method, queued)
-        self.stats.total_latency_s += outcome.latency_s
-        self.stats.max_latency_s = max(
-            self.stats.max_latency_s, outcome.latency_s
-        )
+        self.stats.charge_latency(outcome.latency_s)
         self._note_peak()
 
     def _reject(self, outcome: RequestOutcome, reason: RejectReason) -> None:
         outcome.status = "rejected"
         outcome.reason = reason
         self.stats.count_reject(reason)
+        self.stats.charge_latency(outcome.latency_s)
         self._emit(
             RUNTIME_REJECT,
             module=outcome.request.module.name,
@@ -1165,9 +1172,12 @@ class RuntimePlacementManager:
         self._defrag(trigger=trigger)
 
     def _defrag(self, trigger: str) -> bool:
-        """One defrag pass over the live floorplan; True if it moved.
+        """One defrag pass over the live floorplan; True when an instant
+        plan moved modules, the only case in which an immediate admission
+        retry can succeed (a started no-break plan only adds window
+        cells, so the residual region shrinks until its moves complete).
 
-        Every pass that actually moved modules retries the pending queue:
+        Every instant pass that moved modules retries the pending queue:
         compaction frees usable space exactly like a departure does.
         Without this, a reject-triggered pass inside :meth:`submit` left
         queued requests starving until the next departure even when they
@@ -1218,7 +1228,7 @@ class RuntimePlacementManager:
             # freed gradually, so the pending retry fires per completion
             self._move_queue.extend(plan.moves)
             self._start_next_move()
-            return True
+            return False
         finally:
             self.stats.defrag_time_s += time.monotonic() - t0
 

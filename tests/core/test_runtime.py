@@ -7,6 +7,8 @@ workload of the experiment layer.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.core.runtime import (
@@ -424,6 +426,53 @@ class TestChainSweep:
         assert mgr.stats.admitted and mgr.stats.rejected
         assert len(recorded) == len(probes) == 12
         assert {p.stop_reason for p in recorded} == {"closed-form"}
+
+    def test_started_no_break_plan_is_not_resweeped(self, rungs):
+        """A reject-triggered no-break plan only adds move-window cells,
+        so an immediate second sweep could never admit: the arrival is
+        swept once and goes straight to the queue."""
+        mgr = RuntimePlacementManager(
+            region_w(8),
+            RuntimeConfig(
+                chain=("spy",), defragmenter="no-break", frag_threshold=1.0,
+                sample_timeline=False,
+            ),
+        )
+        assert mgr.submit(req(rect("a", 2), 0)).admitted
+        assert mgr.submit(req(rect("b", 2), 0, lifetime=5)).admitted
+        assert mgr.submit(req(rect("c", 2), 0)).admitted
+        # t=6: b is gone; d(4) does not fit the two 2-wide holes -> the
+        # reject starts a plan that slides c into b's gap
+        out = mgr.submit(req(rect("d", 4), 6))
+        assert out.status == "queued"
+        assert mgr.moves_in_flight == 1
+        assert rungs.count("d") == 1
+        mgr.advance_to(7)  # the slide completes; the queue retry admits
+        assert out.admitted and rungs.count("d") == 2
+
+
+class TestLatencyAccounting:
+    def test_rejected_probe_time_counts_into_the_mean(self):
+        """Every terminal outcome's ``latency_s`` is charged once, so
+        ``mean_latency_s`` (divided by admitted + rejected) does not read
+        low when requests are rejected."""
+
+        def slow_decline(module, region):
+            time.sleep(0.02)
+            return None
+
+        mgr = RuntimePlacementManager(
+            region_w(4),
+            RuntimeConfig(
+                solver=slow_decline, queue_capacity=0, sample_timeline=False,
+            ),
+        )
+        out = mgr.submit(req(rect("a", 2), 0))
+        assert out.reason == RejectReason.NO_FIT
+        assert out.latency_s >= 0.02
+        assert mgr.stats.total_latency_s >= out.latency_s
+        assert mgr.stats.max_latency_s == out.latency_s
+        assert mgr.stats.mean_latency_s == pytest.approx(out.latency_s)
 
 
 class TestObservability:
