@@ -25,12 +25,13 @@ to the bottom-left-most reachable one; when the frontier is stuck,
 squeeze interior modules left (never past the current extent — a squeeze
 move may change shape, and an unguarded wider alternative could *grow*
 the floorplan); stop when no module can move or the move budget is
-exhausted.  Each pass keeps one occupancy grid: built once from the input
-floorplan, handed to every relocation probe (which lifts its module on a
-copy), and updated after each simulated move by clearing the mover's old
-cells and imprinting its new ones.  Probes run through a shared
-:class:`~repro.fabric.cache.AnchorMaskCache` when one is supplied — the
-defrag pass is the hottest mask consumer on the serving path.
+exhausted.  Each pass keeps one free-space ledger
+(:class:`~repro.core.occupancy.Occupancy`): built once from the input
+floorplan, handed to every relocation probe (which lifts its module by
+clearing its words on a copy), and updated after each simulated move by
+removing the mover's old cells and placing its new ones.  A probe is one
+anchor-word kernel call on the ledger's words: no residual region, no
+fingerprint, no cache.
 
 The engines differ only in the *move rule* that turns a mover's
 candidate sites into a move.  Both live behind a name-keyed registry
@@ -66,8 +67,8 @@ from repro.core.relocation import (
     relocation_distance,
     relocation_sites,
 )
-from repro.core.result import Placement, PlacementResult, imprint
-from repro.fabric.cache import AnchorMaskCache
+from repro.core.occupancy import Occupancy
+from repro.core.result import Placement, PlacementResult
 
 #: move kinds a plan may contain
 MOVE_INSTANT = "instant"  # teleport (greedy-compaction only)
@@ -82,7 +83,7 @@ class PlannedMove:
     ``window_cells`` are the cells the module holds for the whole move
     window: source ∪ target for a copy, the union of every intermediate
     footprint for a slide, empty for an instant (teleport) move.  The
-    runtime manager imprints them into its occupancy while the move is
+    runtime manager holds them in its free-space ledger while the move is
     in flight, so no admission or later move can claim them.
     """
 
@@ -140,7 +141,6 @@ def _compact(
     result: PlacementResult,
     allow_shape_change: bool,
     max_moves: Optional[int],
-    cache: Optional[AnchorMaskCache],
     reach: MoveRule,
 ) -> DefragPlan:
     """Greedy left-compaction of a placed system under move rule ``reach``.
@@ -156,7 +156,7 @@ def _compact(
     placements = list(result.placements)
     current = PlacementResult(result.region, placements, list(result.unplaced))
     initial_extent = current.extent or 0
-    occupied = current.occupancy_mask()
+    occupied = Occupancy(result.region, placements)
     moves: List[PlannedMove] = []
     # one move budget for both phases: the explicit cap, or a termination
     # guard — shape-changing moves may trade width for x, so bound the
@@ -172,7 +172,7 @@ def _compact(
         for i, p in movers:
             sites = relocation_sites(
                 current, p, consider_alternatives=allow_shape_change,
-                cache=cache, occupied=occupied,
+                occupied=occupied,
             )
             limit = p.right - 1 if squeeze_cap is None else squeeze_cap
             candidates = [
@@ -202,8 +202,8 @@ def _compact(
         moves.append(move)
         old = placements[i]
         new = Placement(old.module, move.to_shape, *move.to_pos)
-        imprint(occupied, old, False)
-        imprint(occupied, new, True)
+        occupied.remove(old)
+        occupied.place(new)
         placements[i] = new
         current = PlacementResult(result.region, placements, list(result.unplaced))
 
@@ -310,7 +310,6 @@ def defragment(
     result: PlacementResult,
     allow_shape_change: bool = False,
     max_moves: Optional[int] = None,
-    cache: Optional[AnchorMaskCache] = None,
 ) -> DefragPlan:
     """Greedy left-compaction of a placed system (instant moves).
 
@@ -318,10 +317,9 @@ def defragment(
     (the input is not modified) plus the move list with per-move
     reconfiguration frame costs.  ``max_moves`` is a hard cap on
     relocations; when None an internal termination guard bounds the pass
-    instead.  ``cache`` serves the relocation-site masks (see
-    :func:`~repro.core.relocation.relocation_sites`).
+    instead.
     """
-    return _compact(result, allow_shape_change, max_moves, cache, _teleport)
+    return _compact(result, allow_shape_change, max_moves, _teleport)
 
 
 def plan_states(
@@ -395,7 +393,6 @@ class Defragmenter:
         result: PlacementResult,
         allow_shape_change: bool = False,
         max_moves: Optional[int] = None,
-        cache: Optional[AnchorMaskCache] = None,
     ) -> DefragPlan:
         raise NotImplementedError
 
@@ -410,9 +407,8 @@ class GreedyCompactionDefragmenter(Defragmenter):
         result: PlacementResult,
         allow_shape_change: bool = False,
         max_moves: Optional[int] = None,
-        cache: Optional[AnchorMaskCache] = None,
     ) -> DefragPlan:
-        return defragment(result, allow_shape_change, max_moves, cache)
+        return defragment(result, allow_shape_change, max_moves)
 
 
 class NoBreakDefragmenter(Defragmenter):
@@ -432,11 +428,8 @@ class NoBreakDefragmenter(Defragmenter):
         result: PlacementResult,
         allow_shape_change: bool = False,
         max_moves: Optional[int] = None,
-        cache: Optional[AnchorMaskCache] = None,
     ) -> DefragPlan:
-        return _compact(
-            result, allow_shape_change, max_moves, cache, _first_feasible
-        )
+        return _compact(result, allow_shape_change, max_moves, _first_feasible)
 
 
 # ----------------------------------------------------------------------

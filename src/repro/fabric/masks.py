@@ -94,7 +94,7 @@ LANE_BITS = 64
 N_KINDS = int(ResourceType.UNAVAILABLE)
 #: every shift count as a ``uint64`` scalar (NumPy 1.x refuses to shift
 #: a ``uint64`` array by a Python int)
-_SHIFT = tuple(np.uint64(n) for n in range(LANE_BITS + 1))
+SHIFTS = tuple(np.uint64(n) for n in range(LANE_BITS + 1))
 
 
 def pack_columns(mask: np.ndarray) -> np.ndarray:
@@ -190,9 +190,9 @@ def _doubling_table(
     for j in range(1, levels):
         prev, down = table[j - 1], table[j, :L]
         q, r = divmod(1 << (j - 1), LANE_BITS)
-        np.right_shift(prev[q : q + L], _SHIFT[r], out=down)
+        np.right_shift(prev[q : q + L], SHIFTS[r], out=down)
         if r:  # carry from the lane above; the top lane's is above the grid
-            down[:-1] |= prev[q + 1 : q + L] << _SHIFT[LANE_BITS - r]
+            down[:-1] |= prev[q + 1 : q + L] << SHIFTS[LANE_BITS - r]
         down &= prev[:L]
     return table
 
@@ -240,7 +240,7 @@ def anchor_words(
     # nothing); the top lane's carry would come from above the grid
     r, up = rows[4:, :, None, None].view(np.uint64)
     terms = got >> r
-    terms[..., :-1] |= (got[..., 1:] << up) << _SHIFT[1]
+    terms[..., :-1] |= (got[..., 1:] << up) << SHIFTS[1]
     starts = list(accumulate([0] + [t.shape[1] for t in index[:-1]]))
     return list(np.bitwise_and.reduceat(terms, starts, axis=0))
 

@@ -1,18 +1,17 @@
-"""Differential oracle for the defrag planners' maintained occupancy grid.
+"""Differential oracle for the defrag planners' maintained free-space ledger.
 
-Both planners build one occupancy grid per plan, hand it to every
-relocation probe and update it after each simulated move (clear the
-mover's old cells, imprint its new ones).  The oracle is the per-cell
-code that rebuilt the whole floorplan for every probe
-(:func:`tests.support.per_cell_relocation_sites`).  Three checks:
+Both planners build one :class:`~repro.core.occupancy.Occupancy` ledger
+per plan, hand it to every relocation probe and update it after each
+simulated move (remove the mover's old cells, place its new ones).  The
+oracle is the per-cell code that rebuilt the whole floorplan for every
+probe (:func:`tests.support.per_cell_relocation_sites`).  Three checks:
 
-1. ``relocation_sites(..., occupied=grid)`` equals the oracle on every
-   intermediate state a plan passes through, and a grid kept up to date
-   move by move equals the rebuilt one;
+1. ``relocation_sites(..., occupied=ledger)`` equals the oracle on every
+   intermediate state a plan passes through, and a ledger kept up to
+   date move by move holds the cells of the rebuilt floorplan;
 2. with the oracle patched into :mod:`repro.core.defrag`, both planners
-   produce identical plans (moves, kinds, frames, windows, end state)
-   and identical mask-cache counters;
-3. the caller's grid is never written.
+   produce identical plans (moves, kinds, frames, windows, end state);
+3. the caller's ledger is never written.
 """
 
 from __future__ import annotations
@@ -30,9 +29,9 @@ from repro.core.defrag import (
     NoBreakDefragmenter,
     plan_states,
 )
+from repro.core.occupancy import Occupancy
 from repro.core.relocation import relocation_sites
-from repro.core.result import Placement, PlacementResult, imprint
-from repro.fabric.cache import AnchorMaskCache
+from repro.core.result import Placement, PlacementResult
 from repro.fabric.devices import homogeneous_device, irregular_device
 from repro.fabric.masks import valid_anchor_mask
 from repro.fabric.region import PartialRegion
@@ -105,21 +104,17 @@ def floorplans(draw):
     )
 
 
-def plan_pair(result, planner_cls, allow, cache_factory=lambda: None):
-    """(product plan, its cache) and (oracle plan, its cache)."""
+def plan_pair(result, planner_cls, allow):
+    """The product plan and the plan on the per-cell oracle."""
     out = []
     for oracle in (False, True):
-        cache = cache_factory()
         mp = pytest.MonkeyPatch()
         if oracle:
             mp.setattr(defrag_mod, "relocation_sites", per_cell_relocation_sites)
         try:
-            plan = planner_cls().plan(
-                result, allow_shape_change=allow, cache=cache
-            )
+            out.append(planner_cls().plan(result, allow_shape_change=allow))
         finally:
             mp.undo()
-        out.append((plan, cache))
     return out
 
 
@@ -131,18 +126,20 @@ def end_state(plan):
 
 
 # ----------------------------------------------------------------------
-# 1. sites on every intermediate state, and the maintained grid itself
+# 1. sites on every intermediate state, and the maintained ledger itself
 # ----------------------------------------------------------------------
 def check_sites_on_plan_states(result: PlacementResult, allow: bool) -> int:
     checked = 0
     for planner_cls in PLANNERS:
         plan = planner_cls().plan(result, allow_shape_change=allow)
         for state in [result, *plan_states(result, plan)]:
-            grid = state.occupancy_mask()
-            np.testing.assert_array_equal(grid, per_cell_occupancy_mask(state))
+            np.testing.assert_array_equal(
+                state.occupancy_mask(), per_cell_occupancy_mask(state)
+            )
+            ledger = Occupancy(state.region, state.placements)
             for p in state.placements:
                 expected = per_cell_relocation_sites(state, p, allow)
-                assert relocation_sites(state, p, allow, occupied=grid) == expected
+                assert relocation_sites(state, p, allow, occupied=ledger) == expected
                 assert relocation_sites(state, p, allow) == expected
                 checked += 1
     return checked
@@ -151,16 +148,19 @@ def check_sites_on_plan_states(result: PlacementResult, allow: bool) -> int:
 def check_grid_follows_moves(result: PlacementResult, allow: bool) -> None:
     for planner_cls in PLANNERS:
         plan = planner_cls().plan(result, allow_shape_change=allow)
-        grid = result.occupancy_mask()
+        ledger = Occupancy(result.region, result.placements)
         placements = {p.module.name: p for p in result.placements}
         for move in plan.moves:
             old = placements[move.module]
             new = Placement(old.module, move.to_shape, *move.to_pos)
-            imprint(grid, old, False)
-            imprint(grid, new, True)
+            ledger.remove(old)
+            ledger.place(new)
             placements[move.module] = new
             rebuilt = PlacementResult(result.region, list(placements.values()))
-            np.testing.assert_array_equal(grid, per_cell_occupancy_mask(rebuilt))
+            np.testing.assert_array_equal(
+                ledger.mask(ledger.held), per_cell_occupancy_mask(rebuilt)
+            )
+            assert ledger.occupied_cells == rebuilt.used_cells()
 
 
 class TestSitesOnPlanStates:
@@ -192,23 +192,18 @@ class TestSitesOnPlanStates:
 
 
 # ----------------------------------------------------------------------
-# 2. planners on the maintained grid plan exactly what the oracle plans
+# 2. planners on the maintained ledger plan exactly what the oracle plans
 # ----------------------------------------------------------------------
 def check_plans_identical(result: PlacementResult, allow: bool) -> int:
     moves = 0
     for planner_cls in PLANNERS:
-        for factory in (lambda: None, AnchorMaskCache):
-            (plan, cache), (ref, ref_cache) = plan_pair(
-                result, planner_cls, allow, factory
-            )
-            assert plan.moves == ref.moves
-            assert end_state(plan) == end_state(ref)
-            assert (plan.initial_extent, plan.final_extent) == (
-                ref.initial_extent, ref.final_extent
-            )
-            if cache is not None:
-                assert cache.stats() == ref_cache.stats()
-            moves += len(plan.moves)
+        plan, ref = plan_pair(result, planner_cls, allow)
+        assert plan.moves == ref.moves
+        assert end_state(plan) == end_state(ref)
+        assert (plan.initial_extent, plan.final_extent) == (
+            ref.initial_extent, ref.final_extent
+        )
+        moves += len(plan.moves)
     return moves
 
 
@@ -216,7 +211,7 @@ class TestPlansMatchOracle:
     @pytest.mark.parametrize("allow", [False, True])
     def test_seeded_floorplans(self, allow):
         moves = sum(check_plans_identical(seeded_floorplan(s), allow) for s in range(6))
-        # the suite must exercise multi-move plans, where a stale grid
+        # the suite must exercise multi-move plans, where a stale ledger
         # would show
         assert moves >= 20
 
@@ -227,21 +222,19 @@ class TestPlansMatchOracle:
 
 
 # ----------------------------------------------------------------------
-# 3. the caller's grid is read, never written
+# 3. the caller's ledger is read, never written
 # ----------------------------------------------------------------------
 class TestCallerGridUntouched:
     @pytest.mark.parametrize("allow", [False, True])
     def test_relocation_sites_leaves_grid(self, allow):
         result = seeded_floorplan(1)
-        grid = result.occupancy_mask()
-        before = grid.copy()
-        grid.setflags(write=False)  # any write would raise
+        ledger = Occupancy(result.region, result.placements)
+        before = ledger.held.copy()
+        ledger.held.setflags(write=False)  # any write would raise
         for p in result.placements:
-            relocation_sites(result, p, allow, occupied=grid)
-            relocation_sites(
-                result, p, allow, cache=AnchorMaskCache(), occupied=grid
-            )
-        np.testing.assert_array_equal(grid, before)
+            relocation_sites(result, p, allow, occupied=ledger)
+        np.testing.assert_array_equal(ledger.held, before)
+        assert ledger.occupied_cells == result.used_cells()
 
     @pytest.mark.parametrize("planner_cls", PLANNERS)
     def test_planners_leave_input(self, planner_cls):

@@ -158,9 +158,10 @@ class TestDefrag:
         assert out.final_extent <= out.initial_extent
 
 
-class TestRelocationSitesCache:
-    """S3: relocation_sites routed through the shared AnchorMaskCache
-    must be bit-identical to the uncached path."""
+class TestRelocationSitesLedger:
+    """relocation_sites on a caller's free-space ledger equals the fresh
+    per-call ledger and the per-cell floorplan rebuild it replaced, and
+    never writes the caller's ledger."""
 
     def _states(self):
         from repro.core.placer import place
@@ -179,46 +180,22 @@ class TestRelocationSitesCache:
             if res.placements:
                 yield res
 
-    def test_cached_sites_bit_identical(self):
-        from repro.fabric.cache import AnchorMaskCache
+    def test_ledger_sites_match_per_cell_oracle(self):
+        from repro.core.occupancy import Occupancy
+        from tests.support import per_cell_relocation_sites
 
-        cache = AnchorMaskCache()
         checked = 0
         for result in self._states():
+            ledger = Occupancy(result.region, result.placements)
+            held = ledger.held.copy()
             for p in result.placements:
                 for alts in (True, False):
-                    plain = relocation_sites(
-                        result, p, consider_alternatives=alts
+                    expected = per_cell_relocation_sites(result, p, alts)
+                    assert relocation_sites(result, p, alts) == expected
+                    assert (
+                        relocation_sites(result, p, alts, occupied=ledger)
+                        == expected
                     )
-                    cached = relocation_sites(
-                        result, p, consider_alternatives=alts, cache=cache
-                    )
-                    assert plain == cached
                     checked += 1
+            assert (ledger.held == held).all()
         assert checked > 0
-        # the whole point: repeated probes of the same residual
-        # floorplan are served from cache
-        assert cache.hits > 0
-
-    def test_defragment_cached_oracle_identical(self):
-        """The instant pass with a cache must replay the uncached pass
-        move for move (the cache changes cost, never answers)."""
-        from repro.fabric.cache import AnchorMaskCache
-
-        for result in self._states():
-            for allow in (False, True):
-                plain = defragment(result, allow_shape_change=allow)
-                cached = defragment(
-                    result,
-                    allow_shape_change=allow,
-                    cache=AnchorMaskCache(),
-                )
-                assert plain.moves == cached.moves
-                assert plain.final_extent == cached.final_extent
-                assert [
-                    (p.module.name, p.shape_index, p.x, p.y)
-                    for p in plain.result.placements
-                ] == [
-                    (p.module.name, p.shape_index, p.x, p.y)
-                    for p in cached.result.placements
-                ]
