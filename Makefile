@@ -19,8 +19,9 @@ test-fast:
 ## anchor-mask kernel against its brute-force and per-cell oracles, the
 ## first_anchor / free_anchors mask queries against the lexsort pick and
 ## the offset-table gather they replaced, the defrag planners'
-## maintained occupancy grid against per-cell floorplan rebuilds, and the
-## CP placer's one-module closed form against the full CP model, too).
+## maintained ledger against per-cell floorplan rebuilds, the free-space
+## ledger's packed words against per-cell boolean grids, and the CP
+## placer's one-module closed form against the full CP model, too).
 ## The wholesale and scalar kernel oracles are switches on the kernel
 ## constructors only; the backend-level differentials reach them under
 ## cp/lns/portfolio through the tests/support.py kernel_mode injection,
@@ -35,6 +36,7 @@ test-oracle:
 	  tests/fabric/test_anchor_mask_oracle.py \
 	  tests/fabric/test_first_anchor_oracle.py \
 	  tests/core/test_defrag_occupancy_oracle.py \
+	  tests/core/test_occupancy_oracle.py \
 	  tests/core/test_one_module_oracle.py
 
 ## pytest-benchmark suite (not part of tier-1)
