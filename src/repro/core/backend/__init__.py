@@ -30,7 +30,6 @@ from repro.core.backend.worker import (
     process_cache,
     reset_process_caches,
     solve_in_worker,
-    warm_process_cache,
 )
 
 __all__ = [
@@ -51,5 +50,4 @@ __all__ = [
     "process_cache",
     "reset_process_caches",
     "solve_in_worker",
-    "warm_process_cache",
 ]

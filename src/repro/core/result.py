@@ -143,10 +143,9 @@ class PlacementResult:
 def imprint(occ: np.ndarray, placement: Placement, value: bool) -> None:
     """Set ``placement``'s cells of the ``(H, W)`` grid ``occ`` to ``value``.
 
-    The one occupancy writer.  It fills :meth:`PlacementResult.occupancy_mask`,
-    the runtime manager's live bitmap, reserved-cell mask and projected
-    floorplans, the defrag planners' simulated grids and lifted
-    relocation views, the baseline placers' grid (``_State.commit`` and
-    the analytical placer's left moves) and Figure 4's blocking module.
+    The boolean-grid writer of :meth:`PlacementResult.occupancy_mask`, the
+    baseline placers' grid (``_State.commit`` and the analytical placer's
+    left moves) and Figure 4's blocking module; runtime free space is
+    written in packed words (:class:`repro.core.occupancy.Occupancy`).
     """
     occ[placement.cell_index()] = value
