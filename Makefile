@@ -20,10 +20,12 @@ test-fast:
 ## first_anchor / free_anchors mask queries against the lexsort pick and
 ## the offset-table gather they replaced, the defrag planners'
 ## maintained ledger against per-cell floorplan rebuilds, the free-space
-## ledger's packed words against per-cell boolean grids, and the CP
-## placer's one-module closed form against the full CP model, too).
-## The wholesale and scalar kernel oracles are switches on the kernel
-## constructors only; the backend-level differentials reach them under
+## ledger's packed words against per-cell boolean grids, the placement
+## kernel's packed words against the boolean-bank kernel they replaced,
+## and the CP placer's one-module closed form against the full CP model,
+## too).  The wholesale kernel oracles are switches on the kernel
+## constructors only, and the boolean-bank kernel lives in
+## tests/support.py; the backend-level differentials reach them under
 ## cp/lns/portfolio through the tests/support.py kernel_mode injection,
 ## and the full CP model through its full_cp_model injection
 test-oracle:
@@ -31,6 +33,7 @@ test-oracle:
 	  tests/geost/test_differential_oracle.py \
 	  tests/geost/test_incremental_differential.py \
 	  tests/geost/test_cross_validation.py \
+	  tests/geost/test_word_kernel_differential.py \
 	  tests/geost/test_bitboard_planes.py \
 	  tests/geost/test_sweep_monotonic.py \
 	  tests/fabric/test_anchor_mask_oracle.py \

@@ -180,7 +180,7 @@ class TestKernelPropagation:
             return kernel
 
         kernel = benchmark(build)
-        assert not kernel.occupancy.any()
+        assert not kernel.occupied_mask().any()
 
     def test_bench_imprint_and_undo(self, benchmark, model):
         """One module placement commit + trail undo — the per-node cost."""

@@ -10,7 +10,8 @@ space is maintained state answered directly, after Ahmadinia et al.
 ("Optimal Free-Space Management and Routing-Conscious Dynamic Placement
 for Reconfigurable Devices").
 
-Placements are written by one word writer: the footprint's origin words
+Placements are written by the one word writer,
+:func:`~repro.fabric.masks.write_words`: the footprint's origin words
 (:meth:`~repro.modules.footprint.Footprint.words`) shifted up to the
 anchor row and ORed in, or cleared, over the columns and lanes they
 span.  Move windows arrive as whole word arrays
@@ -20,18 +21,18 @@ its live floorplan, each defrag pass one for its simulated floorplan.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.result import Placement
 from repro.fabric.masks import (
-    LANE_BITS,
-    SHIFTS,
     anchor_words,
     column_words,
     pack_columns,
     unpack_columns,
+    words_overlap,
+    write_words,
 )
 from repro.fabric.region import PartialRegion
 
@@ -60,34 +61,14 @@ class Occupancy:
     # ------------------------------------------------------------------
     # The word writer
     # ------------------------------------------------------------------
-    def blocks(
-        self, placement: Placement
-    ) -> Iterator[Tuple[slice, slice, np.ndarray]]:
-        """``(columns, lanes, words)`` blocks of the placement's cells: its
-        origin words shifted up to its row, and, when the shift crosses a
-        lane boundary, the carry into the lanes above."""
-        fp = placement.footprint.words()
-        w, n = fp.shape
-        q, r = divmod(placement.y, LANE_BITS)
-        cols = slice(placement.x, placement.x + w)
-        yield cols, slice(q, q + n), fp << SHIFTS[r]
-        top = min(q + 1 + n, self.held.shape[1])
-        if r and top > q + 1:
-            # a valid placement's carry past the top lane is zero
-            yield cols, slice(q + 1, top), (
-                fp[:, : top - q - 1] >> SHIFTS[LANE_BITS - r]
-            )
-
     def write(
         self, words: np.ndarray, placement: Placement, value: bool
     ) -> None:
         """Set (``value``) or clear the placement's cells in ``words``, the
         ledger's ``held`` or a caller's copy of it."""
-        for cols, lanes, bits in self.blocks(placement):
-            if value:
-                words[cols, lanes] |= bits
-            else:
-                words[cols, lanes] &= ~bits
+        write_words(
+            words, placement.footprint.words(), placement.x, placement.y, value
+        )
 
     def place(self, placement: Placement) -> None:
         self.write(self.held, placement, True)
@@ -147,9 +128,8 @@ class Occupancy:
 
     def overlaps(self, placement: Placement) -> bool:
         """Does the placement touch a held cell?"""
-        return any(
-            (self.held[cols, lanes] & bits).any()
-            for cols, lanes, bits in self.blocks(placement)
+        return words_overlap(
+            self.held, placement.footprint.words(), placement.x, placement.y
         )
 
     def mask(self, words: np.ndarray) -> np.ndarray:
@@ -165,10 +145,15 @@ class Occupancy:
 
     def residual(self, blocked: np.ndarray) -> PartialRegion:
         """The region with the ``blocked`` cells carved out of its
-        reconfigurable mask: the admission chain's input."""
+        reconfigurable mask: the admission chain's input.  It carries its
+        column words, ``static & ~blocked``, so fit queries on it do not
+        pack the mask back."""
         region = self.region
+        words = self.static & ~blocked
+        words.setflags(write=False)
         return PartialRegion(
             region.grid,
             region.reconfigurable & ~self.mask(blocked),
             f"{region.name}-residual",
+            words=words,
         )

@@ -22,8 +22,9 @@ Two placers share the model:
   small.
 * :class:`TemporalCPPlacer` runs on the production
   :class:`~repro.geost.placement.PlacementKernel` with a time axis —
-  the vectorized anchor-mask bank extruded over the horizon, static
-  masks served from the shared :class:`~repro.fabric.cache.AnchorMaskCache`.
+  the same word bank as the spatial kernel with one column per
+  ``(t, x)``, static words served from the shared
+  :class:`~repro.fabric.cache.AnchorMaskCache`.
   This is what the ``temporal-cp`` backend and the runtime reservation
   probe use; it is pinned against :class:`TemporalPlacer` on small
   instances.
@@ -389,8 +390,8 @@ class TemporalCPPlacer:
     footprints, precedence offsets, makespan branch-and-bound with the
     same heuristics — propagated by
     :class:`~repro.geost.placement.PlacementKernel` running with a time
-    axis: the vectorized bank algebra instead of the reference interval
-    sweeps, with the static spatial masks served from the shared
+    axis: the packed-word bank instead of the reference interval
+    sweeps, with the static spatial words served from the shared
     :class:`~repro.fabric.cache.AnchorMaskCache`.  Differentially pinned
     against :class:`TemporalPlacer` on small instances (equal optimal
     makespans, schedules that ``verify``).

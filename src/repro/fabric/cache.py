@@ -14,11 +14,11 @@ so this module memoizes it:
   signature)`` to the footprint's finished anchor words
   (:func:`~repro.fabric.masks.anchor_words`, one ``(W, L)`` ``uint64``
   array per entry, bit ``y`` of column ``x`` set iff anchor ``(x, y)`` is
-  valid; stored read-only).  That is the one store: :meth:`anchor_mask`
-  and :meth:`anchor_masks` unpack the words into ``(H, W)`` booleans on
-  read, and the CP placer's closed form reads the words themselves.  A
-  batch lookup builds the region's column words once for all its
-  misses; nothing per region is kept.
+  valid; stored read-only).  That is the one store: the placement kernel
+  and the CP placer's closed form read the words themselves, and
+  :meth:`~AnchorMaskCache.anchor_masks` unpacks them into ``(H, W)``
+  booleans for the baseline placers.  A batch lookup builds the region's
+  column words once for all its misses; nothing per region is kept.
 * :func:`region_fingerprint` / :func:`footprint_signature` define the keys:
   pure content hashes, so two structurally identical regions (e.g. the
   same payload deserialized in two worker processes) share entries and the
@@ -32,22 +32,17 @@ unbounded.  The runtime serving path does not use it: its residual
 regions change with every admission, departure and move, so their
 fingerprints practically never repeat, and it answers fit queries from
 the free-space ledger (:class:`repro.core.occupancy.Occupancy`) instead.
-An LRU ``capacity`` and :meth:`AnchorMaskCache.save` /
-:meth:`AnchorMaskCache.load` remain on the class with no caller outside
-the tests.
 
 The *incremental* consumer of this cache is the kernel itself: for an LNS
 sub-region (:class:`~repro.fabric.region.NarrowedRegion`) the kernel
-fetches the cached **base**-region masks and narrows them with the frozen
-modules' cells via its batched difference-of-coordinates update, instead
-of recomputing every cross-correlation against the carved-up region.
+fetches the cached **base**-region words and ANDs in the sub-region's
+free cells (its non-overlap test against the frozen modules), instead of
+recomputing every anchor lattice against the carved-up region.
 """
 
 from __future__ import annotations
 
 import hashlib
-import pickle
-from collections import OrderedDict
 from typing import (
     TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
 )
@@ -92,40 +87,28 @@ class AnchorMaskCache:
     One cache instance is intended per *process* (the portfolio creates one
     per worker; the LNS driver one per ``place`` call unless handed a
     shared instance).  Entries are stored write-protected; the unpacked
-    masks :meth:`anchor_mask` / :meth:`anchor_masks` return are
-    write-protected too — callers that mutate masks (the kernel's
-    non-overlap narrowing) copy them into their own bank first, which
-    :func:`numpy.stack` already does.
+    masks :meth:`anchor_masks` returns are write-protected too — callers
+    that mutate anchors (the kernel's non-overlap narrowing) copy them into
+    their own bank first, which :func:`numpy.stack` already does.
 
-    Counters (``hits``/``misses``/``narrowed``/``evictions``) are
-    cumulative; consumers snapshot them around a model construction to
-    attribute deltas (see :meth:`snapshot` / :meth:`delta`).  A batch
-    lookup counts one hit or miss per footprint, in order, exactly as
-    that many single lookups would.
-
-    ``capacity`` (None = unbounded, the default) turns the store into an
-    LRU: a hit refreshes the entry, an insert past capacity evicts the
-    least recently used entry and counts into ``evictions``.
+    Counters (``hits``/``misses``/``narrowed``) are cumulative; consumers
+    snapshot them around a model construction to attribute deltas (see
+    :meth:`snapshot` / :meth:`delta`).  A batch lookup counts one hit or
+    miss per footprint, in order, exactly as that many single lookups
+    would.  The store is unbounded.
     """
 
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError("cache capacity must be >= 1 (or None)")
-        self.capacity = capacity
-        self._words: "OrderedDict[Tuple[RegionKey, FootprintKey], np.ndarray]" = (
-            OrderedDict()
-        )
-        #: derived-artifact memo (see :meth:`memo`); not persisted by save
-        self._aux: "OrderedDict[Tuple, object]" = OrderedDict()
+    def __init__(self) -> None:
+        self._words: Dict[Tuple[RegionKey, FootprintKey], np.ndarray] = {}
+        #: derived-artifact memo (see :meth:`memo`)
+        self._aux: Dict[Tuple, object] = {}
         #: anchor lookups served from the cache
         self.hits = 0
         #: anchor lookups that had to run the kernel
         self.misses = 0
-        #: mask rows derived incrementally from cached base-region masks
+        #: anchor rows derived incrementally from cached base-region words
         #: (maintained by the kernel via :meth:`note_narrowed`)
         self.narrowed = 0
-        #: entries dropped by the LRU bound (0 while unbounded)
-        self.evictions = 0
 
     # ------------------------------------------------------------------
     # Lookups
@@ -146,8 +129,8 @@ class AnchorMaskCache:
         The misses are built together, from one
         :func:`~repro.fabric.masks.column_words` of the region.  Each one
         holds its store slot from the moment it is counted, so a repeat
-        later in the same batch is a hit and evictions fall as they would
-        for single lookups.
+        later in the same batch is a hit, as it would be for single
+        lookups.
         """
         key = region_key if region_key is not None else self.region_key(region)
         store = self._words
@@ -160,11 +143,9 @@ class AnchorMaskCache:
                 self.misses += 1
                 found = len(missed)  # placeholder until the batch is built
                 missed.append((entry, fp))
-                self._store(entry, found)
+                store[entry] = found
             else:
                 self.hits += 1
-                if self.capacity is not None:
-                    store.move_to_end(entry)
             out.append(found)
         if not missed:
             return out
@@ -177,8 +158,7 @@ class AnchorMaskCache:
             raise
         for (entry, _), words in zip(missed, built):
             words.setflags(write=False)
-            if entry in store:
-                store[entry] = words
+            store[entry] = words
         return [built[f] if isinstance(f, int) else f for f in out]
 
     def anchor_masks(
@@ -196,25 +176,6 @@ class AnchorMaskCache:
         masks.setflags(write=False)
         return list(masks)
 
-    def anchor_mask(
-        self,
-        region: PartialRegion,
-        footprint: "Footprint",
-        region_key: Optional[RegionKey] = None,
-    ) -> np.ndarray:
-        """Cached ``valid_anchor_mask`` for one (region, footprint) pair.
-
-        Returns a read-only (H, W) boolean array; copy before mutating.
-        """
-        return self.anchor_masks(region, [footprint], region_key)[0]
-
-    def _store(self, entry: Tuple[RegionKey, FootprintKey], words) -> None:
-        self._words[entry] = words
-        if self.capacity is not None:
-            while len(self._words) > self.capacity:
-                self._words.popitem(last=False)
-                self.evictions += 1
-
     def memo(self, key: Tuple, build: "Callable[[], object]") -> object:
         """Cached derived artifact keyed by an arbitrary hashable tuple.
 
@@ -223,24 +184,17 @@ class AnchorMaskCache:
         forbidden-region list and per-(footprint, duration) shape
         extrusions — without this module having to know their types (which
         live in ``repro.geost``; importing them here would cycle).  Lookups
-        count into the same ``hits``/``misses`` counters the masks use and
-        the store honors the same LRU ``capacity``.  Entries are returned
-        by reference: consumers must treat them as immutable, exactly like
-        the read-only mask arrays.
+        count into the same ``hits``/``misses`` counters the masks use.
+        Entries are returned by reference: consumers must treat them as
+        immutable, exactly like the read-only mask arrays.
         """
         found = self._aux.get(key)
         if found is not None:
             self.hits += 1
-            if self.capacity is not None:
-                self._aux.move_to_end(key)
             return found
         self.misses += 1
         found = build()
         self._aux[key] = found
-        if self.capacity is not None:
-            while len(self._aux) > self.capacity:
-                self._aux.popitem(last=False)
-                self.evictions += 1
         return found
 
     def warm(self, region: PartialRegion, modules: Iterable) -> int:
@@ -264,19 +218,17 @@ class AnchorMaskCache:
     def __len__(self) -> int:
         return len(self._words)
 
-    def snapshot(self) -> Tuple[int, int, int, int]:
-        """Current (hits, misses, narrowed, evictions) counter values."""
-        return (self.hits, self.misses, self.narrowed, self.evictions)
+    def snapshot(self) -> Tuple[int, int, int]:
+        """Current (hits, misses, narrowed) counter values."""
+        return (self.hits, self.misses, self.narrowed)
 
-    def delta(self, snapshot: Tuple[int, ...]) -> Dict[str, int]:
+    def delta(self, snapshot: Tuple[int, int, int]) -> Dict[str, int]:
         """Counter increments since ``snapshot`` (from :meth:`snapshot`)."""
-        h0, m0, n0 = snapshot[:3]
-        e0 = snapshot[3] if len(snapshot) > 3 else 0
+        h0, m0, n0 = snapshot
         return {
             "hits": self.hits - h0,
             "misses": self.misses - m0,
             "narrowed": self.narrowed - n0,
-            "evictions": self.evictions - e0,
         }
 
     def stats(self) -> Dict[str, int]:
@@ -284,64 +236,11 @@ class AnchorMaskCache:
             "hits": self.hits,
             "misses": self.misses,
             "narrowed": self.narrowed,
-            "evictions": self.evictions,
             "entries": len(self._words),
         }
-
-    # ------------------------------------------------------------------
-    # Persistence (warmed entries shared across worker processes)
-    # ------------------------------------------------------------------
-    SAVE_VERSION = 3
-
-    def save(self, path: str) -> int:
-        """Persist the finished anchor words; returns the entry count.
-
-        The artifact is a pickle of cache keys and numpy arrays — a local,
-        trusted file (load only what this process, or a sibling worker of
-        the same service, wrote).  Counters are *not* persisted: a loaded
-        cache starts with fresh accounting.
-        """
-        payload = {
-            "version": self.SAVE_VERSION,
-            "words": [
-                (key, sorted(sig), np.asarray(words))
-                for (key, sig), words in self._words.items()
-            ],
-        }
-        with open(path, "wb") as handle:
-            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        return len(self._words)
-
-    @classmethod
-    def load(
-        cls, path: str, capacity: Optional[int] = None
-    ) -> "AnchorMaskCache":
-        """Rebuild a cache from :meth:`save` output (counters start at 0).
-
-        Entries go through the LRU bound: a ``capacity`` smaller than the
-        artifact keeps its most recently stored entries.
-        """
-        with open(path, "rb") as handle:
-            payload = pickle.load(handle)
-        version = payload.get("version")
-        if version != cls.SAVE_VERSION:
-            raise ValueError(
-                f"unsupported cache file version {version!r} "
-                f"(expected {cls.SAVE_VERSION})"
-            )
-        cache = cls(capacity=capacity)
-        for key, cells, words in payload["words"]:
-            words = np.asarray(words)
-            words.setflags(write=False)
-            cache._store((key, frozenset(cells)), words)
-        # the truncation above is not runtime eviction: accounting starts
-        # clean
-        cache.evictions = 0
-        return cache
 
     def __repr__(self) -> str:
         return (
             f"AnchorMaskCache(entries={len(self._words)}, hits={self.hits}, "
-            f"misses={self.misses}, narrowed={self.narrowed}, "
-            f"evictions={self.evictions})"
+            f"misses={self.misses}, narrowed={self.narrowed})"
         )

@@ -13,10 +13,11 @@ This package contains both layers:
   (:mod:`repro.geost.kernel`, :mod:`repro.geost.sweep`,
   :mod:`repro.geost.forbidden`) used for small models and as a reference
   semantics, and
-* the resource-extended, NumPy-vectorized placement kernel
+* the resource-extended placement kernel on packed column words
   (:mod:`repro.geost.placement`) that the FPGA placer uses: per-shape
-  valid-anchor bitmaps (resource compatibility = the forbidden-region
-  extension) plus occupancy-based non-overlap pruning.
+  valid-anchor words (resource compatibility = the forbidden-region
+  extension) narrowed after every imprint by the same anchor-word
+  kernel over the free cells (non-overlap).
 """
 
 from repro.geost.boxes import Box, ShiftedBox

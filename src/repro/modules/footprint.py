@@ -29,7 +29,7 @@ class Footprint:
 
     __slots__ = (
         "cells", "width", "height", "_grid", "_runs", "_run_index", "_offsets",
-        "_words",
+        "_words", "_cover_index",
     )
 
     def __init__(self, cells: Iterable[Cell]) -> None:
@@ -61,6 +61,7 @@ class Footprint:
         object.__setattr__(self, "_run_index", None)
         object.__setattr__(self, "_offsets", None)
         object.__setattr__(self, "_words", None)
+        object.__setattr__(self, "_cover_index", None)
 
     def __setattr__(self, *a):  # immutability
         raise AttributeError("Footprint is immutable")
@@ -151,6 +152,20 @@ class Footprint:
         if self._run_index is None:
             object.__setattr__(self, "_run_index", run_index(self.runs()))
         return self._run_index
+
+    def cover_index(self) -> np.ndarray:
+        """The :meth:`run_index` of the used cells with the kind dropped
+        (every cell read from kind plane 0), read-only.
+
+        Its :func:`~repro.fabric.masks.anchor_words` over one plane of free
+        cells are the anchors whose cells are all free: the non-overlap
+        test (M_c, Eq. 4) the placement kernel runs after each imprint.
+        Computed on first use and kept, like :meth:`run_index`.
+        """
+        if self._cover_index is None:
+            runs = vertical_runs(sorted((x, y, 0) for x, y, _ in self.cells))
+            object.__setattr__(self, "_cover_index", run_index(runs))
+        return self._cover_index
 
     def occupancy(self) -> np.ndarray:
         """Dense (h, w) boolean mask of used cells."""

@@ -95,12 +95,10 @@ class SolveProfile:
     propagations: int = 0
     domain_updates: int = 0
     failures: int = 0
-    # anchor-mask cache counters (0 when the solve ran uncached);
-    # evictions stay 0 unless the cache runs with an LRU capacity
+    # anchor-mask cache counters (0 when the solve ran uncached)
     cache_hits: int = 0
     cache_misses: int = 0
     cache_narrowed: int = 0
-    cache_evictions: int = 0
     # incremental-geost counters (0 when the kernel ran wholesale):
     # dirty objects filtered / cached results reused / objects rasterized
     # onto the occupancy bitboard
@@ -251,11 +249,10 @@ def profile_report(profile: SolveProfile) -> str:
         f"failures={p.failures} elapsed={p.elapsed:.3f}s"
         + (f" stop={p.stop_reason}" if p.stop_reason else ""),
     ]
-    if p.cache_hits or p.cache_misses or p.cache_narrowed or p.cache_evictions:
+    if p.cache_hits or p.cache_misses or p.cache_narrowed:
         head.append(
             f"anchor-mask cache: hits={p.cache_hits} "
-            f"misses={p.cache_misses} narrowed={p.cache_narrowed} "
-            f"evictions={p.cache_evictions}"
+            f"misses={p.cache_misses} narrowed={p.cache_narrowed}"
         )
     if p.geost_dirty or p.geost_reused or p.geost_rasterized:
         head.append(

@@ -1,12 +1,14 @@
 """The solver configs carry no oracle switches or single-value knobs.
 
-The wholesale (``incremental=False``) and scalar (``bitboard=False``)
-propagation paths are reference oracles: they live on the two kernel
-constructors (:class:`~repro.geost.placement.PlacementKernel` and
-:class:`~repro.geost.kernel.Geost`) and tests reach them through
-:func:`tests.support.kernel_mode`.  This guard keeps them, and the knobs
-that only ever took their default, off the solver surface, and the
-baseline placers' single-rule options off their constructors.
+The wholesale (``incremental=False``) propagation path is a reference
+oracle on the two kernel constructors
+(:class:`~repro.geost.placement.PlacementKernel` and
+:class:`~repro.geost.kernel.Geost`); the scalar (``bitboard=False``) path
+is a switch of the reference kernel only, and the placement kernel's
+boolean-bank oracle lives in ``tests/support.py``.  Tests reach them
+through :func:`tests.support.kernel_mode`.  This guard keeps them, and
+the knobs that only ever took their default, off the solver surface, and
+the baseline placers' single-rule options off their constructors.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from repro.core.placement_model import PlacementModel
 from repro.core.placer import PlacerConfig
 from repro.core.portfolio import PortfolioConfig
 from repro.core.temporal import TemporalCPPlacer
+from repro.fabric.cache import AnchorMaskCache
+from repro.geost.placement import PlacementKernel
 from repro.placer import KamerPlacer
 
 REMOVED_FIELDS = {
@@ -39,6 +43,11 @@ REMOVED_PARAMETERS = {
     PlacementModel: {"incremental", "bitboard", "redundant_cumulative"},
     TemporalCPPlacer: {"incremental", "bitboard"},
     portfolio._worker: {"incremental", "bitboard"},
+    # the packed-word kernel has one representation; the boolean bank is
+    # the test oracle
+    PlacementKernel: {"bitboard"},
+    # the offline cache is unbounded; the serving path keeps none
+    AnchorMaskCache: {"capacity"},
     # best-area is KAMER's only MER rule; "first" and "bottom-left"
     # both ordered MERs by (x, y)
     KamerPlacer: {"fit"},

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.core.occupancy import Occupancy
 from repro.core.result import Placement
 from repro.fabric.devices import irregular_device
+from repro.fabric.masks import column_words, kind_words, pack_columns
 from repro.fabric.region import PartialRegion
 from repro.fabric.resource import ResourceType
 from repro.modules.footprint import Footprint
@@ -80,15 +81,25 @@ def unpacked(ledger: Occupancy, words):
     return [ledger.mask(w) for w in words]
 
 
+def check_residual_words(residual: PartialRegion) -> None:
+    """A ledger's residual carries the column words a fresh pack of its
+    reconfigurable mask gives, and ``column_words`` serves them."""
+    fresh = kind_words(residual.grid) & pack_columns(residual.reconfigurable)
+    np.testing.assert_array_equal(residual.words, fresh)
+    assert column_words(residual) is residual.words
+
+
 def check_same(ledger: Occupancy, oracle: BoolGridLedger) -> None:
     np.testing.assert_array_equal(ledger.mask(ledger.held), oracle.held)
     np.testing.assert_array_equal(ledger.mask(ledger.reserved), oracle.reserved)
     assert ledger.occupied_cells == oracle.occupied_cells
     blocked = ledger.held | ledger.reserved
+    residual = ledger.residual(blocked)
     np.testing.assert_array_equal(
-        ledger.residual(blocked).reconfigurable,
+        residual.reconfigurable,
         oracle.residual(oracle.held | oracle.reserved).reconfigurable,
     )
+    check_residual_words(residual)
 
 
 def pick_anchor(masks, k):
@@ -211,3 +222,21 @@ def test_write_crosses_the_lane_boundary():
         check_same(ledger, oracle)
         ledger.remove(p)
         assert not ledger.held.any() and ledger.occupied_cells == 0
+
+
+def test_residual_words_equal_fresh_column_words():
+    """The admission chain's residual region hands the closed form its
+    words, ``static & ~blocked``, instead of a mask to pack back: they
+    equal a fresh ``kind_words & pack_columns(reconfigurable)``, across
+    a lane boundary and with reserved cells carved out too."""
+    region = PartialRegion.with_static_box(
+        irregular_device(10, 90, seed=4, bram_stride=4, jitter=1), 0, 0, 2, 30
+    )
+    ledger = Occupancy(region)
+    fp = Footprint.rectangle(2, 9)
+    ledger.place(Placement(Module("a", [fp]), 0, 3, 58))
+    ledger.reserve([Placement(Module("b", [fp]), 0, 6, 61)])
+    for blocked in (ledger.held, ledger.held | ledger.reserved):
+        residual = ledger.residual(blocked)
+        check_residual_words(residual)
+        assert not residual.words.flags.writeable

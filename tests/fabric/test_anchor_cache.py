@@ -30,6 +30,20 @@ from repro.modules.footprint import Footprint
 from repro.modules.generator import GeneratorConfig, ModuleGenerator
 
 
+def one_mask(cache, region, fp):
+    """The cache's unpacked mask of one footprint."""
+    return cache.anchor_masks(region, [fp])[0]
+
+
+def bank_masks(kernel):
+    """Every (module, shape) anchor mask of a kernel, in bank order."""
+    return [
+        kernel.anchor_mask(item.index, sid)
+        for item in kernel.items
+        for sid in range(len(item.module.shapes))
+    ]
+
+
 def build_kernel(region, modules, cache=None):
     m = Model()
     xs = [m.int_var(0, region.width - 1, f"x{i}") for i in range(len(modules))]
@@ -95,8 +109,8 @@ class TestCacheLookups:
         region = PartialRegion.whole_device(irregular_device(24, 8, seed=1))
         fp = Footprint.rectangle(3, 2)
         cache = AnchorMaskCache()
-        first = cache.anchor_mask(region, fp)
-        again = cache.anchor_mask(region, fp)
+        first = one_mask(cache, region, fp)
+        again = one_mask(cache, region, fp)
         assert cache.misses == 1 and cache.hits == 1
         # the store holds the words: a hit serves the memoized array
         # itself, and the mask is unpacked from it on every read
@@ -110,7 +124,7 @@ class TestCacheLookups:
     def test_cached_masks_are_write_protected(self):
         region = PartialRegion.whole_device(irregular_device(24, 8, seed=1))
         cache = AnchorMaskCache()
-        mask = cache.anchor_mask(region, Footprint.rectangle(2, 2))
+        mask = one_mask(cache, region, Footprint.rectangle(2, 2))
         with pytest.raises(ValueError):
             mask[0, 0] = False
 
@@ -121,11 +135,10 @@ class TestCacheLookups:
         r2 = PartialRegion.whole_device(grid.copy(), name="worker-2")
         cache = AnchorMaskCache()
         fp = Footprint.rectangle(4, 2)
-        cache.anchor_mask(r1, fp)
-        cache.anchor_mask(r2, fp)
+        one_mask(cache, r1, fp)
+        one_mask(cache, r2, fp)
         assert cache.stats() == {
-            "hits": 1, "misses": 1, "narrowed": 0, "evictions": 0,
-            "entries": 1,
+            "hits": 1, "misses": 1, "narrowed": 0, "entries": 1,
         }
 
     def test_warm_precomputes_every_shape(self):
@@ -157,11 +170,10 @@ class TestDifferential:
         incremental = build_kernel(sub, modules, cache=cache)
 
         assert incremental.cache_stats["misses"] == 0
-        assert incremental.cache_stats["narrowed"] == len(reference.bank)
-        assert np.array_equal(incremental.bank, reference.bank)
-        for inc_rows, ref_rows in zip(incremental.valid, reference.valid):
-            for inc_mask, ref_mask in zip(inc_rows, ref_rows):
-                assert np.array_equal(inc_mask, ref_mask)
+        reference_masks = bank_masks(reference)
+        assert incremental.cache_stats["narrowed"] == len(reference_masks)
+        for inc_mask, ref_mask in zip(bank_masks(incremental), reference_masks):
+            assert np.array_equal(inc_mask, ref_mask)
 
     @pytest.mark.parametrize("seed", range(30, 40))
     def test_cached_single_masks_match_fresh(self, seed):
@@ -170,14 +182,14 @@ class TestDifferential:
         cache = AnchorMaskCache()
         for mod in modules:
             for fp in mod.shapes:
-                cached = cache.anchor_mask(region, fp)
+                cached = one_mask(cache, region, fp)
                 assert np.array_equal(
                     cached, valid_anchor_mask(region, sorted(fp.cells))
                 )
                 # the narrowed region served as a *plain* region (no base
                 # lineage used) must also be exact
                 assert np.array_equal(
-                    cache.anchor_mask(sub, fp),
+                    one_mask(cache, sub, fp),
                     valid_anchor_mask(sub, sorted(fp.cells)),
                 )
 
@@ -191,163 +203,8 @@ class TestDifferential:
         reference = build_kernel(plain, modules, cache=None)
         assert incremental.cache_stats["hits"] == 0
         assert incremental.cache_stats["misses"] > 0
-        assert np.array_equal(incremental.bank, reference.bank)
-
-
-class TestLRUCapacity:
-    """Opt-in bounded mode: eviction order, counters, unbounded default."""
-
-    def _regions(self, n):
-        # distinct widths: structurally distinct fingerprints guaranteed
-        # (same-size irregular devices can collide across seeds)
-        return [
-            PartialRegion.whole_device(irregular_device(16 + 4 * s, 8, seed=s))
-            for s in range(n)
-        ]
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            AnchorMaskCache(capacity=0)
-        with pytest.raises(ValueError):
-            AnchorMaskCache(capacity=-3)
-        AnchorMaskCache(capacity=1)  # fine
-        AnchorMaskCache(capacity=None)  # fine (unbounded default)
-
-    def test_mask_store_evicts_least_recently_used(self):
-        region = PartialRegion.whole_device(irregular_device(24, 8, seed=7))
-        cache = AnchorMaskCache(capacity=2)
-        a, b, c = (Footprint.rectangle(w, 2) for w in (2, 3, 4))
-        cache.anchor_mask(region, a)
-        cache.anchor_mask(region, b)
-        cache.anchor_mask(region, a)  # refresh a: b is now the LRU entry
-        cache.anchor_mask(region, c)  # evicts b
-        assert cache.evictions >= 1
-        misses = cache.misses
-        cache.anchor_mask(region, a)  # survived — a hit
-        assert cache.misses == misses
-        cache.anchor_mask(region, b)  # evicted — recomputed
-        assert cache.misses == misses + 1
-
-    def test_evicted_mask_recomputes_bit_identically(self):
-        region = PartialRegion.whole_device(irregular_device(24, 8, seed=8))
-        fp = Footprint.rectangle(3, 2)
-        cache = AnchorMaskCache(capacity=1)
-        first = cache.anchor_mask(region, fp).copy()
-        cache.anchor_mask(region, Footprint.rectangle(5, 2))  # evicts fp
-        again = cache.anchor_mask(region, fp)
-        assert np.array_equal(first, again)
-
-    def test_unbounded_default_never_evicts(self):
-        regions = self._regions(5)
-        cache = AnchorMaskCache()
-        for r in regions:
-            for w in (2, 3, 4):
-                cache.anchor_mask(r, Footprint.rectangle(w, 2))
-        assert cache.evictions == 0
-        assert len(cache) == 15
-
-    def test_eviction_counter_flows_through_delta_and_stats(self):
-        region = PartialRegion.whole_device(irregular_device(24, 8, seed=9))
-        cache = AnchorMaskCache(capacity=1)
-        snap = cache.snapshot()
-        cache.anchor_mask(region, Footprint.rectangle(2, 2))
-        cache.anchor_mask(region, Footprint.rectangle(3, 2))
-        d = cache.delta(snap)
-        assert d["evictions"] == cache.evictions > 0
-        assert cache.stats()["evictions"] == cache.evictions
-        # old 3-tuple snapshots (pre-eviction consumers) still work
-        assert cache.delta((0, 0, 0))["misses"] == 2
-
-
-class TestPersistence:
-    """save()/load() round-trips warmed entries across processes."""
-
-    def test_round_trip_is_bit_identical_and_all_hits(self, tmp_path):
-        region = PartialRegion.whole_device(irregular_device(24, 8, seed=11))
-        modules = ModuleGenerator(seed=4).generate_set(3)
-        cache = AnchorMaskCache()
-        n = cache.warm(region, modules)
-        path = tmp_path / "masks.pkl"
-        assert cache.save(str(path)) == len(cache)
-
-        loaded = AnchorMaskCache.load(str(path))
-        assert len(loaded) == len(cache)
-        # counters start fresh in the loaded copy
-        assert loaded.stats() == {
-            "hits": 0, "misses": 0, "narrowed": 0, "evictions": 0,
-            "entries": len(cache),
-        }
-        loaded.warm(region, modules)  # every lookup served from disk state
-        assert loaded.misses == 0
-        assert loaded.hits == n
-        for fp in (s for m in modules for s in m.shapes):
-            assert np.array_equal(
-                loaded.anchor_mask(region, fp),
-                cache.anchor_mask(region, fp),
-            )
-
-    def test_loaded_masks_stay_write_protected(self, tmp_path):
-        region = PartialRegion.whole_device(irregular_device(16, 8, seed=12))
-        cache = AnchorMaskCache()
-        cache.anchor_mask(region, Footprint.rectangle(2, 2))
-        path = tmp_path / "masks.pkl"
-        cache.save(str(path))
-        loaded = AnchorMaskCache.load(str(path))
-        mask = loaded.anchor_mask(region, Footprint.rectangle(2, 2))
-        with pytest.raises(ValueError):
-            mask[0, 0] = False
-
-    def test_load_rejects_unknown_version(self, tmp_path):
-        import pickle
-
-        path = tmp_path / "bad.pkl"
-        path.write_bytes(
-            pickle.dumps({"version": 999, "masks": [], "compat": []})
-        )
-        with pytest.raises(ValueError, match="version"):
-            AnchorMaskCache.load(str(path))
-
-    def test_load_rejects_version_2_files(self, tmp_path):
-        # version 2 stored (H, W) masks plus per-region prefix planes
-        import pickle
-
-        path = tmp_path / "v2.pkl"
-        path.write_bytes(
-            pickle.dumps({"version": 2, "masks": [], "planes": []})
-        )
-        with pytest.raises(ValueError, match="unsupported cache file version 2"):
-            AnchorMaskCache.load(str(path))
-
-    def test_load_with_capacity_bounds_every_stored_array(self, tmp_path):
-        cache = AnchorMaskCache()
-        for seed in range(3):
-            region = PartialRegion.whole_device(
-                irregular_device(24, 8, seed=20 + seed)
-            )
-            cache.anchor_mask(region, Footprint.rectangle(2, 2))
-        path = tmp_path / "masks.pkl"
-        cache.save(str(path))
-        loaded = AnchorMaskCache.load(str(path), capacity=1)
-        stored = [
-            value
-            for store in vars(loaded).values()
-            if isinstance(store, dict)
-            for value in store.values()
-            if isinstance(value, np.ndarray)
-        ]
-        assert len(stored) <= 1
-        assert len(loaded) == 1
-
-    def test_load_with_capacity_bounds_and_resets_evictions(self, tmp_path):
-        region = PartialRegion.whole_device(irregular_device(24, 8, seed=13))
-        cache = AnchorMaskCache()
-        for w in (2, 3, 4, 5):
-            cache.anchor_mask(region, Footprint.rectangle(w, 2))
-        path = tmp_path / "masks.pkl"
-        cache.save(str(path))
-        loaded = AnchorMaskCache.load(str(path), capacity=2)
-        assert len(loaded) == 2
-        assert loaded.evictions == 0  # accounting starts clean post-load
+        for inc_mask, ref_mask in zip(bank_masks(incremental), bank_masks(reference)):
+            assert np.array_equal(inc_mask, ref_mask)
 
 
 class TestNarrowedRegion:

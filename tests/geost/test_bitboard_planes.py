@@ -8,7 +8,8 @@ Two independent pins under the vectorized sweep:
   material.  The trail undo restores the *exact* previous cells, so this
   holds even for overlapping imprints — the historical failure mode of
   occupancy grids maintained by "clear my cells" undos.
-* **Batched counting** — :func:`count_anchors_batch`,
+* **Batched counting** — the boolean-bank oracle's
+  :func:`count_anchors_batch` (``tests.support``),
   :func:`integral_occupancy` and :func:`sliding_box_counts` must equal
   their scalar / brute-force counterparts on randomized inputs including
   the empty-mask and full-mask edge cases, and
@@ -23,16 +24,13 @@ import numpy as np
 import pytest
 
 from repro.cp.trail import Trail
-from repro.fabric.masks import (
-    count_anchors,
-    count_anchors_batch,
-    integral_occupancy,
-    sliding_box_counts,
-)
+from repro.fabric.masks import integral_occupancy, sliding_box_counts
 from repro.fabric.resource import ResourceType
 from repro.geost.bitboard import OccupancyBitboard
 from repro.geost.boxes import Box, ShiftedBox
 from repro.geost.forbidden import ForbiddenRegion
+
+from tests.support import count_anchors, count_anchors_batch
 
 
 def _random_box(rng: random.Random, window: Box) -> Box:

@@ -31,6 +31,7 @@ from repro.geost.objects import GeostObject
 from repro.geost.shapes import ShapeTable
 
 from tests.support import (
+    BoolBankKernel,
     build_kernel,
     fabric_to_forbidden_regions,
     kernel_mode,
@@ -199,11 +200,12 @@ def test_kernel_mode_reaches_the_solver_stack():
         assert repro.core.temporal.PlacementKernel.keywords == {
             "incremental": False, "bitboard": False,
         }
+    assert isinstance(oracle, BoolBankKernel)
     assert not oracle.incremental and not oracle.bitboard
     # the swap is undone on exit
     assert repro.core.temporal.PlacementKernel is PlacementKernel
     fast = PlacementModel(region, modules).kernel
-    assert fast.incremental and fast.bitboard
+    assert type(fast) is PlacementKernel and fast.incremental
 
 
 @pytest.mark.parametrize("seed", range(8))

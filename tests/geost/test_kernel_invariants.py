@@ -48,27 +48,26 @@ def build(seed: int):
 
 
 def occupancy_from_scratch(kernel) -> np.ndarray:
-    occ = np.zeros(kernel.H * kernel.W, dtype=bool)
+    occ = np.zeros((kernel.H, kernel.W), dtype=bool)
     for item in kernel.items:
         if item.placed:
-            sid = item.s.value()
+            off = item.module.shapes[item.s.value()].offsets().astype(int)
             x0, y0 = item.x.value(), item.y.value()
-            cells = item.cells[sid]
-            occ[(y0 + cells[:, 0]) * kernel.W + (x0 + cells[:, 1])] = True
+            occ[y0 + off[:, 0], x0 + off[:, 1]] = True
     return occ
 
 
 def mask_from_scratch(kernel, region, item, sid) -> np.ndarray:
     """Static anchors minus collisions with currently placed material."""
     fp = item.module.shapes[sid]
-    static = valid_anchor_mask(region, sorted(fp.cells)).reshape(-1)
-    occ = occupancy_from_scratch(kernel).reshape(kernel.H, kernel.W)
+    static = valid_anchor_mask(region, sorted(fp.cells))
+    occ = occupancy_from_scratch(kernel)
     out = static.copy()
-    ys, xs = np.nonzero(static.reshape(kernel.H, kernel.W))
-    off = item.cells[sid]
+    ys, xs = np.nonzero(static)
+    off = fp.offsets().astype(int)
     for y, x in zip(ys.tolist(), xs.tolist()):
         if occ[y + off[:, 0], x + off[:, 1]].any():
-            out[y * kernel.W + x] = False
+            out[y, x] = False
     return out
 
 
@@ -106,14 +105,14 @@ class TestKernelInvariants:
 
             # --- invariants ---
             assert np.array_equal(
-                kernel.occupancy, occupancy_from_scratch(kernel)
+                kernel.occupied_mask(), occupancy_from_scratch(kernel)
             )
             for item in kernel.items:
                 if item.placed:
                     continue
                 for sid in item.s.domain:
                     expected = mask_from_scratch(kernel, region, item, sid)
-                    got = kernel.valid[item.index][sid]
+                    got = kernel.anchor_mask(item.index, sid)
                     assert np.array_equal(got, expected), (
                         f"mask drift for module {item.index} shape {sid}"
                     )

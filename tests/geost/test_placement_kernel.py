@@ -121,16 +121,16 @@ class TestFiltering:
         m = Model()
         kernel, xs, ys, ss = build_kernel(m, region, mods)
         x1_before = list(xs[1].domain)
-        occ_before = kernel.occupancy.copy()
+        occ_before = kernel.occupied_mask()
         m.engine.push_level()
         xs[0].fix(0)
         ys[0].fix(0)
         ss[0].fix(0)
         m.engine.fixpoint()
-        assert kernel.occupancy.any()
+        assert kernel.occupied_mask().any()
         assert list(xs[1].domain) != x1_before
         m.engine.pop_level()
-        assert np.array_equal(kernel.occupancy, occ_before)
+        assert np.array_equal(kernel.occupied_mask(), occ_before)
         assert list(xs[1].domain) == x1_before
         assert not kernel.items[0].placed
 
