@@ -14,6 +14,11 @@ invariants.  The ladder, weakest oracle first:
 3. bitboard (``incremental=True, bitboard=True``) — this PR's
    vectorized sweep.
 
+For the placement kernel the top rung is the packed-word kernel and the
+two scalar rungs run the boolean-bank kernel it replaced on its
+per-shape path (``tests.support.BoolBankKernel``), so the pairs pin the
+words against that oracle, search trees included.
+
 Across the whole module the generators cover sparse, dense and
 shape-alternative-heavy 2-D regimes plus 3-D pure geost, at well over
 150 instances total (see the seed ranges below: 60 sparse + 45 dense +
