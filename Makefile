@@ -17,13 +17,13 @@ test-fast:
 ## cross-kernel oracle-ladder suite plus every cross-validation /
 ## property file that pins one implementation against another (the
 ## anchor-mask kernel against its brute-force and per-cell oracles, the
-## first_anchor / free_anchors mask queries against the lexsort pick and
-## the offset-table gather they replaced, the defrag planners'
-## maintained ledger against per-cell floorplan rebuilds, the free-space
-## ledger's packed words against per-cell boolean grids, the placement
-## kernel's packed words against the boolean-bank kernel they replaced,
-## and the CP placer's one-module closed form against the full CP model,
-## too).  The wholesale kernel oracles are switches on the kernel
+## first_anchor / bottom_left_pick queries against the lexsort pick, the
+## defrag planners' maintained ledger against per-cell floorplan
+## rebuilds, the free-space ledger's packed words against per-cell
+## boolean grids, the baseline placers' ledger state against the
+## boolean-grid state it replaced, the placement kernel's packed words
+## against the boolean-bank kernel they replaced, and the CP placer's
+## one-module closed form against the full CP model, too).  The wholesale kernel oracles are switches on the kernel
 ## constructors only, and the boolean-bank kernel lives in
 ## tests/support.py; the backend-level differentials reach them under
 ## cp/lns/portfolio through the tests/support.py kernel_mode injection,
@@ -40,7 +40,8 @@ test-oracle:
 	  tests/fabric/test_first_anchor_oracle.py \
 	  tests/core/test_defrag_occupancy_oracle.py \
 	  tests/core/test_occupancy_oracle.py \
-	  tests/core/test_one_module_oracle.py
+	  tests/core/test_one_module_oracle.py \
+	  tests/placer/test_baseline_state_oracle.py
 
 ## pytest-benchmark suite (not part of tier-1)
 bench:
@@ -57,13 +58,16 @@ bench-geost:
 
 ## the anchor-kernel ratio gates, each a same-machine ratio: the run
 ## kernel vs the per-cell slice-AND oracle, the CP closed form vs the
-## full CP model, and the closed form's packed-word mask stage vs the
-## prefix-count kernel it replaced (both on recorded serving probes)
+## full CP model, the closed form's packed-word mask stage vs the
+## prefix-count kernel it replaced (both on recorded serving probes),
+## and the baseline placers on the free-space ledger vs the boolean-grid
+## state they replaced (Table I)
 bench-masks:
 	$(PY) -m pytest -q -s \
 	  "benchmarks/test_bench_substrates.py::TestRunKernelSpeedup" \
 	  "benchmarks/test_bench_runtime.py::TestClosedFormAdmission" \
-	  "benchmarks/test_bench_runtime.py::TestPackedAnchorWords"
+	  "benchmarks/test_bench_runtime.py::TestPackedAnchorWords" \
+	  benchmarks/test_bench_backends.py
 
 ## sharded-service trace replay on the seeded Table-I workload: reads
 ## its req/s and p99-latency gates from the committed BENCH_runtime.json

@@ -281,8 +281,9 @@ class BaselineBackend(PlacementBackend):
     """Adapter running one :class:`BasePlacer` heuristic per request.
 
     A fresh placer is built per call (they are stateful across ``_run``),
-    and the request's seed / budget / cache land on the uniform
-    ``BasePlacer`` knobs — no per-placer plumbing.
+    and the request's seed / budget land on the uniform ``BasePlacer``
+    knobs — no per-placer plumbing.  Baselines keep their own free-space
+    ledger, so the request's anchor cache is not read.
     """
 
     session_self_recording = False
@@ -303,16 +304,14 @@ class BaselineBackend(PlacementBackend):
             placer.seed = request.seed
         if request.time_limit is not None:
             placer.time_limit = request.time_limit
-        return placer.place(
-            request.region, list(request.modules), cache=request.cache
-        )
+        return placer.place(request.region, list(request.modules))
 
 
 class AnalyticalBackend(PlacementBackend):
     """Force-directed relaxation + nearest-anchor legalization.
 
     Wraps :class:`~repro.placer.analytical.AnalyticalPlacer`.  The request
-    seed / budget / cache / tracer land on :class:`AnalyticalConfig`, and
+    seed / budget / tracer land on :class:`AnalyticalConfig`, and
     the relaxation/legalization counters are surfaced as the
     ``analytical_*`` profile counters so profiling sessions can attribute
     warm-start cost.  Not anytime: the relaxation must finish (or hit its
@@ -343,7 +342,7 @@ class AnalyticalBackend(PlacementBackend):
         if updates:
             cfg = dc_replace(cfg, **updates)
         result = AnalyticalPlacer(cfg).place(
-            request.region, list(request.modules), cache=request.cache
+            request.region, list(request.modules)
         )
         if profiling:
             profile = SolveProfile(
@@ -409,7 +408,7 @@ class AnnealingBackend(PlacementBackend):
         if updates:
             cfg = dc_replace(cfg, **updates)
         return AnnealingPlacer(cfg).place(
-            request.region, list(request.modules), cache=request.cache
+            request.region, list(request.modules)
         )
 
 

@@ -134,9 +134,7 @@ class LNSPlacer:
         if not base.placements or not base.all_placed:
             from repro.placer.greedy import BottomLeftPlacer
 
-            # the initial CP solve warmed the shared cache, so the greedy
-            # rescue's static masks are pure hits
-            greedy = BottomLeftPlacer().place(region, modules, cache=self._cache)
+            greedy = BottomLeftPlacer().place(region, modules)
             if greedy.all_placed and greedy.placements:
                 base = greedy
         if not base.placements or not base.all_placed:

@@ -16,7 +16,9 @@ Placements are written by the one word writer,
 anchor row and ORed in, or cleared, over the columns and lanes they
 span.  Move windows arrive as whole word arrays
 (:meth:`Occupancy.cell_words`).  The runtime manager keeps one ledger for
-its live floorplan, each defrag pass one for its simulated floorplan.
+its live floorplan, each defrag pass one for its simulated floorplan, and
+each baseline placer run one for the floorplan it builds
+(:class:`repro.placer.base._State`).
 """
 
 from __future__ import annotations

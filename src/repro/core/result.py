@@ -100,7 +100,7 @@ class PlacementResult:
         """(H, W) boolean mask of cells used by placed modules."""
         mask = np.zeros((self.region.height, self.region.width), dtype=bool)
         for p in self.placements:
-            imprint(mask, p, True)
+            mask[p.cell_index()] = True
         return mask
 
     def verify(self) -> None:
@@ -139,13 +139,3 @@ class PlacementResult:
         ]
         return " ".join(parts)
 
-
-def imprint(occ: np.ndarray, placement: Placement, value: bool) -> None:
-    """Set ``placement``'s cells of the ``(H, W)`` grid ``occ`` to ``value``.
-
-    The boolean-grid writer of :meth:`PlacementResult.occupancy_mask`, the
-    baseline placers' grid (``_State.commit`` and the analytical placer's
-    left moves) and Figure 4's blocking module; runtime free space is
-    written in packed words (:class:`repro.core.occupancy.Occupancy`).
-    """
-    occ[placement.cell_index()] = value

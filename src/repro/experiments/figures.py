@@ -12,13 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-import numpy as np
-
 from repro.core.alternatives import expand_alternatives
 from repro.core.lns import LNSConfig, LNSPlacer
-from repro.core.result import Placement, PlacementResult, imprint
+from repro.core.occupancy import Occupancy
+from repro.core.result import Placement, PlacementResult
 from repro.experiments.config import default_fabric
-from repro.fabric.masks import first_anchor, free_anchors, valid_anchor_mask
+from repro.fabric.masks import first_anchor, valid_anchor_mask
 from repro.fabric.region import PartialRegion
 from repro.flow.visualize import alternatives_gallery, comparison_figure
 from repro.modules.generator import ModuleGenerator
@@ -106,8 +105,7 @@ def figure4_constraint_anatomy(
     region = PartialRegion.with_static_box(
         grid, grid.width // 2, 0, grid.width - grid.width // 2, grid.height
     )
-    in_region_mask = valid_anchor_mask(region, fp)
-    in_region = int(in_region_mask.sum())
+    in_region = int(valid_anchor_mask(region, fp).sum())
 
     # (d) + one placed module blocking part of the region
     blocker = ModuleGenerator(seed=module_seed + 1).generate()
@@ -115,8 +113,7 @@ def figure4_constraint_anatomy(
     if hit is None:
         non_overlapping = in_region
     else:
-        occupied = np.zeros((region.height, region.width), dtype=bool)
-        imprint(occupied, Placement(blocker, 0, *hit), True)
-        free = free_anchors(in_region_mask, fp.offsets(), occupied)
-        non_overlapping = int(free.sum())
+        ledger = Occupancy(region, [Placement(blocker, 0, *hit)])
+        (free,) = ledger.anchors([fp], ledger.held)
+        non_overlapping = int(ledger.mask(free).sum())
     return ConstraintAnatomy(in_bounds, resource_matched, in_region, non_overlapping)

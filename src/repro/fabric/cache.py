@@ -14,24 +14,22 @@ so this module memoizes it:
   signature)`` to the footprint's finished anchor words
   (:func:`~repro.fabric.masks.anchor_words`, one ``(W, L)`` ``uint64``
   array per entry, bit ``y`` of column ``x`` set iff anchor ``(x, y)`` is
-  valid; stored read-only).  That is the one store: the placement kernel
-  and the CP placer's closed form read the words themselves, and
-  :meth:`~AnchorMaskCache.anchor_masks` unpacks them into ``(H, W)``
-  booleans for the baseline placers.  A batch lookup builds the region's
-  column words once for all its misses; nothing per region is kept.
+  valid; stored read-only).  That is the one store, and its readers read
+  the words themselves.  A batch lookup builds the region's column words
+  once for all its misses; nothing per region is kept.
 * :func:`region_fingerprint` / :func:`footprint_signature` define the keys:
   pure content hashes, so two structurally identical regions (e.g. the
   same payload deserialized in two worker processes) share entries and the
   region's *name* never matters.
 
-The consumers are the offline solvers: the CP placer and its LNS and
-portfolio drivers, the baseline placers and the temporal placer.  They
+The consumers are the offline CP solvers: the CP placer and its LNS and
+portfolio drivers and the temporal placer.  They
 work against a handful of fabrics and a module library whose footprints
 number in the hundreds, so the working set is small and the cache is
-unbounded.  The runtime serving path does not use it: its residual
-regions change with every admission, departure and move, so their
-fingerprints practically never repeat, and it answers fit queries from
-the free-space ledger (:class:`repro.core.occupancy.Occupancy`) instead.
+unbounded.  The runtime serving path and the baseline placers do not use
+it: they answer fit queries from the free-space ledger
+(:class:`repro.core.occupancy.Occupancy`), whose held cells change with
+every placement, so a query's region practically never repeats.
 
 The *incremental* consumer of this cache is the kernel itself: for an LNS
 sub-region (:class:`~repro.fabric.region.NarrowedRegion`) the kernel
@@ -49,7 +47,7 @@ from typing import (
 
 import numpy as np
 
-from repro.fabric.masks import anchor_words, column_words, unpack_columns
+from repro.fabric.masks import anchor_words, column_words
 from repro.fabric.region import PartialRegion
 
 if TYPE_CHECKING:  # avoid a fabric -> modules import at runtime
@@ -86,9 +84,8 @@ class AnchorMaskCache:
 
     One cache instance is intended per *process* (the portfolio creates one
     per worker; the LNS driver one per ``place`` call unless handed a
-    shared instance).  Entries are stored write-protected; the unpacked
-    masks :meth:`anchor_masks` returns are write-protected too — callers
-    that mutate anchors (the kernel's non-overlap narrowing) copy them into
+    shared instance).  Entries are stored write-protected — callers that
+    mutate anchors (the kernel's non-overlap narrowing) copy them into
     their own bank first, which :func:`numpy.stack` already does.
 
     Counters (``hits``/``misses``/``narrowed``) are cumulative; consumers
@@ -160,21 +157,6 @@ class AnchorMaskCache:
             words.setflags(write=False)
             store[entry] = words
         return [built[f] if isinstance(f, int) else f for f in out]
-
-    def anchor_masks(
-        self,
-        region: PartialRegion,
-        footprints: Sequence["Footprint"],
-        region_key: Optional[RegionKey] = None,
-    ) -> List[np.ndarray]:
-        """:meth:`anchor_words` unpacked: one read-only ``(H, W)`` boolean
-        valid-anchor mask per footprint."""
-        words = self.anchor_words(region, footprints, region_key)
-        if not words:
-            return []
-        masks = unpack_columns(np.array(words), region.height)
-        masks.setflags(write=False)
-        return list(masks)
 
     def memo(self, key: Tuple, build: "Callable[[], object]") -> object:
         """Cached derived artifact keyed by an arbitrary hashable tuple.

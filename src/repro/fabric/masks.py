@@ -31,19 +31,21 @@ cells must be normalized so ``min dx == min dy == 0``; anchors are then
 the footprint's lower-left bounding-box corner.  :func:`valid_anchor_mask`
 is the unpacked ``(H, W)`` boolean form of one footprint's words.
 
-Three queries read finished anchors: :func:`free_anchors` drops the
-anchors whose cells an occupancy grid already holds, :func:`first_anchor`
-returns the bottom-left survivor of one mask or one footprint's words
-(first nonzero column, then its lowest set bit), and
-:func:`bottom_left_pick` the bottom-left ``(x, y, shape)`` over one
-module's per-shape masks or words.  The baseline placers, the CP placer's
-one-module closed form, the runtime manager's reservation probe and
-Figure 4 all pick anchors through them.
+Two queries read finished anchors: :func:`first_anchor` returns the
+bottom-left anchor of one mask or one footprint's words (first nonzero
+column, then its lowest set bit), and :func:`bottom_left_pick` the
+bottom-left ``(x, y, shape)`` over one module's per-shape masks or words.
+The baseline placers, the CP placer's one-module closed form, the runtime
+manager's reservation probe and Figure 4 all pick anchors through them.
+Occupied cells are not filtered out of finished anchors: a fit query that
+must avoid them runs :func:`anchor_words` on ``static & ~held`` (the
+free-space ledger, :class:`repro.core.occupancy.Occupancy`).
 
 Placed cells are written into column words by one writer,
 :func:`write_words`: a shape's origin words shifted up to the anchor row
 and carried into the lane above (:func:`word_blocks`).  The free-space
-ledger and the placement kernel both write through it.
+ledger (the runtime's, defrag's and the baseline placers') and the
+placement kernel all write through it.
 
 The module also hosts the shared sliding-window correlation kernels the
 geost bitboard sweep batches through:
@@ -279,18 +281,6 @@ def anchor_words(
     return list(anchor_word_stack(words, *term_rows(footprints)))
 
 
-def anchor_masks(
-    region: Union[PartialRegion, FabricGrid],
-    footprints: Sequence[Union["Footprint", Sequence[Cell]]],
-) -> List[np.ndarray]:
-    """One ``(H, W)`` boolean valid-anchor mask per footprint: the
-    unpacked :func:`anchor_words` of one :func:`column_words` build."""
-    words = anchor_words(column_words(region), footprints)
-    if not words:
-        return []
-    return list(unpack_columns(np.array(words), region.height))
-
-
 def word_blocks(
     words: np.ndarray, x: int, y: int, lanes: int
 ) -> Iterator[Tuple[slice, slice, np.ndarray]]:
@@ -508,28 +498,3 @@ def bottom_left_pick(
             best = (*hit, si)
     return best
 
-
-def free_anchors(
-    static: np.ndarray, offsets: np.ndarray, occupied: np.ndarray
-) -> np.ndarray:
-    """The anchors of ``static`` whose footprint cells are all free.
-
-    ``offsets`` are the footprint's ``(dy, dx)`` used-cell offsets
-    (:meth:`repro.modules.footprint.Footprint.offsets`) and ``occupied``
-    the ``(H, W)`` occupancy grid.  Every static anchor is tested in one
-    vectorized gather of ``occupied`` under its cells.  Returns
-    ``static`` itself when nothing is occupied or it holds no anchor
-    (callers must not mutate the result), else a new mask.
-    """
-    if not occupied.any():
-        return static
-    ys, xs = np.nonzero(static)
-    if ys.size == 0:
-        return static
-    # the intp anchor rows widen the compact offset dtype before adding
-    cy = ys[:, None] + offsets[None, :, 0]
-    cx = xs[:, None] + offsets[None, :, 1]
-    free = ~occupied[cy, cx].any(axis=1)
-    out = np.zeros_like(static)
-    out[ys[free], xs[free]] = True
-    return out

@@ -20,10 +20,12 @@ FRAME-style analytical floorplanning split into the classic two stages:
 
 2. **Legalization** — relaxed centroids are snapped, left-to-right, onto
    the nearest valid anchor (:func:`repro.fabric.masks.nearest_anchor`)
-   of the occupancy-checked anchor masks, choosing the design alternative
-   whose legalized centroid moves least from its relaxed position.  A
-   bounded left-compaction polish then re-anchors the modules on the
-   extent frontier while strictly improving their right edges.
+   of the free-space ledger's anchor words, unpacked per shape, choosing
+   the design alternative whose legalized centroid moves least from its
+   relaxed position.  A bounded left-compaction polish then re-anchors the
+   modules on the extent frontier while strictly improving their right
+   edges: each move lifts the module from the ledger, reads its
+   bottom-left anchors and places it back.
 
 The relaxation is fully deterministic per seed (the only randomness is
 the seeded initial jitter) and typically converges in well under 100 ms
@@ -42,7 +44,7 @@ import numpy as np
 
 from repro.fabric.masks import compatibility_masks, nearest_anchor
 from repro.fabric.resource import ResourceType
-from repro.core.result import Placement, imprint
+from repro.core.result import Placement
 from repro.modules.footprint import Footprint
 from repro.modules.module import Module
 from repro.obs.trace import ANALYTICAL_ITERATE, Tracer
@@ -276,10 +278,12 @@ class AnalyticalPlacer(BasePlacer):
         movement = 0.0
         for mi in order:
             best: Optional[Tuple[float, int, int, int]] = None
-            for si, fp in enumerate(state.modules[mi].shapes):
-                mask = state.anchors(mi, si)
-                ox, oy = self._shape_centroid(fp)
-                hit = nearest_anchor(mask, cx[mi] - ox, cy[mi] - oy)
+            shapes = state.modules[mi].shapes
+            for si, words in enumerate(state.shape_anchors(mi)):
+                ox, oy = self._shape_centroid(shapes[si])
+                hit = nearest_anchor(
+                    state.ledger.mask(words), cx[mi] - ox, cy[mi] - oy
+                )
                 if hit is None:
                     continue
                 ax, ay = hit
@@ -303,7 +307,7 @@ class AnalyticalPlacer(BasePlacer):
         reduces its right edge; the floorplan stays valid throughout (the
         module only ever lands on currently-free valid anchors)."""
         p = state.placements[pi]
-        imprint(state.occupancy, p, False)
+        state.ledger.remove(p)
         shapes = p.module.shapes
         best = min(
             (
@@ -316,7 +320,7 @@ class AnalyticalPlacer(BasePlacer):
         if moved:
             _, x, y, si = best
             p = state.placements[pi] = Placement(p.module, si, x, y)
-        imprint(state.occupancy, p, True)
+        state.ledger.place(p)
         return moved
 
     def _compact(self, state: _State) -> int:

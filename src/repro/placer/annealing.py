@@ -11,10 +11,10 @@ space shrinks.
 
 The placer implements ``BasePlacer._run`` like every other baseline (it
 used to override ``place`` with its own scaffolding): the seeded RNG, the
-wall-clock deadline and the static anchor masks all live on the shared
-``_State``, so one mask construction serves every decode of the run — and
-an :class:`~repro.fabric.cache.AnchorMaskCache` handed in by the backend
-adapter serves every *run* on the same region.
+wall-clock deadline and the free-space ledger all live on the shared
+``_State``.  The region's column words are packed once per run; each
+decode resets the ledger and asks it for one shape's anchor words per
+module.
 """
 
 from __future__ import annotations
@@ -131,7 +131,6 @@ class AnnealingPlacer(BasePlacer):
             temperature *= cfg.cooling
 
         _, placements, unplaced = best
-        state.reset()
-        state.placements.extend(placements)
+        state.reset(placements)
         state.stats["evaluations"] = evaluations
         return unplaced

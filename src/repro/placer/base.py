@@ -1,69 +1,53 @@
 """Shared scaffolding for the baseline placers.
 
-Baselines maintain an explicit occupancy mask and query anchor feasibility
-through the same vectorized machinery as the kernel
-(:func:`repro.fabric.masks.anchor_masks` plus the occupancy gather
-:func:`repro.fabric.masks.free_anchors`), so their placements satisfy
-M_a / M_b / M_c by construction and are cross-checked by
-``PlacementResult.verify`` in the tests.  Every placer reads the
-bottom-left anchor of each shape (:meth:`_State.first_anchors`) and
-writes cells through :func:`repro.core.result.imprint`; the bottom-left
-pick across shapes is :meth:`_State.bottom_left`, the same helper the CP
-placer's one-module closed form calls.
+Baselines keep free space in one :class:`~repro.core.occupancy.Occupancy`
+ledger, the packed column words the runtime manager, defrag and the CP
+kernel use, and answer every fit query with the same kernel call:
+:meth:`Occupancy.anchors` over ``static & ~held``, M_a ∧ M_b ∧ M_c in one
+batch per module.  Their placements therefore satisfy all three masks by
+construction and are cross-checked by ``PlacementResult.verify`` in the
+tests.  Every placer reads the bottom-left anchor of each shape
+(:meth:`_State.first_anchors`) and writes cells through the ledger; the
+bottom-left pick across shapes is :meth:`_State.bottom_left`, the same
+helper the CP placer's one-module closed form calls.
 
-Seeding, wall-clock budgets and :class:`~repro.fabric.cache.AnchorMaskCache`
-reuse are owned here, once: ``BasePlacer.place`` builds one :class:`_State`
-carrying the RNG, the deadline and the (possibly cached) static anchor
-masks, and every concrete placer only implements ``_run(state)``.  The
-backend adapters (:mod:`repro.core.backend`) thread a request's seed,
-budget and cache straight through this surface.
+Seeding and wall-clock budgets are owned here, once: ``BasePlacer.place``
+builds one :class:`_State` carrying the RNG, the deadline and the ledger,
+and every concrete placer only implements ``_run(state)``.  The backend
+adapters (:mod:`repro.core.backend`) thread a request's seed and budget
+straight through this surface.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.result import Placement, PlacementResult, imprint
-from repro.fabric.cache import AnchorMaskCache
-from repro.fabric.masks import (
-    anchor_masks,
-    bottom_left_pick,
-    first_anchor,
-    free_anchors,
-)
+from repro.core.occupancy import Occupancy
+from repro.core.result import Placement, PlacementResult
+from repro.fabric.masks import bottom_left_pick, first_anchor
 from repro.fabric.region import PartialRegion
 from repro.modules.module import Module
 
 
 class _State:
-    """Occupancy-tracking placement state shared by the greedy baselines."""
+    """Ledger-backed placement state shared by the greedy baselines."""
 
     def __init__(
         self,
         region: PartialRegion,
         modules: Sequence[Module],
-        cache: Optional[AnchorMaskCache] = None,
         seed: int = 0,
         deadline: Optional[float] = None,
     ) -> None:
         self.region = region
         self.modules = list(modules)
         self.H, self.W = region.height, region.width
-        self.occupancy = np.zeros((self.H, self.W), dtype=bool)
-        #: static anchors per (module index, shape index); served from the
-        #: shared cache when one is handed in (the masks are read-only
-        #: views then — ``anchors`` never mutates them)
-        if cache is not None:
-            key = cache.region_key(region)
-            self.static: List[List[np.ndarray]] = [
-                cache.anchor_masks(region, m.shapes, key) for m in self.modules
-            ]
-        else:
-            self.static = [anchor_masks(region, m.shapes) for m in self.modules]
+        #: the one free-space state: static column words and held cells
+        self.ledger = Occupancy(region)
         self.placements: List[Placement] = []
         #: seeded RNG for stochastic placers (annealing); deterministic per
         #: (placer seed) because it is drawn nowhere else
@@ -75,34 +59,37 @@ class _State:
 
     # ------------------------------------------------------------------
     def anchors(self, mi: int, si: int) -> np.ndarray:
-        """Current (H, W) anchor feasibility of one shape."""
+        """Current ``(W, L)`` anchor words of one shape."""
         fp = self.modules[mi].shapes[si]
-        return free_anchors(self.static[mi][si], fp.offsets(), self.occupancy)
+        return self.ledger.anchors([fp], self.ledger.held)[0]
+
+    def shape_anchors(self, mi: int) -> List[np.ndarray]:
+        """Current anchor words of every shape of module ``mi``, in shape
+        order: one kernel call."""
+        return self.ledger.anchors(self.modules[mi].shapes, self.ledger.held)
 
     def first_anchors(self, mi: int) -> Iterator[Tuple[int, int, int]]:
         """``(x, y, shape)``: the bottom-left free anchor of every shape of
         module ``mi`` that has one, in shape order."""
-        for si in range(len(self.modules[mi].shapes)):
-            hit = first_anchor(self.anchors(mi, si))
+        for si, words in enumerate(self.shape_anchors(mi)):
+            hit = first_anchor(words)
             if hit is not None:
                 yield *hit, si
 
     def bottom_left(self, mi: int) -> Optional[Tuple[int, int, int]]:
         """Module ``mi``'s bottom-left free ``(x, y, shape)``, or None
         (:func:`~repro.fabric.masks.bottom_left_pick`)."""
-        return bottom_left_pick(
-            self.anchors(mi, si) for si in range(len(self.modules[mi].shapes))
-        )
+        return bottom_left_pick(self.shape_anchors(mi))
 
     def commit(self, mi: int, si: int, x: int, y: int) -> None:
         placement = Placement(self.modules[mi], si, x, y)
-        imprint(self.occupancy, placement, True)
+        self.ledger.place(placement)
         self.placements.append(placement)
 
-    def reset(self) -> None:
-        """Clear occupancy and placements (decode loops re-place from zero)."""
-        self.occupancy[:] = False
-        self.placements = []
+    def reset(self, placements: Iterable[Placement] = ()) -> None:
+        """Hold exactly ``placements`` (decode loops re-place from zero)."""
+        self.placements = list(placements)
+        self.ledger.reset(self.placements)
 
     def out_of_budget(self) -> bool:
         """True once the wall-clock deadline (if any) has passed."""
@@ -128,19 +115,13 @@ class BasePlacer:
     time_limit: Optional[float] = None
 
     def place(
-        self,
-        region: PartialRegion,
-        modules: Sequence[Module],
-        *,
-        cache: Optional[AnchorMaskCache] = None,
+        self, region: PartialRegion, modules: Sequence[Module]
     ) -> PlacementResult:
         start = time.monotonic()
         deadline = (
             start + self.time_limit if self.time_limit is not None else None
         )
-        state = _State(
-            region, modules, cache=cache, seed=self.seed, deadline=deadline
-        )
+        state = _State(region, modules, seed=self.seed, deadline=deadline)
         unplaced = self._run(state)
         return PlacementResult(
             region,

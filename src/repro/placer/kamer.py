@@ -8,7 +8,9 @@ bounding box into a chosen MER, and re-splits intersecting rectangles.
 Because our fabric is heterogeneous, a candidate position inside a MER is
 additionally validated against the resource-typed anchor mask; the MER
 machinery is used (as in the original) for fast free-space management,
-while M_b feasibility comes from the same mask test all placers share.
+while M_b feasibility comes from the same free-space ledger all placers
+share: each arriving module's anchor words, unpacked once and sliced per
+MER.
 Modules arrive online (input order) and are rejected if nothing fits —
 utilization then reflects the service level, the metric the online
 literature reports.
@@ -18,7 +20,10 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from repro.fabric.masks import first_anchor
+from repro.modules.footprint import Footprint
 from repro.modules.module import Module
 from repro.placer.base import BasePlacer, _State
 
@@ -76,15 +81,15 @@ class KamerPlacer(BasePlacer):
 
         return maximal_empty_rectangles(state.region.allowed_mask())
 
+    @staticmethod
     def _candidate_in_mer(
-        self, state: _State, mi: int, si: int, mer: Rect
+        fp: Footprint, mask: np.ndarray, mer: Rect
     ) -> Optional[Tuple[int, int]]:
-        """Bottom-left resource-feasible anchor of shape inside the MER."""
-        fp = state.modules[mi].shapes[si]
+        """Bottom-left anchor of one shape's ``(H, W)`` anchor mask whose
+        bounding box lies inside the MER."""
         x0, y0, w, h = mer
         if fp.width > w or fp.height > h:
             return None
-        mask = state.anchors(mi, si)
         hit = first_anchor(
             mask[y0 : y0 + h - fp.height + 1, x0 : x0 + w - fp.width + 1]
         )
@@ -96,10 +101,13 @@ class KamerPlacer(BasePlacer):
         mers = self._initial_mers(state)
         unplaced: List[Module] = []
         for mi, module in enumerate(state.modules):
+            # the ledger does not change while one module is being sited,
+            # so every shape's anchors are read and unpacked once
+            masks = state.ledger.mask(np.array(state.shape_anchors(mi)))
             choice = None  # (score, si, x, y, mer)
             for mer in sorted(mers, key=lambda r: r[2] * r[3]):
-                for si in range(len(module.shapes)):
-                    pos = self._candidate_in_mer(state, mi, si, mer)
+                for si, fp in enumerate(module.shapes):
+                    pos = self._candidate_in_mer(fp, masks[si], mer)
                     if pos is None:
                         continue
                     choice = (si, pos[0], pos[1])

@@ -81,9 +81,10 @@ class SlotPlacer(BasePlacer):
                     if not all(slot_free[first : first + need]):
                         continue
                     x = first * sw
-                    # slot model anchors at the slot origin, bottom row;
-                    # resource compatibility must still hold (M_b)
-                    if not anchors[0, x]:
+                    # slot model anchors at the slot origin, bottom row
+                    # (bit 0 of column x); resource compatibility must
+                    # still hold (M_b)
+                    if not int(anchors[x, 0]) & 1:
                         continue
                     state.commit(mi, si, x, 0)
                     for k in range(first, first + need):

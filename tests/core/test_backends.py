@@ -195,17 +195,6 @@ class TestAdapterParity:
         )
         assert evals <= expected
 
-    def test_baseline_cache_reuse_is_visible(self):
-        region, modules = small_instance()
-        cache = AnchorMaskCache()
-        backend = create_backend("bottom-left")
-        backend.place(PlacementRequest(region, modules, cache=cache))
-        misses_after_first = cache.misses
-        assert misses_after_first > 0 and cache.hits == 0
-        backend.place(PlacementRequest(region, modules, cache=cache))
-        assert cache.misses == misses_after_first  # pure hits now
-        assert cache.hits >= misses_after_first
-
 
 class TestBackendObservability:
     def test_start_result_event_pair(self):

@@ -8,7 +8,8 @@ is a switch of the reference kernel only, and the placement kernel's
 boolean-bank oracle lives in ``tests/support.py``.  Tests reach them
 through :func:`tests.support.kernel_mode`.  This guard keeps them, and
 the knobs that only ever took their default, off the solver surface, and
-the baseline placers' single-rule options off their constructors.
+the baseline placers' single-rule options off their constructors and the
+anchor cache off their ``place``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.core.temporal import TemporalCPPlacer
 from repro.fabric.cache import AnchorMaskCache
 from repro.geost.placement import PlacementKernel
 from repro.placer import KamerPlacer
+from repro.placer.base import BasePlacer
 
 REMOVED_FIELDS = {
     PlacerConfig: {
@@ -51,6 +53,9 @@ REMOVED_PARAMETERS = {
     # best-area is KAMER's only MER rule; "first" and "bottom-left"
     # both ordered MERs by (x, y)
     KamerPlacer: {"fit"},
+    # baselines answer fit queries from their own free-space ledger; the
+    # anchor cache serves only the CP solvers
+    BasePlacer.place: {"cache"},
 }
 
 

@@ -23,7 +23,7 @@ from repro.fabric.cache import (
     region_fingerprint,
 )
 from repro.fabric.devices import irregular_device
-from repro.fabric.masks import valid_anchor_mask
+from repro.fabric.masks import unpack_columns, valid_anchor_mask
 from repro.fabric.region import NarrowedRegion, PartialRegion
 from repro.geost.placement import PlacementKernel
 from repro.modules.footprint import Footprint
@@ -31,8 +31,8 @@ from repro.modules.generator import GeneratorConfig, ModuleGenerator
 
 
 def one_mask(cache, region, fp):
-    """The cache's unpacked mask of one footprint."""
-    return cache.anchor_masks(region, [fp])[0]
+    """The cache's words of one footprint, unpacked into an (H, W) mask."""
+    return unpack_columns(cache.anchor_words(region, [fp])[0], region.height)
 
 
 def bank_masks(kernel):
@@ -124,9 +124,9 @@ class TestCacheLookups:
     def test_cached_masks_are_write_protected(self):
         region = PartialRegion.whole_device(irregular_device(24, 8, seed=1))
         cache = AnchorMaskCache()
-        mask = one_mask(cache, region, Footprint.rectangle(2, 2))
+        (words,) = cache.anchor_words(region, [Footprint.rectangle(2, 2)])
         with pytest.raises(ValueError):
-            mask[0, 0] = False
+            words[0, 0] = 0
 
     def test_structurally_equal_regions_share_entries(self):
         """Two deserialized copies of one payload hit the same entries."""

@@ -20,11 +20,17 @@ Three anchor-mask oracles for the packed column-word kernel
 :func:`slice_and_anchor_mask` (an earlier vectorized kernel, one shifted
 slice-AND per footprint cell) and :func:`prefix_count_anchor_mask` (the
 kernel the words replaced, one prefix-count subtraction per vertical run
-over :func:`blocked_prefix_counts`).  The two mask queries have theirs:
-:func:`lexsort_first_anchor` (the ``nonzero`` + ``lexsort`` pick each
-placer used to hand-roll) for :func:`repro.fabric.masks.first_anchor`, and
-:func:`cell_table_free_anchors` (the baseline state's gather over its own
-``int64`` offset table) for :func:`repro.fabric.masks.free_anchors`.
+over :func:`blocked_prefix_counts`).  :func:`lexsort_first_anchor` (the
+``nonzero`` + ``lexsort`` pick each placer used to hand-roll) is the
+oracle of :func:`repro.fabric.masks.first_anchor`.
+
+:class:`BoolGridState` is the baseline placers' run state before the
+free-space ledger: an ``(H, W)`` boolean occupancy grid and each shape's
+static anchor mask (:func:`unpacked_anchor_masks`), filtered per query by
+:func:`cell_table_free_anchors`, a per-anchor gather of the grid under the
+footprint's cells.  It is the differential oracle of
+:class:`repro.placer.base._State`, and :func:`injected_state` runs every
+baseline placer on it.
 
 :func:`full_cp_model` is the oracle switch of the CP placer's one-module
 closed form: inside it every request builds the full model and searches.
@@ -68,6 +74,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
@@ -77,6 +84,7 @@ import numpy as np
 import repro.core.placement_model
 import repro.core.placer
 import repro.core.temporal
+import repro.placer.base
 from repro.core.placer import CPPlacer
 from repro.core.relocation import RelocationSite
 from repro.core.result import Placement, PlacementResult
@@ -91,9 +99,13 @@ from repro.cp.variable import IntVar
 from repro.fabric.cache import AnchorMaskCache
 from repro.fabric.devices import homogeneous_device, irregular_device
 from repro.fabric.masks import (
-    anchor_masks,
+    anchor_words,
+    bottom_left_pick,
     column_words,
     compatibility_masks,
+    first_anchor,
+    pack_columns,
+    unpack_columns,
     valid_anchor_mask,
 )
 from repro.fabric.region import NarrowedRegion, PartialRegion
@@ -239,12 +251,21 @@ def lexsort_first_anchor(valid: np.ndarray) -> Optional[Tuple[int, int]]:
     return int(xs[k]), int(ys[k])
 
 
+def unpacked_anchor_masks(
+    words: np.ndarray, footprints: Sequence[Footprint], height: int
+) -> List[np.ndarray]:
+    """One ``(H, W)`` boolean anchor mask per footprint: the unpacked
+    :func:`~repro.fabric.masks.anchor_words` over column words ``words``."""
+    found = np.array(anchor_words(words, footprints))
+    return list(unpack_columns(found, height))
+
+
 def cell_table_free_anchors(
     static: np.ndarray, footprint: Footprint, occupied: np.ndarray
 ) -> np.ndarray:
-    """Anchors of ``static`` free of ``occupied``: the baseline state's
-    gather before ``free_anchors``, over an ``int64`` ``(dy, dx)`` offset
-    table built from the footprint's cells."""
+    """Anchors of ``static`` whose footprint cells are all free of
+    ``occupied``: one gather per anchor over an ``int64`` ``(dy, dx)``
+    offset table built from the footprint's cells."""
     off = np.array(
         [(dy, dx) for dx, dy, _ in sorted(footprint.cells)], dtype=np.int64
     )
@@ -378,6 +399,106 @@ class BoolGridLedger:
             slice_and_anchor_mask(residual, sorted(fp.cells))
             for fp in footprints
         ]
+
+
+class BoolGridState:
+    """The baseline placers' run state on boolean grids, the oracle of
+    :class:`repro.placer.base._State`.
+
+    Each shape's static anchors are unpacked once per run, every fit
+    query drops the anchors whose cells the ``(H, W)`` occupancy grid
+    holds (:func:`cell_table_free_anchors`), and picks and writes run on
+    the boolean masks and grid.  The interface is ``_State``'s: anchors go
+    out as packed words, and the ledger calls the placers make
+    (``place``, ``remove``, ``mask``) land on the state itself.
+    """
+
+    def __init__(
+        self,
+        region: PartialRegion,
+        modules: Sequence[Module],
+        seed: int = 0,
+        deadline: Optional[float] = None,
+    ) -> None:
+        self.region = region
+        self.modules = list(modules)
+        self.H, self.W = region.height, region.width
+        self.occupancy = np.zeros((self.H, self.W), dtype=bool)
+        words = column_words(region)
+        self.static = [
+            unpacked_anchor_masks(words, m.shapes, self.H)
+            for m in self.modules
+        ]
+        self.ledger = self
+        self.placements: List[Placement] = []
+        self.rng = random.Random(seed)
+        self.deadline = deadline
+        self.stats: Dict = {}
+
+    def free_mask(self, mi: int, si: int) -> np.ndarray:
+        """One shape's current ``(H, W)`` anchor mask."""
+        return cell_table_free_anchors(
+            self.static[mi][si], self.modules[mi].shapes[si], self.occupancy
+        )
+
+    def masks(self, mi: int) -> List[np.ndarray]:
+        """Every shape's current anchor mask of module ``mi``."""
+        return [self.free_mask(mi, si) for si in range(len(self.static[mi]))]
+
+    def anchors(self, mi: int, si: int) -> np.ndarray:
+        return pack_columns(self.free_mask(mi, si))
+
+    def shape_anchors(self, mi: int) -> List[np.ndarray]:
+        return [pack_columns(mask) for mask in self.masks(mi)]
+
+    def first_anchors(self, mi: int) -> Iterator[Tuple[int, int, int]]:
+        for si, mask in enumerate(self.masks(mi)):
+            hit = first_anchor(mask)
+            if hit is not None:
+                yield *hit, si
+
+    def bottom_left(self, mi: int) -> Optional[Tuple[int, int, int]]:
+        return bottom_left_pick(self.masks(mi))
+
+    def place(self, placement: Placement) -> None:
+        self.occupancy[placement.cell_index()] = True
+
+    def remove(self, placement: Placement) -> None:
+        self.occupancy[placement.cell_index()] = False
+
+    def mask(self, words: np.ndarray) -> np.ndarray:
+        return unpack_columns(words, self.H)
+
+    def commit(self, mi: int, si: int, x: int, y: int) -> None:
+        placement = Placement(self.modules[mi], si, x, y)
+        self.place(placement)
+        self.placements.append(placement)
+
+    def reset(self, placements: Sequence[Placement] = ()) -> None:
+        self.occupancy[:] = False
+        self.placements = list(placements)
+        for p in self.placements:
+            self.place(p)
+
+    def out_of_budget(self) -> bool:
+        return self.deadline is not None and time.monotonic() >= self.deadline
+
+    def extent(self) -> int:
+        return max((p.right for p in self.placements), default=0)
+
+
+@contextmanager
+def injected_state(factory) -> Iterator[None]:
+    """Run every baseline placer on the state ``factory`` builds (for
+    example :class:`BoolGridState`) inside this block:
+    :meth:`~repro.placer.base.BasePlacer.place` builds its state through
+    the module-level name ``_State``."""
+    previous = repro.placer.base._State
+    repro.placer.base._State = factory
+    try:
+        yield
+    finally:
+        repro.placer.base._State = previous
 
 
 def count_anchors(valid: np.ndarray, col: np.ndarray, row: np.ndarray) -> int:
@@ -557,24 +678,28 @@ class BoolBankKernel(Propagator):
                 for i, (m, x, y, s) in enumerate(zip(modules, xs, ys, ss))
             ]
         # three mask sources, cheapest first: a NarrowedRegion with a cache
-        # reuses the *base* region's memoized masks and fixes them up below
+        # reuses the *base* region's memoized words and fixes them up below
         # (the incremental LNS path); a cache alone memoizes per (region,
         # footprint); no cache recomputes them.  Each module's shapes are
-        # one kernel batch
+        # one kernel batch, unpacked into (H, W) masks
         snap = cache.snapshot() if cache is not None else None
         narrowed = cache is not None and isinstance(region, NarrowedRegion)
         if narrowed:
             base_key = cache.region_key(region.base)
-            masks_of = lambda shapes: cache.anchor_masks(  # noqa: E731
+            words_of = lambda shapes: cache.anchor_words(  # noqa: E731
                 region.base, shapes, base_key
             )
         elif cache is not None:
             key = cache.region_key(region)
-            masks_of = lambda shapes: cache.anchor_masks(  # noqa: E731
+            words_of = lambda shapes: cache.anchor_words(  # noqa: E731
                 region, shapes, key
             )
         else:
-            masks_of = lambda shapes: anchor_masks(region, shapes)  # noqa: E731
+            words = column_words(region)
+            words_of = lambda shapes: anchor_words(words, shapes)  # noqa: E731
+
+        def masks_of(shapes):
+            return unpack_columns(np.array(words_of(shapes)), self.H)
         # anchor masks live in one contiguous "bank" (one row per shape of
         # every item) so the non-overlap narrowing after an imprint is one
         # batched fancy-index update instead of hundreds of small ones
