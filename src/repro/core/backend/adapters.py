@@ -84,8 +84,6 @@ class CPBackend(PlacementBackend):
             updates["first_solution_only"] = True
         if request.profile:
             updates["profile"] = True
-        if request.cache is not None:
-            updates["cache"] = request.cache
         if tracer is not None:
             updates["tracer"] = tracer
         if request.warm_start is not None:
@@ -119,8 +117,6 @@ class LNSBackend(PlacementBackend):
             updates["seed"] = request.seed
         if request.profile:
             updates["profile"] = True
-        if request.cache is not None:
-            updates["cache"] = request.cache
         if tracer is not None:
             updates["tracer"] = tracer
         if request.warm_start is not None:
@@ -240,12 +236,7 @@ class TemporalCPBackend(PlacementBackend):
         tasks = [
             TemporalTask(module, d) for module, d in zip(modules, durations)
         ]
-        tres = placer.place(
-            request.region,
-            tasks,
-            list(request.precedences),
-            cache=request.cache,
-        )
+        tres = placer.place(request.region, tasks, list(request.precedences))
         placements = [
             Placement(s.task.module, s.shape_index, s.x, s.y)
             for s in tres.schedule
@@ -282,8 +273,7 @@ class BaselineBackend(PlacementBackend):
 
     A fresh placer is built per call (they are stateful across ``_run``),
     and the request's seed / budget land on the uniform ``BasePlacer``
-    knobs — no per-placer plumbing.  Baselines keep their own free-space
-    ledger, so the request's anchor cache is not read.
+    knobs — no per-placer plumbing.
     """
 
     session_self_recording = False

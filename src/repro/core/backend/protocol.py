@@ -6,8 +6,7 @@ request/response protocol:
 
 * :class:`PlacementRequest` carries the instance (region + modules) and
   the uniform knobs every engine understands a subset of: seed, wall-clock
-  / node budget, first-solution mode, a shared
-  :class:`~repro.fabric.cache.AnchorMaskCache` and a
+  / node budget, first-solution mode and a
   :class:`~repro.obs.trace.Tracer`.
 * :class:`PlacementBackend.place` normalizes the tracer, emits the
   ``backend.start`` / ``backend.result`` event pair, guarantees a
@@ -30,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
 from repro.core.result import PlacementResult
-from repro.fabric.cache import AnchorMaskCache
 from repro.fabric.region import PartialRegion
 from repro.modules.module import Module
 from repro.obs import context as obs_context
@@ -76,8 +74,6 @@ class PlacementRequest:
     first_solution_only: bool = False
     #: force profile collection even without an active profiling session
     profile: bool = False
-    #: shared anchor-mask cache (None = each backend's own policy)
-    cache: Optional[AnchorMaskCache] = None
     #: event sink for ``backend.*`` (and engine-level) trace events
     tracer: Optional[Tracer] = None
     #: scheduling horizon in ticks for backends with ``schedules=True``

@@ -2,19 +2,12 @@
 
 Every parallel layer in the repo ships the same things across the process
 boundary — a JSON-serializable region payload, module payloads, scalar
-knobs — and deserializes them on the far side.  This module centralizes
-the far side so worker *processes* are reusable:
-
-* :func:`process_cache` keeps one named
-  :class:`~repro.fabric.cache.AnchorMaskCache` per process (module-global
-  registry).  A portfolio whose workers survive across submissions
-  reuses its warmed entries instead of re-deriving every mask per call.
-* :func:`solve_in_worker` is the uniform remote solve: one module against
-  one region through an admission chain of registered backend names,
-  returning a plain placement tuple.  The sharded service's process-pool
-  mode plugs this into :attr:`RuntimeConfig.solver
-  <repro.core.runtime.RuntimeConfig.solver>`.  It is sent residual
-  regions, whose masks never repeat, so it solves with no cache.
+knobs — and deserializes them on the far side.  This module holds the
+far side of the sharded service's process-pool mode:
+:func:`solve_in_worker` is the uniform remote solve, one module against
+one region through an admission chain of registered backend names,
+returning a plain placement tuple.  The service plugs it into
+:attr:`RuntimeConfig.solver <repro.core.runtime.RuntimeConfig.solver>`.
 
 Nothing solver-internal crosses the boundary (same rule as the
 portfolio): payloads in, plain tuples out.
@@ -22,30 +15,13 @@ portfolio): payloads in, plain tuples out.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.fabric.cache import AnchorMaskCache
 from repro.fabric.io import region_from_dict
 from repro.modules.spec import module_from_dict
 
-#: per-process named caches (one registry per worker process)
-_PROCESS_CACHES: Dict[str, AnchorMaskCache] = {}
-
 #: (shape index, x, y, backend name) of one remote admission
 WorkerPlacement = Tuple[int, int, int, str]
-
-
-def process_cache(key: str) -> AnchorMaskCache:
-    """The process-wide cache named ``key`` (created on first use)."""
-    cache = _PROCESS_CACHES.get(key)
-    if cache is None:
-        cache = _PROCESS_CACHES[key] = AnchorMaskCache()
-    return cache
-
-
-def reset_process_caches() -> None:
-    """Drop every named cache (test isolation hook)."""
-    _PROCESS_CACHES.clear()
 
 
 def solve_in_worker(

@@ -24,12 +24,9 @@ import time
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.placer import CPPlacer, PlacerConfig, warm_start_seed
 from repro.core.result import Placement, PlacementResult
-from repro.fabric.cache import AnchorMaskCache
-from repro.fabric.region import NarrowedRegion, PartialRegion
+from repro.fabric.region import PartialRegion
 from repro.modules.module import Module
 from repro.obs.profile import SolveProfile
 from repro.obs.trace import LNS_IMPROVED, LNS_NEIGHBORHOOD, Tracer
@@ -59,10 +56,6 @@ class LNSConfig:
     #: structured event sink for LNS-level events (neighborhood chosen,
     #: incumbent improved) — also threaded into every CP subsolve
     tracer: Optional[Tracer] = None
-    #: anchor-mask cache shared by the initial solve and every subproblem;
-    #: None = one private cache per ``place`` call (still warm across
-    #: iterations).  Portfolio workers pass their per-process cache here.
-    cache: Optional[AnchorMaskCache] = None
     #: name of a registered backend (usually ``"analytical"``) whose
     #: legalized placement replaces the CP-dive/greedy bootstrap as the
     #: initial incumbent (None = cold construction ladder)
@@ -75,7 +68,6 @@ class LNSPlacer:
     def __init__(self, config: Optional[LNSConfig] = None) -> None:
         self.config = config or LNSConfig()
         self._profile_total: Optional[SolveProfile] = None
-        self._cache: Optional[AnchorMaskCache] = None
 
     # ------------------------------------------------------------------
     def place(
@@ -92,11 +84,6 @@ class LNSPlacer:
             else None
         )
 
-        # one anchor-mask cache for the whole anytime run: the initial
-        # solve computes (or inherits) the base-region masks once and every
-        # LNS subproblem derives its masks from them incrementally
-        self._cache = cfg.cache if cfg.cache is not None else AnchorMaskCache()
-
         # warm start: a seeder backend (the analytical relaxation) can
         # hand over a verified full placement, skipping the construction
         # ladder entirely — the improvement loop starts optimizing at once
@@ -105,7 +92,7 @@ class LNSPlacer:
         if cfg.warm_start and modules:
             warm = warm_start_seed(
                 cfg.warm_start, region, modules, seed=cfg.seed,
-                time_limit=cfg.time_limit, cache=self._cache, tracer=tracer,
+                time_limit=cfg.time_limit, tracer=tracer,
             )
             if warm is not None:
                 base = warm
@@ -127,8 +114,6 @@ class LNSPlacer:
                 initial_cfg = replace(
                     initial_cfg, profile=cfg.profile, tracer=tracer
                 )
-            if initial_cfg.cache is None:
-                initial_cfg = replace(initial_cfg, cache=self._cache)
             base = CPPlacer(initial_cfg).place(region, modules)
             self._absorb_profile(base)
         if not base.placements or not base.all_placed:
@@ -146,7 +131,6 @@ class LNSPlacer:
                 seed=cfg.seed,
                 profile=cfg.profile,
                 tracer=tracer,
-                cache=self._cache,
             )
             restarted = CPPlacer(restart_cfg).place(region, modules)
             self._absorb_profile(restarted)
@@ -200,7 +184,6 @@ class LNSPlacer:
             "trajectory": trajectory,
             "initial_extent": trajectory[0][1],
             "shapes_considered": sum(m.n_alternatives for m in modules),
-            "mask_cache": self._cache.stats(),
         }
         if warm_stats:
             stats["warm_start"] = warm_stats
@@ -257,20 +240,15 @@ class LNSPlacer:
         if frozen_extent >= best_extent:
             return None  # this neighborhood cannot beat the incumbent
 
-        # carve frozen modules' cells out of the reconfigurable area; a
-        # NarrowedRegion keeps the lineage so the kernel can derive the
-        # subproblem's anchor masks from the cached base-region masks
-        # instead of recomputing every cross-correlation
-        blocked = np.array(
-            [(y, x) for p in frozen for x, y, _ in p.absolute_cells()],
-            dtype=np.int64,
-        ).reshape(-1, 2)
-        sub_region = NarrowedRegion(region, blocked, f"{region.name}-lns")
+        # carve frozen modules' cells out of the reconfigurable area
+        free = region.reconfigurable.copy()
+        for p in frozen:
+            free[p.cell_index()] = False
+        sub_region = PartialRegion(region.grid, free, f"{region.name}-lns")
 
         budget = min(cfg.sub_time_limit, max(0.1, deadline - time.monotonic()))
         sub_cfg = PlacerConfig(
-            time_limit=budget, profile=cfg.profile, tracer=tracer,
-            cache=self._cache,
+            time_limit=budget, profile=cfg.profile, tracer=tracer
         )
         free_modules = [placements[i].module for i in free_idx]
         placer = CPPlacer(sub_cfg)

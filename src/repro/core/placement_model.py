@@ -22,23 +22,17 @@ from repro.cp.constraints import Task
 from repro.cp.model import Model
 from repro.cp.variable import IntVar
 from repro.core.objective import ObjectiveKind, build_objective
-from repro.fabric.cache import AnchorMaskCache
 from repro.fabric.region import PartialRegion
 from repro.geost.placement import PlacementKernel
 from repro.modules.module import Module
-from repro.obs.trace import CACHE_MASKS, Tracer
+from repro.obs.trace import Tracer
 
 
 class PlacementModel:
     """CP model for placing a module set on a partial region.
 
     ``tracer``/``profile`` reach the engine before the kernel is posted,
-    so the (expensive) root propagation is observable too.  ``cache``
-    (an :class:`~repro.fabric.cache.AnchorMaskCache`) memoizes the static
-    anchor masks across repeated constructions — the LNS/portfolio hot
-    path; the per-construction hit/miss deltas land in
-    :attr:`cache_stats` and, when a tracer is attached, in one
-    ``cache.masks`` event.
+    so the (expensive) root propagation is observable too.
     """
 
     def __init__(
@@ -49,7 +43,6 @@ class PlacementModel:
         symmetry_breaking: bool = True,
         tracer: Optional[Tracer] = None,
         profile: bool = False,
-        cache: Optional[AnchorMaskCache] = None,
     ) -> None:
         if not modules:
             raise ValueError("nothing to place")
@@ -69,16 +62,8 @@ class PlacementModel:
             self.ss.append(m.int_var(0, mod.n_alternatives - 1, f"s[{i}]"))
 
         self.kernel = PlacementKernel(
-            region, self.modules, self.xs, self.ys, self.ss, cache=cache
+            region, self.modules, self.xs, self.ys, self.ss
         )
-        #: anchor-mask cache increments of this construction (None = uncached)
-        self.cache_stats = self.kernel.cache_stats
-        if (
-            self.cache_stats is not None
-            and tracer is not None
-            and tracer.enabled
-        ):
-            tracer.emit(CACHE_MASKS, **self.cache_stats)
         m.post(self.kernel)
 
         self.objective_var = build_objective(

@@ -13,9 +13,9 @@ solution under the min-extent objective, with no warm start, extent
 clamp, restarts or node budget (:func:`closed_form_applies`, the runtime
 admission probe).  That dive provably lands on the minimum ``(x, y,
 shape)`` over the shapes' valid anchors, so :meth:`CPPlacer._place`
-returns :func:`~repro.fabric.masks.bottom_left_pick` over the masks read
-through the request's cache, or a proven ``"infeasible"`` when no shape
-has an anchor.  The full model stays the test oracle
+returns :func:`~repro.fabric.masks.bottom_left_pick` over the shapes'
+anchor words, or a proven ``"infeasible"`` when no shape has an
+anchor.  The full model stays the test oracle
 (``tests/support.py::full_cp_model``).
 """
 
@@ -34,13 +34,12 @@ from repro.cp.search import SearchLimit
 from repro.core.objective import ObjectiveKind
 from repro.core.placement_model import PlacementModel
 from repro.core.result import Placement, PlacementResult
-from repro.fabric.cache import AnchorMaskCache
 from repro.fabric.masks import anchor_words, bottom_left_pick, column_words
 from repro.fabric.region import PartialRegion
 from repro.modules.module import Module
 from repro.obs import context as obs_context
 from repro.obs.profile import SolveProfile
-from repro.obs.trace import CACHE_MASKS, Tracer
+from repro.obs.trace import Tracer
 
 
 #: fraction of the solve's ``time_limit`` granted to a warm-start seeder
@@ -74,9 +73,6 @@ class PlacerConfig:
     profile: bool = False
     #: structured event sink threaded into the engine (None = off)
     tracer: Optional[Tracer] = None
-    #: anchor-mask cache shared across model constructions (None = compute
-    #: masks fresh); the LNS driver and portfolio workers thread one in
-    cache: Optional[AnchorMaskCache] = None
     #: name of a registered backend (usually ``"analytical"``) whose
     #: legalized placement becomes the initial incumbent: the objective is
     #: clamped to beat it before search starts, so the branch-and-bound
@@ -90,7 +86,6 @@ def warm_start_seed(
     modules: Sequence[Module],
     seed: int,
     time_limit: Optional[float],
-    cache: Optional[AnchorMaskCache],
     tracer: Optional[Tracer],
 ) -> Optional[PlacementResult]:
     """Run the seeder ``backend``; None when its answer is unusable.
@@ -110,7 +105,6 @@ def warm_start_seed(
             list(modules),
             seed=seed,
             time_limit=budget,
-            cache=cache,
             tracer=tracer,
         )
     )
@@ -158,7 +152,7 @@ class CPPlacer:
         cfg = self.config
         result = warm_start_seed(
             cfg.warm_start, region, modules, seed=cfg.seed,
-            time_limit=cfg.time_limit, cache=cfg.cache, tracer=cfg.tracer,
+            time_limit=cfg.time_limit, tracer=cfg.tracer,
         )
         if result is None:
             return None
@@ -234,7 +228,6 @@ class CPPlacer:
                 symmetry_breaking=cfg.symmetry_breaking,
                 tracer=cfg.tracer,
                 profile=profiling,
-                cache=cfg.cache,
             )
             if max_extent is not None:
                 pm.objective_var.remove_above(max_extent)
@@ -379,28 +372,16 @@ class CPPlacer:
     ) -> PlacementResult:
         """Answer a :func:`closed_form_applies` request without a model.
 
-        Reads each shape's anchor words with the lookups the kernel makes
-        for a plain region (one per shape, so the cache counters match a
-        model build) and returns the bottom-left ``(x, y, shape)`` over
-        them, or a proven ``"infeasible"`` when no shape has an anchor; no
-        ``(H, W)`` mask is built.  As with the dive, the answer is
-        ``"optimal"`` only when it is the one anchor there is (root
-        propagation then fixes every variable): exactly one bit set across
-        the shapes' words.  Otherwise it is ``"feasible"``.
+        Builds each shape's anchor words as the kernel does and returns
+        the bottom-left ``(x, y, shape)`` over them, or a proven
+        ``"infeasible"`` when no shape has an anchor; no ``(H, W)`` mask is
+        built.  As with the dive, the answer is ``"optimal"`` only when it
+        is the one anchor there is (root propagation then fixes every
+        variable): exactly one bit set across the shapes' words.  Otherwise
+        it is ``"feasible"``.
         """
-        cfg = self.config
-        cache, shapes = cfg.cache, module.shapes
-        cache_stats = None
-        if cache is None:
-            words = anchor_words(column_words(region), shapes)
-        else:
-            snap = cache.snapshot()
-            words = cache.anchor_words(region, shapes)
-            cache_stats = cache.delta(snap)
+        words = anchor_words(column_words(region), module.shapes)
         pick = bottom_left_pick(words)
-        tracer = cfg.tracer
-        if cache_stats is not None and tracer is not None and tracer.enabled:
-            tracer.emit(CACHE_MASKS, **cache_stats)
         elapsed = time.monotonic() - start
         stats: Dict[str, object] = {
             "shapes_considered": module.n_alternatives,
@@ -412,8 +393,6 @@ class CPPlacer:
                 stop_reason="closed-form",
                 meta={"instance": region.name, "modules": 1, "placer": "cp"},
             )
-            if cache_stats is not None:
-                profile.add_cache_stats(cache_stats)
             session = obs_context.current()
             if session is not None:
                 session.record(profile)
@@ -453,8 +432,6 @@ class CPPlacer:
             placer="cp",
         )
         profile.restarts = restarts
-        if pm.cache_stats is not None:
-            profile.add_cache_stats(pm.cache_stats)
         inc = pm.kernel.inc_stats
         profile.geost_dirty = inc.dirty
         profile.geost_reused = inc.reused

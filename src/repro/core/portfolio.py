@@ -50,17 +50,9 @@ def _worker(
     """Solve one portfolio member; returns (seed, extent, placements, profile)."""
     # lazy import: the backend package imports this module for its adapter
     from repro.core.backend import PlacementRequest, create_backend
-    from repro.core.backend.worker import process_cache
 
     region = region_from_dict(region_payload)
     modules = [module_from_dict(p) for p in module_payloads]
-    # the process-resident anchor-mask cache, warmed once per (region,
-    # library): the initial solve and every LNS subproblem of this member
-    # run on hits only, and a worker process that outlives this call —
-    # the inline n_workers==1 path, or a long-lived pool — reuses the
-    # warmed entries on its next solve instead of re-deriving them
-    cache = process_cache("portfolio")
-    cache.warm(region, modules)
     result = create_backend(backend).place(
         PlacementRequest(
             region,
@@ -68,7 +60,6 @@ def _worker(
             seed=seed,
             time_limit=time_limit,
             profile=profile,
-            cache=cache,
         )
     )
     profile_payload = None

@@ -23,16 +23,13 @@ Two placers share the model:
 * :class:`TemporalCPPlacer` runs on the production
   :class:`~repro.geost.placement.PlacementKernel` with a time axis —
   the same word bank as the spatial kernel with one column per
-  ``(t, x)``, static words served from the shared
-  :class:`~repro.fabric.cache.AnchorMaskCache`.
-  This is what the ``temporal-cp`` backend and the runtime reservation
-  probe use; it is pinned against :class:`TemporalPlacer` on small
-  instances.
+  ``(t, x)``.  This is what the ``temporal-cp`` backend and the runtime
+  reservation probe use; it is pinned against :class:`TemporalPlacer` on
+  small instances.
 
 Both follow :class:`~repro.placer.base.BasePlacer`'s uniform knob
-conventions (class-level ``seed`` / ``time_limit``, a cache threaded
-through ``place``) so the backend adapter drives them like any other
-engine.
+conventions (class-level ``seed`` / ``time_limit``) so the backend
+adapter drives them like any other engine.
 """
 
 from __future__ import annotations
@@ -46,7 +43,6 @@ from repro.cp.branching import min_value, smallest_domain
 from repro.cp.engine import Inconsistent
 from repro.cp.model import Model
 from repro.cp.search import SearchLimit
-from repro.fabric.cache import AnchorMaskCache, footprint_signature
 from repro.fabric.region import PartialRegion
 from repro.fabric.resource import ResourceType
 from repro.geost.boxes import Box, ShiftedBox
@@ -223,14 +219,7 @@ class TemporalPlacer:
     production :class:`TemporalCPPlacer` is pinned against.  Follows
     :class:`~repro.placer.base.BasePlacer`'s knob conventions: ``seed``
     and ``time_limit`` are uniform attributes the backend adapter
-    overrides per request, and an
-    :class:`~repro.fabric.cache.AnchorMaskCache` handed to ``place`` (or
-    the constructor) memoizes the fabric-content-derived model pieces —
-    the per-(region, horizon) forbidden-region list and the
-    per-(footprint, duration) shape extrusions — via
-    :meth:`~repro.fabric.cache.AnchorMaskCache.memo`.  Cached and
-    uncached runs are bit-identical (the memo returns the same objects
-    a fresh construction would build), pinned by the counter tests.
+    overrides per request.
     """
 
     name = "temporal"
@@ -244,56 +233,20 @@ class TemporalPlacer:
         horizon: int,
         time_limit: Optional[float] = 30.0,
         seed: int = 0,
-        cache: Optional[AnchorMaskCache] = None,
     ) -> None:
         if horizon <= 0:
             raise ValueError("horizon must be positive")
         self.horizon = horizon
         self.time_limit = time_limit
         self.seed = seed
-        self.cache = cache
-
-    @staticmethod
-    def _extrusion(
-        cache: Optional[AnchorMaskCache], fp: Footprint, duration: int
-    ) -> GeostShape:
-        """The task's 3-D shape, memoized per (footprint, duration)."""
-        if cache is None:
-            return _extrude(fp, duration)
-        return cache.memo(
-            ("temporal-extrude", footprint_signature(fp), duration),
-            lambda: _extrude(fp, duration),
-        )
-
-    def _forbidden(
-        self,
-        cache: Optional[AnchorMaskCache],
-        region: PartialRegion,
-        kinds: Sequence[ResourceType],
-    ) -> List[ForbiddenRegion]:
-        """The fabric's forbidden regions, memoized per (region, horizon)."""
-        if cache is None:
-            return _fabric_regions(region, kinds, self.horizon)
-        return cache.memo(
-            (
-                "temporal-fabric",
-                cache.region_key(region),
-                tuple(kinds),
-                self.horizon,
-            ),
-            lambda: _fabric_regions(region, kinds, self.horizon),
-        )
 
     def place(
         self,
         region: PartialRegion,
         tasks: Sequence[TemporalTask],
         precedences: Sequence[Tuple[int, int]] = (),
-        *,
-        cache: Optional[AnchorMaskCache] = None,
     ) -> TemporalResult:
         _validate_temporal(tasks, precedences)
-        cache = cache if cache is not None else self.cache
         start_time = time.monotonic()
         m = Model()
         # deduping table: tasks sharing a module (same footprints, same
@@ -317,7 +270,7 @@ class TemporalPlacer:
         try:
             for i, task in enumerate(tasks):
                 sids = [
-                    table.add(self._extrusion(cache, fp, task.duration))
+                    table.add(_extrude(fp, task.duration))
                     for fp in task.module.shapes
                 ]
                 task_sids.append(sids)
@@ -338,7 +291,8 @@ class TemporalPlacer:
                 # t_a + d_a <= t_b
                 m.add_le(objects[a].origin[2], objects[b].origin[2],
                          tasks[a].duration)
-            m.post(Geost(objects, self._forbidden(cache, region, kinds)))
+            fabric = _fabric_regions(region, kinds, self.horizon)
+            m.post(Geost(objects, fabric))
             makespan = m.int_var(0, self.horizon, "makespan")
             m.add_max(makespan, ends)
         except Inconsistent:
@@ -391,10 +345,9 @@ class TemporalCPPlacer:
     same heuristics — propagated by
     :class:`~repro.geost.placement.PlacementKernel` running with a time
     axis: the packed-word bank instead of the reference interval
-    sweeps, with the static spatial words served from the shared
-    :class:`~repro.fabric.cache.AnchorMaskCache`.  Differentially pinned
-    against :class:`TemporalPlacer` on small instances (equal optimal
-    makespans, schedules that ``verify``).
+    sweeps.  Differentially pinned against :class:`TemporalPlacer` on
+    small instances (equal optimal makespans, schedules that
+    ``verify``).
     """
 
     name = "temporal-cp"
@@ -406,25 +359,20 @@ class TemporalCPPlacer:
         horizon: int,
         time_limit: Optional[float] = 30.0,
         seed: int = 0,
-        cache: Optional[AnchorMaskCache] = None,
     ) -> None:
         if horizon <= 0:
             raise ValueError("horizon must be positive")
         self.horizon = horizon
         self.time_limit = time_limit
         self.seed = seed
-        self.cache = cache
 
     def place(
         self,
         region: PartialRegion,
         tasks: Sequence[TemporalTask],
         precedences: Sequence[Tuple[int, int]] = (),
-        *,
-        cache: Optional[AnchorMaskCache] = None,
     ) -> TemporalResult:
         _validate_temporal(tasks, precedences)
-        cache = cache if cache is not None else self.cache
         start_time = time.monotonic()
         m = Model()
         n = len(tasks)
@@ -456,7 +404,6 @@ class TemporalCPPlacer:
                     xs,
                     ys,
                     ss,
-                    cache=cache,
                     horizon=self.horizon,
                     durations=durations,
                     ts=ts,

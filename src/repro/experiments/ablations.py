@@ -176,7 +176,6 @@ def backend_comparison(
         create_backend,
     )
     from repro.core.portfolio import PortfolioConfig
-    from repro.fabric.cache import AnchorMaskCache
 
     region = default_fabric()
     modules = ModuleGenerator(seed=seed).generate_set(n_modules)
@@ -185,14 +184,11 @@ def backend_comparison(
     configs = {
         "portfolio": PortfolioConfig(n_workers=2, time_limit=time_limit),
     }
-    cache = AnchorMaskCache()
     points = []
     for name in selected:
         backend = create_backend(name, configs.get(name))
         res = backend.place(
-            PlacementRequest(
-                region, modules, seed=seed, time_limit=time_limit, cache=cache
-            )
+            PlacementRequest(region, modules, seed=seed, time_limit=time_limit)
         )
         if res.placements:
             res.verify()

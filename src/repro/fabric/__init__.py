@@ -13,16 +13,14 @@ provides
 * generators for realistic device layouts — regular Virtex-style columns
   and modern irregular layouts (:mod:`repro.fabric.devices`),
 * partial-region / static-region modelling (:mod:`repro.fabric.region`),
-* vectorized valid-anchor computation (:mod:`repro.fabric.masks`),
-* memoized anchor masks keyed by content fingerprints
-  (:mod:`repro.fabric.cache`), and
+* vectorized valid-anchor computation (:mod:`repro.fabric.masks`), and
 * JSON serialization (:mod:`repro.fabric.io`).
 """
 
 from repro.fabric.resource import ResourceType, RESOURCE_CHARS
 from repro.fabric.tile import Tile, TileSet
 from repro.fabric.grid import FabricGrid
-from repro.fabric.region import NarrowedRegion, PartialRegion
+from repro.fabric.region import PartialRegion
 from repro.fabric.devices import (
     homogeneous_device,
     columnar_device,
@@ -31,11 +29,6 @@ from repro.fabric.devices import (
     make_device,
 )
 from repro.fabric.masks import valid_anchor_mask, compatibility_masks
-from repro.fabric.cache import (
-    AnchorMaskCache,
-    footprint_signature,
-    region_fingerprint,
-)
 from repro.fabric.analysis import (
     clb_run_lengths,
     column_profile,
@@ -50,7 +43,6 @@ __all__ = [
     "TileSet",
     "FabricGrid",
     "PartialRegion",
-    "NarrowedRegion",
     "homogeneous_device",
     "columnar_device",
     "irregular_device",
@@ -58,9 +50,6 @@ __all__ = [
     "make_device",
     "valid_anchor_mask",
     "compatibility_masks",
-    "AnchorMaskCache",
-    "footprint_signature",
-    "region_fingerprint",
     "column_profile",
     "clb_run_lengths",
     "heterogeneity_index",

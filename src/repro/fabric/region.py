@@ -140,36 +140,3 @@ class PartialRegion:
             f"available={self.available_area()})"
         )
 
-
-class NarrowedRegion(PartialRegion):
-    """A base region minus a set of blocked cells, remembering its lineage.
-
-    The LNS driver carves the frozen modules' cells out of the incumbent
-    region before re-solving the free modules; the result behaves exactly
-    like a plain :class:`PartialRegion` (and is safe to hand to any
-    consumer), but additionally records *which* base region it narrows and
-    *which* cells were blocked.  Cache-aware consumers — the placement
-    kernel with an :class:`~repro.fabric.cache.AnchorMaskCache` — use that
-    lineage to derive anchor masks from the cached base-region masks by
-    clearing only the anchors that collide with the blocked cells, instead
-    of recomputing every cross-correlation against the carved-up fabric.
-    """
-
-    def __init__(
-        self, base: PartialRegion, blocked_yx: np.ndarray, name: str = ""
-    ) -> None:
-        blocked_yx = np.asarray(blocked_yx, dtype=np.int64).reshape(-1, 2)
-        mask = base.reconfigurable.copy()
-        if blocked_yx.size:
-            if (
-                blocked_yx.min() < 0
-                or blocked_yx[:, 0].max() >= base.height
-                or blocked_yx[:, 1].max() >= base.width
-            ):
-                raise ValueError("blocked cells outside the base region")
-            mask[blocked_yx[:, 0], blocked_yx[:, 1]] = False
-        super().__init__(base.grid, mask, name or f"{base.name}-narrowed")
-        #: the region this one was carved from
-        self.base = base
-        #: (n, 2) array of blocked (y, x) cells
-        self.blocked_yx = blocked_yx

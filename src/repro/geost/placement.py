@@ -14,9 +14,8 @@ over objects with polymorphic shapes (design alternatives).  Every
 more array in the same layout.
 
 * M_a and M_b are *static*: each row starts as the shape's
-  :func:`~repro.fabric.masks.anchor_words` over the region's column words
-  (served from an :class:`~repro.fabric.cache.AnchorMaskCache` when one is
-  given).
+  :func:`~repro.fabric.masks.anchor_words` over the region's column
+  words.
 * M_c is dynamic: when a module becomes fixed, its footprint words are
   written into the occupancy by the one word writer
   (:func:`~repro.fabric.masks.write_words`), and the row of every unplaced
@@ -24,9 +23,8 @@ more array in the same layout.
   free cells over the shape's kind-agnostic runs
   (:meth:`~repro.modules.footprint.Footprint.cover_index`): the same
   kernel that answers M_a and M_b, restricted to the columns the imprint
-  can reach.  An LNS sub-region (:class:`~repro.fabric.region.NarrowedRegion`)
-  is the same AND against its free cells, once, on the base region's
-  cached rows.
+  can reach.  An LNS sub-region is a plain region whose frozen modules'
+  cells are not reconfigurable, so its static rows already exclude them.
 
 Filtering strength: for every unfixed module the kernel maintains domain
 consistency of the shape variable (a shape with no remaining anchor is
@@ -58,19 +56,17 @@ from repro.cp.engine import Engine, Inconsistent
 from repro.cp.propagator import Priority, Propagator
 from repro.cp.trail import Revision
 from repro.cp.variable import IntVar
-from repro.fabric.cache import AnchorMaskCache
 from repro.fabric.masks import (
     LANE_BITS,
     anchor_word_stack,
     anchor_words,
     column_words,
-    pack_columns,
     term_rows,
     unpack_columns,
     words_overlap,
     write_words,
 )
-from repro.fabric.region import NarrowedRegion, PartialRegion
+from repro.fabric.region import PartialRegion
 from repro.geost.incremental import IncStats
 from repro.modules.footprint import Footprint
 from repro.modules.module import Module
@@ -186,7 +182,6 @@ class PlacementKernel(Propagator):
         xs: Sequence[IntVar],
         ys: Sequence[IntVar],
         ss: Sequence[IntVar],
-        cache: Optional[AnchorMaskCache] = None,
         incremental: bool = True,
         horizon: Optional[int] = None,
         durations: Optional[Sequence[int]] = None,
@@ -244,28 +239,10 @@ class PlacementKernel(Propagator):
             item.rows = list(range(first, first + len(item.module.shapes)))
             shapes.extend(item.module.shapes)
             row_duration.extend([item.duration] * len(item.module.shapes))
-        # the static M_a ∧ M_b rows in one batch.  A NarrowedRegion with a
-        # cache reuses the *base* region's cached words and ANDs in its own
-        # free cells below (the incremental LNS path)
-        snap = cache.snapshot() if cache is not None else None
-        narrowed = cache is not None and isinstance(region, NarrowedRegion)
-        if cache is None:
-            static = anchor_words(column_words(region), shapes)
-        else:
-            static = cache.anchor_words(
-                region.base if narrowed else region, shapes
-            )
-        bank = np.stack(static)  # (R, W, L): a copy, cached words stay read-only
+        # the static M_a ∧ M_b rows in one batch: (R, W, L)
+        bank = np.stack(anchor_words(column_words(region), shapes))
         covers = [fp.cover_index() for fp in shapes]
         terms = term_rows(covers)
-        if narrowed:
-            free = pack_columns(region.reconfigurable)[None]
-            bank &= anchor_word_stack(free, *terms)
-            cache.note_narrowed(len(bank))
-        #: per-construction cache accounting (None when built uncached)
-        self.cache_stats: Optional[Dict[str, int]] = (
-            cache.delta(snap) if cache is not None else None
-        )
         if self.T is not None:
             # one column per (t, x): tile each row over the horizon and
             # clear the start ticks at which the shape would outlive it

@@ -95,10 +95,6 @@ class SolveProfile:
     propagations: int = 0
     domain_updates: int = 0
     failures: int = 0
-    # anchor-mask cache counters (0 when the solve ran uncached)
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_narrowed: int = 0
     # incremental-geost counters (0 when the kernel ran wholesale):
     # dirty objects filtered / cached results reused / objects rasterized
     # onto the occupancy bitboard
@@ -149,14 +145,6 @@ class SolveProfile:
             p.elapsed = search_stats.elapsed
             p.stop_reason = search_stats.stop_reason
         return p
-
-    def add_cache_stats(self, stats: Dict[str, int]) -> None:
-        """Add an anchor-mask cache's ``stats()`` (hits, misses, ...) onto
-        the matching ``cache_*`` counters."""
-        for key, value in stats.items():
-            name = f"cache_{key}"
-            if name in COUNTERS:
-                setattr(self, name, getattr(self, name) + value)
 
     # ------------------------------------------------------------------
     # Aggregation
@@ -249,11 +237,6 @@ def profile_report(profile: SolveProfile) -> str:
         f"failures={p.failures} elapsed={p.elapsed:.3f}s"
         + (f" stop={p.stop_reason}" if p.stop_reason else ""),
     ]
-    if p.cache_hits or p.cache_misses or p.cache_narrowed:
-        head.append(
-            f"anchor-mask cache: hits={p.cache_hits} "
-            f"misses={p.cache_misses} narrowed={p.cache_narrowed}"
-        )
     if p.geost_dirty or p.geost_reused or p.geost_rasterized:
         head.append(
             f"incremental geost: dirty={p.geost_dirty} "

@@ -61,7 +61,6 @@ EVENT_KINDS: Dict[str, List[str]] = {
     "portfolio.result": ["seed", "extent", "solved"],
     "backend.start": ["backend", "modules"],
     "backend.result": ["backend", "status", "placed", "elapsed"],
-    "cache.masks": ["hits", "misses", "narrowed"],
     "runtime.arrival": ["module", "clock", "queue"],
     "runtime.reject": ["module", "clock", "reason"],
     "runtime.defrag": [

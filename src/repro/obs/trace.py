@@ -43,8 +43,6 @@ PORTFOLIO_RESULT = "portfolio.result"
 BACKEND_START = "backend.start"
 BACKEND_RESULT = "backend.result"
 ENGINE_FAILURE = "engine.failure"
-#: anchor-mask cache accounting of one model construction
-CACHE_MASKS = "cache.masks"
 # runtime placement manager lifecycle (repro.core.runtime)
 RUNTIME_ARRIVAL = "runtime.arrival"
 RUNTIME_REJECT = "runtime.reject"

@@ -34,7 +34,6 @@ from repro.core.runtime import (
     RuntimeRequest,
     generate_workload,
 )
-from repro.fabric.cache import AnchorMaskCache
 from repro.fabric.devices import homogeneous_device, irregular_device
 from repro.fabric.region import PartialRegion
 from repro.modules.footprint import Footprint
@@ -348,10 +347,7 @@ class TestCrossBackendDifferential:
     def test_verified_honest_and_budgeted(self, backend_name, region, modules):
         backend = create_backend(backend_name, _DIFF_CONFIGS.get(backend_name))
         res = backend.place(
-            PlacementRequest(
-                region, modules, seed=7, time_limit=BUDGET_S,
-                cache=AnchorMaskCache(),
-            )
+            PlacementRequest(region, modules, seed=7, time_limit=BUDGET_S)
         )
         # every placement a backend returns must satisfy M_a / M_b / M_c
         res.verify()
@@ -383,7 +379,7 @@ class TestTemporalBackend:
     def test_spatial_request_degrades_to_one_tick(self):
         region, modules = small_instance()
         res = create_backend("temporal-cp").place(
-            PlacementRequest(region, modules, cache=AnchorMaskCache())
+            PlacementRequest(region, modules)
         )
         # degenerate mode is plain spatial packing: results verify
         res.verify()

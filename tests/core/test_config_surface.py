@@ -8,8 +8,9 @@ is a switch of the reference kernel only, and the placement kernel's
 boolean-bank oracle lives in ``tests/support.py``.  Tests reach them
 through :func:`tests.support.kernel_mode`.  This guard keeps them, and
 the knobs that only ever took their default, off the solver surface, and
-the baseline placers' single-rule options off their constructors and the
-anchor cache off their ``place``.
+the baseline placers' single-rule options off their constructors.  No
+solver takes an anchor-mask cache: every placement model builds its
+anchor words fresh.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from repro.core import portfolio
 from repro.core.backend.protocol import PlacementRequest
 from repro.core.lns import LNSConfig
 from repro.core.placement_model import PlacementModel
-from repro.core.placer import PlacerConfig
+from repro.core.placer import PlacerConfig, warm_start_seed
 from repro.core.portfolio import PortfolioConfig
-from repro.core.temporal import TemporalCPPlacer
+from repro.core.temporal import TemporalCPPlacer, TemporalPlacer
 from repro.fabric.cache import AnchorMaskCache
 from repro.geost.placement import PlacementKernel
 from repro.placer import KamerPlacer
@@ -34,29 +35,36 @@ from repro.placer.base import BasePlacer
 REMOVED_FIELDS = {
     PlacerConfig: {
         "incremental", "bitboard", "redundant_cumulative",
-        "warm_start_budget", "order",
+        "warm_start_budget", "order", "cache",
     },
-    LNSConfig: {"incremental", "bitboard", "warm_start_budget"},
+    LNSConfig: {"incremental", "bitboard", "warm_start_budget", "cache"},
     PortfolioConfig: {"incremental", "bitboard"},
-    PlacementRequest: {"incremental", "bitboard"},
+    PlacementRequest: {"incremental", "bitboard", "cache"},
 }
 
 REMOVED_PARAMETERS = {
-    PlacementModel: {"incremental", "bitboard", "redundant_cumulative"},
-    TemporalCPPlacer: {"incremental", "bitboard"},
+    PlacementModel: {
+        "incremental", "bitboard", "redundant_cumulative", "cache",
+    },
+    TemporalPlacer: {"cache"},
+    TemporalCPPlacer: {"incremental", "bitboard", "cache"},
     portfolio._worker: {"incremental", "bitboard"},
     # the packed-word kernel has one representation; the boolean bank is
     # the test oracle
-    PlacementKernel: {"bitboard"},
-    # the offline cache is unbounded; the serving path keeps none
+    PlacementKernel: {"bitboard", "cache"},
+    # the leftover cache is unbounded; no solver reads it
     AnchorMaskCache: {"capacity"},
     # best-area is KAMER's only MER rule; "first" and "bottom-left"
     # both ordered MERs by (x, y)
     KamerPlacer: {"fit"},
-    # baselines answer fit queries from their own free-space ledger; the
-    # anchor cache serves only the CP solvers
+    # baselines answer fit queries from their own free-space ledger
     BasePlacer.place: {"cache"},
 }
+
+#: solve calls that once took an anchor-mask cache
+CACHE_FREE_CALLS = [
+    TemporalPlacer.place, TemporalCPPlacer.place, warm_start_seed,
+]
 
 
 @pytest.mark.parametrize(
@@ -74,3 +82,9 @@ def test_constructor_has_no_removed_parameter(target):
     params = set(inspect.signature(target).parameters)
     assert not params & REMOVED_PARAMETERS[target]
 
+
+@pytest.mark.parametrize(
+    "call", CACHE_FREE_CALLS, ids=lambda obj: obj.__qualname__
+)
+def test_solve_call_takes_no_cache(call):
+    assert "cache" not in inspect.signature(call).parameters

@@ -6,8 +6,7 @@ model: the bottom-left ``(x, y, shape)`` over the shapes' anchor masks,
 or a proven ``"infeasible"`` when no shape has an anchor.  Inside
 :func:`tests.support.full_cp_model` the same request builds the
 :class:`~repro.core.placement_model.PlacementModel` and dives.  Both must
-give the same placement, status and extent, and leave the same
-anchor-mask cache counters (cached and uncached reads).
+give the same placement, status and extent.
 
 Three input sets:
 
@@ -20,7 +19,6 @@ Three input sets:
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +26,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.placer import CPPlacer, PlacerConfig, closed_form_applies
-from repro.fabric.cache import AnchorMaskCache
 from repro.fabric.devices import homogeneous_device, irregular_device
 from repro.fabric.region import PartialRegion
 from repro.fabric.resource import ResourceType
@@ -51,40 +48,23 @@ def _answer(result):
     )
 
 
-def _run(region, module, cache, closed):
-    cfg = replace(PROBE, cache=cache)
-    assert closed_form_applies(cfg, [module], None)
+def _run(region, module, closed):
+    assert closed_form_applies(PROBE, [module], None)
     if not closed:
         with full_cp_model():
-            result = CPPlacer(cfg).place(region, [module])
+            result = CPPlacer(PROBE).place(region, [module])
         assert "search" in result.stats or result.status == "infeasible"
         return result
-    snap = cache.snapshot() if cache is not None else None
-    result = CPPlacer(cfg).place(region, [module])
-    profile = result.stats["profile"]
-    assert profile.stop_reason == "closed-form"
-    # the profile carries this request's cache increments
-    assert (
-        profile.cache_hits, profile.cache_misses, profile.cache_narrowed,
-    ) == (tuple(cache.delta(snap).values()) if cache else (0, 0, 0))
+    result = CPPlacer(PROBE).place(region, [module])
+    assert result.stats["profile"].stop_reason == "closed-form"
     return result
 
 
-def assert_same_as_full_model(region, module, cached=True):
-    """Closed form and full model agree on the answer and, run twice on
-    one cache per side (a cold read, then a warm one), on every cache
-    counter after each run."""
-    if not cached:
-        closed = _run(region, module, None, closed=True)
-        assert _answer(closed) == _answer(_run(region, module, None, False))
-        return _answer(closed)
-    caches = AnchorMaskCache(), AnchorMaskCache()
-    for _ in range(2):
-        closed = _run(region, module, caches[0], closed=True)
-        full = _run(region, module, caches[1], closed=False)
-        assert _answer(closed) == _answer(full)
-        assert caches[0].stats() == caches[1].stats()
-    return _answer(closed)
+def assert_same_as_full_model(region, module):
+    """Closed form and full model agree on the answer; returns it."""
+    closed = _answer(_run(region, module, closed=True))
+    assert closed == _answer(_run(region, module, closed=False))
+    return closed
 
 
 # ----------------------------------------------------------------------
@@ -118,14 +98,12 @@ def generator_floorplan(seed: int):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_generator_floorplans(seed):
-    residual, probe = generator_floorplan(seed)
-    answer = assert_same_as_full_model(residual, probe)
-    assert assert_same_as_full_model(residual, probe, cached=False) == answer
+    assert_same_as_full_model(*generator_floorplan(seed))
 
 
 def test_generator_floorplans_cover_both_outcomes():
     statuses = {
-        _answer(_run(*generator_floorplan(s), None, closed=True))[0]
+        _answer(_run(*generator_floorplan(s), closed=True))[0]
         for s in range(40)
     }
     assert statuses == {"feasible", "infeasible"}

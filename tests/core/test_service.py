@@ -444,7 +444,7 @@ class TestContendedReplay:
                 return original(*args, **kwargs)
             return wrapper
 
-        for name in ("anchor_words", "memo", "__init__"):
+        for name in ("anchor_words", "__init__"):
             original = getattr(AnchorMaskCache, name)
             monkeypatch.setattr(AnchorMaskCache, name, counting(name, original))
         monkeypatch.setattr(
@@ -616,23 +616,8 @@ class TestProcessMode:
 # Process-resident workers (core.backend.worker)
 # ----------------------------------------------------------------------
 class TestWorkerHelpers:
-    @pytest.fixture(autouse=True)
-    def _fresh_caches(self):
-        from repro.core.backend import reset_process_caches
-
-        reset_process_caches()
-        yield
-        reset_process_caches()
-
-    def test_process_cache_is_named_and_persistent(self):
-        from repro.core.backend import process_cache
-
-        a = process_cache("shard-a")
-        assert process_cache("shard-a") is a  # same process, same cache
-        assert process_cache("shard-b") is not a
-
     def test_solve_in_worker_round_trips_a_placement(self):
-        from repro.core.backend import solve_in_worker, worker
+        from repro.core.backend import solve_in_worker
         from repro.fabric.io import region_to_dict
         from repro.modules.spec import module_to_dict
 
@@ -650,29 +635,6 @@ class TestWorkerHelpers:
             region_to_dict(region), module_to_dict(rect("big", 8)),
             chain=("greedy",), time_limit=0.1,
         ) is None
-        # residual masks never repeat: the worker keeps no cache for them
-        assert worker._PROCESS_CACHES == {}
-
-    def test_portfolio_inline_reuses_the_process_cache(self):
-        """The portfolio's n_workers==1 path runs in-process: a second
-        ``place`` over the same region must be served from the resident
-        cache, not recompute every mask (the worker-reuse refactor)."""
-        from repro.core.backend import process_cache
-        from repro.core.portfolio import PortfolioConfig, PortfolioPlacer
-        from repro.modules.generator import ModuleGenerator
-
-        region = default_fabric(40, 8)
-        modules = ModuleGenerator(seed=5).generate_set(3)
-        placer = PortfolioPlacer(
-            PortfolioConfig(n_workers=1, time_limit=2.0, members=["greedy"])
-        )
-        placer.place(region, modules)
-        cache = process_cache("portfolio")
-        misses_after_first = cache.misses
-        assert misses_after_first > 0
-        placer.place(region, modules)
-        assert cache.misses == misses_after_first  # second run: all hits
-        assert cache.hits > 0
 
 
 # ----------------------------------------------------------------------
@@ -711,11 +673,6 @@ class TestObservability:
         assert merged.meta["runtime.arrivals"] == sum(
             p.meta["runtime.arrivals"] for p in per_shard
         ) == 12
-        # the serving path keeps no anchor-mask cache to report
-        assert all(
-            (p.cache_hits, p.cache_misses) == (0, 0)
-            for p in (*per_shard, merged)
-        )
 
     def test_shard_stats_merge_matches_service_stats(self):
         svc = ShardedPlacementService(

@@ -312,7 +312,6 @@ class TestVerifyProperties:
 # Production placer (TemporalCPPlacer) vs the reference oracle
 # ----------------------------------------------------------------------
 from repro.core.temporal import TemporalCPPlacer  # noqa: E402
-from repro.fabric.cache import AnchorMaskCache  # noqa: E402
 
 _ORACLE_CASES = [
     pytest.param(
@@ -376,46 +375,3 @@ class TestProductionMatchesOracle:
         assert ref.status == "infeasible"
         assert prod.status == "infeasible"
 
-
-class TestSharedCacheMemoization:
-    def test_reference_placer_memoizes_extrusions_and_fabric(self):
-        region = clb_region(["..B.", "..B."])
-        tasks = [sq_task("a", 2, 2, 2), sq_task("b", 2, 1, 1)]
-        cache = AnchorMaskCache()
-        placer = TemporalPlacer(horizon=6, cache=cache)
-        placer.place(region, tasks)
-        misses_first = cache.misses
-        assert misses_first > 0 and cache.hits == 0
-        placer.place(region, tasks)
-        # second identical solve is served purely from the memo store
-        assert cache.misses == misses_first
-        assert cache.hits >= misses_first
-
-    def test_cached_and_uncached_schedules_identical(self):
-        region = clb_region(["....", "...."])
-        tasks = [sq_task("a", 2, 2, 2), sq_task("b", 2, 2, 3)]
-        plain = TemporalPlacer(horizon=8).place(region, tasks)
-        cached = TemporalPlacer(horizon=8, cache=AnchorMaskCache()).place(
-            region, tasks
-        )
-        assert [
-            (s.task.name, s.shape_index, s.x, s.y, s.start)
-            for s in plain.schedule
-        ] == [
-            (s.task.name, s.shape_index, s.x, s.y, s.start)
-            for s in cached.schedule
-        ]
-        assert plain.makespan == cached.makespan
-
-    def test_production_placer_reuses_spatial_masks(self):
-        region = clb_region(["....", "...."])
-        tasks = [sq_task("a", 2, 2, 2), sq_task("b", 2, 2, 2)]
-        cache = AnchorMaskCache()
-        placer = TemporalCPPlacer(horizon=6, cache=cache)
-        first = placer.place(region, tasks)
-        hits_after_first = cache.hits
-        second = placer.place(region, tasks)
-        assert cache.hits > hits_after_first
-        assert [
-            (s.task.name, s.x, s.y, s.start) for s in first.schedule
-        ] == [(s.task.name, s.x, s.y, s.start) for s in second.schedule]

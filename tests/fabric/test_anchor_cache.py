@@ -1,10 +1,11 @@
-"""Anchor-mask cache: keys, hit accounting, and the incremental path.
+"""Anchor-mask cache keys and hit accounting, and the bit-identity of
+the anchor words on LNS-shaped sub-regions.
 
 The load-bearing guarantee is *bit-identity*: a mask served from the
-cache — or derived incrementally from cached base-region masks for a
-:class:`~repro.fabric.region.NarrowedRegion` — must equal the mask a
-fresh cross-correlation would produce, anchor for anchor.  The
-differential suite below checks that across 30 seeded (region,
+cache, and every static row of a kernel built on a region with frozen
+cells carved out (what an LNS subproblem solves on), must equal the mask
+a fresh cross-correlation would produce, anchor for anchor.  The
+differential suite below checks that across 40 seeded (region,
 frozen-set, module-library) instances, at both the single-mask level and
 the assembled kernel-bank level.
 """
@@ -24,7 +25,7 @@ from repro.fabric.cache import (
 )
 from repro.fabric.devices import irregular_device
 from repro.fabric.masks import unpack_columns, valid_anchor_mask
-from repro.fabric.region import NarrowedRegion, PartialRegion
+from repro.fabric.region import PartialRegion
 from repro.geost.placement import PlacementKernel
 from repro.modules.footprint import Footprint
 from repro.modules.generator import GeneratorConfig, ModuleGenerator
@@ -44,7 +45,7 @@ def bank_masks(kernel):
     ]
 
 
-def build_kernel(region, modules, cache=None):
+def build_kernel(region, modules):
     m = Model()
     xs = [m.int_var(0, region.width - 1, f"x{i}") for i in range(len(modules))]
     ys = [m.int_var(0, region.height - 1, f"y{i}") for i in range(len(modules))]
@@ -52,7 +53,15 @@ def build_kernel(region, modules, cache=None):
         m.int_var(0, mod.n_alternatives - 1, f"s{i}")
         for i, mod in enumerate(modules)
     ]
-    return PlacementKernel(region, modules, xs, ys, ss, cache=cache)
+    return PlacementKernel(region, modules, xs, ys, ss)
+
+
+def carve(region, blocked, name):
+    """``region`` with the ``(y, x)`` cells of ``blocked`` made static, as
+    the LNS driver carves its frozen modules out of a subproblem."""
+    free = region.reconfigurable.copy()
+    free[blocked[:, 0], blocked[:, 1]] = False
+    return PartialRegion(region.grid, free, name)
 
 
 def random_instance(seed: int):
@@ -60,7 +69,7 @@ def random_instance(seed: int):
 
     The frozen set mimics what the LNS driver freezes: a batch of cells
     inside the allowed area (drawn at random, which is strictly more
-    varied than real placements — any blocked subset must narrow
+    varied than real placements — any blocked subset must carve
     identically).
     """
     rng = random.Random(seed)
@@ -137,48 +146,34 @@ class TestCacheLookups:
         fp = Footprint.rectangle(4, 2)
         one_mask(cache, r1, fp)
         one_mask(cache, r2, fp)
-        assert cache.stats() == {
-            "hits": 1, "misses": 1, "narrowed": 0, "entries": 1,
-        }
-
-    def test_warm_precomputes_every_shape(self):
-        region = PartialRegion.whole_device(irregular_device(24, 8, seed=2))
-        modules = ModuleGenerator(seed=3).generate_set(4)
-        cache = AnchorMaskCache()
-        n = cache.warm(region, modules)
-        assert n == sum(m.n_alternatives for m in modules)
-        assert cache.misses == len(cache) <= n  # duplicates share entries
-        before = cache.misses
-        cache.warm(region, modules)
-        assert cache.misses == before  # second warm is all hits
+        assert cache.stats() == {"hits": 1, "misses": 1, "entries": 1}
 
 
 class TestDifferential:
-    """Cached/incremental masks are bit-identical to fresh computation."""
+    """Cached and sub-region masks are bit-identical to fresh computation."""
 
     @pytest.mark.parametrize("seed", range(30))
     def test_incremental_bank_matches_fresh_bank(self, seed):
+        """The bank of an LNS subproblem's kernel (built on the carved
+        region) holds, row for row, the fresh boolean cross-correlation
+        of each shape against the carved fabric."""
         region, modules, blocked = random_instance(seed)
-        sub = NarrowedRegion(region, blocked, f"{region.name}-lns")
-        # reference: an uncached kernel over a structurally identical
-        # plain region (fresh cross-correlation against the carved fabric)
-        plain = PartialRegion(region.grid, sub.reconfigurable, "plain")
-        reference = build_kernel(plain, modules, cache=None)
-
-        cache = AnchorMaskCache()
-        cache.warm(region, modules)  # the LNS initial solve does this
-        incremental = build_kernel(sub, modules, cache=cache)
-
-        assert incremental.cache_stats["misses"] == 0
-        reference_masks = bank_masks(reference)
-        assert incremental.cache_stats["narrowed"] == len(reference_masks)
-        for inc_mask, ref_mask in zip(bank_masks(incremental), reference_masks):
-            assert np.array_equal(inc_mask, ref_mask)
+        sub = carve(region, blocked, f"{region.name}-lns")
+        kernel = build_kernel(sub, modules)
+        reference = [
+            valid_anchor_mask(sub, sorted(fp.cells))
+            for mod in modules
+            for fp in mod.shapes
+        ]
+        masks = bank_masks(kernel)
+        assert len(masks) == len(reference)
+        for mask, ref_mask in zip(masks, reference):
+            assert np.array_equal(mask, ref_mask)
 
     @pytest.mark.parametrize("seed", range(30, 40))
     def test_cached_single_masks_match_fresh(self, seed):
         region, modules, blocked = random_instance(seed)
-        sub = NarrowedRegion(region, blocked, "sub")
+        sub = carve(region, blocked, "sub")
         cache = AnchorMaskCache()
         for mod in modules:
             for fp in mod.shapes:
@@ -186,45 +181,8 @@ class TestDifferential:
                 assert np.array_equal(
                     cached, valid_anchor_mask(region, sorted(fp.cells))
                 )
-                # the narrowed region served as a *plain* region (no base
-                # lineage used) must also be exact
+                # the carved sub-region must also be exact
                 assert np.array_equal(
                     one_mask(cache, sub, fp),
                     valid_anchor_mask(sub, sorted(fp.cells)),
                 )
-
-    def test_cold_cache_incremental_path_is_still_exact(self):
-        """Unwarmed cache + NarrowedRegion: misses, but identical masks."""
-        region, modules, blocked = random_instance(99)
-        sub = NarrowedRegion(region, blocked, "cold")
-        plain = PartialRegion(region.grid, sub.reconfigurable, "plain")
-        cache = AnchorMaskCache()
-        incremental = build_kernel(sub, modules, cache=cache)
-        reference = build_kernel(plain, modules, cache=None)
-        assert incremental.cache_stats["hits"] == 0
-        assert incremental.cache_stats["misses"] > 0
-        for inc_mask, ref_mask in zip(bank_masks(incremental), bank_masks(reference)):
-            assert np.array_equal(inc_mask, ref_mask)
-
-
-class TestNarrowedRegion:
-    def test_blocks_cells_and_keeps_lineage(self):
-        region = PartialRegion.whole_device(irregular_device(16, 8, seed=1))
-        blocked = np.array([[0, 0], [3, 5]], dtype=np.int64)
-        sub = NarrowedRegion(region, blocked, "sub")
-        assert not sub.reconfigurable[0, 0] and not sub.reconfigurable[3, 5]
-        assert sub.base is region
-        assert sub.available_area() == region.available_area() - 2
-
-    def test_empty_block_set_is_identity(self):
-        region = PartialRegion.whole_device(irregular_device(16, 8, seed=1))
-        sub = NarrowedRegion(region, np.empty((0, 2), dtype=np.int64))
-        assert np.array_equal(sub.reconfigurable, region.reconfigurable)
-        assert sub.name == f"{region.name}-narrowed"
-
-    def test_out_of_bounds_blocks_rejected(self):
-        region = PartialRegion.whole_device(irregular_device(16, 8, seed=1))
-        with pytest.raises(ValueError):
-            NarrowedRegion(region, np.array([[8, 0]]))  # y == height
-        with pytest.raises(ValueError):
-            NarrowedRegion(region, np.array([[0, -1]]))

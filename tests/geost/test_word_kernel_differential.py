@@ -12,9 +12,10 @@ side by side, and after every step the domains, ``anchor_count``,
 equal, as must the steps that fail.
 
 The regimes cover irregular fabrics, fabrics taller than one 64-bit lane
-(so imprints and anchor tests shift across lanes), LNS sub-regions
-(:class:`~repro.fabric.region.NarrowedRegion` with a cache) and a time
-horizon with mixed durations.
+(so imprints and anchor tests shift across lanes), regions narrowed the
+way an LNS subproblem is (a placed set's frozen modules carved out of the
+reconfigurable area, the rest free) and a time horizon with mixed
+durations.
 """
 
 from __future__ import annotations
@@ -30,14 +31,14 @@ from hypothesis import strategies as st
 
 from repro.cp.engine import Inconsistent
 from repro.cp.model import Model
-from repro.fabric.cache import AnchorMaskCache
 from repro.fabric.devices import homogeneous_device, irregular_device
-from repro.fabric.region import NarrowedRegion, PartialRegion
+from repro.fabric.region import PartialRegion
 from repro.fabric.resource import ResourceType
 from repro.geost.placement import PlacementKernel
 from repro.modules.footprint import Footprint
 from repro.modules.generator import GeneratorConfig, ModuleGenerator
 from repro.modules.module import Module
+from repro.placer.greedy import BottomLeftPlacer
 
 from tests.support import BoolBankKernel
 
@@ -58,7 +59,7 @@ def _tall_footprint(rng: random.Random) -> Footprint:
 
 def _instance(regime: str, rng: random.Random):
     """(region, modules, kernel keyword arguments) of one regime; the
-    keyword arguments hold fresh cache factories and durations."""
+    keyword arguments hold the horizon and durations."""
     if regime == "tall":
         grid = irregular_device(
             rng.randint(4, 7), rng.randint(65, 140),
@@ -80,13 +81,20 @@ def _instance(regime: str, rng: random.Random):
                           height_min=1, height_max=3, max_width=3,
                           n_alternatives=rng.randint(1, 4))
     generator = ModuleGenerator(seed=rng.randrange(1 << 16), config=cfg)
-    modules = generator.generate_set(rng.randint(2, 5))
     if regime == "narrowed":
-        allowed = np.argwhere(region.allowed_mask())
-        n_blocked = rng.randint(0, len(allowed) // 4)
-        picks = rng.sample(range(len(allowed)), n_blocked)
-        sub = NarrowedRegion(region, allowed[picks].reshape(-1, 2), "lns")
-        return sub, modules, {"cache": AnchorMaskCache}
+        # an LNS subproblem: a bottom-left placement of the set, some of
+        # its modules frozen with their cells carved out of the region,
+        # the others free to be placed again
+        modules = generator.generate_set(rng.randint(3, 7))
+        placed = BottomLeftPlacer().place(region, modules).placements
+        frozen = rng.sample(placed, rng.randint(0, max(0, len(placed) - 1)))
+        free = region.reconfigurable.copy()
+        for p in frozen:
+            free[p.cell_index()] = False
+        frozen_ids = {id(p.module) for p in frozen}
+        sub = PartialRegion(region.grid, free, "lns")
+        return sub, [m for m in modules if id(m) not in frozen_ids], {}
+    modules = generator.generate_set(rng.randint(2, 5))
     if regime == "temporal":
         horizon = rng.randint(2, 5)
         durations = [rng.randint(1, horizon) for _ in modules]
@@ -105,12 +113,6 @@ def _build(kernel_class, region, modules, extra):
         for i, mod in enumerate(modules)
     ]
     kwargs = {}
-    if "cache" in extra:
-        cache = extra["cache"]()
-        cache.anchor_words(
-            region.base, [fp for mod in modules for fp in mod.shapes]
-        )
-        kwargs["cache"] = cache
     variables = xs + ys + ss
     if "horizon" in extra:
         horizon, durations = extra["horizon"], extra["durations"]

@@ -96,7 +96,6 @@ from repro.cp.search import DepthFirstSearch
 from repro.cp.solver import Solver
 from repro.cp.trail import Revision
 from repro.cp.variable import IntVar
-from repro.fabric.cache import AnchorMaskCache
 from repro.fabric.devices import homogeneous_device, irregular_device
 from repro.fabric.masks import (
     anchor_words,
@@ -108,7 +107,7 @@ from repro.fabric.masks import (
     unpack_columns,
     valid_anchor_mask,
 )
-from repro.fabric.region import NarrowedRegion, PartialRegion
+from repro.fabric.region import PartialRegion
 from repro.fabric.resource import ResourceType
 from repro.geost.boxes import Box, ShiftedBox
 from repro.geost.forbidden import ForbiddenRegion
@@ -573,8 +572,7 @@ class BoolBankKernel(Propagator):
 
     One boolean ``(H * W)`` row per (module, shape); an imprint removes
     the colliding anchors with a difference-of-coordinates scatter over
-    every remaining cell offset, and an LNS sub-region narrows the base
-    rows with big-int shift-ORs of its blocked cells.  Same constructor,
+    every remaining cell offset.  Same constructor,
     queries and counters as the word kernel, plus ``bank``, ``valid`` and
     ``occupancy`` as boolean arrays.
 
@@ -625,7 +623,6 @@ class BoolBankKernel(Propagator):
         xs: Sequence[IntVar],
         ys: Sequence[IntVar],
         ss: Sequence[IntVar],
-        cache: Optional[AnchorMaskCache] = None,
         incremental: bool = True,
         bitboard: bool = True,
         horizon: Optional[int] = None,
@@ -677,29 +674,13 @@ class BoolBankKernel(Propagator):
                 _BoolItem(i, m, x, y, s)
                 for i, (m, x, y, s) in enumerate(zip(modules, xs, ys, ss))
             ]
-        # three mask sources, cheapest first: a NarrowedRegion with a cache
-        # reuses the *base* region's memoized words and fixes them up below
-        # (the incremental LNS path); a cache alone memoizes per (region,
-        # footprint); no cache recomputes them.  Each module's shapes are
-        # one kernel batch, unpacked into (H, W) masks
-        snap = cache.snapshot() if cache is not None else None
-        narrowed = cache is not None and isinstance(region, NarrowedRegion)
-        if narrowed:
-            base_key = cache.region_key(region.base)
-            words_of = lambda shapes: cache.anchor_words(  # noqa: E731
-                region.base, shapes, base_key
-            )
-        elif cache is not None:
-            key = cache.region_key(region)
-            words_of = lambda shapes: cache.anchor_words(  # noqa: E731
-                region, shapes, key
-            )
-        else:
-            words = column_words(region)
-            words_of = lambda shapes: anchor_words(words, shapes)  # noqa: E731
+        # each module's shapes are one kernel batch, unpacked into (H, W)
+        # masks
+        words = column_words(region)
 
         def masks_of(shapes):
-            return unpack_columns(np.array(words_of(shapes)), self.H)
+            found = np.array(anchor_words(words, shapes))
+            return unpack_columns(found, self.H)
         # anchor masks live in one contiguous "bank" (one row per shape of
         # every item) so the non-overlap narrowing after an imprint is one
         # batched fancy-index update instead of hundreds of small ones
@@ -722,61 +703,12 @@ class BoolBankKernel(Propagator):
                 offset_cursor += len(item.cells[sid])
             self._row_of.append(row_ids)
             self._item_off_slice.append((start, offset_cursor))
-        self.bank = np.stack(rows)  # (R, H*W) bool (a copy — cached masks
-        # stay read-only; all dynamic narrowing mutates only the bank)
+        self.bank = np.stack(rows)  # (R, H*W) bool
         #: all shape-cell offsets (dy, dx) concatenated, with their bank row
         self._all_offsets = np.concatenate(off_chunks)       # (TOT, 2)
         self._all_owners = np.concatenate(owner_chunks)      # (TOT,)
         #: offsets of still-unplaced items; placed items need no narrowing
         self._active_offsets = np.ones(len(self._all_owners), dtype=bool)
-        if narrowed:
-            # derive the sub-region masks from the base-region masks: an
-            # anchor is newly invalid iff some footprint cell lands on a
-            # blocked (frozen) cell.  The collide map is the OR-dual of the
-            # mask cross-correlation, evaluated on the *flattened* blocked
-            # map as big-int shift-ORs (one ~H*W-bit shift per footprint
-            # cell, shared across rows with the same footprint): row-major
-            # flattening lets a 2D shift by (dy, dx) become one 1D shift by
-            # dy*W + dx.  The wraparound bits this smears across row edges
-            # only land on anchors whose footprint already leaves the grid
-            # — anchors the base mask marks invalid — so ANDing the result
-            # into the bank stays exact.  Unlike a pairwise difference-of-
-            # coordinates update (what _imprint uses for single placements)
-            # the cost is independent of how many cells are blocked, which
-            # is what makes narrowing by a whole frozen set cheap.
-            if region.blocked_yx.size:
-                blocked = np.zeros((self.H, self.W), dtype=bool)
-                blocked[region.blocked_yx[:, 0], region.blocked_yx[:, 1]] = True
-                blocked_bits = int.from_bytes(
-                    np.packbits(blocked.reshape(-1), bitorder="little")
-                    .tobytes(),
-                    "little",
-                )
-                n = self.H * self.W
-                keep_of: Dict[frozenset, np.ndarray] = {}
-                row = 0
-                for item in self.items:
-                    for fp in item.module.shapes:
-                        keep = keep_of.get(fp.cells)
-                        if keep is None:
-                            bits = 0
-                            for dx, dy, _ in fp.cells:
-                                bits |= blocked_bits >> (dy * self.W + dx)
-                            keep = ~np.unpackbits(
-                                np.frombuffer(
-                                    bits.to_bytes((n + 7) // 8, "little"),
-                                    np.uint8,
-                                ),
-                                bitorder="little",
-                            )[:n].view(bool)
-                            keep_of[fp.cells] = keep
-                        self.bank[row] &= keep
-                        row += 1
-            cache.note_narrowed(self.bank.shape[0])
-        #: per-construction cache accounting (None when built uncached)
-        self.cache_stats: Optional[Dict[str, int]] = (
-            cache.delta(snap) if cache is not None else None
-        )
         if self.T is not None:
             # extrude the spatial bank over the horizon: tile each row T
             # times and clear the start ticks at which the shape would
