@@ -16,26 +16,26 @@ test-fast:
 ## the full differential oracle surface, slow legs included: the
 ## cross-kernel oracle-ladder suite plus every cross-validation /
 ## property file that pins one implementation against another (the
-## anchor-mask kernel against its brute-force and per-cell oracles, the
-## first_anchor / bottom_left_pick queries against the lexsort pick, the
-## defrag planners' maintained ledger against per-cell floorplan
-## rebuilds, the free-space ledger's packed words against per-cell
-## boolean grids, the baseline placers' ledger state against the
-## boolean-grid state it replaced, the placement kernel's packed words
-## against the boolean-bank kernel they replaced, and the CP placer's
-## one-module closed form against the full CP model, too).  The wholesale kernel oracles are switches on the kernel
-## constructors only, and the boolean-bank kernel lives in
-## tests/support.py; the backend-level differentials reach them under
-## cp/lns/portfolio through the tests/support.py kernel_mode injection,
-## and the full CP model through its full_cp_model injection
+## placement kernel against its wholesale subclass, the reference geost
+## kernel and brute force, the anchor-mask kernel against its
+## brute-force and per-cell oracles, the first_anchor /
+## bottom_left_pick queries against the lexsort pick, the defrag
+## planners' maintained ledger against per-cell floorplan rebuilds, the
+## free-space ledger's packed words against per-cell boolean grids, the
+## baseline placers' ledger state against the boolean-grid state it
+## replaced, the placement kernel's packed words against the
+## boolean-bank kernel they replaced, and the CP placer's one-module
+## closed form against the full CP model, too).  The wholesale and
+## boolean-bank kernels live in tests/support.py; the backend-level
+## differentials reach them under cp/lns/portfolio through the
+## tests/support.py kernel_mode injection, and the full CP model through
+## its full_cp_model injection
 test-oracle:
 	$(PY) -m pytest -q \
 	  tests/geost/test_differential_oracle.py \
 	  tests/geost/test_incremental_differential.py \
 	  tests/geost/test_cross_validation.py \
 	  tests/geost/test_word_kernel_differential.py \
-	  tests/geost/test_bitboard_planes.py \
-	  tests/geost/test_sweep_monotonic.py \
 	  tests/fabric/test_anchor_mask_oracle.py \
 	  tests/fabric/test_first_anchor_oracle.py \
 	  tests/core/test_defrag_occupancy_oracle.py \
@@ -51,8 +51,9 @@ bench:
 bench-fast:
 	$(PY) -m pytest benchmarks -q -m "not slow"
 
-## incremental geost propagation: pins the >= 2x re-propagation speedup
-## over wholesale re-filtering on the Table-I workload
+## placement-kernel propagation on the Table-I workload: pins the >= 2x
+## re-propagation speedup over wholesale re-filtering and the >= 1.5x
+## speedup of packed words over the boolean bank
 bench-geost:
 	$(PY) -m pytest benchmarks/test_bench_geost_incremental.py -q -s
 
@@ -96,8 +97,8 @@ backends-smoke:
 defrag-smoke:
 	$(PY) scripts/defrag_smoke.py
 
-## the temporal surface end to end: reference-vs-production scheduler
-## agreement, the temporal-cp registry path, and a reservation-mode
+## the temporal surface end to end: the production scheduler's proven
+## makespan, the temporal-cp registry path, and a reservation-mode
 ## serving replay with full event/profile validation
 temporal-smoke:
 	$(PY) scripts/temporal_smoke.py
@@ -108,11 +109,13 @@ temporal-smoke:
 analytical-smoke:
 	$(PY) scripts/analytical_smoke.py
 
-## run the examples that drive the online manager, the phase scheduler
-## and the instant defrag pass end to end (compiling them is not enough:
-## an example that calls a removed API only fails when it runs)
+## run the examples that drive the online manager, the phase scheduler,
+## the instant defrag pass and the temporal scheduler end to end
+## (compiling them is not enough: an example that calls a removed API
+## only fails when it runs)
 examples-smoke:
 	$(PY) examples/online_service_level.py
 	$(PY) examples/interactive_floorplanning.py
 	$(PY) examples/phase_scheduling.py
 	$(PY) examples/runtime_defrag.py
+	$(PY) examples/temporal_placement.py

@@ -1,21 +1,19 @@
-"""Geost propagation speedups on Table I: incremental, bitboard and word gates.
+"""Geost propagation speedups on Table I: incremental and word gates.
 
-Three acceptance bars on the Table-I workload:
+Two acceptance bars on the Table-I workload:
 
-* **incremental**: the production kernel with dirty-object
-  maintenance must beat wholesale re-filtering;
-* **bitboard**: the reference kernel's vectorized
-  whole-lattice sweep must beat its scalar per-point sweep, and a
-  cProfile of the vectorized run must show pure-Python sweep inner loops
-  (``sweep.py``) well below half the propagation time;
+* **incremental**: the production kernel with dirty-module maintenance
+  and its anchor-count cache must beat wholesale re-filtering
+  (``tests.support.WholesalePlacementKernel``, injected through
+  ``kernel_mode(incremental=False)``);
 * **words**: the production kernel on packed column words must beat the
   boolean-bank kernel it replaced (``tests.support.BoolBankKernel`` on
   its batched path) on the same fixed-node-budget CP solve, with the
   same placements.
 
-The first two are measured as search-shaped re-propagation cycles (push
-a trail level, fix one anchor, run the engine to fixpoint, pop); the
-word gate as whole solves, where imprints and their narrowing run.
+The first is measured as search-shaped re-propagation cycles (push a
+trail level, fix one anchor, run the engine to fixpoint, pop); the word
+gate as whole solves, where imprints and their narrowing run.
 
 The ratio gates are **not** hardcoded: they are read from the committed
 ``BENCH_geost.json`` (so tightening a gate is a reviewed one-line diff),
@@ -30,10 +28,8 @@ production profiles, not just here.
 
 from __future__ import annotations
 
-import cProfile
 import json
 import pathlib
-import pstats
 import statistics
 import time
 
@@ -42,10 +38,6 @@ import pytest
 from repro.core.placer import CPPlacer, PlacerConfig
 from repro.core.placement_model import PlacementModel
 from repro.cp.engine import Inconsistent
-from repro.cp.model import Model
-from repro.geost.kernel import Geost
-from repro.geost.objects import GeostObject
-from repro.geost.shapes import ShapeTable
 from tests.support import BoolBankKernel, injected_kernel, kernel_mode
 
 GATES_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_geost.json"
@@ -162,104 +154,6 @@ def test_word_kernel_speedup(report, table1_instance, gates, latest):
     assert speedup >= gate, f"word kernel speedup only {speedup:.2f}x"
 
 
-# ----------------------------------------------------------------------
-# Bitboard sweep on the reference kernel
-# ----------------------------------------------------------------------
-def _reference_model(region, modules, bitboard: bool):
-    from tests.support import fabric_to_forbidden_regions
-
-    kinds = {
-        k for mod in modules for fp in mod.shapes for _, _, k in fp.cells
-    }
-    regions = fabric_to_forbidden_regions(region, kinds)
-    m = Model()
-    table = ShapeTable()
-    objects = []
-    for i, mod in enumerate(modules):
-        sids = [table.add_footprint(fp) for fp in mod.shapes]
-        x = m.int_var(0, region.width - 1, f"x{i}")
-        y = m.int_var(0, region.height - 1, f"y{i}")
-        s = m.int_var(min(sids), max(sids), f"s{i}")
-        objects.append(GeostObject(i, [x, y], s, table))
-    geost = Geost(objects, regions, incremental=True, bitboard=bitboard)
-    m.post(geost)
-    return m, geost, objects
-
-
-def _reference_cycle(m: Model, objects, n_fixes: int = 6) -> None:
-    engine = m.engine
-    for i in range(n_fixes):
-        x = objects[i % len(objects)].origin[0]
-        engine.push_level()
-        try:
-            x.fix(x.min())
-            engine.fixpoint()
-        except Inconsistent:
-            pass
-        engine.pop_level()
-
-
-def test_bitboard_sweep_speedup(report, table1_instance, gates, latest):
-    """The vectorized sweep vs PR 5's scalar sweep, same reference kernel."""
-    region, modules = table1_instance
-
-    m_bb, g_bb, objs_bb = _reference_model(region, modules, bitboard=True)
-    m_sc, g_sc, objs_sc = _reference_model(region, modules, bitboard=False)
-
-    t_bb = _median_time(lambda: _reference_cycle(m_bb, objs_bb), repeats=3)
-    t_sc = _median_time(lambda: _reference_cycle(m_sc, objs_sc), repeats=3)
-    speedup = t_sc / t_bb
-    gate = gates["bitboard_speedup_min"]
-    latest["bitboard_speedup"] = round(speedup, 2)
-
-    report(
-        "Bitboard-first vectorized sweep (Table-I, reference kernel)",
-        f"re-propagation cycle (6 fix/fixpoint/rollback rounds)\n"
-        f"  scalar sweep    {t_sc * 1e3:8.2f} ms   "
-        f"({g_sc.sweep_stats.iterations} point inspections)\n"
-        f"  bitboard sweep  {t_bb * 1e3:8.2f} ms   "
-        f"({g_bb.sweep_stats.rows} frontier scans)\n"
-        f"  speedup         {speedup:8.2f}x  (gate >= {gate}x)",
-    )
-    assert g_bb.inc_stats.fallbacks == 0, "board missing on Table-I window"
-    assert g_bb.sweep_stats.rows > 0
-    assert speedup >= gate, f"bitboard speedup only {speedup:.2f}x"
-
-
-def test_bitboard_sweep_python_fraction(report, table1_instance, gates, latest):
-    """cProfile the vectorized cycle: pure-Python per-point sweep loops
-    (everything in ``geost/sweep.py``) must be a small fraction of the
-    propagation time — the whole point of batching through NumPy."""
-    region, modules = table1_instance
-    m, geost, objects = _reference_model(region, modules, bitboard=True)
-
-    prof = cProfile.Profile()
-    prof.enable()
-    _reference_cycle(m, objects)
-    prof.disable()
-
-    stats = pstats.Stats(prof)
-    total = sum(row[2] for row in stats.stats.values())  # tottime
-    sweep_time = sum(
-        row[2]
-        for key, row in stats.stats.items()
-        if key[0].endswith("geost/sweep.py")
-    )
-    fraction = sweep_time / total if total else 0.0
-    gate = gates["python_sweep_fraction_max"]
-    latest["python_sweep_fraction"] = round(fraction, 4)
-
-    report(
-        "Pure-Python sweep share of bitboard propagation (cProfile)",
-        f"sweep.py tottime {sweep_time * 1e3:8.2f} ms of {total * 1e3:8.2f} ms"
-        f" total  ->  {fraction * 100:5.1f}%  (gate < {gate * 100:.0f}%)",
-    )
-    assert fraction < gate, (
-        f"sweep.py inner loops at {fraction:.1%} of propagation time — "
-        "the vectorized path is leaking work back into per-point Python"
-    )
-
-
 def test_geost_counters_surface_in_solve_profile(report, table1_instance):
     region, modules = table1_instance
     result = CPPlacer(
@@ -272,12 +166,11 @@ def test_geost_counters_surface_in_solve_profile(report, table1_instance):
         f"geost_dirty           {counts['geost_dirty']:6d}\n"
         f"geost_reused          {counts['geost_reused']:6d}\n"
         f"geost_rasterized      {counts['geost_rasterized']:6d}\n"
-        f"bitboard_rows_tested  {counts['bitboard_rows_tested']:6d}\n"
-        f"bitboard_fallbacks    {counts['bitboard_fallbacks']:6d}",
+        f"geost_rows_tested     {counts['geost_rows_tested']:6d}",
     )
     assert counts["geost_dirty"] > 0
     assert counts["geost_rasterized"] > 0
-    assert counts["bitboard_rows_tested"] > 0
+    assert counts["geost_rows_tested"] > 0
 
 
 # ----------------------------------------------------------------------

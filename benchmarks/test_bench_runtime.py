@@ -353,8 +353,8 @@ class TestPhaseScheduling:
 
 class TestTemporal:
     def test_bench_temporal_placement(self, benchmark, report):
-        """D3 — exact spatio-temporal scheduling (ref [6] as 3-D geost)."""
-        from repro.core.temporal import TemporalPlacer, TemporalTask
+        """D3 — exact spatio-temporal scheduling (ref [6] as 3-D packing)."""
+        from repro.core.temporal import TemporalCPPlacer, TemporalTask
         from repro.fabric.grid import FabricGrid
         from repro.modules.footprint import Footprint
         from repro.modules.module import Module
@@ -369,7 +369,7 @@ class TestTemporal:
             TemporalTask(Module("fft", [wide, rotate90(wide)]), 2),
             TemporalTask(Module("crc", [Footprint.rectangle(2, 1)]), 2),
         ]
-        placer = TemporalPlacer(horizon=10, time_limit=60.0)
+        placer = TemporalCPPlacer(horizon=10, time_limit=60.0)
         result = run_once(benchmark, placer.place, region, tasks, [(1, 2)])
         result.verify([(1, 2)])
         mono = placer.place(

@@ -2,16 +2,17 @@
 """Spatio-temporal placement: modules scheduled in (x, y, t).
 
 Following Fekete/Köhler/Teich (the paper's ref [6]), each module
-execution is a 3-D box — footprint × duration — and the geost kernel's
-k-dimensional sweep packs them exactly, with precedence constraints as
-plain arithmetic and the makespan minimized by branch-and-bound.  Design
+execution is a 3-D box — footprint × duration — and the placement
+kernel, run with a time axis, packs them exactly, with precedence
+constraints as plain arithmetic and the makespan minimized by
+branch-and-bound.  Design
 alternatives pay off in the time dimension too: a rotated layout can run
 *beside* another module instead of *after* it.
 
 Run:  python examples/temporal_placement.py
 """
 
-from repro.core.temporal import TemporalPlacer, TemporalTask, render_timeline
+from repro.core.temporal import TemporalCPPlacer, TemporalTask, render_timeline
 from repro.fabric.grid import FabricGrid
 from repro.fabric.region import PartialRegion
 from repro.modules.footprint import Footprint
@@ -31,7 +32,7 @@ def main() -> None:
     ]
     precedences = [(1, 2)]  # crc consumes the fft's output
 
-    placer = TemporalPlacer(horizon=10, time_limit=30.0)
+    placer = TemporalCPPlacer(horizon=10, time_limit=30.0)
     result = placer.place(region, tasks, precedences)
     result.verify(precedences)
     print(f"status={result.status} makespan={result.makespan} "

@@ -10,8 +10,10 @@ Drives the analytical force-directed backend end to end:
   must reach its first incumbent without opening a single search node,
   strictly fewer than the cold solve on the same instance, and must
   never return a worse extent than its seed,
-* the ablation-A3 acceptance bar: at 25% of the annealing budget the
-  analytical placer must reach at least annealing's extent utilization.
+* the ablation-A3 acceptance bar: annealing runs a fixed evaluation
+  budget (:data:`A3_ANNEALING_EVALUATIONS`, no wall clock), and the
+  analytical placer, given a quarter of annealing's measured time, must
+  reach at least annealing's extent utilization.
 
 Exits non-zero on any problem, so it can gate CI
 (``make analytical-smoke``).
@@ -112,8 +114,14 @@ def check_warm_start(problems: list) -> str:
     )
 
 
+#: annealing's work budget in the A3 bar: decode evaluations, so the
+#: annealing side of the bar does not depend on host or decode speed
+#: (seed 5 reaches its best extent, 71.9% utilization, by 1,800)
+A3_ANNEALING_EVALUATIONS = 2_000
+
+
 def check_a3_bar(problems: list) -> str:
-    """A3 acceptance: >= annealing utilization at <= 25% of its budget."""
+    """A3 acceptance: >= annealing utilization at <= 25% of its time."""
     from repro.metrics.utilization import extent_utilization
     from repro.placer import (
         AnalyticalConfig,
@@ -123,10 +131,12 @@ def check_a3_bar(problems: list) -> str:
     )
 
     region, modules = _instance()
-    budget = 4.0
     annealing = AnnealingPlacer(
-        AnnealingConfig(time_limit=budget, seed=5, max_evaluations=10_000)
+        AnnealingConfig(
+            time_limit=None, seed=5, max_evaluations=A3_ANNEALING_EVALUATIONS
+        )
     ).place(region, modules)
+    budget = annealing.elapsed
     t0 = time.monotonic()
     analytical = AnalyticalPlacer(
         AnalyticalConfig(time_limit=budget / 4, seed=5)
@@ -152,7 +162,8 @@ def check_a3_bar(problems: list) -> str:
     return (
         f"            A3 bar: analytical {u_ana:.1%} in "
         f"{analytical_elapsed:.2f}s vs annealing {u_ann:.1%} in "
-        f"{annealing.elapsed:.2f}s"
+        f"{annealing.elapsed:.2f}s ({annealing.stats['evaluations']} "
+        f"evaluations)"
     )
 
 

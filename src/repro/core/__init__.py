@@ -43,7 +43,6 @@ from repro.core.region_alloc import (
 from repro.core.temporal import (
     ScheduledTask,
     TemporalCPPlacer,
-    TemporalPlacer,
     TemporalResult,
     TemporalTask,
     render_timeline,
@@ -108,7 +107,6 @@ __all__ = [
     "AllocationResult",
     "allocate_regions",
     "minimal_region_width",
-    "TemporalPlacer",
     "TemporalCPPlacer",
     "TemporalResult",
     "TemporalTask",

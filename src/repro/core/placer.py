@@ -436,8 +436,7 @@ class CPPlacer:
         profile.geost_dirty = inc.dirty
         profile.geost_reused = inc.reused
         profile.geost_rasterized = inc.rasterized
-        profile.bitboard_rows_tested = inc.rows_tested
-        profile.bitboard_fallbacks = inc.fallbacks
+        profile.geost_rows_tested = inc.rows_tested
         session = obs_context.current()
         if session is not None:
             session.record(profile)

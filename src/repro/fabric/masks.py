@@ -46,21 +46,6 @@ Placed cells are written into column words by one writer,
 and carried into the lane above (:func:`word_blocks`).  The free-space
 ledger (the runtime's, defrag's and the baseline placers') and the
 placement kernel all write through it.
-
-The module also hosts the shared sliding-window correlation kernels the
-geost bitboard sweep batches through:
-
-* :func:`integral_occupancy` — a k-dimensional summed-area table of a
-  boolean occupancy plane, and
-* :func:`sliding_box_counts` — occupied-cell counts under a fixed-size
-  box anchored at every point of an anchor lattice, evaluated as ``2k``
-  clipped slice-subtractions of the table (a box cross-correlation in
-  O(lattice) per box, independent of box size).
-
-An FFT evaluation of the same correlations was considered and rejected:
-at the paper's fabric sizes (≤ a few thousand cells) the integral-image
-form is already memory-bound and beats ``rfftn`` round-trips by an order
-of magnitude, so no size-thresholded FFT path is wired in.
 """
 
 from __future__ import annotations
@@ -387,53 +372,6 @@ def valid_anchor_mask(
         words = column_words(region)
     (found,) = anchor_words(words, [footprint])
     return unpack_columns(found, region.height)
-
-
-def integral_occupancy(occ: np.ndarray) -> np.ndarray:
-    """k-D summed-area table of a boolean occupancy array, zero-bordered.
-
-    ``table[i1, ..., ik]`` is the number of occupied cells in
-    ``occ[:i1, ..., :ik]``; the table has one extra (leading zero) entry
-    per axis so every half-open box sum is a pure inclusion-exclusion of
-    table entries with no boundary special cases.
-    """
-    table = occ.astype(np.int64)
-    for axis in range(occ.ndim):
-        table = table.cumsum(axis=axis)
-    return np.pad(table, [(1, 0)] * occ.ndim)
-
-
-def sliding_box_counts(
-    table: np.ndarray,
-    starts: Sequence[int],
-    lengths: Sequence[int],
-    counts: Sequence[int],
-) -> np.ndarray:
-    """Occupied-cell counts under a sliding box, for a whole anchor lattice.
-
-    For every lattice offset ``a`` in ``prod(range(c) for c in counts)``
-    the result holds the number of occupied cells inside the half-open box
-    ``[starts + a, starts + a + lengths)`` of the occupancy grid that
-    ``table`` (an :func:`integral_occupancy`) was built from.  Box
-    portions outside the grid count as empty: indices are clipped, which
-    is exact because the table is axis-wise monotone — clipping evaluates
-    the intersection of the box with the grid.
-
-    This is the batched replacement for per-point raster probes: one call
-    tests every candidate anchor of a shifted box against the occupancy
-    planes via ``2k`` slice-subtractions, instead of one Python-level
-    probe per sweep point.
-    """
-    out = table
-    for axis in range(table.ndim):
-        n = int(counts[axis])
-        s0 = int(starts[axis])
-        ln = int(lengths[axis])
-        limit = out.shape[axis] - 1  # grid extent along this axis
-        hi = np.clip(np.arange(s0 + ln, s0 + ln + n), 0, limit)
-        lo = np.clip(np.arange(s0, s0 + n), 0, limit)
-        out = out.take(hi, axis=axis) - out.take(lo, axis=axis)
-    return out
 
 
 def nearest_anchor(

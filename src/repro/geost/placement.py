@@ -67,12 +67,39 @@ from repro.fabric.masks import (
     write_words,
 )
 from repro.fabric.region import PartialRegion
-from repro.geost.incremental import IncStats
 from repro.modules.footprint import Footprint
 from repro.modules.module import Module
 from repro.obs.trace import GEOST_INCREMENTAL, KERNEL_IMPRINT
 
 _LANE_MASK = (1 << LANE_BITS) - 1
+
+
+@dataclass
+class IncStats:
+    """The kernel's propagation counters (monotone within a solve).
+
+    Surfaced as the ``geost.incremental`` trace event and the ``geost_*``
+    fields of :class:`~repro.obs.profile.SolveProfile`.
+    """
+
+    #: modules re-filtered (popped from the dirty set); wholesale
+    #: re-filtering would have re-filtered every module on each wake-up
+    dirty: int = 0
+    #: anchor counts served from the cache without recomputation
+    reused: int = 0
+    #: modules whose footprint was written into the occupancy words
+    rasterized: int = 0
+    #: word-bank work: one tick per candidate shape a prune tests, one
+    #: per anchor count computed (``geost_rows_tested`` on the profile)
+    rows_tested: int = 0
+
+    def as_dict(self) -> Dict[str, int]:
+        return {
+            "dirty": self.dirty,
+            "reused": self.reused,
+            "rasterized": self.rasterized,
+            "rows_tested": self.rows_tested,
+        }
 
 
 @dataclass(frozen=True)
@@ -150,22 +177,21 @@ def _extrude(index: np.ndarray, duration: int, stride: int) -> np.ndarray:
 class PlacementKernel(Propagator):
     """Global placement constraint over a heterogeneous partial region.
 
-    ``incremental=True`` (default) re-filters only the modules whose
-    variables changed since the last fixpoint (the dirty set fed by
-    :meth:`on_event`) and serves :meth:`anchor_count` from a cache keyed on
-    a :class:`~repro.cp.trail.Revision` stamp that bank mutations and
-    their trail undos both bump.  ``incremental=False`` re-filters every
-    module on each wake-up — the wholesale oracle the differential suite
-    pins against; both modes reach the same fixpoint (the per-module
-    filters are monotone, so chaotic iteration is confluent) and hence
-    produce bit-identical search trees.
+    Each wake-up re-filters only the modules whose variables changed
+    since the last fixpoint (the dirty set fed by :meth:`on_event`), and
+    :meth:`anchor_count` is served from a cache keyed on a
+    :class:`~repro.cp.trail.Revision` stamp that bank mutations and their
+    trail undos both bump.  The per-module filters are monotone, so this
+    reaches the same fixpoint as re-filtering every module on each
+    wake-up (chaotic iteration is confluent), and the test suite pins the
+    search tree against that wholesale oracle.
 
     ``horizon`` (optional) adds a bounded time axis: every module gets a
     start variable ``ts[i]`` and a ``durations[i]``-tick extrusion.  Bank
     rows and occupancy grow to ``T * W`` columns (column ``t * W + x``);
     start ticks past ``T - duration`` are cleared (the temporal M_a), and
     non-overlap means no two modules share a cell *while both are
-    resident*, exactly the ``core.temporal._extrude`` model.
+    resident*: each footprint extruded over its duration.
     ``horizon=None`` is the purely spatial kernel.
     """
 
@@ -182,7 +208,6 @@ class PlacementKernel(Propagator):
         xs: Sequence[IntVar],
         ys: Sequence[IntVar],
         ss: Sequence[IntVar],
-        incremental: bool = True,
         horizon: Optional[int] = None,
         durations: Optional[Sequence[int]] = None,
         ts: Optional[Sequence[IntVar]] = None,
@@ -214,7 +239,6 @@ class PlacementKernel(Propagator):
         self.T = horizon
         #: bank columns: one per x, or one per (t, x) with a time axis
         self._columns = self.W * (self.T or 1)
-        self.incremental = incremental
         self.inc_stats = IncStats()
         #: bumped on every bank mutation and from its trail undo — keys
         #: the anchor-count cache
@@ -355,11 +379,7 @@ class PlacementKernel(Propagator):
     def propagate(self, engine: Engine) -> None:
         # process only dirty items; imprinting re-dirties the rest.  The
         # dirty set is conservative across backtracking (stale entries just
-        # cause a redundant re-filter, never unsoundness).  Wholesale mode
-        # dirties everything up front — the re-filter-the-world behavior
-        # kept as the differential oracle.
-        if not self.incremental:
-            self._dirty.update(range(len(self.items)))
+        # cause a redundant re-filter, never unsoundness).
         while self._dirty:
             idx = min(self._dirty)  # deterministic processing order
             self._dirty.discard(idx)
@@ -546,8 +566,7 @@ class PlacementKernel(Propagator):
         """Feasible anchors over all candidate shapes of one module.
 
         The fail-first branching heuristic asks this for every unfixed
-        module at every node; in incremental mode the answer is cached and
-        served as long as the bank (revision stamp) and all the item's
+        module at every node; the answer is cached and served as long as the bank (revision stamp) and all the item's
         domains (identity — Domains are immutable and restored by
         reference on backtrack, so holding them pins their ids) are the
         ones the entry was computed from.
@@ -555,24 +574,20 @@ class PlacementKernel(Propagator):
         item = self.items[index]
         xd, yd, sd = item.x.domain, item.y.domain, item.s.domain
         td = item.t.domain if item.t is not None else None
-        if self.incremental:
-            entry = self._count_cache.get(index)
-            if (
-                entry is not None
-                and entry[0] == self._rev.current
-                and entry[1] is xd
-                and entry[2] is yd
-                and entry[3] is sd
-                and entry[5] is td
-            ):
-                self.inc_stats.reused += 1
-                return entry[4]
+        entry = self._count_cache.get(index)
+        if (
+            entry is not None
+            and entry[0] == self._rev.current
+            and entry[1] is xd
+            and entry[2] is yd
+            and entry[3] is sd
+            and entry[5] is td
+        ):
+            self.inc_stats.reused += 1
+            return entry[4]
         count = int(np.bitwise_count(self._allowed(item, sd)).sum())
         self.inc_stats.rows_tested += 1
-        if self.incremental:
-            self._count_cache[index] = (
-                self._rev.current, xd, yd, sd, count, td,
-            )
+        self._count_cache[index] = (self._rev.current, xd, yd, sd, count, td)
         return count
 
     def anchor_mask(self, index: int, shape: int) -> np.ndarray:

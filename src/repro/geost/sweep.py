@@ -10,87 +10,51 @@ it; the intersection of those boxes is a region that is infeasible for
 stepping by one.  This is the essence of Beldiceanu et al.'s k-dimensional
 sweep, specialized to interval (bounds) domains.
 
-Two refinements over the textbook version:
-
-* Among the forbidden boxes covering the sweep point, each shape reports
-  the one with *maximal* ``end`` along the sweep's least-significant axis
-  (not the first hit), so the covering intersection — and hence the
-  odometer jump — is as wide as possible.  The choice never changes the
-  sweep's result, only how many points it inspects: any covering box is a
-  sound jump, and the returned point is the exact lexicographic extremum
-  either way.
-* A shape's forbidden space may be backed partly by a rasterized
-  :class:`~repro.geost.bitboard.OccupancyBitboard` (fixed material tested
-  by mask intersection) instead of explicit boxes; :class:`ShapeView`
-  folds both sources behind one ``covering_box`` query.
+One refinement over the textbook version: among the forbidden boxes
+covering the sweep point, each shape reports the one with *maximal*
+``end`` along the sweep's least-significant axis (not the first hit), so
+the covering intersection — and hence the odometer jump — is as wide as
+possible.  The choice never changes the sweep's result, only how many
+points it inspects: any covering box is a sound jump, and the returned
+point is the exact lexicographic extremum either way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.geost.boxes import Box
 
 #: inclusive per-dimension bounds of the anchor search space
 Bounds = Sequence[Tuple[int, int]]
 
-#: raster fast-path probe: maps an anchor point to a covering forbidden box
-#: derived from rasterized occupancy, or ``None`` when the rasterized
-#: material does not forbid the point
-RasterProbe = Callable[[Tuple[int, ...]], Optional[Box]]
-
 
 @dataclass
 class SweepStats:
-    """Sweep-point accounting, shared across calls (tests / benchmarks).
-
-    The two counters measure the two sweep generations: the scalar
-    odometer sweep pays one Python-level ``iterations`` tick per point it
-    inspects, while the bitboard-first sweep pays one ``rows`` tick per
-    vectorized frontier scan (a whole-lattice reduction replacing an
-    entire run of per-point inspections).  Regression tests pin
-    ``rows < iterations`` on the Table-I instances so a silent fallback
-    to the scalar path fails loudly.
-    """
+    """Sweep-point accounting, shared across calls (tests / benchmarks)."""
 
     #: points inspected (one covering-intersection query each)
     iterations: int = 0
-    #: vectorized frontier scans (bitboard sweep; zero in scalar mode)
-    rows: int = 0
 
 
 class ShapeView:
     """The forbidden anchor space of one candidate shape.
 
-    A point is infeasible for the shape iff it lies in one of the explicit
-    forbidden ``boxes`` *or* the optional ``raster`` probe reports a hit.
-    :meth:`covering_box` returns a forbidden box containing the query
-    point — preferring maximal ``end`` along ``jump_dim`` — or ``None``
-    when the point is feasible for this shape.
-
-    The raster probe always speaks *original* (unreflected) anchor space;
-    :meth:`reflected` views reflect the query point before probing and the
-    returned box after, so :func:`sweep_max` can reuse the probe unchanged.
+    A point is infeasible for the shape iff it lies in one of the
+    forbidden ``boxes``.  :meth:`covering_box` returns a forbidden box
+    containing the query point — preferring maximal ``end`` along
+    ``jump_dim`` — or ``None`` when the point is feasible for this shape.
     """
 
-    __slots__ = ("boxes", "raster", "_reflect")
+    __slots__ = ("boxes",)
 
-    def __init__(
-        self,
-        boxes: Sequence[Box],
-        raster: Optional[RasterProbe] = None,
-        _reflect: bool = False,
-    ) -> None:
+    def __init__(self, boxes: Sequence[Box]) -> None:
         self.boxes = list(boxes)
-        self.raster = raster
-        self._reflect = _reflect
 
     def reflected(self) -> "ShapeView":
         """This forbidden space reflected through the origin."""
-        return ShapeView(
-            [b.reflected() for b in self.boxes], self.raster, not self._reflect
-        )
+        return ShapeView([b.reflected() for b in self.boxes])
 
     def covering_box(self, p: Tuple[int, ...], jump_dim: int) -> Optional[Box]:
         best: Optional[Box] = None
@@ -99,17 +63,10 @@ class ShapeView:
                 best is None or b.end[jump_dim] > best.end[jump_dim]
             ):
                 best = b
-        if self.raster is not None:
-            hit = self.raster(tuple(-x for x in p) if self._reflect else p)
-            if hit is not None:
-                if self._reflect:
-                    hit = hit.reflected()
-                if best is None or hit.end[jump_dim] > best.end[jump_dim]:
-                    best = hit
         return best
 
 
-#: what the sweep accepts per shape: bare forbidden boxes or a full view
+#: what the sweep accepts per shape: bare forbidden boxes or a view
 ShapeInput = Union[Sequence[Box], ShapeView]
 
 

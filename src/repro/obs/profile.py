@@ -95,17 +95,13 @@ class SolveProfile:
     propagations: int = 0
     domain_updates: int = 0
     failures: int = 0
-    # incremental-geost counters (0 when the kernel ran wholesale):
-    # dirty objects filtered / cached results reused / objects rasterized
-    # onto the occupancy bitboard
+    # placement-kernel counters: dirty modules filtered / cached anchor
+    # counts reused / modules written into the occupancy words / word-bank
+    # rows tested by prunes and anchor counts
     geost_dirty: int = 0
     geost_reused: int = 0
     geost_rasterized: int = 0
-    # bitboard-sweep counters (0 when the sweep ran scalar): vectorized
-    # frontier scans performed / filters that fell back to the scalar
-    # sweep because the anchor window exceeded the rasterization guard
-    bitboard_rows_tested: int = 0
-    bitboard_fallbacks: int = 0
+    geost_rows_tested: int = 0
     # analytical-relaxation counters (0 unless the analytical placer ran):
     # force-loop iterations executed / centroids legalized onto anchors
     analytical_iterations: int = 0
@@ -237,15 +233,14 @@ def profile_report(profile: SolveProfile) -> str:
         f"failures={p.failures} elapsed={p.elapsed:.3f}s"
         + (f" stop={p.stop_reason}" if p.stop_reason else ""),
     ]
-    if p.geost_dirty or p.geost_reused or p.geost_rasterized:
+    if (
+        p.geost_dirty or p.geost_reused or p.geost_rasterized
+        or p.geost_rows_tested
+    ):
         head.append(
             f"incremental geost: dirty={p.geost_dirty} "
-            f"reused={p.geost_reused} rasterized={p.geost_rasterized}"
-        )
-    if p.bitboard_rows_tested or p.bitboard_fallbacks:
-        head.append(
-            f"bitboard sweep: rows_tested={p.bitboard_rows_tested} "
-            f"fallbacks={p.bitboard_fallbacks}"
+            f"reused={p.geost_reused} rasterized={p.geost_rasterized} "
+            f"rows_tested={p.geost_rows_tested}"
         )
     if p.analytical_iterations or p.analytical_snapped:
         head.append(

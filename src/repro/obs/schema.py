@@ -49,9 +49,7 @@ EVENT_KINDS: Dict[str, List[str]] = {
     "engine.propagate": ["propagator", "prunes"],
     "engine.domain": ["var", "size", "cause"],
     "geost.shape_removed": ["object", "shape"],
-    "geost.incremental": [
-        "dirty", "reused", "rasterized", "rows_tested", "fallbacks",
-    ],
+    "geost.incremental": ["dirty", "reused", "rasterized", "rows_tested"],
     "kernel.imprint": ["module", "shape", "x", "y"],
     "lns.neighborhood": ["iteration", "free", "frontier"],
     "lns.improved": ["iteration", "extent"],

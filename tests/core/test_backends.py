@@ -436,7 +436,8 @@ class TestTemporalBackend:
         assert not res.proved_optimal
 
     def test_production_path_matches_reference_oracle(self):
-        from repro.core.temporal import TemporalPlacer, TemporalTask
+        from repro.core.temporal import TemporalTask
+        from tests.support import TemporalPlacer
 
         region = _tight_region(4, 4)
         specs = [("a", 2, 2, 2), ("b", 2, 2, 3), ("c", 2, 4, 2)]

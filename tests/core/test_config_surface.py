@@ -1,16 +1,14 @@
 """The solver configs carry no oracle switches or single-value knobs.
 
-The wholesale (``incremental=False``) propagation path is a reference
-oracle on the two kernel constructors
-(:class:`~repro.geost.placement.PlacementKernel` and
-:class:`~repro.geost.kernel.Geost`); the scalar (``bitboard=False``) path
-is a switch of the reference kernel only, and the placement kernel's
-boolean-bank oracle lives in ``tests/support.py``.  Tests reach them
-through :func:`tests.support.kernel_mode`.  This guard keeps them, and
-the knobs that only ever took their default, off the solver surface, and
-the baseline placers' single-rule options off their constructors.  No
-solver takes an anchor-mask cache: every placement model builds its
-anchor words fresh.
+Each kernel runs in one mode.  The placement kernel's wholesale and
+boolean-bank oracles and the spatio-temporal reference placer live in
+``tests/support.py``, and tests reach the kernel oracles through
+:func:`tests.support.kernel_mode`; the reference
+:class:`~repro.geost.kernel.Geost` has no incremental or bitboard rung.
+This guard keeps the oracles, and the knobs that only ever took their
+default, off the solver surface, and the baseline placers' single-rule
+options off their constructors.  No solver takes an anchor-mask cache:
+every placement model builds its anchor words fresh.
 """
 
 from __future__ import annotations
@@ -20,14 +18,17 @@ import inspect
 
 import pytest
 
+import repro.core
+import repro.core.temporal
 from repro.core import portfolio
 from repro.core.backend.protocol import PlacementRequest
 from repro.core.lns import LNSConfig
 from repro.core.placement_model import PlacementModel
 from repro.core.placer import PlacerConfig, warm_start_seed
 from repro.core.portfolio import PortfolioConfig
-from repro.core.temporal import TemporalCPPlacer, TemporalPlacer
+from repro.core.temporal import TemporalCPPlacer
 from repro.fabric.cache import AnchorMaskCache
+from repro.geost.kernel import Geost
 from repro.geost.placement import PlacementKernel
 from repro.placer import KamerPlacer
 from repro.placer.base import BasePlacer
@@ -46,12 +47,13 @@ REMOVED_PARAMETERS = {
     PlacementModel: {
         "incremental", "bitboard", "redundant_cumulative", "cache",
     },
-    TemporalPlacer: {"cache"},
     TemporalCPPlacer: {"incremental", "bitboard", "cache"},
     portfolio._worker: {"incremental", "bitboard"},
-    # the packed-word kernel has one representation; the boolean bank is
-    # the test oracle
-    PlacementKernel: {"bitboard", "cache"},
+    # the packed-word kernel has one representation and one propagation;
+    # the boolean bank and the wholesale subclass are test oracles
+    PlacementKernel: {"incremental", "bitboard", "cache"},
+    # the reference kernel runs the textbook wholesale fixpoint only
+    Geost: {"incremental", "bitboard"},
     # the leftover cache is unbounded; no solver reads it
     AnchorMaskCache: {"capacity"},
     # best-area is KAMER's only MER rule; "first" and "bottom-left"
@@ -62,9 +64,7 @@ REMOVED_PARAMETERS = {
 }
 
 #: solve calls that once took an anchor-mask cache
-CACHE_FREE_CALLS = [
-    TemporalPlacer.place, TemporalCPPlacer.place, warm_start_seed,
-]
+CACHE_FREE_CALLS = [TemporalCPPlacer.place, warm_start_seed]
 
 
 @pytest.mark.parametrize(
@@ -88,3 +88,11 @@ def test_constructor_has_no_removed_parameter(target):
 )
 def test_solve_call_takes_no_cache(call):
     assert "cache" not in inspect.signature(call).parameters
+
+
+@pytest.mark.parametrize(
+    "module", [repro.core, repro.core.temporal], ids=lambda m: m.__name__
+)
+def test_reference_temporal_placer_is_a_test_oracle(module):
+    assert not hasattr(module, "TemporalPlacer")
+    assert "TemporalPlacer" not in getattr(module, "__all__", ())

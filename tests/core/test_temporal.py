@@ -1,4 +1,10 @@
-"""Temporal (3-D) placement: exact schedules over the geost kernel."""
+"""Temporal (3-D) placement: exact schedules over the geost kernel.
+
+Most cases run the reference :class:`tests.support.TemporalPlacer` (the
+model on the interval geost kernel); :class:`TestProductionMatchesOracle`
+pins the production :class:`~repro.core.temporal.TemporalCPPlacer`
+against it.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +14,6 @@ import pytest
 
 from repro.core.temporal import (
     ScheduledTask,
-    TemporalPlacer,
     TemporalResult,
     TemporalTask,
     render_timeline,
@@ -18,6 +23,8 @@ from repro.fabric.region import PartialRegion
 from repro.fabric.resource import ResourceType
 from repro.modules.footprint import Footprint
 from repro.modules.module import Module
+
+from tests.support import TemporalPlacer
 
 
 def clb_region(rows):
@@ -344,6 +351,14 @@ _ORACLE_CASES = [
         [],
         6,
         id="heterogeneous",
+    ),
+    # the seeded instance of scripts/temporal_smoke.py::check_scheduler
+    pytest.param(
+        ["......"] * 3,
+        [("a", 3, 2, 2), ("b", 3, 2, 2), ("c", 4, 2, 2), ("d", 2, 3, 1)],
+        [(0, 2)],
+        8,
+        id="smoke",
     ),
 ]
 

@@ -1,50 +1,52 @@
-"""The cross-kernel differential oracle suite (ISSUE 6 headline).
+"""The cross-kernel differential oracle suite.
 
-Every test runs seeded instances through pairs of
-:class:`tests.support.OracleConfig` rungs and asserts *bit-identical*
-behavior via :func:`tests.support.assert_bit_identical`: equal solution
-sets, equal search-tree fingerprints (nodes, backtracks, solutions,
-depth, failures, propagations, domain updates) and per-config profile
-invariants.  The ladder, weakest oracle first:
+Every pair test runs seeded instances through two
+:class:`tests.support.OracleConfig` rungs of the placement kernel and
+asserts *bit-identical* behavior via
+:func:`tests.support.assert_bit_identical`: equal solution sets, equal
+search-tree fingerprints (nodes, backtracks, solutions, depth, failures,
+propagations, domain updates) and per-config profile invariants.  The
+ladder, weakest oracle first:
 
 1. wholesale scalar (``incremental=False, bitboard=False``) — the
-   textbook re-filter-everything loop;
-2. incremental scalar (``incremental=True, bitboard=False``) — PR 5's
-   dirty-set propagation, already pinned against rung 1;
-3. bitboard (``incremental=True, bitboard=True``) — this PR's
-   vectorized sweep.
+   boolean-bank kernel re-filtering every module on each wake-up;
+2. incremental scalar (``incremental=True, bitboard=False``) — the
+   boolean-bank kernel's dirty-set propagation on its per-shape path
+   (``tests.support.BoolBankKernel``);
+3. bitboard (``incremental=True, bitboard=True``) — the packed-word
+   production kernel.
 
-For the placement kernel the top rung is the packed-word kernel and the
-two scalar rungs run the boolean-bank kernel it replaced on its
-per-shape path (``tests.support.BoolBankKernel``), so the pairs pin the
-words against that oracle, search trees included.
+``incremental=False, bitboard=True`` is the packed-word kernel's
+wholesale subclass (``tests.support.WholesalePlacementKernel``).
+
+The reference interval :class:`~repro.geost.kernel.Geost` runs in one
+mode; its solution sets are checked against the production kernel in
+2-D and against brute-force enumeration in 3-D.
 
 Across the whole module the generators cover sparse, dense and
-shape-alternative-heavy 2-D regimes plus 3-D pure geost, at well over
-150 instances total (see the seed ranges below: 60 sparse + 45 dense +
-45 alt-heavy + 18 geost-2D + 30 geost-3D = 198 generator draws, most
-exercised under several config pairs).
+shape-alternative-heavy 2-D regimes plus 3-D pure geost (see the seed
+ranges below).
 """
 
 import pytest
 
 from tests.support import (
     BITBOARD,
+    GEOST,
     INCREMENTAL_SCALAR,
     SCALAR_ORACLE,
     OracleConfig,
     assert_bit_identical,
+    brute_force_3d_solutions,
     brute_force_solutions,
     oracle_run,
+    oracle_run_3d,
     random_alt_heavy_instance,
     random_dense_instance,
     random_geost3d_instance,
     random_small_instance,
 )
 
-GEOST_BITBOARD_CFG = OracleConfig("geost", incremental=True, bitboard=True)
-GEOST_SCALAR_CFG = OracleConfig("geost", incremental=True, bitboard=False)
-GEOST_WHOLESALE_CFG = OracleConfig("geost", incremental=False, bitboard=False)
 
 
 # ----------------------------------------------------------------------
@@ -80,7 +82,7 @@ class TestPlacementKernelPairs:
 
 class TestPlacementKernelLadder:
     """The full three-rung ladder agrees pairwise (transitively pinning
-    the bitboard sweep all the way down to the wholesale oracle)."""
+    the word kernel all the way down to the wholesale oracle)."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_ladder_sparse(self, seed):
@@ -104,9 +106,9 @@ class TestPlacementKernelLadder:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_bitboard_without_incremental(self, seed):
-        """The pure-vectorization rung (bitboard without the dirty-set
-        machinery) is a valid configuration of the production kernel and
-        must also match the wholesale scalar oracle."""
+        """The word kernel without its dirty set and count cache
+        (:class:`tests.support.WholesalePlacementKernel`) must also match
+        the wholesale scalar oracle."""
         region, modules = random_dense_instance(2000 + seed)
         assert_bit_identical(
             region,
@@ -133,55 +135,27 @@ class TestGroundTruth:
 # Reference kernel: 2-D (typed forbidden regions) and 3-D
 # ----------------------------------------------------------------------
 class TestReferenceKernel2D:
-    @pytest.mark.parametrize("seed", range(12))
-    def test_bitboard_vs_scalar(self, seed):
-        region, modules = random_small_instance(seed)
-        assert_bit_identical(
-            region, GEOST_BITBOARD_CFG, GEOST_SCALAR_CFG, modules=modules,
-            context=f"geost2d/{seed}",
-        )
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_bitboard_vs_wholesale(self, seed):
-        region, modules = random_small_instance(500 + seed)
-        assert_bit_identical(
-            region, GEOST_BITBOARD_CFG, GEOST_WHOLESALE_CFG, modules=modules,
-            context=f"geost2d-wholesale/{seed}",
-        )
-
     @pytest.mark.parametrize("seed", range(8))
     def test_cross_kernel_solution_sets(self, seed):
         """Production and reference kernels enumerate the same set.
 
         Search trees legitimately differ across *kernels* (different
         propagation strength orderings), so only the solution sets are
-        compared here — the fingerprints are pinned within each kernel by
-        the pair tests above.
+        compared here — the fingerprints are pinned within the placement
+        kernel by the pair tests above.
         """
         region, modules = random_small_instance(seed)
         placement = oracle_run(region, modules, BITBOARD)
-        geost = oracle_run(
-            region, modules, GEOST_BITBOARD_CFG
-        )
+        geost = oracle_run(region, modules, GEOST)
         assert placement.solutions == geost.solutions
 
 
 class TestReferenceKernel3D:
     @pytest.mark.parametrize("seed", range(30))
-    def test_bitboard_vs_scalar(self, seed):
+    def test_vs_brute_force(self, seed):
         inst = random_geost3d_instance(seed)
-        assert_bit_identical(
-            inst, GEOST_BITBOARD_CFG, GEOST_SCALAR_CFG,
-            context=f"geost3d/{seed}",
-        )
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_bitboard_vs_wholesale(self, seed):
-        inst = random_geost3d_instance(seed)
-        assert_bit_identical(
-            inst, GEOST_BITBOARD_CFG, GEOST_WHOLESALE_CFG,
-            context=f"geost3d-wholesale/{seed}",
-        )
+        run = oracle_run_3d(inst, GEOST)
+        assert run.solutions == brute_force_3d_solutions(inst), f"seed={seed}"
 
 
 # ----------------------------------------------------------------------
@@ -189,9 +163,9 @@ class TestReferenceKernel3D:
 # ----------------------------------------------------------------------
 class TestSuiteEngagement:
     """Aggregate sanity: the generators produce solvable work and the
-    bitboard path actually runs (a suite where every instance were
-    root-infeasible, solution-free, or silently scalar would pass the
-    pair tests while checking nothing)."""
+    word kernel's row tests actually run (a suite where every instance
+    were root-infeasible, solution-free, or silently scalar would pass
+    the pair tests while checking nothing)."""
 
     def test_2d_corpus_is_meaningful(self):
         solved = 0
@@ -208,19 +182,11 @@ class TestSuiteEngagement:
                 if run.inc_stats is not None:
                     rows += run.inc_stats.rows_tested
         assert solved >= 30, f"only {solved}/60 2-D instances solvable"
-        assert rows > 0, "bitboard sweep never engaged on the 2-D corpus"
+        assert rows > 0, "word-kernel row tests never ran on the 2-D corpus"
 
     def test_3d_corpus_is_meaningful(self):
-        from tests.support import oracle_run_3d
-
-        solved = 0
-        rows = 0
-        for seed in range(30):
-            run = oracle_run_3d(
-                random_geost3d_instance(seed), GEOST_BITBOARD_CFG
-            )
-            solved += bool(run.solutions)
-            if run.inc_stats is not None:
-                rows += run.inc_stats.rows_tested
+        solved = sum(
+            bool(oracle_run_3d(random_geost3d_instance(seed), GEOST).solutions)
+            for seed in range(30)
+        )
         assert solved >= 10, f"only {solved}/30 3-D instances solvable"
-        assert rows > 0, "bitboard sweep never engaged on the 3-D corpus"

@@ -1,22 +1,20 @@
-"""Differential suite: incremental geost vs the wholesale oracle.
+"""Differential suite: the incremental placement kernel vs the wholesale oracle.
 
-The incremental mode (dirty-object maintenance, trail-aware caches,
-bitboard fast path) must be *observationally identical* to wholesale
-re-filtering: per-object filtering is monotone, so chaotic iteration
-reaches the same least fixpoint under any fair processing order, and both
-modes therefore produce bit-identical search trees — not just the same
-solutions.
+The production :class:`~repro.geost.placement.PlacementKernel` (dirty-set
+propagation, trail-aware anchor-count cache) must be *observationally
+identical* to wholesale re-filtering
+(:class:`tests.support.WholesalePlacementKernel`): per-module filtering
+is monotone, so chaotic iteration reaches the same least fixpoint under
+any fair processing order, and both therefore produce bit-identical
+search trees — not just the same solutions.
 
 100 seeded random instances (``tests.support.random_small_instance``) are
-enumerated with both modes of the vectorized
-:class:`~repro.geost.placement.PlacementKernel`, comparing complete
-solution sets plus the search-tree counters (nodes, backtracks,
-solutions, max depth) and the engine failure count.  A subset repeats the
-check with the reference interval :class:`~repro.geost.kernel.Geost`
-(slower: heterogeneity as 1x1 typed regions), and the backend layer is
-exercised end-to-end through ``cp``, ``lns`` and ``portfolio`` (one
-in-process worker), with :func:`tests.support.kernel_mode` swapping the
-wholesale kernel in under the unchanged solver configs.
+enumerated with both kernels, comparing complete solution sets plus the
+search-tree counters (nodes, backtracks, solutions, max depth) and the
+engine failure count.  The backend layer is exercised end-to-end through
+``cp``, ``lns`` and ``portfolio`` (one in-process worker), with
+:func:`tests.support.kernel_mode` swapping the wholesale kernel in under
+the unchanged solver configs.
 """
 
 from __future__ import annotations
@@ -26,14 +24,11 @@ import pytest
 from repro.cp.engine import Inconsistent
 from repro.cp.model import Model
 from repro.cp.search import DepthFirstSearch
-from repro.geost.kernel import Geost
-from repro.geost.objects import GeostObject
-from repro.geost.shapes import ShapeTable
 
 from tests.support import (
     BoolBankKernel,
+    WholesalePlacementKernel,
     build_kernel,
-    fabric_to_forbidden_regions,
     kernel_mode,
     random_small_instance,
 )
@@ -68,36 +63,6 @@ def _kernel_run(region, modules, incremental):
         m.engine.stats.failures,
     )
     return sols, fingerprint, kernel.inc_stats
-
-
-def _geost_run(region, modules, incremental):
-    """Same fingerprint for the reference interval kernel."""
-    kinds = {
-        k for mod in modules for fp in mod.shapes for _, _, k in fp.cells
-    }
-    regions = fabric_to_forbidden_regions(region, kinds)
-    m = Model()
-    table = ShapeTable()
-    objects = []
-    dv = []
-    for i, mod in enumerate(modules):
-        sids = [table.add_footprint(fp) for fp in mod.shapes]
-        x = m.int_var(0, region.width - 1, f"x{i}")
-        y = m.int_var(0, region.height - 1, f"y{i}")
-        s = m.int_var(min(sids), max(sids), f"s{i}")
-        objects.append(GeostObject(i, [x, y], s, table))
-        dv.extend([x, y, s])
-    try:
-        m.post(Geost(objects, regions, incremental=incremental))
-    except Inconsistent:
-        return set(), ("root-infeasible",)
-    search = DepthFirstSearch(m.engine, dv)
-    sols = {tuple(sol[v.name] for v in dv) for sol in search.all_solutions()}
-    st = search.stats
-    return sols, (
-        st.nodes, st.backtracks, st.solutions, st.max_depth,
-        m.engine.stats.failures,
-    )
 
 
 @pytest.mark.parametrize("seed", range(100))
@@ -156,15 +121,6 @@ def test_incremental_mode_actually_reuses_work():
     assert profile.geost_rasterized > 0
 
 
-@pytest.mark.parametrize("seed", range(0, 100, 4))
-def test_reference_geost_bit_identical(seed):
-    region, modules = random_small_instance(seed)
-    inc_sols, inc_stats = _geost_run(region, modules, incremental=True)
-    ora_sols, ora_stats = _geost_run(region, modules, incremental=False)
-    assert inc_sols == ora_sols, f"seed={seed}: solution sets differ"
-    assert inc_stats == ora_stats, f"seed={seed}: search trees differ"
-
-
 # ----------------------------------------------------------------------
 # Backend layer: the wholesale kernel injected under each solver
 # ----------------------------------------------------------------------
@@ -202,10 +158,14 @@ def test_kernel_mode_reaches_the_solver_stack():
         }
     assert isinstance(oracle, BoolBankKernel)
     assert not oracle.incremental and not oracle.bitboard
+    with kernel_mode(incremental=False):
+        wholesale = PlacementModel(region, modules).kernel
+        assert repro.core.temporal.PlacementKernel is WholesalePlacementKernel
+    assert type(wholesale) is WholesalePlacementKernel
     # the swap is undone on exit
     assert repro.core.temporal.PlacementKernel is PlacementKernel
     fast = PlacementModel(region, modules).kernel
-    assert type(fast) is PlacementKernel and fast.incremental
+    assert type(fast) is PlacementKernel
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -40,7 +40,7 @@ from repro.modules.generator import GeneratorConfig, ModuleGenerator
 from repro.modules.module import Module
 from repro.placer.greedy import BottomLeftPlacer
 
-from tests.support import BoolBankKernel
+from tests.support import BoolBankKernel, count_anchors, count_anchors_batch
 
 REGIMES = ("irregular", "tall", "narrowed", "temporal")
 
@@ -246,3 +246,48 @@ def test_lane_carry_on_a_tall_fabric():
         xs[1].fix(0)
         m.engine.fixpoint()
         assert 61 not in ys[1].domain and 65 in ys[1].domain
+
+
+# ----------------------------------------------------------------------
+# The boolean bank's two fail-first counting paths
+# ----------------------------------------------------------------------
+def _scalar_counts(stack, col, row):
+    return np.array(
+        [count_anchors(v, col, row) for v in stack], dtype=np.int64
+    )
+
+
+class TestCountAnchorsBatch:
+    """The boolean bank's batched counts equal its per-shape counts."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_stacks(self, seed):
+        rng = np.random.default_rng(seed)
+        n, H, W = int(rng.integers(1, 6)), int(rng.integers(1, 9)), int(
+            rng.integers(1, 9)
+        )
+        stack = rng.random((n, H, W)) < rng.random()
+        col = rng.random(W) < rng.random()
+        row = rng.random(H) < rng.random()
+        assert np.array_equal(
+            count_anchors_batch(stack, col, row),
+            _scalar_counts(stack, col, row),
+        )
+
+    def test_empty_and_full_masks(self):
+        stack = np.ones((3, 4, 5), dtype=bool)
+        none_col = np.zeros(5, dtype=bool)
+        none_row = np.zeros(4, dtype=bool)
+        all_col = np.ones(5, dtype=bool)
+        all_row = np.ones(4, dtype=bool)
+        assert count_anchors_batch(stack, none_col, all_row).tolist() == [0, 0, 0]
+        assert count_anchors_batch(stack, all_col, none_row).tolist() == [0, 0, 0]
+        assert count_anchors_batch(stack, all_col, all_row).tolist() == [20, 20, 20]
+        empty_valid = np.zeros((3, 4, 5), dtype=bool)
+        assert count_anchors_batch(empty_valid, all_col, all_row).tolist() == [0, 0, 0]
+
+    def test_zero_shapes(self):
+        stack = np.zeros((0, 4, 5), dtype=bool)
+        col = np.ones(5, dtype=bool)
+        row = np.ones(4, dtype=bool)
+        assert count_anchors_batch(stack, col, row).shape == (0,)

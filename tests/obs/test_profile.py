@@ -130,6 +130,24 @@ class TestExportFormats:
         assert lines[0] == "propagator,calls,time_s,prunes,failures"
         assert len(lines) == 1 + len(profile.propagators)
 
+    def test_table1_profile_counts_word_kernel_rows(self):
+        """A Table-I CP solve exports the word kernel's row tests under the
+        ``geost_*`` names and no ``bitboard_*`` key."""
+        from repro.experiments.config import default_fabric
+        from repro.modules.generator import GeneratorConfig, ModuleGenerator
+
+        modules = ModuleGenerator(
+            seed=0, config=GeneratorConfig(n_alternatives=4)
+        ).generate_set(30)
+        result = CPPlacer(
+            PlacerConfig(time_limit=None, node_limit=400, profile=True)
+        ).place(default_fabric(), modules)
+        assert len(result.placements) == 30
+        doc = json.loads(result.stats["profile"].to_json())
+        assert validate_profile(doc) == []
+        assert doc["geost_rows_tested"] > 0
+        assert not [key for key in doc if key.startswith("bitboard")]
+
     def test_report_is_human_readable(self):
         profile = _solve_with_profile()
         text = profile_report(profile)
