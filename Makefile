@@ -60,14 +60,17 @@ bench-geost:
 ## the anchor-kernel ratio gates, each a same-machine ratio: the run
 ## kernel vs the per-cell slice-AND oracle, the CP closed form vs the
 ## full CP model, the closed form's packed-word mask stage vs the
-## prefix-count kernel it replaced (both on recorded serving probes),
-## and the baseline placers on the free-space ledger vs the boolean-grid
-## state they replaced (Table I)
+## prefix-count kernel it replaced, the runtime manager's cp rung on its
+## free-space ledger vs the residual region + cp backend probe it
+## replaced (all three on recorded serving probes; the last reads its
+## threshold from BENCH_runtime.json), and the baseline placers on the
+## free-space ledger vs the boolean-grid state they replaced (Table I)
 bench-masks:
 	$(PY) -m pytest -q -s \
 	  "benchmarks/test_bench_substrates.py::TestRunKernelSpeedup" \
 	  "benchmarks/test_bench_runtime.py::TestClosedFormAdmission" \
 	  "benchmarks/test_bench_runtime.py::TestPackedAnchorWords" \
+	  "benchmarks/test_bench_runtime.py::TestLedgerAdmission" \
 	  benchmarks/test_bench_backends.py
 
 ## sharded-service trace replay on the seeded Table-I workload: reads

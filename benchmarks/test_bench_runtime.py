@@ -9,12 +9,15 @@ module relocation.
 from __future__ import annotations
 
 import contextlib
+import json
+import pathlib
 import time
 
 import pytest
 
 import repro.core.defrag as defrag_mod
 from benchmarks.conftest import run_once
+from repro.core.backend import CPBackend, PlacementRequest, rung_answer
 from repro.core.defrag import NoBreakDefragmenter, defragment
 from repro.core.placer import CPPlacer, PlacerConfig
 from repro.core.result import PlacementResult
@@ -29,6 +32,10 @@ from tests.support import (
     per_cell_relocation_sites,
     prefix_count_anchor_mask,
     recorded_cp_probes,
+)
+
+GATES_PATH = (
+    pathlib.Path(__file__).resolve().parent.parent / "BENCH_runtime.json"
 )
 
 #: no-break planning on the maintained occupancy grid must beat the same
@@ -182,14 +189,21 @@ class TestDefragPlanOccupancy:
         )
 
 
+@pytest.fixture(scope="module")
+def serving_probes():
+    """The ``cp``-rung probes of a serve-contended style replay."""
+    probes = recorded_cp_probes(n_requests=400, keep=200)
+    assert len(probes) >= 150
+    return probes
+
+
 class TestClosedFormAdmission:
-    def test_closed_form_beats_full_cp_model(self, report):
+    def test_closed_form_beats_full_cp_model(self, report, serving_probes):
         """Ratio gate: the serving CP probe (one module, first solution,
         min extent) answered in closed form vs the same probe through
         :func:`tests.support.full_cp_model`.  Both sides must give the
         same answers."""
-        probes = recorded_cp_probes(n_requests=400, keep=200)
-        assert len(probes) >= 150
+        probes = [(p.region, p.module) for p in serving_probes]
         config = PlacerConfig(time_limit=None, first_solution_only=True)
 
         def run(full):
@@ -228,14 +242,15 @@ class TestClosedFormAdmission:
 
 
 class TestPackedAnchorWords:
-    def test_packed_words_beat_prefix_count_kernel(self, report):
+    def test_packed_words_beat_prefix_count_kernel(
+        self, report, serving_probes
+    ):
         """Ratio gate: the CP closed form's mask stage — the region's
         column words, every shape's anchor words, the bottom-left pick —
         vs the prefix-count kernel it replaced (region planes, one mask
         per shape, the same pick) on recorded serving probes.  Both
         sides must pick the same ``(x, y, shape)``."""
-        probes = recorded_cp_probes(n_requests=400, keep=200)
-        assert len(probes) >= 150
+        probes = [(p.region, p.module) for p in serving_probes]
 
         def packed():
             t0 = time.perf_counter()
@@ -278,6 +293,79 @@ class TestPackedAnchorWords:
         )
         assert speedup >= PACKED_WORDS_SPEEDUP_MIN, (
             f"packed words only {speedup:.2f}x the prefix-count kernel"
+        )
+
+
+class TestLedgerAdmission:
+    def test_ledger_pick_beats_backend_probe(self, report, serving_probes):
+        """Ratio gate: the runtime manager's ``cp`` rung, the bottom-left
+        pick over anchor words read off the free-space ledger, vs the
+        same probe the way the manager sent it before: residual region,
+        ``PlacementRequest`` and ``CPBackend().place``.  Both sides must
+        give the answers the replay recorded.  The threshold is
+        ``ledger_admission_speedup_min`` in ``BENCH_runtime.json``: both
+        sides run the same anchor-word kernel (about 44 us of the ledger
+        side's 45 us on a 2-core x86 host), so the ratio is what the
+        residual region, request, adapter and result cost on top,
+        measured 1.45-1.62x there."""
+        gate = json.loads(GATES_PATH.read_text())["gates"][
+            "ledger_admission_speedup_min"
+        ]
+        probes = serving_probes
+        backend = CPBackend()
+
+        def ledger():
+            t0 = time.perf_counter()
+            picks = [
+                bottom_left_pick(p.ledger.anchors(p.module.shapes, p.blocked))
+                for p in probes
+            ]
+            return time.perf_counter() - t0, picks
+
+        def backend_probe():
+            t0 = time.perf_counter()
+            results = [
+                backend.place(
+                    PlacementRequest(
+                        region=p.ledger.residual(p.blocked),
+                        modules=[p.module],
+                        time_limit=0.25,
+                        first_solution_only=True,
+                    )
+                )
+                for p in probes
+            ]
+            elapsed = time.perf_counter() - t0
+            return elapsed, [pick_of(rung_answer(r)[0]) for r in results]
+
+        def pick_of(placement):
+            if placement is None:
+                return None
+            return placement.x, placement.y, placement.shape_index
+
+        recorded = [pick_of(p.placement) for p in probes]
+        # alternate the two sides so a drift in host speed hits both; one
+        # side's pass over the probes is ~10 ms, so take the best of many
+        t_ledger = t_backend = float("inf")
+        for _ in range(25):
+            elapsed, picks = ledger()
+            t_ledger = min(t_ledger, elapsed)
+            elapsed, ref_picks = backend_probe()
+            t_backend = min(t_backend, elapsed)
+            assert picks == ref_picks == recorded
+        speedup = t_backend / t_ledger
+        report(
+            "one-module admission: ledger pick vs residual region + backend",
+            f"{len(probes)} recorded serve-contended probes, "
+            f"{sum(p is None for p in picks)} with no fit\n"
+            f"  residual + cp backend {t_backend / len(probes) * 1e3:7.3f} "
+            "ms/probe\n"
+            f"  ledger pick           {t_ledger / len(probes) * 1e3:7.3f} "
+            "ms/probe\n"
+            f"  speedup               {speedup:7.2f}x  (gate >= {gate}x)",
+        )
+        assert speedup >= gate, (
+            f"ledger pick only {speedup:.2f}x the residual-region probe"
         )
 
 

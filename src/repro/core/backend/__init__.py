@@ -10,6 +10,7 @@ from repro.core.backend.protocol import (
     BackendCapabilities,
     PlacementBackend,
     PlacementRequest,
+    rung_answer,
     sweep_chain,
 )
 from repro.core.backend.registry import (
@@ -32,6 +33,7 @@ __all__ = [
     "BackendCapabilities",
     "PlacementBackend",
     "PlacementRequest",
+    "rung_answer",
     "sweep_chain",
     "available_backends",
     "backend_capabilities",

@@ -46,27 +46,25 @@ def solve_in_worker(
     from repro.core.backend import (
         PlacementRequest,
         create_backend,
+        rung_answer,
         sweep_chain,
     )
 
-    region = region_from_dict(region_payload)
-    module = module_from_dict(module_payload)
+    request = PlacementRequest(
+        region=region_from_dict(region_payload),
+        modules=[module_from_dict(module_payload)],
+        seed=seed,
+        time_limit=time_limit,
+        first_solution_only=True,
+    )
     errors: List[str] = []
-    res, name = sweep_chain(
+    placement, name = sweep_chain(
         chain,
-        create_backend,
-        PlacementRequest(
-            region=region,
-            modules=[module],
-            seed=seed,
-            time_limit=time_limit,
-            first_solution_only=True,
-        ),
+        lambda rung: rung_answer(create_backend(rung).place(request)),
         lambda rung, exc: errors.append(f"{rung}: {exc}"),
     )
-    if res is not None and res.placements:
-        p = res.placements[0]
-        return p.shape_index, p.x, p.y, name
+    if placement is not None:
+        return placement.shape_index, placement.x, placement.y, name
     if errors and len(errors) == len(chain):
         raise RuntimeError(
             "every chain rung failed in worker: " + "; ".join(errors)

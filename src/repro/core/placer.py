@@ -10,12 +10,17 @@ found, which makes the Table I experiments budget-controllable.
 
 One request shape skips the model: a single module, stopped at its first
 solution under the min-extent objective, with no warm start, extent
-clamp, restarts or node budget (:func:`closed_form_applies`, the runtime
-admission probe).  That dive provably lands on the minimum ``(x, y,
-shape)`` over the shapes' valid anchors, so :meth:`CPPlacer._place`
-returns :func:`~repro.fabric.masks.bottom_left_pick` over the shapes'
-anchor words, or a proven ``"infeasible"`` when no shape has an
-anchor.  The full model stays the test oracle
+clamp, restarts or node budget (:func:`closed_form_applies`).  That dive
+provably lands on the minimum ``(x, y, shape)`` over the shapes' valid
+anchors, so :meth:`CPPlacer._place` returns
+:func:`~repro.fabric.masks.bottom_left_pick` over the shapes' anchor
+words, or a proven ``"infeasible"`` when no shape has an anchor.  The
+closed form serves the process-pool admission worker
+(:func:`~repro.core.backend.worker.solve_in_worker`) and offline
+callers; the runtime manager asks the same pick of its free-space
+ledger directly (``RuntimePlacementManager._ledger_rung``) and shares
+only the profile and status labels (:func:`closed_form_profile`,
+:func:`closed_form_status`).  The full model stays the test oracle
 (``tests/support.py::full_cp_model``).
 """
 
@@ -376,9 +381,7 @@ class CPPlacer:
         the bottom-left ``(x, y, shape)`` over them, or a proven
         ``"infeasible"`` when no shape has an anchor; no ``(H, W)`` mask is
         built.  As with the dive, the answer is ``"optimal"`` only when it
-        is the one anchor there is (root propagation then fixes every
-        variable): exactly one bit set across the shapes' words.  Otherwise
-        it is ``"feasible"``.
+        is the one anchor there is (:func:`closed_form_status`).
         """
         words = anchor_words(column_words(region), module.shapes)
         pick = bottom_left_pick(words)
@@ -388,11 +391,7 @@ class CPPlacer:
             "first_incumbent_nodes": 0,
         }
         if profiling:
-            profile = SolveProfile(
-                elapsed=elapsed,
-                stop_reason="closed-form",
-                meta={"instance": region.name, "modules": 1, "placer": "cp"},
-            )
+            profile = closed_form_profile(region.name, elapsed)
             session = obs_context.current()
             if session is not None:
                 session.record(profile)
@@ -404,18 +403,12 @@ class CPPlacer:
             )
         x, y, si = pick
         placement = Placement(module, si, x, y)
-        stacked = np.stack(words)
-        set_words = stacked[stacked != 0]
-        # one nonzero word, and a power of two: a single anchor
-        unique = set_words.size == 1 and not (
-            int(set_words[0]) & (int(set_words[0]) - 1)
-        )
         return PlacementResult(
             region,
             [placement],
             [],
             extent=placement.right,
-            status="optimal" if unique else "feasible",
+            status=closed_form_status(words),
             elapsed=elapsed,
             stats=stats,
         )
@@ -526,6 +519,29 @@ def closed_form_applies(
         and cfg.construction == "dive"
         and cfg.node_limit is None
     )
+
+
+def closed_form_profile(instance: str, elapsed: float) -> SolveProfile:
+    """The profile of one closed-form answer on region ``instance``."""
+    return SolveProfile(
+        elapsed=elapsed,
+        stop_reason="closed-form",
+        meta={"instance": instance, "modules": 1, "placer": "cp"},
+    )
+
+
+def closed_form_status(words: Sequence[np.ndarray]) -> str:
+    """The status of a closed-form pick over the shapes' anchor words
+    (at least one bit set): ``"optimal"`` when it is the one anchor there
+    is, so root propagation would fix every variable, else
+    ``"feasible"``."""
+    stacked = np.stack(words)
+    set_words = stacked[stacked != 0]
+    # one nonzero word, and a power of two: a single anchor
+    unique = set_words.size == 1 and not (
+        int(set_words[0]) & (int(set_words[0]) - 1)
+    )
+    return "optimal" if unique else "feasible"
 
 
 def _objective_value(

@@ -7,16 +7,17 @@ defragmentation, Ahmadinia et al. on online free-space management).
 :class:`RuntimePlacementManager` is the serving loop that drives the
 repo's existing parts under such a load:
 
-* **Admission** — each arrival is placed on the residual region through a
-  deterministic fallback chain of registered placement backends
-  (:mod:`repro.core.backend`): by default a CP probe, then the
-  bottom-left greedy rung, then reject.  ``RuntimeConfig.chain`` names
-  the rungs declaratively by backend name.  The CP probe is one module
-  at its first solution, which the CP placer answers in closed form
-  (the bottom-left anchor over the shapes' anchor words); when no shape
-  has an anchor its ``"infeasible"`` is a proof that ends the sweep
-  (:func:`~repro.core.backend.protocol.sweep_chain`), so the greedy rung
-  only runs after a rung that gave up or raised.
+* **Admission** — each arrival goes down a deterministic fallback chain
+  of registered placement backends (:mod:`repro.core.backend`), named
+  declaratively by ``RuntimeConfig.chain``, then is rejected.  The
+  default chain is the one ``cp`` rung: one module at its first
+  solution, which is the bottom-left anchor over the shapes' anchor
+  words (the CP placer's closed form).  The manager reads that pick
+  straight off its free-space ledger, with no residual region or
+  backend call; when no shape has an anchor its ``"infeasible"`` is a
+  proof that ends the sweep
+  (:func:`~repro.core.backend.protocol.sweep_chain`), so a rung after
+  ``cp`` (``("cp", "greedy")``) only runs when ``cp`` raised.
 * **Fragmentation control** — external fragmentation of the live
   floorplan is monitored (:mod:`repro.metrics.fragmentation`); crossing a
   threshold, or any rejection, triggers a pass of the configured
@@ -38,8 +39,10 @@ repo's existing parts under such a load:
   to the pre-reservation code — pinned by the differential tests.
 * **Free space** — one :class:`~repro.core.occupancy.Occupancy` ledger
   holds the placed, move-window and reserved cells as packed column
-  words; every fit query reads it, and only the chain and the solver
-  hook get a region (:meth:`RuntimePlacementManager.residual_region`).
+  words; every fit query reads it, and only the solver hook and the
+  chain's backend rungs other than ``cp`` get a region
+  (:meth:`RuntimePlacementManager.residual_region`), built when one of
+  them runs.
 * **Observability** — every lifecycle step emits a structured trace event
   (``runtime.arrival`` / ``runtime.reject`` / ``runtime.defrag`` /
   ``runtime.depart``) and the per-request latency / occupancy counters
@@ -49,8 +52,9 @@ repo's existing parts under such a load:
 Time model: the manager runs on the *logical* clock carried by the
 requests (arrival/lifetime/deadline are simulation time units).  The
 solver budget ``probe_time_limit`` is wall-clock seconds, but it is a
-safety net only the model-backed rungs read: on the default
-``("cp", "greedy")`` chain it decides no outcome.
+safety net only the solver hook and rungs that search (``lns`` or
+``annealing``, say) read: the ledger's ``cp`` rung and the greedy rungs
+ignore it, so on the default ``("cp",)`` chain it decides no outcome.
 """
 
 from __future__ import annotations
@@ -68,6 +72,7 @@ from repro.core.backend import (
     PlacementRequest,
     available_backends,
     create_backend,
+    rung_answer,
     sweep_chain,
 )
 from repro.core.defrag import (
@@ -77,6 +82,7 @@ from repro.core.defrag import (
     create_defragmenter,
 )
 from repro.core.occupancy import Occupancy
+from repro.core.placer import closed_form_profile, closed_form_status
 from repro.core.result import Placement, PlacementResult
 from repro.fabric.masks import bottom_left_pick, first_anchor
 from repro.fabric.region import PartialRegion
@@ -87,6 +93,8 @@ from repro.modules.module import Module
 from repro.obs import context as obs_context
 from repro.obs.profile import SolveProfile, merge_records
 from repro.obs.trace import (
+    BACKEND_RESULT,
+    BACKEND_START,
     RUNTIME_ARRIVAL,
     RUNTIME_DEFRAG,
     RUNTIME_DEFRAG_STEP,
@@ -97,6 +105,10 @@ from repro.obs.trace import (
     RUNTIME_RESERVE,
     Tracer,
 )
+
+#: the chain rung the manager answers on its free-space ledger
+LEDGER_RUNG = "cp"
+
 
 # ----------------------------------------------------------------------
 # Requests and outcomes
@@ -184,13 +196,16 @@ class RuntimeConfig:
 
     #: admit with the full alternative set (False = primary shape only)
     with_alternatives: bool = True
-    #: admission chain as registered backend names, tried in order: by
-    #: default a CP probe, then the bottom-left greedy rung; ("greedy",)
-    #: skips the CP probe.  Every name must be registered and relocatable.
-    chain: Sequence[str] = ("cp", "greedy")
+    #: admission chain as registered backend names, tried in order.  The
+    #: ``cp`` rung is read off the ledger and its no-fit is a proof that
+    #: ends the sweep, so the default is that rung alone; a later rung
+    #: (("cp", "greedy")) only runs after ``cp`` raised.  Every name must
+    #: be registered and relocatable.
+    chain: Sequence[str] = ("cp",)
     #: wall-clock budget of one probe (seconds): a safety net that only
-    #: model-backed rungs read; the closed-form CP probe and the greedy
-    #: rung ignore it, so it decides no outcome on the default chain
+    #: the solver hook and rungs that search (``lns`` or ``annealing``,
+    #: say) read; the ledger's ``cp`` rung and the greedy rungs ignore
+    #: it, so it decides no outcome on the default chain
     probe_time_limit: float = 0.25
     #: bounded pending queue (0 = reject immediately, no queueing)
     queue_capacity: int = 8
@@ -458,8 +473,13 @@ class RuntimePlacementManager:
         #: the single move currently holding its window on the fabric
         self._move_queue: Deque[PlannedMove] = deque()
         self._active_move: Optional[_ActiveMove] = None
-        #: the admission rungs by name, instantiated once per manager
-        self._backends = {name: create_backend(name) for name in cfg.chain}
+        #: the backend rungs by name, instantiated once per manager (the
+        #: ``cp`` rung reads the ledger instead)
+        self._backends = {
+            name: create_backend(name)
+            for name in cfg.chain
+            if name != LEDGER_RUNG
+        }
         tracer = cfg.tracer
         self._tracer = tracer if tracer is not None and tracer.enabled else None
 
@@ -501,17 +521,20 @@ class RuntimePlacementManager:
     def residual_region(
         self, exclude: Optional[Reservation] = None
     ) -> PartialRegion:
-        """The free region the chain and the solver hook place on.  Booked
-        cells stay promised, except those of reservation ``exclude``
+        """The free region the solver hook and the chain's backend rungs
+        place on (:meth:`_blocked` carved out of the region)."""
+        return self._ledger.residual(self._blocked(exclude))
+
+    def _blocked(self, exclude: Optional[Reservation] = None) -> np.ndarray:
+        """The ledger words an admission may not use: the held cells and
+        the booked ones, except those of reservation ``exclude``
         (replanned on its own cells)."""
         ledger = self._ledger
         if exclude is None:
-            blocked = ledger.held | ledger.reserved
-        else:
-            blocked = ledger.held | ledger.words_of(
-                r.placement for r in self._reservations if r is not exclude
-            )
-        return ledger.residual(blocked)
+            return ledger.held | ledger.reserved
+        return ledger.held | ledger.words_of(
+            r.placement for r in self._reservations if r is not exclude
+        )
 
     # -- occupancy maintenance -----------------------------------------
     def _imprint(self, placement: Placement, value: bool) -> None:
@@ -843,47 +866,105 @@ class RuntimePlacementManager:
         self,
         module: Module,
         outcome: RequestOutcome,
-        region: Optional[PartialRegion] = None,
+        exclude: Optional[Reservation] = None,
     ) -> Tuple[Optional[Placement], str]:
         """One sweep down the fallback chain
         (:func:`~repro.core.backend.protocol.sweep_chain`): a rung's proof
         of no fit ends it, exceptions degrade a rung.
 
-        ``region`` overrides the residual region (reservation replanning
-        carves its own residual that keeps sibling bookings protected).
+        The ``cp`` rung reads the ledger (:meth:`_ledger_rung`).  The
+        solver hook and every other rung place on the residual region,
+        built only when one of them runs.  ``exclude`` is a reservation
+        being replanned: its own booked cells are free to it, its
+        siblings' stay blocked.
         """
         cfg = self.config
-        if region is None:
-            region = self.residual_region()
         if cfg.solver is not None:
             try:
-                solved = cfg.solver(module, region)
+                solved = cfg.solver(module, self.residual_region(exclude))
                 # None is the solver's definitive no-fit — don't re-run
                 # the same chain in-process on top of it
                 return solved if solved is not None else (None, "none")
             except Exception as exc:  # graceful: fall back to the chain
                 self.stats.probe_errors += 1
                 outcome.errors.append(f"solver: {exc}")
+        request: Optional[PlacementRequest] = None
+
+        def solve(name: str) -> Tuple[Optional[Placement], str]:
+            nonlocal request
+            if name == LEDGER_RUNG:
+                return self._ledger_rung(module, exclude)
+            if request is None:
+                request = PlacementRequest(
+                    region=self.residual_region(exclude),
+                    modules=[module],
+                    time_limit=cfg.probe_time_limit,
+                    first_solution_only=True,
+                    tracer=self._tracer,
+                )
+            return rung_answer(self._backends[name].place(request))
 
         def on_error(name: str, exc: Exception) -> None:
             self.stats.probe_errors += 1
             outcome.errors.append(f"{name}: {exc}")
 
-        res, name = sweep_chain(
-            cfg.chain,
-            self._backends.__getitem__,
-            PlacementRequest(
-                region=region,
-                modules=[module],
-                time_limit=cfg.probe_time_limit,
-                first_solution_only=True,
-                tracer=self._tracer,
-            ),
-            on_error,
-        )
-        if res is not None and res.placements:
-            return res.placements[0], name
-        return None, "none"
+        return sweep_chain(cfg.chain, solve, on_error)
+
+    def _ledger_rung(
+        self, module: Module, exclude: Optional[Reservation]
+    ) -> Tuple[Optional[Placement], str]:
+        """The chain's ``cp`` rung, read off the ledger.
+
+        A one-module, first-solution CP probe is the bottom-left pick
+        over the shapes' anchor words (the CP placer's closed form,
+        pinned against the full model by the tests), so the manager asks
+        the ledger directly with the :meth:`_blocked` cells taken: no
+        residual region, request or result.  No anchor is the proof of no
+        fit (``"infeasible"``) that ends the sweep.  With a tracer or a
+        profiling session on, the rung reports as the ``cp`` backend
+        does: the ``backend.start`` / ``backend.result`` pair and one
+        ``"closed-form"`` profile.
+        """
+        tracer = self._tracer
+        session = obs_context.current()
+        observed = tracer is not None or session is not None
+        if tracer is not None:
+            tracer.emit(BACKEND_START, backend=LEDGER_RUNG, modules=1)
+        start = time.monotonic() if observed else 0.0
+        try:
+            words = self._ledger.anchors(module.shapes, self._blocked(exclude))
+            pick = bottom_left_pick(words)
+        except Exception as exc:
+            if tracer is not None:
+                tracer.emit(
+                    BACKEND_RESULT,
+                    backend=LEDGER_RUNG,
+                    status="error",
+                    placed=0,
+                    elapsed=time.monotonic() - start,
+                    error=f"{type(exc).__name__}: {exc}",
+                )
+            raise
+        if pick is None:
+            placement, status = None, "infeasible"
+        else:
+            x, y, si = pick
+            placement, status = Placement(module, si, x, y), "feasible"
+        if observed:
+            elapsed = time.monotonic() - start
+            if session is not None:
+                profile = closed_form_profile(self.region.name, elapsed)
+                profile.meta["backend"] = LEDGER_RUNG
+                session.record(profile)
+            if tracer is not None:
+                tracer.emit(
+                    BACKEND_RESULT,
+                    backend=LEDGER_RUNG,
+                    status=status if pick is None else closed_form_status(words),
+                    placed=int(pick is not None),
+                    elapsed=elapsed,
+                )
+        return placement, status
 
     def _commit(
         self,
@@ -1065,9 +1146,7 @@ class RuntimePlacementManager:
             # replan on the live floorplan with the sibling bookings
             # still protected
             placement, rung = self._place_once(
-                self._admitted_shapes(r.request),
-                r.outcome,
-                region=self.residual_region(exclude=r),
+                self._admitted_shapes(r.request), r.outcome, exclude=r
             )
             if placement is None:
                 return False

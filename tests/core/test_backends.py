@@ -250,8 +250,10 @@ class TestRuntimeChainConfig:
             ),
         )
 
-    def test_default_chain_is_cp_then_greedy(self):
-        assert tuple(RuntimeConfig().chain) == ("cp", "greedy")
+    def test_default_chain_is_the_cp_rung(self):
+        """The cp rung's no-fit is a proof, so a greedy rung behind it
+        only runs after a crash: the one-rung default admits the same."""
+        assert tuple(RuntimeConfig().chain) == ("cp",)
         region = PartialRegion.whole_device(homogeneous_device(10, 2))
         by_default = RuntimePlacementManager(
             region, RuntimeConfig()

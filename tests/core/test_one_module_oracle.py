@@ -13,7 +13,9 @@ Three input sets:
 * seeded generator floorplans: Table-I style modules packed bottom-left
   on an irregular fabric, the next module probed on the residual;
 * hypothesis residual regions on small fabrics, many with no anchor;
-* the probes a ``serve-contended`` style replay sends to the CP rung.
+* the probes a ``serve-contended`` style replay sends to the runtime
+  manager's ``cp`` rung, which reads the pick off its free-space ledger:
+  its answer must equal the closed form's on the residual region.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from repro.modules.module import Module
 from repro.placer.greedy import BottomLeftPlacer
 from tests.support import full_cp_model, recorded_cp_probes
 
-#: the serving probe's config (RuntimePlacementManager._place_once)
+#: the config of a one-module admission probe (the cp backend under
+#: ``PlacementRequest(first_solution_only=True)``)
 PROBE = PlacerConfig(time_limit=None, first_solution_only=True, profile=True)
 
 
@@ -190,8 +193,19 @@ def contended_probes():
 
 
 def test_contended_probes(contended_probes):
+    """The runtime manager's ledger answer of each recorded probe equals
+    the closed form on its residual region, which equals the full
+    model."""
     assert len(contended_probes) >= 50
     statuses = set()
-    for region, module in contended_probes:
-        statuses.add(assert_same_as_full_model(region, module)[0])
+    for probe in contended_probes:
+        status, placements, _, _ = assert_same_as_full_model(
+            probe.region, probe.module
+        )
+        statuses.add(status)
+        p = probe.placement
+        if p is None:
+            assert status == "infeasible"
+        else:
+            assert placements == [(p.module.name, p.shape_index, p.x, p.y)]
     assert {"feasible", "infeasible"} <= statuses

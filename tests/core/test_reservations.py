@@ -538,6 +538,87 @@ class TestDefragOnBookedCells:
         mgr.check_invariants()
 
 
+class TestLedgerRung:
+    """The ``cp`` rung reads the free-space ledger: no residual region
+    and no backend request on the serving path, and a reservation replan
+    lands where the residual region + ``cp`` backend path lands it."""
+
+    @staticmethod
+    def _replay(manager_cls=RuntimePlacementManager):
+        mgr = manager_cls(
+            PartialRegion.whole_device(homogeneous_device(8, 1)),
+            resv_config(
+                chain=("cp", "greedy"),
+                queue_capacity=8,
+                reservation_horizon=8,
+                defrag_on_reject=True,
+                defragmenter="no-break",
+                verify_moves=True,
+            ),
+        )
+        log = mgr.run([
+            req(name, arrival, lifetime, w=w, h=1)
+            for name, w, arrival, lifetime in TestDefragOnBookedCells.TRACE
+        ])
+        return mgr, log
+
+    def test_no_residual_region_or_request(self, monkeypatch):
+        from repro.core.backend import PlacementRequest
+
+        calls = {"residual": 0, "request": 0}
+        residual = RuntimePlacementManager.residual_region
+        init = PlacementRequest.__init__
+
+        def counted_residual(self, *args, **kwargs):
+            calls["residual"] += 1
+            return residual(self, *args, **kwargs)
+
+        def counted_init(self, *args, **kwargs):
+            calls["request"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(
+            RuntimePlacementManager, "residual_region", counted_residual
+        )
+        monkeypatch.setattr(PlacementRequest, "__init__", counted_init)
+        mgr, log = self._replay()
+        methods = {o.method for o in log.outcomes}
+        assert mgr.stats.reservations_booked and "reservation+cp" in methods
+        assert calls == {"residual": 0, "request": 0}
+
+    def test_replan_matches_the_residual_region_path(self):
+        from repro.core.backend import CPBackend, PlacementRequest
+
+        replans = []
+
+        class Manager(RuntimePlacementManager):
+            def _commit_reservation(self, r):
+                if not self._ledger.overlaps(r.placement):
+                    return super()._commit_reservation(r)
+                old = CPBackend().place(
+                    PlacementRequest(
+                        self.residual_region(exclude=r),
+                        [self._admitted_shapes(r.request)],
+                        first_solution_only=True,
+                    )
+                )
+                landed = super()._commit_reservation(r)
+                replans.append((old, landed, r.outcome.placement))
+                return landed
+
+        _, log = self._replay(Manager)
+        assert replans
+        for old, landed, placement in replans:
+            assert landed == bool(old.placements)
+            if landed:
+                (p,) = old.placements
+                assert (placement.shape_index, placement.x, placement.y) == (
+                    p.shape_index, p.x, p.y
+                )
+        m4 = next(o for o in log.outcomes if o.request.module.name == "m4")
+        assert m4.admitted and m4.method == "reservation+cp"
+
+
 class TestServiceIntegration:
     def test_reservations_count_toward_shard_load(self):
         region = tiny_region(8, 2)

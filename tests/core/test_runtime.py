@@ -284,36 +284,48 @@ class TestCrashInjection:
     """No exception escapes the manager's serving path."""
 
     def test_cp_probe_crash_falls_back_to_greedy(self, monkeypatch):
-        import repro.core.backend.adapters as adapters
+        import repro.core.runtime as runtime
 
-        class Boom:
-            def __init__(self, *a, **kw):
-                pass
+        def boom(masks):
+            raise RuntimeError("injected solver crash")
 
-            def place(self, *a, **kw):
-                raise RuntimeError("injected solver crash")
-
-        monkeypatch.setattr(adapters, "CPPlacer", Boom)
+        # the cp rung's pick on the ledger
+        monkeypatch.setattr(runtime, "bottom_left_pick", boom)
         mgr = RuntimePlacementManager(region_w(6), RuntimeConfig(chain=("cp", "greedy")))
         out = mgr.submit(req(rect("a", 2), 1))
         assert out.admitted and out.method == "greedy"
         assert out.errors and "injected" in out.errors[0]
         assert mgr.stats.probe_errors == 1
 
+    def test_cp_probe_crash_is_traced(self, monkeypatch):
+        import repro.core.runtime as runtime
+
+        def boom(masks):
+            raise RuntimeError("injected solver crash")
+
+        monkeypatch.setattr(runtime, "bottom_left_pick", boom)
+        tracer = RecordingTracer()
+        mgr = RuntimePlacementManager(
+            region_w(6), RuntimeConfig(chain=("cp", "greedy"), tracer=tracer)
+        )
+        assert mgr.submit(req(rect("a", 2), 1)).method == "greedy"
+        cp, greedy = (e.data for e in tracer.by_kind("backend.result"))
+        assert (cp["backend"], cp["status"]) == ("cp", "error")
+        assert "injected" in cp["error"] and greedy["backend"] == "greedy"
+        for e in tracer.events:
+            assert validate_event(e.to_dict()) == []
+
     def test_total_probe_failure_rejects_gracefully(self, monkeypatch):
         import repro.core.backend.adapters as adapters
+        import repro.core.runtime as runtime
 
-        class Boom:
-            def __init__(self, *a, **kw):
-                pass
-
-            def place(self, *a, **kw):
-                raise RuntimeError("cp down")
+        def boom(masks):
+            raise RuntimeError("cp down")
 
         def greedy_boom(self, request, tracer, profiling):
             raise RuntimeError("mask kernel down")
 
-        monkeypatch.setattr(adapters, "CPPlacer", Boom)
+        monkeypatch.setattr(runtime, "bottom_left_pick", boom)
         monkeypatch.setattr(
             adapters.BaselineBackend, "_solve", greedy_boom
         )

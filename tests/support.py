@@ -34,6 +34,9 @@ baseline placer on it.
 
 :func:`full_cp_model` is the oracle switch of the CP placer's one-module
 closed form: inside it every request builds the full model and searches.
+:func:`recorded_cp_probes` records the runtime manager's ``cp``-rung
+probes, read off its ledger, with the residual region the ``cp`` backend
+would have placed them on.
 
 :class:`BoolBankKernel` is the placement kernel before packed words: one
 boolean ``(H * W)`` row per (module, shape), narrowed after each imprint
@@ -85,7 +88,16 @@ import random
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -93,7 +105,7 @@ import repro.core.placement_model
 import repro.core.placer
 import repro.core.temporal
 import repro.placer.base
-from repro.core.placer import CPPlacer
+from repro.core.occupancy import Occupancy
 from repro.core.relocation import RelocationSite
 from repro.core.result import Placement, PlacementResult
 from repro.core.temporal import (
@@ -1237,27 +1249,51 @@ def full_cp_model() -> Iterator[None]:
         repro.core.placer.closed_form_applies = previous
 
 
+class LedgerProbe(NamedTuple):
+    """One ``cp``-rung probe of a runtime manager, as recorded by
+    :func:`recorded_cp_probes`."""
+
+    #: the residual region the probe would have placed on through the
+    #: ``cp`` backend (``residual_region(...)``)
+    region: PartialRegion
+    module: Module
+    #: the ledger rung's answer (None = the proof of no fit)
+    placement: Optional[Placement]
+    #: the manager's ledger and the words the rung blocked; the ledger's
+    #: static words never change, so the probe can be asked again
+    ledger: Occupancy
+    blocked: np.ndarray
+
+
 def recorded_cp_probes(
     n_requests: int = 200, keep: int = 60, seed: int = 0
-) -> List[Tuple[PartialRegion, Module]]:
-    """``(region, module)`` of the one-module CP probes an overloaded
-    Table-I replay sends: four shards, the ``("cp", "greedy")`` chain,
-    queue, reservations and no-break defrag (the ``serve-contended``
-    profile); ``keep`` of them, evenly spaced."""
-    from repro.core.runtime import generate_workload
+) -> List[LedgerProbe]:
+    """The ``cp``-rung probes an overloaded Table-I replay sends, reservation
+    replans included: four shards, the ``("cp", "greedy")`` chain, queue,
+    reservations and no-break defrag (the ``serve-contended`` profile);
+    ``keep`` of them, evenly spaced."""
+    from repro.core.runtime import RuntimePlacementManager, generate_workload
     from repro.core.service import ShardedPlacementService
     from repro.experiments.config import default_fabric
     from repro.experiments.service_load import serving_config
 
     recorded = []
-    place = CPPlacer.place
+    rung = RuntimePlacementManager._ledger_rung
 
-    def record(self, region, modules):
-        if repro.core.placer.closed_form_applies(self.config, modules, None):
-            recorded.append((region, modules[0]))
-        return place(self, region, modules)
+    def record(self, module, exclude):
+        placement, status = rung(self, module, exclude)
+        recorded.append(
+            LedgerProbe(
+                self.residual_region(exclude),
+                module,
+                placement,
+                self._ledger,
+                self._blocked(exclude),
+            )
+        )
+        return placement, status
 
-    CPPlacer.place = record
+    RuntimePlacementManager._ledger_rung = record
     try:
         service = ShardedPlacementService(
             ShardedPlacementService.split(default_fabric(), 4),
@@ -1274,7 +1310,7 @@ def recorded_cp_probes(
             service.submit(request)
         service.close()
     finally:
-        CPPlacer.place = place
+        RuntimePlacementManager._ledger_rung = rung
     return recorded[:: max(1, len(recorded) // keep)][:keep]
 
 
