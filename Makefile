@@ -24,8 +24,10 @@ test-fast:
 ## free-space ledger's packed words against per-cell boolean grids, the
 ## baseline placers' ledger state against the boolean-grid state it
 ## replaced, the placement kernel's packed words against the
-## boolean-bank kernel they replaced, and the CP placer's one-module
-## closed form against the full CP model, too).  The wholesale and
+## boolean-bank kernel they replaced, the CP placer's one-module
+## closed form against the full CP model, and the runtime manager's
+## ledger cp rung against the residual-region greedy rung on whole
+## serving replays, too).  The wholesale and
 ## boolean-bank kernels live in tests/support.py; the backend-level
 ## differentials reach them under cp/lns/portfolio through the
 ## tests/support.py kernel_mode injection, and the full CP model through
@@ -41,6 +43,7 @@ test-oracle:
 	  tests/core/test_defrag_occupancy_oracle.py \
 	  tests/core/test_occupancy_oracle.py \
 	  tests/core/test_one_module_oracle.py \
+	  tests/core/test_chain_differential.py \
 	  tests/placer/test_baseline_state_oracle.py
 
 ## pytest-benchmark suite (not part of tier-1)

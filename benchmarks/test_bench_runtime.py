@@ -17,7 +17,7 @@ import pytest
 
 import repro.core.defrag as defrag_mod
 from benchmarks.conftest import run_once
-from repro.core.backend import CPBackend, PlacementRequest, rung_answer
+from repro.core.backend import CPBackend, PlacementRequest
 from repro.core.defrag import NoBreakDefragmenter, defragment
 from repro.core.placer import CPPlacer, PlacerConfig
 from repro.core.result import PlacementResult
@@ -336,7 +336,10 @@ class TestLedgerAdmission:
                 for p in probes
             ]
             elapsed = time.perf_counter() - t0
-            return elapsed, [pick_of(rung_answer(r)[0]) for r in results]
+            return elapsed, [
+                pick_of(r.placements[0] if r.placements else None)
+                for r in results
+            ]
 
         def pick_of(placement):
             if placement is None:

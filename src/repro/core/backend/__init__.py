@@ -10,8 +10,6 @@ from repro.core.backend.protocol import (
     BackendCapabilities,
     PlacementBackend,
     PlacementRequest,
-    rung_answer,
-    sweep_chain,
 )
 from repro.core.backend.registry import (
     available_backends,
@@ -27,14 +25,11 @@ from repro.core.backend.adapters import (
     PortfolioBackend,
     register_default_backends,
 )
-from repro.core.backend.worker import solve_in_worker
 
 __all__ = [
     "BackendCapabilities",
     "PlacementBackend",
     "PlacementRequest",
-    "rung_answer",
-    "sweep_chain",
     "available_backends",
     "backend_capabilities",
     "create_backend",
@@ -45,5 +40,4 @@ __all__ = [
     "LNSBackend",
     "PortfolioBackend",
     "register_default_backends",
-    "solve_in_worker",
 ]

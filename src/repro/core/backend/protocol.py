@@ -17,19 +17,15 @@ request/response protocol:
 * :class:`BackendCapabilities` declares what a backend can honestly do, so
   orchestration layers (the runtime admission chain, the experiment
   runner) can validate a configuration instead of failing at serve time.
-* :func:`sweep_chain` is the one pass down an admission chain that the
-  runtime manager and the remote worker solve share, over a per-rung
-  solve callable: the first placement wins, and a rung's proof of no fit
-  ends the pass.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-from repro.core.result import Placement, PlacementResult
+from repro.core.result import PlacementResult
 from repro.fabric.region import PartialRegion
 from repro.modules.module import Module
 from repro.obs import context as obs_context
@@ -178,39 +174,3 @@ class PlacementBackend:
         profiling: bool,
     ) -> PlacementResult:
         raise NotImplementedError
-
-
-def rung_answer(result: PlacementResult) -> Tuple[Optional[Placement], str]:
-    """A one-module result as :func:`sweep_chain` reads it: the placement
-    (None when nothing was placed) and the result's status."""
-    return (result.placements[0] if result.placements else None), result.status
-
-
-def sweep_chain(
-    chain: Sequence[str],
-    solve: Callable[[str], Tuple[Optional[Placement], str]],
-    on_error: Callable[[str, Exception], None],
-) -> Tuple[Optional[Placement], str]:
-    """One pass of a one-module request down an admission chain.
-
-    ``solve(name)`` runs the rung of that name and returns its placement
-    (None when it placed nothing) and its status (:func:`rung_answer`).
-    The pass ends at the first rung that places, or at the first one
-    whose status is ``"infeasible"``: that status is a proof that nothing
-    fits, so no later rung could place either.  A rung that returns
-    ``"unknown"`` or ``"partial"`` (out of budget, or a heuristic miss)
-    falls through, and one that raises is handed to ``on_error`` and
-    falls through too.  Returns the placement and the name of the rung
-    that placed it, or ``(None, "none")``.
-    """
-    for name in chain:
-        try:
-            placement, status = solve(name)
-        except Exception as exc:  # graceful: fall through to the next rung
-            on_error(name, exc)
-            continue
-        if placement is not None:
-            return placement, name
-        if status == "infeasible":
-            break
-    return None, "none"

@@ -15,11 +15,11 @@ provably lands on the minimum ``(x, y, shape)`` over the shapes' valid
 anchors, so :meth:`CPPlacer._place` returns
 :func:`~repro.fabric.masks.bottom_left_pick` over the shapes' anchor
 words, or a proven ``"infeasible"`` when no shape has an anchor.  The
-closed form serves the process-pool admission worker
-(:func:`~repro.core.backend.worker.solve_in_worker`) and offline
-callers; the runtime manager asks the same pick of its free-space
-ledger directly (``RuntimePlacementManager._ledger_rung``) and shares
-only the profile and status labels (:func:`closed_form_profile`,
+closed form serves offline callers only (a ``CPPlacer`` or ``cp``
+backend asked for one module); the runtime manager asks the same pick
+of its free-space ledger directly
+(``RuntimePlacementManager._ledger_rung``) and shares only the profile
+and status labels (:func:`closed_form_profile`,
 :func:`closed_form_status`).  The full model stays the test oracle
 (``tests/support.py::full_cp_model``).
 """

@@ -16,8 +16,8 @@ repo's existing parts under such a load:
   straight off its free-space ledger, with no residual region or
   backend call; when no shape has an anchor its ``"infeasible"`` is a
   proof that ends the sweep
-  (:func:`~repro.core.backend.protocol.sweep_chain`), so a rung after
-  ``cp`` (``("cp", "greedy")``) only runs when ``cp`` raised.
+  (:meth:`RuntimePlacementManager._place_once`), so a rung after ``cp``
+  (``("cp", "greedy")``) only runs when ``cp`` raised.
 * **Fragmentation control** — external fragmentation of the live
   floorplan is monitored (:mod:`repro.metrics.fragmentation`); crossing a
   threshold, or any rejection, triggers a pass of the configured
@@ -39,8 +39,8 @@ repo's existing parts under such a load:
   to the pre-reservation code — pinned by the differential tests.
 * **Free space** — one :class:`~repro.core.occupancy.Occupancy` ledger
   holds the placed, move-window and reserved cells as packed column
-  words; every fit query reads it, and only the solver hook and the
-  chain's backend rungs other than ``cp`` get a region
+  words; every fit query reads it, and only the chain's backend rungs
+  other than ``cp`` get a region
   (:meth:`RuntimePlacementManager.residual_region`), built when one of
   them runs.
 * **Observability** — every lifecycle step emits a structured trace event
@@ -52,9 +52,9 @@ repo's existing parts under such a load:
 Time model: the manager runs on the *logical* clock carried by the
 requests (arrival/lifetime/deadline are simulation time units).  The
 solver budget ``probe_time_limit`` is wall-clock seconds, but it is a
-safety net only the solver hook and rungs that search (``lns`` or
-``annealing``, say) read: the ledger's ``cp`` rung and the greedy rungs
-ignore it, so on the default ``("cp",)`` chain it decides no outcome.
+safety net only rungs that search (``lns`` or ``annealing``, say) read:
+the ledger's ``cp`` rung and the greedy rungs ignore it, so on the
+default ``("cp",)`` chain it decides no outcome.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,8 +72,6 @@ from repro.core.backend import (
     PlacementRequest,
     available_backends,
     create_backend,
-    rung_answer,
-    sweep_chain,
 )
 from repro.core.defrag import (
     Defragmenter,
@@ -170,8 +168,10 @@ class RequestOutcome:
     request: RuntimeRequest
     #: "admitted" | "queued" | "reserved" | "rejected"
     status: str = "rejected"
-    #: fallback rung that produced the placement ("cp", "greedy",
-    #: "cp+defrag", "greedy+defrag"); None when rejected
+    #: chain rung that produced the placement ("cp", "greedy"),
+    #: suffixed "+defrag" after a reject-triggered pass, or
+    #: "reservation" / "reservation+<rung>" for a booking; None when
+    #: rejected
     method: Optional[str] = None
     reason: Optional[RejectReason] = None
     placement: Optional[Placement] = None
@@ -203,9 +203,9 @@ class RuntimeConfig:
     #: be registered and relocatable.
     chain: Sequence[str] = ("cp",)
     #: wall-clock budget of one probe (seconds): a safety net that only
-    #: the solver hook and rungs that search (``lns`` or ``annealing``,
-    #: say) read; the ledger's ``cp`` rung and the greedy rungs ignore
-    #: it, so it decides no outcome on the default chain
+    #: rungs that search (``lns`` or ``annealing``, say) read; the
+    #: ledger's ``cp`` rung and the greedy rungs ignore it, so it decides
+    #: no outcome on the default chain
     probe_time_limit: float = 0.25
     #: bounded pending queue (0 = reject immediately, no queueing)
     queue_capacity: int = 8
@@ -250,12 +250,6 @@ class RuntimeConfig:
     #: Python maximal-rectangles pass, so high-throughput serving loops
     #: (the sharded service) switch it off
     sample_timeline: bool = True
-    #: external admission solver hook: a callable ``(module, residual
-    #: region) -> Optional[(Placement, method)]`` tried *before* the
-    #: in-process chain — the sharded service's process-pool mode plugs
-    #: its worker dispatch in here.  Exceptions degrade gracefully to the
-    #: chain; None (the default) keeps the chain as the only path.
-    solver: Optional[Callable[[Module, PartialRegion], Optional[Tuple[Placement, str]]]] = None
 
     def validate(self) -> None:
         chain = tuple(self.chain)
@@ -273,8 +267,6 @@ class RuntimeConfig:
                     f"backend {name!r} is not relocatable and cannot serve "
                     f"the runtime admission chain"
                 )
-        if self.solver is not None and not callable(self.solver):
-            raise ValueError("solver must be callable (or None)")
         if self.queue_capacity < 0:
             raise ValueError("queue_capacity must be >= 0")
         if self.max_queue_wait < 0:
@@ -521,7 +513,7 @@ class RuntimePlacementManager:
     def residual_region(
         self, exclude: Optional[Reservation] = None
     ) -> PartialRegion:
-        """The free region the solver hook and the chain's backend rungs
+        """The free region the chain's backend rungs other than ``cp``
         place on (:meth:`_blocked` carved out of the region)."""
         return self._ledger.residual(self._blocked(exclude))
 
@@ -868,47 +860,51 @@ class RuntimePlacementManager:
         outcome: RequestOutcome,
         exclude: Optional[Reservation] = None,
     ) -> Tuple[Optional[Placement], str]:
-        """One sweep down the fallback chain
-        (:func:`~repro.core.backend.protocol.sweep_chain`): a rung's proof
-        of no fit ends it, exceptions degrade a rung.
+        """One sweep down the fallback chain.
 
-        The ``cp`` rung reads the ledger (:meth:`_ledger_rung`).  The
-        solver hook and every other rung place on the residual region,
-        built only when one of them runs.  ``exclude`` is a reservation
-        being replanned: its own booked cells are free to it, its
-        siblings' stay blocked.
+        The sweep ends at the first rung that places, or at the first one
+        whose status is ``"infeasible"``: that status is a proof that
+        nothing fits, so no later rung could place either.  A rung that
+        returns ``"unknown"`` or ``"partial"`` (out of budget, or a
+        heuristic miss) falls through, and one that raises is counted in
+        ``probe_errors``, recorded on the outcome and falls through too.
+        Returns the placement and the name of the rung that placed it, or
+        ``(None, "none")``.
+
+        The ``cp`` rung reads the ledger (:meth:`_ledger_rung`).  Every
+        other rung places on the residual region through its backend; the
+        region and the request are built once per sweep, when the first
+        such rung runs.  ``exclude`` is a reservation being replanned: its
+        own booked cells are free to it, its siblings' stay blocked.
         """
-        cfg = self.config
-        if cfg.solver is not None:
-            try:
-                solved = cfg.solver(module, self.residual_region(exclude))
-                # None is the solver's definitive no-fit — don't re-run
-                # the same chain in-process on top of it
-                return solved if solved is not None else (None, "none")
-            except Exception as exc:  # graceful: fall back to the chain
-                self.stats.probe_errors += 1
-                outcome.errors.append(f"solver: {exc}")
         request: Optional[PlacementRequest] = None
-
-        def solve(name: str) -> Tuple[Optional[Placement], str]:
-            nonlocal request
-            if name == LEDGER_RUNG:
-                return self._ledger_rung(module, exclude)
-            if request is None:
-                request = PlacementRequest(
-                    region=self.residual_region(exclude),
-                    modules=[module],
-                    time_limit=cfg.probe_time_limit,
-                    first_solution_only=True,
-                    tracer=self._tracer,
-                )
-            return rung_answer(self._backends[name].place(request))
-
-        def on_error(name: str, exc: Exception) -> None:
-            self.stats.probe_errors += 1
-            outcome.errors.append(f"{name}: {exc}")
-
-        return sweep_chain(cfg.chain, solve, on_error)
+        for name in self.config.chain:
+            try:
+                if name == LEDGER_RUNG:
+                    placement, status = self._ledger_rung(module, exclude)
+                else:
+                    if request is None:
+                        request = PlacementRequest(
+                            region=self.residual_region(exclude),
+                            modules=[module],
+                            time_limit=self.config.probe_time_limit,
+                            first_solution_only=True,
+                            tracer=self._tracer,
+                        )
+                    result = self._backends[name].place(request)
+                    placement = (
+                        result.placements[0] if result.placements else None
+                    )
+                    status = result.status
+            except Exception as exc:  # graceful: fall through to the next rung
+                self.stats.probe_errors += 1
+                outcome.errors.append(f"{name}: {exc}")
+                continue
+            if placement is not None:
+                return placement, name
+            if status == "infeasible":
+                break
+        return None, "none"
 
     def _ledger_rung(
         self, module: Module, exclude: Optional[Reservation]

@@ -5,7 +5,7 @@ story only becomes interesting at *service* scale — a fleet of
 reconfigurable fabrics fed from one arrival stream.
 :class:`ShardedPlacementService` owns N fabric shards (each a
 :class:`~repro.core.runtime.RuntimePlacementManager` over its own
-:class:`~repro.fabric.region.PartialRegion`) and adds the three things a
+:class:`~repro.fabric.region.PartialRegion`) and adds the two things a
 single manager cannot express:
 
 * **Routing** — a pluggable policy ranks the shards per arrival
@@ -23,13 +23,10 @@ single manager cannot express:
   or rejects it after every candidate declined
   (:meth:`RuntimePlacementManager.offer` /
   :meth:`~repro.core.runtime.RuntimePlacementManager.park`).
-* **Execution modes** — ``inline`` solves admissions in-process;
-  ``process`` dispatches them to a persistent worker pool through
-  :func:`repro.core.backend.worker.solve_in_worker`, which runs the
-  chain on the residual region payload it is sent.  The pool plugs into
-  each shard through the
-  :attr:`~repro.core.runtime.RuntimeConfig.solver` hook, so queueing,
-  deadlines, and defrag semantics stay in the one manager code path.
+
+Every admission runs in-process, down the owning shard's own admission
+chain, so queueing, deadlines and defrag semantics stay in the one
+manager code path.
 
 With **one** shard the service delegates :meth:`submit` straight to the
 shard's own :meth:`~repro.core.runtime.RuntimePlacementManager.submit`,
@@ -47,13 +44,11 @@ sample of the fleet's total occupancy after every submit.
 from __future__ import annotations
 
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.backend.worker import solve_in_worker
 from repro.core.result import Placement
 from repro.core.runtime import (
     RequestOutcome,
@@ -64,10 +59,7 @@ from repro.core.runtime import (
     runtime_profile,
 )
 from repro.fabric.grid import FabricGrid
-from repro.fabric.io import region_to_dict
 from repro.fabric.region import PartialRegion
-from repro.modules.module import Module
-from repro.modules.spec import module_to_dict
 from repro.obs.profile import SolveProfile
 from repro.obs.trace import (
     SERVICE_DRAIN,
@@ -232,11 +224,6 @@ class ServiceConfig:
     runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
     #: may a declined request spill to the next-best shards?
     spill: bool = True
-    #: "inline" solves admissions in-process; "process" dispatches each
-    #: admission to a persistent worker pool via ``solve_in_worker``
-    mode: str = "inline"
-    #: worker pool size for process mode (None = one per shard)
-    workers: Optional[int] = None
     #: event sink for ``service.*`` events (shards inherit
     #: ``runtime.tracer`` for their ``runtime.*`` events)
     tracer: Optional[Tracer] = None
@@ -247,10 +234,6 @@ class ServiceConfig:
                 f"unknown router {self.router!r}; registered: "
                 f"{', '.join(available_routers())}"
             )
-        if self.mode not in ("inline", "process"):
-            raise ValueError(f"unknown service mode {self.mode!r}")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be >= 1 (or None)")
         self.runtime.validate()
 
 
@@ -293,17 +276,10 @@ class ShardedPlacementService:
         self.config.validate()
         cfg = self.config
         self._router = create_router(cfg.router)
-        self._pool: Optional[ProcessPoolExecutor] = None
-        if cfg.mode == "process":
-            self._pool = ProcessPoolExecutor(
-                max_workers=cfg.workers or len(regions)
-            )
-        self.shards: List[RuntimePlacementManager] = []
-        for region in regions:
-            shard_cfg = replace(cfg.runtime)
-            if cfg.mode == "process":
-                shard_cfg.solver = self._make_worker_solver(shard_cfg)
-            self.shards.append(RuntimePlacementManager(region, shard_cfg))
+        self.shards: List[RuntimePlacementManager] = [
+            RuntimePlacementManager(region, replace(cfg.runtime))
+            for region in regions
+        ]
         tracer = cfg.tracer
         self._tracer = (
             tracer if tracer is not None and tracer.enabled else None
@@ -512,47 +488,10 @@ class ShardedPlacementService:
             },
         )
 
-    # ------------------------------------------------------------------
-    # Process mode
-    # ------------------------------------------------------------------
-    def _make_worker_solver(
-        self, shard_cfg: RuntimeConfig
-    ) -> Callable[[Module, PartialRegion], Optional[Tuple[Placement, str]]]:
-        chain = tuple(shard_cfg.chain)
-        time_limit = shard_cfg.probe_time_limit
-
-        def solver(
-            module: Module, region: PartialRegion
-        ) -> Optional[Tuple[Placement, str]]:
-            fut = self._pool.submit(
-                solve_in_worker,
-                region_to_dict(region),
-                module_to_dict(module),
-                chain,
-                time_limit,
-            )
-            solved = fut.result()
-            if solved is None:
-                return None
-            shape_index, x, y, backend = solved
-            return Placement(module, shape_index, x, y), f"worker:{backend}"
-
-        return solver
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut down the worker pool (no-op in inline mode)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "ShardedPlacementService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        """Release the service.  A no-op: every admission runs
+        in-process, so the service holds no pool, thread or file; callers
+        that close a service after a replay keep working."""
 
     def _emit(self, kind: str, **data) -> None:
         if self._tracer is not None:

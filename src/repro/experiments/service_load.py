@@ -82,7 +82,7 @@ _DIGITS = {"elapsed_s": 4, "req_per_s": 1, "reject_rate": 4}
 
 def serving_config(
     router: str = "affinity",
-    chain: Sequence[str] = ("greedy",),
+    chain: Sequence[str] = tuple(RuntimeConfig().chain),
     queue_capacity: int = 8,
     spill: bool = True,
     defrag: str = "disabled",
@@ -90,14 +90,15 @@ def serving_config(
 ) -> ServiceConfig:
     """The high-throughput serving profile used by the benchmark gate.
 
-    Greedy-only chain (deterministic, no wall-clock solver budgets),
-    timeline sampling off — the configuration a latency-sensitive
-    deployment would run.  ``defrag`` selects the strategy: "disabled"
-    (the historical gate configuration: no reject-triggered pass), or a
-    registered defragmenter name served at the *default cadence* —
-    reject-triggered passes on, fragmentation-triggered passes off
-    (``frag_threshold=1.0`` is short-circuited by the manager, keeping
-    the pure-Python fragmentation metric off the hot path).
+    The manager's default chain (``RuntimeConfig().chain``, the ledger's
+    ``cp`` rung: deterministic, it reads no clock), timeline sampling
+    off — the configuration a latency-sensitive deployment would run.
+    ``defrag`` selects the strategy: "disabled" (the historical gate
+    configuration: no reject-triggered pass), or a registered
+    defragmenter name served at the *default cadence* — reject-triggered
+    passes on, fragmentation-triggered passes off (``frag_threshold=1.0``
+    is short-circuited by the manager, keeping the pure-Python
+    fragmentation metric off the hot path).
     """
     runtime = RuntimeConfig(
         chain=tuple(chain),

@@ -7,8 +7,6 @@ workload of the experiment layer.
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro.core.runtime import (
@@ -21,19 +19,17 @@ from repro.core.runtime import (
 from repro.core.backend import (
     PlacementBackend,
     register_backend,
-    solve_in_worker,
     unregister_backend,
 )
 from repro.core.result import PlacementResult
 from repro.modules.generator import GeneratorConfig
 from repro.fabric.devices import homogeneous_device
-from repro.fabric.io import region_to_dict
 from repro.fabric.region import PartialRegion
 from repro.modules.footprint import Footprint
 from repro.modules.module import Module
-from repro.modules.spec import module_to_dict
 from repro.obs import RecordingTracer, profiling_session, validate_event
 from repro.placer.greedy import BottomLeftPlacer
+from tests.support import SlowDecline, registered_rungs
 
 
 def region_w(width: int, height: int = 2) -> PartialRegion:
@@ -341,8 +337,7 @@ class TestCrashInjection:
 
 class TestChainSweep:
     """A rung's proof of no fit ends the sweep; running out of budget
-    does not.  Both the in-process manager and the remote worker solve
-    run the chain through the same sweep."""
+    does not."""
 
     @pytest.fixture
     def rungs(self):
@@ -392,25 +387,15 @@ class TestChainSweep:
         )
         return mgr.submit(req(module, 1))
 
-    @staticmethod
-    def _worker(chain, module):
-        return solve_in_worker(
-            region_to_dict(region_w(4)), module_to_dict(module), chain, 1.0
-        )
-
     def test_proof_of_no_fit_ends_the_sweep(self, rungs):
         big = rect("big", 6)
         out = self._submit(("cp", "spy"), big)
         assert out.reason == RejectReason.NO_FIT and not out.errors
-        assert self._worker(("cp", "spy"), big) is None
         assert rungs == []
         # a rung that ran out of budget falls through to the next one
         out = self._submit(("out-of-budget", "spy"), rect("a", 2))
         assert out.admitted and out.method == "spy"
-        assert self._worker(("out-of-budget", "spy"), rect("b", 2)) == (
-            0, 0, 0, "spy"
-        )
-        assert rungs == ["a", "b"]
+        assert rungs == ["a"]
 
     def test_each_cp_probe_records_one_profile(self):
         tracer = RecordingTracer()
@@ -468,20 +453,17 @@ class TestLatencyAccounting:
         """Every terminal outcome's ``latency_s`` is charged once, so
         ``mean_latency_s`` (divided by admitted + rejected) does not read
         low when requests are rejected."""
-
-        def slow_decline(module, region):
-            time.sleep(0.02)
-            return None
-
-        mgr = RuntimePlacementManager(
-            region_w(4),
-            RuntimeConfig(
-                solver=slow_decline, queue_capacity=0, sample_timeline=False,
-            ),
-        )
-        out = mgr.submit(req(rect("a", 2), 0))
+        with registered_rungs(SlowDecline):
+            mgr = RuntimePlacementManager(
+                region_w(4),
+                RuntimeConfig(
+                    chain=("slow-decline",), queue_capacity=0,
+                    sample_timeline=False,
+                ),
+            )
+            out = mgr.submit(req(rect("a", 2), 0))
         assert out.reason == RejectReason.NO_FIT
-        assert out.latency_s >= 0.02
+        assert out.latency_s >= SlowDecline.pause_s
         assert mgr.stats.total_latency_s >= out.latency_s
         assert mgr.stats.max_latency_s == out.latency_s
         assert mgr.stats.mean_latency_s == pytest.approx(out.latency_s)

@@ -1,4 +1,4 @@
-"""The sharded placement service: routing, spill, determinism, modes.
+"""The sharded placement service: routing, spill, determinism.
 
 The load-bearing guarantees:
 
@@ -9,9 +9,6 @@ The load-bearing guarantees:
   under affinity routing yields the same merged outcome multiset run to
   run (stable content-hash routing, greedy chain: no wall-clock budgets
   anywhere on the path).
-* **Modes agree** — the process-pool mode must admit/reject exactly like
-  inline mode on the same trace (the worker runs the same chain on the
-  same residual payloads).
 
 Scenario tests run greedy-only so every admission decision is forced.
 """
@@ -20,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 
 import pytest
 
@@ -51,6 +47,7 @@ from repro.fabric.region import PartialRegion
 from repro.modules.footprint import Footprint
 from repro.modules.module import Module
 from repro.obs import RecordingTracer, validate_event
+from tests.support import DownRung, SlowDecline, registered_rungs
 
 
 def region_w(width: int, height: int = 2, name: str = "pr") -> PartialRegion:
@@ -281,33 +278,28 @@ class TestSpill:
         """A request no shard admits is charged the probe time of every
         shard it was offered to, and the service's latency total is the
         sum over its outcomes."""
-        pause = 0.02
-
-        def slow_decline(module, region):
-            time.sleep(pause)
-            return None  # a definitive no-fit: the chain does not run
-
-        def failing(module, region):
-            raise RuntimeError("worker down")
-
-        svc = ShardedPlacementService(
-            [region_w(4, name="s0"), region_w(1, name="s1")],
-            greedy_service_cfg(
-                router="round-robin",
-                runtime_kw={"solver": slow_decline, "queue_capacity": 0},
-            ),
-        )
-        svc.shards[1].config.solver = failing  # errors ride along too
-        out = svc.submit(req(rect("a", 2), 1))
-        assert out.status == "rejected" and out.reason == RejectReason.NO_FIT
-        # s0 slept; s1's solver raised and its greedy chain found no fit
-        assert out.latency_s >= pause
-        assert out.errors == ["solver: worker down"]
-        assert svc.stats.total_latency_s == pytest.approx(out.latency_s)
-        svc.shards[1].config.solver = slow_decline
-        outcomes = [out] + [
-            svc.submit(req(rect(name, 2), 2)) for name in ("b", "c")
-        ]
+        pause = SlowDecline.pause_s
+        with registered_rungs(DownRung, SlowDecline):
+            # each shard's first rung raises (the error rides along) and
+            # its second sleeps, then proves no fit
+            svc = ShardedPlacementService(
+                [region_w(4, name="s0"), region_w(1, name="s1")],
+                greedy_service_cfg(
+                    router="round-robin",
+                    runtime_kw={"chain": ("down", "slow-decline"),
+                                "queue_capacity": 0},
+                ),
+            )
+            out = svc.submit(req(rect("a", 2), 1))
+            assert out.status == "rejected"
+            assert out.reason == RejectReason.NO_FIT
+            # s0 and s1 both raised, then slept
+            assert out.latency_s >= 2 * pause
+            assert out.errors == ["down: rung down", "down: rung down"]
+            assert svc.stats.total_latency_s == pytest.approx(out.latency_s)
+            outcomes = [out] + [
+                svc.submit(req(rect(name, 2), 2)) for name in ("b", "c")
+            ]
         assert all(o.status == "rejected" for o in outcomes)
         assert min(o.latency_s for o in outcomes[1:]) >= 2 * pause
         assert svc.stats.total_latency_s == pytest.approx(
@@ -562,79 +554,14 @@ class TestDeterminism:
 
 
 # ----------------------------------------------------------------------
-# Execution modes
+# Lifecycle
 # ----------------------------------------------------------------------
-class TestProcessMode:
-    def test_process_mode_matches_inline_admissions(self):
-        trace = generate_workload(16, seed=7)
-        inline_svc = ShardedPlacementService(
-            ShardedPlacementService.split(default_fabric(40, 12), 2),
-            greedy_service_cfg(router="round-robin"),
-        )
-        inline_log = inline_svc.run(trace)
-        with ShardedPlacementService(
-            ShardedPlacementService.split(default_fabric(40, 12), 2),
-            greedy_service_cfg(router="round-robin", mode="process",
-                               workers=2),
-        ) as proc_svc:
-            proc_log = proc_svc.run(trace)
-        # placements bit-identical; only the method label differs
-        # ("greedy" vs "worker:greedy")
-        def placements(log):
-            return sorted(
-                (o.placement.module.name, o.placement.shape_index,
-                 o.placement.x, o.placement.y)
-                for o in log.outcomes
-                if o.admitted
-            )
-
-        assert placements(proc_log) == placements(inline_log)
-        assert proc_log.stats.admitted == inline_log.stats.admitted
-        assert proc_log.stats.rejected == inline_log.stats.rejected
-        assert all(
-            m.startswith("worker:")
-            for m in proc_svc.stats.admits_by_method
-        )
-
-    def test_close_is_idempotent_and_inline_close_is_noop(self):
+class TestLifecycle:
+    def test_close_is_an_idempotent_noop(self):
         svc = ShardedPlacementService([region_w(4)], greedy_service_cfg())
         svc.close()
         svc.close()
-
-    def test_validate_rejects_bad_mode_and_workers(self):
-        with pytest.raises(ValueError, match="unknown service mode"):
-            ShardedPlacementService(
-                [region_w(4)], greedy_service_cfg(mode="threads")
-            )
-        with pytest.raises(ValueError, match="workers"):
-            ShardedPlacementService(
-                [region_w(4)], greedy_service_cfg(workers=0)
-            )
-
-
-# ----------------------------------------------------------------------
-# Process-resident workers (core.backend.worker)
-# ----------------------------------------------------------------------
-class TestWorkerHelpers:
-    def test_solve_in_worker_round_trips_a_placement(self):
-        from repro.core.backend import solve_in_worker
-        from repro.fabric.io import region_to_dict
-        from repro.modules.spec import module_to_dict
-
-        region = region_w(6, name="w")
-        module = rect("m", 2)
-        solved = solve_in_worker(
-            region_to_dict(region), module_to_dict(module),
-            chain=("greedy",), time_limit=0.1,
-        )
-        assert solved is not None
-        sid, x, y, backend = solved
-        assert backend == "greedy" and sid == 0
-        # definitive no-fit returns None, not an exception
-        assert solve_in_worker(
-            region_to_dict(region), module_to_dict(rect("big", 8)),
-            chain=("greedy",), time_limit=0.1,
-        ) is None
+        assert svc.submit(req(rect("a", 2), 1)).admitted
 
 
 # ----------------------------------------------------------------------

@@ -32,6 +32,11 @@ footprint's cells.  It is the differential oracle of
 :class:`repro.placer.base._State`, and :func:`injected_state` runs every
 baseline placer on it.
 
+:class:`SlowDecline` (sleeps, then proves no fit) and :class:`DownRung`
+(always raises) are admission-chain rungs for latency and
+graceful-degradation tests; :func:`registered_rungs` registers them for
+the length of a block.
+
 :func:`full_cp_model` is the oracle switch of the CP placer's one-module
 closed form: inside it every request builds the full model and searches.
 :func:`recorded_cp_probes` records the runtime manager's ``cp``-rung
@@ -105,6 +110,11 @@ import repro.core.placement_model
 import repro.core.placer
 import repro.core.temporal
 import repro.placer.base
+from repro.core.backend import (
+    PlacementBackend,
+    register_backend,
+    unregister_backend,
+)
 from repro.core.occupancy import Occupancy
 from repro.core.relocation import RelocationSite
 from repro.core.result import Placement, PlacementResult
@@ -1226,6 +1236,47 @@ def build_kernel(
     kernel = placement_kernel(incremental, bitboard)(region, modules, xs, ys, ss)
     m.post(kernel)
     return kernel, xs, ys, ss
+
+
+class SlowDecline(PlacementBackend):
+    """An admission rung that sleeps ``pause_s`` seconds, then proves that
+    nothing fits (``"infeasible"``), which ends the chain's sweep."""
+
+    name = "slow-decline"
+    pause_s = 0.02
+
+    def __init__(self, config=None):
+        pass
+
+    def _solve(self, request, tracer, profiling):
+        time.sleep(self.pause_s)
+        return PlacementResult(
+            request.region, [], list(request.modules), status="infeasible"
+        )
+
+
+class DownRung(PlacementBackend):
+    """An admission rung that always raises, so the sweep falls through."""
+
+    name = "down"
+
+    def __init__(self, config=None):
+        pass
+
+    def _solve(self, request, tracer, profiling):
+        raise RuntimeError("rung down")
+
+
+@contextmanager
+def registered_rungs(*backends) -> Iterator[None]:
+    """Register each backend class under its ``name`` inside this block."""
+    for backend in backends:
+        register_backend(backend.name, backend)
+    try:
+        yield
+    finally:
+        for backend in backends:
+            unregister_backend(backend.name)
 
 
 @contextmanager
