@@ -66,7 +66,9 @@ bench-geost:
 ## prefix-count kernel it replaced, the runtime manager's cp rung on its
 ## free-space ledger vs the residual region + cp backend probe it
 ## replaced (all three on recorded serving probes; the last reads its
-## threshold from BENCH_runtime.json), and the baseline placers on the
+## threshold from BENCH_runtime.json), no-break defrag planning with one
+## batched relocation probe per step vs the per-cell rebuild oracle (on
+## recorded contended shard floorplans), and the baseline placers on the
 ## free-space ledger vs the boolean-grid state they replaced (Table I)
 bench-masks:
 	$(PY) -m pytest -q -s \
@@ -74,6 +76,7 @@ bench-masks:
 	  "benchmarks/test_bench_runtime.py::TestClosedFormAdmission" \
 	  "benchmarks/test_bench_runtime.py::TestPackedAnchorWords" \
 	  "benchmarks/test_bench_runtime.py::TestLedgerAdmission" \
+	  "benchmarks/test_bench_runtime.py::TestDefragPlanOccupancy" \
 	  benchmarks/test_bench_backends.py
 
 ## sharded-service trace replay on the seeded Table-I workload: reads

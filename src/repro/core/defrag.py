@@ -27,11 +27,13 @@ move may change shape, and an unguarded wider alternative could *grow*
 the floorplan); stop when no module can move or the move budget is
 exhausted.  Each pass keeps one free-space ledger
 (:class:`~repro.core.occupancy.Occupancy`): built once from the input
-floorplan, handed to every relocation probe (which lifts its module by
-clearing its words on a copy), and updated after each simulated move by
-removing the mover's old cells and placing its new ones.  A probe is one
-anchor-word kernel call on the ledger's words: no residual region, no
-fingerprint, no cache.
+floorplan, read by one :class:`~repro.core.relocation.RelocationProbe`
+per step, and updated after each simulated move by removing the mover's
+old cells and placing its new ones.  The probe answers every placement's
+sites, each with itself lifted, from one anchor-word kernel call on the
+ledger's words, and both phases of the step read it; a mover's sites are
+unpacked only when the bottom-left site of one of its shapes is a
+candidate.  No residual region, no fingerprint, no cache.
 
 The engines differ only in the *move rule* that turns a mover's
 candidate sites into a move.  Both live behind a name-keyed registry
@@ -63,9 +65,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.relocation import (
+    RelocationProbe,
     RelocationSite,
     relocation_distance,
-    relocation_sites,
 )
 from repro.core.occupancy import Occupancy
 from repro.core.result import Placement, PlacementResult
@@ -163,23 +165,27 @@ def _compact(
     # pass length instead of relying on a monotone metric
     budget = max_moves if max_moves is not None else 4 * max(1, len(placements))
 
-    def first_move(movers, squeeze_cap=None):
-        """The first of ``movers`` that ``reach`` can move.  Frontier
-        phase: to a site that strictly shrinks its right edge.  Squeeze
-        phase (``squeeze_cap`` = the current extent): to a
-        lexicographically smaller anchor whose right edge stays within
-        the cap."""
+    def first_move(probe, movers, squeeze_cap=None):
+        """The first of ``movers`` that ``reach`` can move, on the sites
+        of ``probe``.  Frontier phase: to a site that strictly shrinks
+        its right edge.  Squeeze phase (``squeeze_cap`` = the current
+        extent): to a lexicographically smaller anchor whose right edge
+        stays within the cap."""
         for i, p in movers:
-            sites = relocation_sites(
-                current, p, consider_alternatives=allow_shape_change,
-                occupied=occupied,
-            )
             limit = p.right - 1 if squeeze_cap is None else squeeze_cap
-            candidates = [
-                s for s in sites
-                if s.x + p.module.shapes[s.shape_index].width <= limit
-                and (squeeze_cap is None or (s.x, s.y) < (p.x, p.y))
-            ]
+
+            def candidate(s):
+                return (
+                    s.x + p.module.shapes[s.shape_index].width <= limit
+                    and (squeeze_cap is None or (s.x, s.y) < (p.x, p.y))
+                )
+
+            # a shape has a candidate iff its bottom-left site is one, and
+            # no rule moves a mover without one: skip unpacking its sites
+            if not any(map(candidate, probe.bottom_left(i))):
+                continue
+            sites = probe[i]
+            candidates = [s for s in sites if candidate(s)]
             move = reach(p, candidates, sites)
             if move is not None:
                 return i, move
@@ -188,11 +194,16 @@ def _compact(
     while len(moves) < budget:
         extent = max((p.right for p in placements), default=0)
         frontier = [(i, p) for i, p in enumerate(placements) if p.right == extent]
+        # one probe of every placement serves both phases of the step
+        probe = RelocationProbe(
+            current, placements, allow_shape_change, occupied
+        )
         # the extent-defining modules, largest first; when none can move,
         # squeeze any module, in x order
         found = first_move(
-            sorted(frontier, key=lambda t: -t[1].footprint.area)
+            probe, sorted(frontier, key=lambda t: -t[1].footprint.area)
         ) or first_move(
+            probe,
             sorted(enumerate(placements), key=lambda t: t[1].x),
             squeeze_cap=extent,
         )

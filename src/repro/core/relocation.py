@@ -9,10 +9,14 @@ compatibility computation our kernel uses for placement.
 
 This module quantifies relocatability for placed systems:
 
-* :func:`relocation_sites` — all anchors a placed module could move to
-  right now (resource-compatible, inside the region, free);
+* :class:`RelocationProbe` — the sites of many placed modules at once,
+  each with itself lifted, from one anchor-word kernel call: the defrag
+  planners probe every placement once per compaction step;
+* :func:`relocation_sites` — all anchors one placed module could move to
+  right now (resource-compatible, inside the region, free): the
+  one-mover probe;
 * :func:`relocatability_report` — per-module site counts, with and without
-  considering the module's design alternatives;
+  considering the module's design alternatives (one probe per policy);
 * :func:`relocation_distance` — frame-count cost of a relocation (columns
   the move touches), the reconfiguration-time proxy used by the flow's
   bitstream model.
@@ -25,14 +29,20 @@ the paper's offline utilization result.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.occupancy import Occupancy
 from repro.core.result import Placement, PlacementResult
-from repro.fabric.masks import unpack_columns
+from repro.fabric.masks import (
+    LANE_BITS,
+    anchor_word_stack,
+    term_rows,
+    unpack_columns,
+)
 
 
 @dataclass(frozen=True)
@@ -48,39 +58,118 @@ class RelocationSite:
         return self.x, self.y
 
 
+class RelocationProbe(Sequence):
+    """The relocation sites of every placement in ``movers``, each with
+    itself lifted, from one anchor-kernel call.
+
+    ``occupied`` is the caller's free-space ledger of ``result`` (the
+    defrag planners keep one per plan; None = build one); it is read,
+    never written.  Mover ``m``'s lifted free view, ``static &
+    ~occupied.lifted(p_m)`` (its own cells count as free), is kind-plane
+    block ``m`` of one word stack, and the term rows of its shapes read
+    that block (kind row plus ``m * K``).  One
+    :func:`~repro.fabric.masks.anchor_word_stack` call then answers every
+    shape of every mover.  ``probe[m]`` unpacks mover ``m``'s sites on
+    first use: shape by shape, each row by row (y, then x);
+    :meth:`bottom_left` gives each shape's bottom-left site without
+    unpacking them.
+    """
+
+    def __init__(
+        self,
+        result: PlacementResult,
+        movers: Sequence[Placement],
+        consider_alternatives: bool = True,
+        occupied: Optional[Occupancy] = None,
+    ) -> None:
+        if occupied is None:
+            occupied = Occupancy(result.region, result.placements)
+        self._height = occupied.region.height
+        self._sites: List[Optional[List[RelocationSite]]] = [None] * len(movers)
+        #: per mover, its shape indices and the slice of their rows
+        self._shapes: List[Tuple[List[int], slice]] = []
+        #: per shape row, its bottom-left site (None = no site)
+        self._corners: List[Optional[RelocationSite]] = []
+        if not movers:
+            return
+        static = occupied.static
+        K, W, L = static.shape
+        own = np.zeros((len(movers), W, L), dtype=np.uint64)
+        footprints, terms, sids = [], [], []
+        for m, p in enumerate(movers):
+            occupied.write(own[m], p, True)
+            mine = (
+                list(range(len(p.module.shapes)))
+                if consider_alternatives
+                else [p.shape_index]
+            )
+            fps = [p.module.shapes[s] for s in mine]
+            self._shapes.append(
+                (mine, slice(len(footprints), len(footprints) + len(fps)))
+            )
+            footprints += fps
+            sids += mine
+            terms.append(sum(fp.run_index().shape[1] for fp in fps))
+        # static & ~(held & ~own) == (static & ~held) | (static & own)
+        free = (static & ~occupied.held)[None] | (static[None] & own[:, None])
+        rows, starts = term_rows(footprints)
+        rows[1] += np.repeat(np.arange(0, len(movers) * K, K), terms)
+        self._words = words = anchor_word_stack(
+            free.reshape(len(movers) * K, W, L), rows, starts
+        )
+        # a shape's bottom-left site: its first nonzero column, the first
+        # nonzero lane there, and that word's lowest set bit
+        row = np.arange(len(footprints))
+        xs = words.any(axis=2).argmax(axis=1)
+        lanes = (words[row, xs] != 0).argmax(axis=1)
+        self._corners = [
+            RelocationSite(
+                sid, x, lane * LANE_BITS + (word & -word).bit_length() - 1
+            ) if word else None
+            for sid, x, lane, word in zip(
+                sids, xs.tolist(), lanes.tolist(),
+                words[row, xs, lanes].tolist(),
+            )
+        ]
+
+    def __len__(self) -> int:
+        return len(self._sites)
+
+    def bottom_left(self, m: int) -> List[RelocationSite]:
+        """Mover ``m``'s bottom-left site (smallest x, then y) of each
+        shape that has one, without unpacking its sites."""
+        _, block = self._shapes[m]
+        return [s for s in self._corners[block] if s is not None]
+
+    def __getitem__(self, m: int) -> List[RelocationSite]:
+        sites = self._sites[m]
+        if sites is None:
+            sids, block = self._shapes[m]
+            found = unpack_columns(self._words[block], self._height)
+            ss, ys, xs = np.nonzero(found)
+            sites = self._sites[m] = [
+                RelocationSite(sids[s], x, y)
+                for s, x, y in zip(ss.tolist(), xs.tolist(), ys.tolist())
+            ]
+        return sites
+
+
 def relocation_sites(
     result: PlacementResult,
     placement: Placement,
     consider_alternatives: bool = True,
     occupied: Optional[Occupancy] = None,
 ) -> List[RelocationSite]:
-    """All anchors ``placement``'s module could occupy instead.
+    """All anchors ``placement``'s module could occupy instead: the
+    one-mover :class:`RelocationProbe`.
 
     The module itself is lifted first (its own cells count as free), so
     the current position is always among the sites of its current shape.
-
-    ``occupied`` is the caller's free-space ledger of ``result`` (the
-    defrag planners keep one per plan; None = build one).  The mover is
-    lifted by clearing its words on a copy, so the ledger is never
-    written.  Sites come out shape by shape, each row by row (y, then x).
+    Sites come out shape by shape, each row by row (y, then x).
     """
-    if occupied is None:
-        occupied = Occupancy(result.region, result.placements)
-    shapes = (
-        list(enumerate(placement.module.shapes))
-        if consider_alternatives
-        else [(placement.shape_index, placement.footprint)]
-    )
-    words = occupied.anchors([fp for _, fp in shapes], occupied.lifted(placement))
-    height = result.region.height
-    sites: List[RelocationSite] = []
-    for (sid, _), found in zip(shapes, words):
-        ys, xs = np.nonzero(unpack_columns(found, height))
-        sites.extend(
-            RelocationSite(sid, int(x), int(y))
-            for x, y in zip(xs.tolist(), ys.tolist())
-        )
-    return sites
+    return RelocationProbe(
+        result, [placement], consider_alternatives, occupied
+    )[0]
 
 
 def relocation_distance(placement: Placement, site: RelocationSite) -> int:
@@ -109,13 +198,18 @@ class RelocatabilityRow:
 
 
 def relocatability_report(result: PlacementResult) -> List[RelocatabilityRow]:
-    """Per-module relocation site counts, without vs with alternatives."""
-    rows = []
-    for p in result.placements:
-        same = len(relocation_sites(result, p, consider_alternatives=False))
-        full = len(relocation_sites(result, p, consider_alternatives=True))
-        rows.append(RelocatabilityRow(p.module.name, same, full))
-    return rows
+    """Per-module relocation site counts, without vs with alternatives:
+    one :class:`RelocationProbe` per shape policy."""
+    placements = result.placements
+    occupied = Occupancy(result.region, placements)
+    same, full = (
+        RelocationProbe(result, placements, alts, occupied)
+        for alts in (False, True)
+    )
+    return [
+        RelocatabilityRow(p.module.name, len(s), len(f))
+        for p, s, f in zip(placements, same, full)
+    ]
 
 
 def format_relocatability(rows: List[RelocatabilityRow]) -> str:

@@ -450,6 +450,10 @@ class RuntimePlacementManager:
         #: outstanding reservations, kept sorted by start tick
         self._reservations: List[Reservation] = []
         self._last_defrag_clock: Optional[int] = None
+        #: the placement table of the last empty defrag plan: the planner
+        #: is a pure function of it, so while it is unchanged a replan
+        #: would come back empty again
+        self._empty_plan_key: Optional[Tuple[Placement, ...]] = None
         #: the live free-space ledger; its revision stamp covers the whole
         #: plannable floorplan, so the fragmentation memo invalidates
         #: without grid comparisons
@@ -1224,6 +1228,13 @@ class RuntimePlacementManager:
         queued requests starving until the next departure even when they
         fit the compacted floorplan (the retry lived only on the
         departure path) — the regression is pinned in the tests.
+
+        The planner is a pure function of the placement table, so a
+        table whose last plan came back empty is not planned again: the
+        pass returns at once (still stamping the cooldown clock) until a
+        departure, admission or move changes the table.  The memo is keyed
+        on the table itself, not on the ledger's revision, which
+        reservation bookings bump although the planner never reads them.
         """
         cfg = self.config
         if trigger == "reject" and not cfg.defrag_on_reject:
@@ -1236,6 +1247,10 @@ class RuntimePlacementManager:
             return False
         t0 = time.monotonic()
         try:
+            key = tuple(self._placements.values())
+            if key == self._empty_plan_key:
+                self._last_defrag_clock = self.clock
+                return False
             plan = self._defragmenter.plan(
                 self.result(),
                 allow_shape_change=cfg.allow_shape_change,
@@ -1243,6 +1258,7 @@ class RuntimePlacementManager:
             )
             self._last_defrag_clock = self.clock
             if not plan.moves:
+                self._empty_plan_key = key
                 return False
             self.stats.defrags += 1
             self.stats.defrag_planned_moves += len(plan.moves)

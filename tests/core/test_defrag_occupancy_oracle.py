@@ -1,16 +1,22 @@
 """Differential oracle for the defrag planners' maintained free-space ledger.
 
 Both planners build one :class:`~repro.core.occupancy.Occupancy` ledger
-per plan, hand it to every relocation probe and update it after each
-simulated move (remove the mover's old cells, place its new ones).  The
-oracle is the per-cell code that rebuilt the whole floorplan for every
-probe (:func:`tests.support.per_cell_relocation_sites`).  Three checks:
+per plan, probe every placement's relocation sites on it with one
+batched :class:`~repro.core.relocation.RelocationProbe` per compaction
+step, and update it after each simulated move (remove the mover's old
+cells, place its new ones).  The oracle is the per-cell code that
+rebuilt the whole floorplan for every mover
+(:func:`tests.support.per_cell_relocation_sites`).  Three checks:
 
-1. ``relocation_sites(..., occupied=ledger)`` equals the oracle on every
-   intermediate state a plan passes through, and a ledger kept up to
-   date move by move holds the cells of the rebuilt floorplan;
-2. with the oracle patched into :mod:`repro.core.defrag`, both planners
-   produce identical plans (moves, kinds, frames, windows, end state);
+1. ``relocation_sites(..., occupied=ledger)`` and the batched probe of
+   every placement (its sites and each shape's bottom-left site) equal
+   the oracle on every intermediate state a plan passes through, and a
+   ledger kept up to date move by move holds the cells of the rebuilt
+   floorplan;
+2. with the oracle patched into :mod:`repro.core.defrag` as the batched
+   probe (:class:`tests.support.PerCellRelocationProbe`, which must be
+   called), both planners produce identical plans (moves, kinds, frames,
+   windows, end state);
 3. the caller's ledger is never written.
 """
 
@@ -30,7 +36,7 @@ from repro.core.defrag import (
     plan_states,
 )
 from repro.core.occupancy import Occupancy
-from repro.core.relocation import relocation_sites
+from repro.core.relocation import RelocationProbe, relocation_sites
 from repro.core.result import Placement, PlacementResult
 from repro.fabric.devices import homogeneous_device, irregular_device
 from repro.fabric.masks import valid_anchor_mask
@@ -39,7 +45,11 @@ from repro.fabric.resource import ResourceType
 from repro.modules.footprint import Footprint
 from repro.modules.generator import GeneratorConfig, ModuleGenerator
 from repro.modules.module import Module
-from tests.support import per_cell_occupancy_mask, per_cell_relocation_sites
+from tests.support import (
+    PerCellRelocationProbe,
+    per_cell_occupancy_mask,
+    per_cell_relocation_sites,
+)
 
 PLANNERS = [GreedyCompactionDefragmenter, NoBreakDefragmenter]
 
@@ -107,14 +117,17 @@ def floorplans(draw):
 def plan_pair(result, planner_cls, allow):
     """The product plan and the plan on the per-cell oracle."""
     out = []
-    for oracle in (False, True):
+    for oracle in (None, PerCellRelocationProbe()):
         mp = pytest.MonkeyPatch()
-        if oracle:
-            mp.setattr(defrag_mod, "relocation_sites", per_cell_relocation_sites)
+        if oracle is not None:
+            mp.setattr(defrag_mod, "RelocationProbe", oracle)
         try:
             out.append(planner_cls().plan(result, allow_shape_change=allow))
         finally:
             mp.undo()
+    # a planner that no longer reads the patched name would compare the
+    # product with itself
+    assert oracle.calls > 0
     return out
 
 
@@ -137,10 +150,20 @@ def check_sites_on_plan_states(result: PlacementResult, allow: bool) -> int:
                 state.occupancy_mask(), per_cell_occupancy_mask(state)
             )
             ledger = Occupancy(state.region, state.placements)
-            for p in state.placements:
+            probe = RelocationProbe(state, state.placements, allow, ledger)
+            assert len(probe) == len(state.placements)
+            for m, (p, batched) in enumerate(zip(state.placements, probe)):
                 expected = per_cell_relocation_sites(state, p, allow)
                 assert relocation_sites(state, p, allow, occupied=ledger) == expected
                 assert relocation_sites(state, p, allow) == expected
+                assert batched == expected
+                assert probe.bottom_left(m) == [
+                    min(
+                        (s for s in expected if s.shape_index == sid),
+                        key=lambda s: (s.x, s.y),
+                    )
+                    for sid in sorted({s.shape_index for s in expected})
+                ]
                 checked += 1
     return checked
 
@@ -233,6 +256,7 @@ class TestCallerGridUntouched:
         ledger.held.setflags(write=False)  # any write would raise
         for p in result.placements:
             relocation_sites(result, p, allow, occupied=ledger)
+        list(RelocationProbe(result, result.placements, allow, ledger))
         np.testing.assert_array_equal(ledger.held, before)
         assert ledger.occupied_cells == result.used_cells()
 

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.runtime import (
     RejectReason,
+    RequestOutcome,
     RuntimeConfig,
     RuntimePlacementManager,
     RuntimeRequest,
@@ -137,6 +138,60 @@ class TestDefragAdmission:
         out = mgr.submit(req(rect("d", 2), 5, lifetime=100))
         assert out.status == "rejected"
         assert out.reason == RejectReason.NO_FIT
+
+
+class TestEmptyPlanMemo:
+    """A floorplan whose last defrag plan came back empty is not planned
+    again until its placement table changes; the cooldown clock is
+    still stamped on every pass."""
+
+    def manager(self):
+        mgr = RuntimePlacementManager(
+            region_w(8), greedy_cfg(frag_threshold=1.0, queue_capacity=0)
+        )
+        planner = mgr._defragmenter
+        plan = planner.plan
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(mgr.clock)
+            return plan(*args, **kwargs)
+
+        planner.plan = counted
+        # a|b|c packed from the left, columns 6-7 free: already compact
+        for name in "abc":
+            assert mgr.submit(req(rect(name, 2), 1)).admitted
+        return mgr, calls
+
+    @staticmethod
+    def decline(mgr, name, width, arrival):
+        request = req(rect(name, width), arrival)
+        assert mgr.offer(request, RequestOutcome(request)) is None
+        assert mgr._last_defrag_clock == arrival
+
+    def test_unchanged_floorplan_plans_once(self):
+        mgr, calls = self.manager()
+        self.decline(mgr, "x", 3, 2)
+        self.decline(mgr, "y", 3, 3)
+        assert calls == [2]
+        assert mgr.stats.defrags == 0
+
+    def test_departure_replans(self):
+        mgr, calls = self.manager()
+        self.decline(mgr, "x", 3, 2)
+        assert mgr.depart("c") is not None
+        self.decline(mgr, "y", 5, 3)
+        self.decline(mgr, "z", 5, 4)
+        assert calls == [2, 3]
+
+    def test_admission_replans(self):
+        mgr, calls = self.manager()
+        self.decline(mgr, "x", 3, 2)
+        request = req(rect("f", 1), 3)
+        assert mgr.offer(request, RequestOutcome(request)) is not None
+        self.decline(mgr, "y", 3, 4)
+        self.decline(mgr, "z", 3, 5)
+        assert calls == [2, 4]
 
 
 class TestBackpressure:

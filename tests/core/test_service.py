@@ -20,6 +20,7 @@ import json
 
 import pytest
 
+from repro.core.defrag import NoBreakDefragmenter
 from repro.core.runtime import (
     RejectReason,
     RuntimeConfig,
@@ -421,6 +422,30 @@ class TestContendedReplay:
         assert stats.reservations_booked > 0
         assert stats.queued_admits > 0
         assert replay_digest(slog.outcomes) == CONTENDED_FP
+
+    def test_empty_plan_memo_moves_no_outcome(self, monkeypatch):
+        """The replay with every floorplan replanned (the empty-plan memo
+        cleared before each pass) serves exactly the pinned outcomes;
+        the memo only saves planner calls."""
+        calls = []
+        plan = NoBreakDefragmenter.plan
+
+        def counted(self, *args, **kwargs):
+            calls.append(self)
+            return plan(self, *args, **kwargs)
+
+        monkeypatch.setattr(NoBreakDefragmenter, "plan", counted)
+        assert replay_digest(contended_replay().outcomes) == CONTENDED_FP
+        with_memo = len(calls)
+        defrag = RuntimePlacementManager._defrag
+
+        def forgetful(self, trigger):
+            self._empty_plan_key = None
+            return defrag(self, trigger)
+
+        monkeypatch.setattr(RuntimePlacementManager, "_defrag", forgetful)
+        assert replay_digest(contended_replay().outcomes) == CONTENDED_FP
+        assert 0 < with_memo < len(calls) - with_memo
 
     def test_makes_no_anchor_cache_lookups(self, monkeypatch):
         """Every fit query on the serving path reads the free-space

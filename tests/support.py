@@ -8,10 +8,11 @@ implementations of the paper's constraint) is now used by several files.
 
 The occupancy oracles live here as well: :func:`per_cell_occupancy_mask`
 and :func:`per_cell_relocation_sites` rebuild a floorplan one cell at a
-time, as the code did before occupancy became a maintained grid, and
-:class:`BoolGridLedger` keeps the free-space ledger's state in per-cell
-boolean grids, the differential oracle of
-:class:`repro.core.occupancy.Occupancy`.
+time, as the code did before occupancy became a maintained grid,
+:class:`PerCellRelocationProbe` serves the defrag planners' batched
+relocation probe from those rebuilds, and :class:`BoolGridLedger` keeps
+the free-space ledger's state in per-cell boolean grids, the
+differential oracle of :class:`repro.core.occupancy.Occupancy`.
 
 Three anchor-mask oracles for the packed column-word kernel
 (:func:`repro.fabric.masks.anchor_words`, unpacked by
@@ -337,6 +338,28 @@ def per_cell_free_mask_excluding(
     return result.region.allowed_mask() & ~occupied
 
 
+def per_cell_relocation_masks(
+    result: PlacementResult,
+    placement: Placement,
+    consider_alternatives: bool = True,
+) -> List[Tuple[int, np.ndarray]]:
+    """``(shape index, (H, W) anchor mask)`` of each shape ``placement``
+    could relocate with, on the floorplan of ``result`` rebuilt cell by
+    cell with ``placement`` lifted."""
+    region = result.region
+    free = per_cell_free_mask_excluding(result, placement)
+    sub_region = PartialRegion(region.grid, free & region.reconfigurable)
+    shapes = (
+        list(enumerate(placement.module.shapes))
+        if consider_alternatives
+        else [(placement.shape_index, placement.footprint)]
+    )
+    words = column_words(sub_region)
+    return [
+        (sid, valid_anchor_mask(sub_region, fp, words)) for sid, fp in shapes
+    ]
+
+
 def per_cell_relocation_sites(
     result: PlacementResult,
     placement: Placement,
@@ -350,18 +373,14 @@ def per_cell_relocation_sites(
     planner patched onto it plans against ground truth whatever state
     its own ledger is in.
     """
-    region = result.region
-    free = per_cell_free_mask_excluding(result, placement)
-    sub_region = PartialRegion(region.grid, free & region.reconfigurable)
-    shapes = (
-        list(enumerate(placement.module.shapes))
-        if consider_alternatives
-        else [(placement.shape_index, placement.footprint)]
+    return _mask_sites(
+        per_cell_relocation_masks(result, placement, consider_alternatives)
     )
-    words = column_words(sub_region)
-    masks = [
-        (sid, valid_anchor_mask(sub_region, fp, words)) for sid, fp in shapes
-    ]
+
+
+def _mask_sites(masks: List[Tuple[int, np.ndarray]]) -> List[RelocationSite]:
+    """The sites of ``(shape index, anchor mask)`` pairs, shape by shape,
+    each row by row."""
     sites: List[RelocationSite] = []
     for sid, mask in masks:
         ys, xs = np.nonzero(mask)
@@ -370,6 +389,63 @@ def per_cell_relocation_sites(
             for x, y in zip(xs.tolist(), ys.tolist())
         )
     return sites
+
+
+class PerCellRelocationProbe:
+    """:class:`repro.core.relocation.RelocationProbe` on the per-cell
+    oracle, for patching into :mod:`repro.core.defrag`.
+
+    Each call snapshots the floorplan and rebuilds a mover's
+    :func:`per_cell_relocation_masks` on first use, lazily like the
+    product; ``probe[m]`` and ``probe.bottom_left(m)`` read them.
+    ``calls`` counts the probes served, so a test can assert the patched
+    name is the one the planner reads.
+    """
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def __call__(
+        self,
+        result: PlacementResult,
+        movers: Sequence[Placement],
+        consider_alternatives: bool = True,
+        occupied=None,
+    ) -> "_PerCellSites":
+        self.calls += 1
+        return _PerCellSites(
+            PlacementResult(result.region, list(result.placements)),
+            list(movers),
+            consider_alternatives,
+        )
+
+
+class _PerCellSites:
+    def __init__(self, result, movers, consider_alternatives) -> None:
+        self.result, self.movers = result, movers
+        self.consider_alternatives = consider_alternatives
+        self.masks: Dict[int, List[Tuple[int, np.ndarray]]] = {}
+
+    def __len__(self) -> int:
+        return len(self.movers)
+
+    def mover_masks(self, m: int) -> List[Tuple[int, np.ndarray]]:
+        if m not in self.masks:
+            self.masks[m] = per_cell_relocation_masks(
+                self.result, self.movers[m], self.consider_alternatives
+            )
+        return self.masks[m]
+
+    def __getitem__(self, m: int) -> List[RelocationSite]:
+        return _mask_sites(self.mover_masks(m))
+
+    def bottom_left(self, m: int) -> List[RelocationSite]:
+        corners = []
+        for sid, mask in self.mover_masks(m):
+            xs, ys = np.nonzero(mask.T)  # x order, then y
+            if xs.size:
+                corners.append(RelocationSite(sid, int(xs[0]), int(ys[0])))
+        return corners
 
 
 class BoolGridLedger:
