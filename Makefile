@@ -24,14 +24,12 @@ test-fast:
 ## free-space ledger's packed words against per-cell boolean grids, the
 ## baseline placers' ledger state against the boolean-grid state it
 ## replaced, the placement kernel's packed words against the
-## boolean-bank kernel they replaced, the CP placer's one-module
-## closed form against the full CP model, and the runtime manager's
-## ledger cp rung against the residual-region greedy rung on whole
-## serving replays, too).  The wholesale and
-## boolean-bank kernels live in tests/support.py; the backend-level
-## differentials reach them under cp/lns/portfolio through the
-## tests/support.py kernel_mode injection, and the full CP model through
-## its full_cp_model injection
+## boolean-bank kernel they replaced, the runtime manager's one-module
+## ledger cp rung against the CP placer's full model, and the ledger cp
+## rung against the residual-region greedy rung on whole serving
+## replays, too).  The wholesale and boolean-bank kernels live in
+## tests/support.py; the backend-level differentials reach them under
+## cp/lns/portfolio through the tests/support.py kernel_mode injection
 test-oracle:
 	$(PY) -m pytest -q \
 	  tests/geost/test_differential_oracle.py \
@@ -61,19 +59,18 @@ bench-geost:
 	$(PY) -m pytest benchmarks/test_bench_geost_incremental.py -q -s
 
 ## the anchor-kernel ratio gates, each a same-machine ratio: the run
-## kernel vs the per-cell slice-AND oracle, the CP closed form vs the
-## full CP model, the closed form's packed-word mask stage vs the
-## prefix-count kernel it replaced, the runtime manager's cp rung on its
-## free-space ledger vs the residual region + cp backend probe it
-## replaced (all three on recorded serving probes; the last reads its
-## threshold from BENCH_runtime.json), no-break defrag planning with one
+## kernel vs the per-cell slice-AND oracle, the ledger cp rung's
+## packed-word mask stage vs the prefix-count kernel it replaced, the
+## runtime manager's cp rung on its free-space ledger vs the residual
+## region + greedy rung the (cp, greedy) chain falls back to (both on
+## recorded serving probes; the latter reads its threshold from
+## BENCH_runtime.json), no-break defrag planning with one
 ## batched relocation probe per step vs the per-cell rebuild oracle (on
 ## recorded contended shard floorplans), and the baseline placers on the
 ## free-space ledger vs the boolean-grid state they replaced (Table I)
 bench-masks:
 	$(PY) -m pytest -q -s \
 	  "benchmarks/test_bench_substrates.py::TestRunKernelSpeedup" \
-	  "benchmarks/test_bench_runtime.py::TestClosedFormAdmission" \
 	  "benchmarks/test_bench_runtime.py::TestPackedAnchorWords" \
 	  "benchmarks/test_bench_runtime.py::TestLedgerAdmission" \
 	  "benchmarks/test_bench_runtime.py::TestDefragPlanOccupancy" \

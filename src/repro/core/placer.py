@@ -7,21 +7,6 @@ then the row, then the shape alternative — usually already fixed by kernel
 propagation once the anchor is known.  Branch-and-bound tightens the
 extent after every solution; interrupted runs return the best placement
 found, which makes the Table I experiments budget-controllable.
-
-One request shape skips the model: a single module, stopped at its first
-solution under the min-extent objective, with no warm start, extent
-clamp, restarts or node budget (:func:`closed_form_applies`).  That dive
-provably lands on the minimum ``(x, y, shape)`` over the shapes' valid
-anchors, so :meth:`CPPlacer._place` returns
-:func:`~repro.fabric.masks.bottom_left_pick` over the shapes' anchor
-words, or a proven ``"infeasible"`` when no shape has an anchor.  The
-closed form serves offline callers only (a ``CPPlacer`` or ``cp``
-backend asked for one module); the runtime manager asks the same pick
-of its free-space ledger directly
-(``RuntimePlacementManager._ledger_rung``) and shares only the profile
-and status labels (:func:`closed_form_profile`,
-:func:`closed_form_status`).  The full model stays the test oracle
-(``tests/support.py::full_cp_model``).
 """
 
 from __future__ import annotations
@@ -30,8 +15,6 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.cp.bnb import BranchAndBound, Objective
 from repro.cp.branching import input_order, min_value
 from repro.cp.engine import Inconsistent
@@ -39,7 +22,6 @@ from repro.cp.search import SearchLimit
 from repro.core.objective import ObjectiveKind
 from repro.core.placement_model import PlacementModel
 from repro.core.result import Placement, PlacementResult
-from repro.fabric.masks import anchor_words, bottom_left_pick, column_words
 from repro.fabric.region import PartialRegion
 from repro.modules.module import Module
 from repro.obs import context as obs_context
@@ -175,11 +157,6 @@ class CPPlacer:
         cfg = self.config
         start = time.monotonic()
         profiling = cfg.profile or obs_context.current() is not None
-
-        if closed_form_applies(cfg, modules, max_extent):
-            # one module, first solution, min extent: the dive's answer is
-            # the bottom-left pick over the shapes' masks, no search required
-            return self._closed_form(region, modules[0], start, profiling)
 
         warm_placements: Optional[List[Placement]] = None
         warm_value: Optional[int] = None
@@ -368,51 +345,6 @@ class CPPlacer:
             stats=stats,
         )
 
-    def _closed_form(
-        self,
-        region: PartialRegion,
-        module: Module,
-        start: float,
-        profiling: bool,
-    ) -> PlacementResult:
-        """Answer a :func:`closed_form_applies` request without a model.
-
-        Builds each shape's anchor words as the kernel does and returns
-        the bottom-left ``(x, y, shape)`` over them, or a proven
-        ``"infeasible"`` when no shape has an anchor; no ``(H, W)`` mask is
-        built.  As with the dive, the answer is ``"optimal"`` only when it
-        is the one anchor there is (:func:`closed_form_status`).
-        """
-        words = anchor_words(column_words(region), module.shapes)
-        pick = bottom_left_pick(words)
-        elapsed = time.monotonic() - start
-        stats: Dict[str, object] = {
-            "shapes_considered": module.n_alternatives,
-            "first_incumbent_nodes": 0,
-        }
-        if profiling:
-            profile = closed_form_profile(region.name, elapsed)
-            session = obs_context.current()
-            if session is not None:
-                session.record(profile)
-            stats["profile"] = profile
-        if pick is None:
-            return PlacementResult(
-                region, [], [module], status="infeasible", elapsed=elapsed,
-                stats=stats,
-            )
-        x, y, si = pick
-        placement = Placement(module, si, x, y)
-        return PlacementResult(
-            region,
-            [placement],
-            [],
-            extent=placement.right,
-            status=closed_form_status(words),
-            elapsed=elapsed,
-            stats=stats,
-        )
-
     def _capture_profile(
         self, pm, search_stats, region, modules, restarts: int = 0
     ) -> SolveProfile:
@@ -497,51 +429,6 @@ class CPPlacer:
             elapsed=elapsed,
             stats=stats,
         )
-
-
-def closed_form_applies(
-    cfg: PlacerConfig, modules: Sequence[Module], max_extent: Optional[int]
-) -> bool:
-    """True when the CP dive provably returns the bottom-left pick.
-
-    One module, stopped at its first solution under the min-extent
-    objective, with no warm start, no extent clamp, the plain dive and no
-    node budget: branching x, then y, then shape at the smallest value
-    finds the minimum ``(x, y, shape)`` over the shapes' valid anchors,
-    and an empty mask set is the proof of no fit.
-    """
-    return (
-        len(modules) == 1
-        and cfg.first_solution_only
-        and cfg.objective is ObjectiveKind.MIN_EXTENT_X
-        and cfg.warm_start is None
-        and max_extent is None
-        and cfg.construction == "dive"
-        and cfg.node_limit is None
-    )
-
-
-def closed_form_profile(instance: str, elapsed: float) -> SolveProfile:
-    """The profile of one closed-form answer on region ``instance``."""
-    return SolveProfile(
-        elapsed=elapsed,
-        stop_reason="closed-form",
-        meta={"instance": instance, "modules": 1, "placer": "cp"},
-    )
-
-
-def closed_form_status(words: Sequence[np.ndarray]) -> str:
-    """The status of a closed-form pick over the shapes' anchor words
-    (at least one bit set): ``"optimal"`` when it is the one anchor there
-    is, so root propagation would fix every variable, else
-    ``"feasible"``."""
-    stacked = np.stack(words)
-    set_words = stacked[stacked != 0]
-    # one nonzero word, and a power of two: a single anchor
-    unique = set_words.size == 1 and not (
-        int(set_words[0]) & (int(set_words[0]) - 1)
-    )
-    return "optimal" if unique else "feasible"
 
 
 def _objective_value(

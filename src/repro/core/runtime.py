@@ -11,11 +11,11 @@ repo's existing parts under such a load:
   of registered placement backends (:mod:`repro.core.backend`), named
   declaratively by ``RuntimeConfig.chain``, then is rejected.  The
   default chain is the one ``cp`` rung: one module at its first
-  solution, which is the bottom-left anchor over the shapes' anchor
-  words (the CP placer's closed form).  The manager reads that pick
-  straight off its free-space ledger, with no residual region or
-  backend call; when no shape has an anchor its ``"infeasible"`` is a
-  proof that ends the sweep
+  solution under the min-extent objective, whose CP dive lands on the
+  bottom-left anchor over the shapes' anchor words.  The manager reads
+  that pick in closed form straight off its free-space ledger, with no
+  model, residual region or backend call; when no shape has an anchor
+  its ``"infeasible"`` is a proof that ends the sweep
   (:meth:`RuntimePlacementManager._place_once`), so a rung after ``cp``
   (``("cp", "greedy")``) only runs when ``cp`` raised.
 * **Fragmentation control** — external fragmentation of the live
@@ -80,7 +80,6 @@ from repro.core.defrag import (
     create_defragmenter,
 )
 from repro.core.occupancy import Occupancy
-from repro.core.placer import closed_form_profile, closed_form_status
 from repro.core.result import Placement, PlacementResult
 from repro.fabric.masks import bottom_left_pick, first_anchor
 from repro.fabric.region import PartialRegion
@@ -123,18 +122,10 @@ class RuntimeRequest:
     #: latest logical time admission is still useful (None = arrival +
     #: the manager's ``max_queue_wait``)
     deadline: Optional[int] = None
-    #: execution ticks for scheduling backends (None = untimed; the
-    #: admission path ignores it, ``temporal-cp`` requests honor it)
-    duration: Optional[int] = None
-    #: name of a module that must finish before this one starts — a
-    #: precedence edge for scheduling backends (None = unconstrained)
-    after: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.lifetime <= 0:
             raise ValueError("request lifetime must be positive")
-        if self.duration is not None and self.duration <= 0:
-            raise ValueError("request duration must be positive")
 
 
 class RejectReason(str, Enum):
@@ -413,8 +404,6 @@ class Reservation:
     start: int
     #: latest logical tick a commit is still useful
     deadline: int
-    #: logical tick the reservation was booked (== arrival clock)
-    booked_at: int
 
 
 @dataclass
@@ -425,6 +414,29 @@ class _ActiveMove:
     ends: int
     #: the window cells as ledger words
     window: np.ndarray
+
+
+def _closed_form_profile(instance: str, elapsed: float) -> SolveProfile:
+    """The profile of one ledger-rung answer on region ``instance``."""
+    return SolveProfile(
+        elapsed=elapsed,
+        stop_reason="closed-form",
+        meta={"instance": instance, "modules": 1, "placer": "cp"},
+    )
+
+
+def _closed_form_status(words: Sequence[np.ndarray]) -> str:
+    """The status of a bottom-left pick over the shapes' anchor words
+    (at least one bit set): ``"optimal"`` when it is the one anchor there
+    is, so the dive's root propagation would fix every variable, else
+    ``"feasible"``."""
+    stacked = np.stack(words)
+    set_words = stacked[stacked != 0]
+    # one nonzero word, and a power of two: a single anchor
+    unique = set_words.size == 1 and not (
+        int(set_words[0]) & (int(set_words[0]) - 1)
+    )
+    return "optimal" if unique else "feasible"
 
 
 # ----------------------------------------------------------------------
@@ -913,16 +925,19 @@ class RuntimePlacementManager:
     def _ledger_rung(
         self, module: Module, exclude: Optional[Reservation]
     ) -> Tuple[Optional[Placement], str]:
-        """The chain's ``cp`` rung, read off the ledger.
+        """The chain's ``cp`` rung, read off the ledger in closed form.
 
-        A one-module, first-solution CP probe is the bottom-left pick
-        over the shapes' anchor words (the CP placer's closed form,
-        pinned against the full model by the tests), so the manager asks
-        the ledger directly with the :meth:`_blocked` cells taken: no
-        residual region, request or result.  No anchor is the proof of no
-        fit (``"infeasible"``) that ends the sweep.  With a tracer or a
-        profiling session on, the rung reports as the ``cp`` backend
-        does: the ``backend.start`` / ``backend.result`` pair and one
+        A one-module, first-solution CP dive under the min-extent
+        objective branches x, then y, then shape at the smallest value,
+        so it lands on the bottom-left ``(x, y, shape)`` over the shapes'
+        valid anchors.  The manager asks the ledger for that pick
+        directly, with the :meth:`_blocked` cells taken: no model,
+        residual region, request or result (the tests pin it against
+        ``CPPlacer`` on the residual region).  No anchor is the proof of
+        no fit (``"infeasible"``) that ends the sweep.  With a tracer or
+        a profiling session on, the rung reports as the ``cp`` backend
+        would: the ``backend.start`` / ``backend.result`` pair, with the
+        dive's status (:func:`_closed_form_status`), and one
         ``"closed-form"`` profile.
         """
         tracer = self._tracer
@@ -953,14 +968,14 @@ class RuntimePlacementManager:
         if observed:
             elapsed = time.monotonic() - start
             if session is not None:
-                profile = closed_form_profile(self.region.name, elapsed)
+                profile = _closed_form_profile(self.region.name, elapsed)
                 profile.meta["backend"] = LEDGER_RUNG
                 session.record(profile)
             if tracer is not None:
                 tracer.emit(
                     BACKEND_RESULT,
                     backend=LEDGER_RUNG,
-                    status=status if pick is None else closed_form_status(words),
+                    status=status if pick is None else _closed_form_status(words),
                     placed=int(pick is not None),
                     elapsed=elapsed,
                 )
@@ -1076,7 +1091,6 @@ class RuntimePlacementManager:
                 placement=Placement(module, si, x, y),
                 start=start,
                 deadline=deadline,
-                booked_at=self.clock,
             )
             self._reservations.append(reservation)
             self._reservations.sort(key=lambda r: r.start)
@@ -1519,8 +1533,6 @@ def generate_workload(
     mean_lifetime: int = 24,
     deadline_slack: Optional[int] = None,
     generator_config: Optional[GeneratorConfig] = None,
-    duration_range: Optional[Tuple[int, int]] = None,
-    precedence_p: float = 0.0,
     profile: str = "uniform",
 ) -> List[RuntimeRequest]:
     """A seeded arrival/lifetime trace over the Table-I distribution.
@@ -1533,23 +1545,16 @@ def generate_workload(
 
     ``profile`` selects the arrival process:
 
-    * ``"uniform"`` (default) — the historical uniform-gap trace.  With
-      the scheduling extensions off this path draws from the primary RNG
-      in exactly the historical order, so existing ``(seed, kwargs)``
-      combinations reproduce byte-identical traces — pinned by the
-      workload fingerprints in the tests.
+    * ``"uniform"`` (default) — the historical uniform-gap trace.  It
+      draws from the RNG in exactly the historical order, so existing
+      ``(seed, kwargs)`` combinations reproduce byte-identical traces —
+      pinned by the workload fingerprints in the tests.
     * ``"slack-heavy"`` — bursty arrivals (bursts of ~4 requests sharing
       one tick separated by long gaps), short lifetimes and generous
       deadlines (``deadline_slack`` defaults to ``2 * mean_lifetime``).
       The trace reservation-based admission is built for: admit-now
       managers reject burst overflow that a horizon probe can book onto
       the imminent departures.
-
-    The scheduling fields ride on a *derived* RNG (seeded from ``seed``)
-    so enabling them never perturbs the primary draws: ``duration_range
-    = (lo, hi)`` stamps a uniform per-request ``duration``;
-    ``precedence_p`` chains each request to its predecessor (``after``)
-    with that probability.
     """
     import random
 
@@ -1557,20 +1562,10 @@ def generate_workload(
         raise ValueError("n_requests must be >= 0")
     if profile not in ("uniform", "slack-heavy"):
         raise ValueError(f"unknown workload profile {profile!r}")
-    if not 0.0 <= precedence_p <= 1.0:
-        raise ValueError("precedence_p must be within [0, 1]")
-    if duration_range is not None:
-        lo, hi = duration_range
-        if lo < 1 or hi < lo:
-            raise ValueError("duration_range must satisfy 1 <= lo <= hi")
     rng = random.Random(seed)
     gen = ModuleGenerator(seed=seed, config=generator_config)
-    # scheduling fields draw from a derived stream so that turning them
-    # on cannot shift the primary stream's historical draw order
-    aux = random.Random(seed ^ 0x7E3A)
     t = 0
     out: List[RuntimeRequest] = []
-    prev_name: Optional[str] = None
     for i in range(n_requests):
         if profile == "slack-heavy":
             if i % 4 == 0:  # burst boundary: one long gap, then pile up
@@ -1586,28 +1581,12 @@ def generate_workload(
             t += rng.randint(1, max(1, 2 * mean_interarrival - 1))
             lifetime = rng.randint(2, max(2, 2 * mean_lifetime - 2))
             deadline = None if deadline_slack is None else t + deadline_slack
-        module = gen.generate()
-        duration = (
-            aux.randint(duration_range[0], duration_range[1])
-            if duration_range is not None
-            else None
-        )
-        after = None
-        if (
-            precedence_p > 0.0
-            and prev_name is not None
-            and aux.random() < precedence_p
-        ):
-            after = prev_name
         out.append(
             RuntimeRequest(
-                module=module,
+                module=gen.generate(),
                 arrival=t,
                 lifetime=lifetime,
                 deadline=deadline,
-                duration=duration,
-                after=after,
             )
         )
-        prev_name = module.name
     return out

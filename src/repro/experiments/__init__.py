@@ -27,7 +27,6 @@ from repro.experiments.runtime_exp import (
 )
 from repro.experiments.service_load import (
     LoadReport,
-    format_report,
     run_load,
     serving_config,
 )
@@ -52,5 +51,4 @@ __all__ = [
     "LoadReport",
     "run_load",
     "serving_config",
-    "format_report",
 ]

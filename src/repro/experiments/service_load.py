@@ -193,37 +193,3 @@ def run_load(
         },
     )
 
-
-def format_report(report: LoadReport) -> str:
-    """Human-readable one-block summary of one load run."""
-    lines = [
-        f"service load: {report.n_requests} requests, "
-        f"{report.n_shards} shard(s), router={report.router}",
-        f"  throughput : {report.req_per_s:,.0f} req/s "
-        f"({report.elapsed_s:.3f}s total)",
-        f"  latency    : p50={report.p50_latency_s * 1e3:.3f}ms "
-        f"p99={report.p99_latency_s * 1e3:.3f}ms "
-        f"max={report.max_latency_s * 1e3:.3f}ms",
-        f"  admission  : {report.admitted} admitted, "
-        f"{report.rejected} rejected "
-        f"(reject rate {report.reject_rate:.1%})",
-    ]
-    if report.defrag != "disabled" or report.defrags:
-        lines.append(
-            f"  defrag     : {report.defrag} — {report.defrags} passes, "
-            f"moves {report.defrag_planned_moves} planned / "
-            f"{report.defrag_executed_moves} executed / "
-            f"{report.defrag_aborted_moves} aborted "
-            f"({report.defrag_time_s * 1e3:.1f}ms)"
-        )
-    if report.rejected_by_reason:
-        reasons = ", ".join(
-            f"{k}={v}" for k, v in sorted(report.rejected_by_reason.items())
-        )
-        lines.append(f"  reasons    : {reasons}")
-    if report.per_shard_admitted:
-        shards = ", ".join(
-            f"{k}={v}" for k, v in sorted(report.per_shard_admitted.items())
-        )
-        lines.append(f"  per shard  : {shards}")
-    return "\n".join(lines)

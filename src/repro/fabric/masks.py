@@ -35,8 +35,9 @@ Two queries read finished anchors: :func:`first_anchor` returns the
 bottom-left anchor of one mask or one footprint's words (first nonzero
 column, then its lowest set bit), and :func:`bottom_left_pick` the
 bottom-left ``(x, y, shape)`` over one module's per-shape masks or words.
-The baseline placers, the CP placer's one-module closed form, the runtime
-manager's reservation probe and Figure 4 all pick anchors through them.
+The baseline placers, the runtime manager's ledger rung (its one-module
+closed form) and reservation probe, and Figure 4 all pick anchors
+through them.
 Occupied cells are not filtered out of finished anchors: a fit query that
 must avoid them runs :func:`anchor_words` on ``static & ~held`` (the
 free-space ledger, :class:`repro.core.occupancy.Occupancy`).

@@ -9,7 +9,8 @@ construction and are cross-checked by ``PlacementResult.verify`` in the
 tests.  Every placer reads the bottom-left anchor of each shape
 (:meth:`_State.first_anchors`) and writes cells through the ledger; the
 bottom-left pick across shapes is :meth:`_State.bottom_left`, the same
-helper the CP placer's one-module closed form calls.
+:func:`~repro.fabric.masks.bottom_left_pick` the runtime manager's
+ledger rung calls.
 
 Seeding and wall-clock budgets are owned here, once: ``BasePlacer.place``
 builds one :class:`_State` carrying the RNG, the deadline and the ledger,

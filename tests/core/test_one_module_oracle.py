@@ -1,12 +1,15 @@
-"""Differential suite: the CP placer's one-module closed form against the
-full CP model.
+"""Differential suite: the runtime manager's ledger rung against the CP
+placer.
 
-A one-module, first-solution, min-extent CP request is answered without a
-model: the bottom-left ``(x, y, shape)`` over the shapes' anchor masks,
-or a proven ``"infeasible"`` when no shape has an anchor.  Inside
-:func:`tests.support.full_cp_model` the same request builds the
-:class:`~repro.core.placement_model.PlacementModel` and dives.  Both must
-give the same placement, status and extent.
+A one-module, first-solution, min-extent CP request builds the
+:class:`~repro.core.placement_model.PlacementModel` and dives.  The
+runtime manager's ``cp`` rung answers the same request in closed form
+off its free-space ledger
+(:meth:`~repro.core.runtime.RuntimePlacementManager._ledger_rung`): the
+bottom-left ``(x, y, shape)`` over the shapes' anchor words, or a proven
+``"infeasible"`` when no shape has an anchor.  Both must give the same
+placement, status and extent; the rung's status is the one its
+``backend.result`` event reports.
 
 Three input sets:
 
@@ -14,8 +17,9 @@ Three input sets:
   on an irregular fabric, the next module probed on the residual;
 * hypothesis residual regions on small fabrics, many with no anchor;
 * the probes a ``serve-contended`` style replay sends to the runtime
-  manager's ``cp`` rung, which reads the pick off its free-space ledger:
-  its answer must equal the closed form's on the residual region.
+  manager's ``cp`` rung: the answer the replay's ledger gave must equal
+  the CP placer's on the residual region, and so must a fresh manager's
+  on that region.
 """
 
 from __future__ import annotations
@@ -27,47 +31,58 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.placer import CPPlacer, PlacerConfig, closed_form_applies
+from repro.core.placer import CPPlacer, PlacerConfig
+from repro.core.runtime import RuntimeConfig, RuntimePlacementManager
 from repro.fabric.devices import homogeneous_device, irregular_device
 from repro.fabric.region import PartialRegion
 from repro.fabric.resource import ResourceType
 from repro.modules.footprint import Footprint
 from repro.modules.generator import GeneratorConfig, ModuleGenerator
 from repro.modules.module import Module
+from repro.obs.trace import BACKEND_RESULT, RecordingTracer
 from repro.placer.greedy import BottomLeftPlacer
-from tests.support import full_cp_model, recorded_cp_probes
+from tests.support import recorded_cp_probes
 
 #: the config of a one-module admission probe (the cp backend under
 #: ``PlacementRequest(first_solution_only=True)``)
-PROBE = PlacerConfig(time_limit=None, first_solution_only=True, profile=True)
+PROBE = PlacerConfig(time_limit=None, first_solution_only=True)
 
 
-def _answer(result):
+def _answer(status, placements, unplaced, extent):
     return (
-        result.status,
-        [(p.module.name, p.shape_index, p.x, p.y) for p in result.placements],
-        [m.name for m in result.unplaced],
-        result.extent,
+        status,
+        [(p.module.name, p.shape_index, p.x, p.y) for p in placements],
+        [m.name for m in unplaced],
+        extent,
     )
 
 
-def _run(region, module, closed):
-    assert closed_form_applies(PROBE, [module], None)
-    if not closed:
-        with full_cp_model():
-            result = CPPlacer(PROBE).place(region, [module])
-        assert "search" in result.stats or result.status == "infeasible"
-        return result
+def cp_answer(region, module):
+    """The CP placer's answer: the full model and its dive."""
     result = CPPlacer(PROBE).place(region, [module])
-    assert result.stats["profile"].stop_reason == "closed-form"
-    return result
+    assert "search" in result.stats or result.status == "infeasible"
+    return _answer(
+        result.status, result.placements, result.unplaced, result.extent
+    )
 
 
-def assert_same_as_full_model(region, module):
-    """Closed form and full model agree on the answer; returns it."""
-    closed = _answer(_run(region, module, closed=True))
-    assert closed == _answer(_run(region, module, closed=False))
-    return closed
+def ledger_answer(region, module):
+    """The ledger rung's answer on a fresh manager over ``region``."""
+    tracer = RecordingTracer()
+    manager = RuntimePlacementManager(region, RuntimeConfig(tracer=tracer))
+    placement, status = manager._ledger_rung(module, None)
+    [event] = tracer.by_kind(BACKEND_RESULT)
+    assert status == ("infeasible" if placement is None else "feasible")
+    if placement is None:
+        return _answer(event.data["status"], [], [module], None)
+    return _answer(event.data["status"], [placement], [], placement.right)
+
+
+def assert_same_as_cp_placer(region, module):
+    """Ledger rung and CP placer agree on the answer; returns it."""
+    ledger = ledger_answer(region, module)
+    assert ledger == cp_answer(region, module)
+    return ledger
 
 
 # ----------------------------------------------------------------------
@@ -101,12 +116,12 @@ def generator_floorplan(seed: int):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_generator_floorplans(seed):
-    assert_same_as_full_model(*generator_floorplan(seed))
+    assert_same_as_cp_placer(*generator_floorplan(seed))
 
 
 def test_generator_floorplans_cover_both_outcomes():
     statuses = {
-        _answer(_run(*generator_floorplan(s), closed=True))[0]
+        ledger_answer(*generator_floorplan(s))[0]
         for s in range(40)
     }
     assert statuses == {"feasible", "infeasible"}
@@ -165,13 +180,13 @@ def residuals(draw):
 @given(case=residuals())
 def test_hypothesis_residuals(case):
     region, module = case
-    assert_same_as_full_model(region, module)
+    assert_same_as_cp_placer(region, module)
 
 
 def test_no_anchor_is_a_proof():
     region = PartialRegion.whole_device(homogeneous_device(3, 2))
     module = Module("wide", [Footprint.rectangle(4, 1), Footprint.rectangle(1, 3)])
-    status, placements, unplaced, _ = assert_same_as_full_model(region, module)
+    status, placements, unplaced, _ = assert_same_as_cp_placer(region, module)
     assert (status, placements, unplaced) == ("infeasible", [], ["wide"])
 
 
@@ -180,7 +195,7 @@ def test_ties_go_to_the_lowest_shape_index():
     module = Module(
         "tie", [Footprint.rectangle(3, 3), Footprint.rectangle(2, 2)]
     )
-    _, placements, _, _ = assert_same_as_full_model(region, module)
+    _, placements, _, _ = assert_same_as_cp_placer(region, module)
     assert placements == [("tie", 0, 0, 0)]
 
 
@@ -193,13 +208,12 @@ def contended_probes():
 
 
 def test_contended_probes(contended_probes):
-    """The runtime manager's ledger answer of each recorded probe equals
-    the closed form on its residual region, which equals the full
-    model."""
+    """The replay's ledger answer of each recorded probe equals the CP
+    placer's on its residual region, and so does a fresh manager's."""
     assert len(contended_probes) >= 50
     statuses = set()
     for probe in contended_probes:
-        status, placements, _, _ = assert_same_as_full_model(
+        status, placements, _, _ = assert_same_as_cp_placer(
             probe.region, probe.module
         )
         statuses.add(status)

@@ -38,8 +38,6 @@ baseline placer on it.
 graceful-degradation tests; :func:`registered_rungs` registers them for
 the length of a block.
 
-:func:`full_cp_model` is the oracle switch of the CP placer's one-module
-closed form: inside it every request builds the full model and searches.
 :func:`recorded_cp_probes` records the runtime manager's ``cp``-rung
 probes, read off its ledger, with the residual region the ``cp`` backend
 would have placed them on.
@@ -108,7 +106,6 @@ from typing import (
 import numpy as np
 
 import repro.core.placement_model
-import repro.core.placer
 import repro.core.temporal
 import repro.placer.base
 from repro.core.backend import (
@@ -1353,27 +1350,6 @@ def registered_rungs(*backends) -> Iterator[None]:
     finally:
         for backend in backends:
             unregister_backend(backend.name)
-
-
-@contextmanager
-def full_cp_model() -> Iterator[None]:
-    """Run every one-module CP request through the full model and search.
-
-    :class:`~repro.core.placer.CPPlacer` answers one-module,
-    first-solution, min-extent requests in closed form (the bottom-left
-    pick over the shapes' masks) when
-    :func:`repro.core.placer.closed_form_applies` says so.  Inside this
-    block that predicate is always False, so the request builds the
-    :class:`~repro.core.placement_model.PlacementModel` and dives, the
-    oracle the closed form is checked against.  Only forked worker
-    processes inherit the swap.
-    """
-    previous = repro.core.placer.closed_form_applies
-    repro.core.placer.closed_form_applies = lambda *args: False
-    try:
-        yield
-    finally:
-        repro.core.placer.closed_form_applies = previous
 
 
 class LedgerProbe(NamedTuple):
