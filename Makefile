@@ -25,9 +25,11 @@ test-fast:
 ## baseline placers' ledger state against the boolean-grid state it
 ## replaced, the placement kernel's packed words against the
 ## boolean-bank kernel they replaced, the runtime manager's one-module
-## ledger cp rung against the CP placer's full model, and the ledger cp
+## ledger cp rung against the CP placer's full model, the ledger cp
 ## rung against the residual-region greedy rung on whole serving
-## replays, too).  The wholesale and boolean-bank kernels live in
+## replays, and the runtime manager's due-tick early return against the
+## eager clock that runs every advance in full, too).  The eager clock
+## (eager_clock), the wholesale and the boolean-bank kernels live in
 ## tests/support.py; the backend-level differentials reach them under
 ## cp/lns/portfolio through the tests/support.py kernel_mode injection
 test-oracle:
@@ -42,6 +44,7 @@ test-oracle:
 	  tests/core/test_occupancy_oracle.py \
 	  tests/core/test_one_module_oracle.py \
 	  tests/core/test_chain_differential.py \
+	  tests/core/test_due_tick_oracle.py \
 	  tests/placer/test_baseline_state_oracle.py
 
 ## pytest-benchmark suite (not part of tier-1)

@@ -50,7 +50,13 @@ repo's existing parts under such a load:
   existing :mod:`repro.obs` layer.
 
 Time model: the manager runs on the *logical* clock carried by the
-requests (arrival/lifetime/deadline are simulation time units).  The
+requests (arrival/lifetime/deadline are simulation time units).
+:meth:`RuntimePlacementManager.next_due` is the earliest tick at which
+anything can happen: a departure, the end of a move window, a
+reservation start, a pending deadline, or every tick while
+``frag_threshold < 1.0``.  An advance to an earlier tick only sets the
+clock, so a driver may advance a manager on every arrival at the cost of
+one comparison (the sharded service does, for every shard).  The
 solver budget ``probe_time_limit`` is wall-clock seconds, but it is a
 safety net only rungs that search (``lns`` or ``annealing``, say) read:
 the ledger's ``cp`` rung and the greedy rungs ignore it, so on the
@@ -704,16 +710,32 @@ class RuntimePlacementManager:
             self._emit(RUNTIME_DEPART, module=name, clock=self.clock)
         return placement
 
-    def next_departure(self) -> Optional[int]:
-        """Logical time of the next scheduled event — a departure or a
-        reservation becoming due (external-clock drivers — the sharded
-        service — step shards through this)."""
-        times = []
-        if self._departures:
-            times.append(self._departures[0][0])
+    def next_due(self) -> Optional[int]:
+        """The earliest tick at which :meth:`advance_to` does more than
+        set the clock (None: nothing is scheduled).
+
+        Conservative: the head of the departure heap (a stale entry for
+        an explicitly departed module only makes it earlier), the end of
+        the active no-break move, the earliest reservation start (at or
+        before the clock while a due booking is still uncommitted), the
+        earliest pending deadline — and the clock itself whenever
+        ``frag_threshold < 1.0``, since a fragmentation-triggered pass
+        may then fire on any tick."""
+        if self.config.frag_threshold < 1.0:
+            return self.clock
+        due = self._departures[0][0] if self._departures else None
+        active = self._active_move
+        if active is not None and (due is None or active.ends < due):
+            due = active.ends
         if self._reservations:
-            times.append(min(r.start for r in self._reservations))
-        return min(times) if times else None
+            start = self._reservations[0].start  # sorted by start
+            if due is None or start < due:
+                due = start
+        if self._pending:
+            deadline = min(item.deadline for item in self._pending)
+            if due is None or deadline < due:
+                due = deadline
+        return due
 
     def advance_to(self, t: int) -> None:
         """Advance the logical clock: move completions, departures and
@@ -721,11 +743,19 @@ class RuntimePlacementManager:
         tick lands first, so the freed source cells are visible to that
         tick's departures' retry pass; a departure lands before a
         same-tick reservation so the booked cells are actually free at
-        commit), then queue upkeep."""
+        commit), then queue upkeep.
+
+        Before :meth:`next_due` nothing can happen, so an advance to an
+        earlier tick only sets the clock: a shard with nothing due pays
+        one comparison per arrival."""
         if t < self.clock:
             raise ValueError(
                 f"clock may not go backwards ({t} < {self.clock})"
             )
+        due = self.next_due()
+        if due is None or t < due:
+            self.clock = t
+            return
         # a due reservation that fails to commit (and has not expired)
         # stays booked — attempt each at most once per advance, or the
         # event loop would spin on it
@@ -1179,6 +1209,8 @@ class RuntimePlacementManager:
     # Queue upkeep and defragmentation
     # ------------------------------------------------------------------
     def _expire_pending(self) -> None:
+        if not self._pending:
+            return
         kept: Deque[_Pending] = deque()
         while self._pending:
             item = self._pending.popleft()
@@ -1190,6 +1222,8 @@ class RuntimePlacementManager:
 
     def _retry_pending(self) -> None:
         """FIFO retry of queued requests against the current floorplan."""
+        if not self._pending:
+            return
         remaining: Deque[_Pending] = deque()
         while self._pending:
             item = self._pending.popleft()
@@ -1212,6 +1246,11 @@ class RuntimePlacementManager:
 
     def _maybe_defrag(self, trigger: str) -> None:
         cfg = self.config
+        # a threshold of 1.0 can never be exceeded (external fragmentation
+        # is a ratio in [0, 1]) — skip the metric, a pure-Python
+        # maximal-rectangles pass that would otherwise run per event
+        if cfg.frag_threshold >= 1.0:
+            return
         if self._active_move is not None or self._move_queue:
             return
         if len(self._placements) < 2:
@@ -1220,11 +1259,6 @@ class RuntimePlacementManager:
             self._last_defrag_clock is not None
             and self.clock - self._last_defrag_clock < cfg.defrag_cooldown
         ):
-            return
-        # a threshold of 1.0 can never be exceeded (external fragmentation
-        # is a ratio in [0, 1]) — skip the metric, a pure-Python
-        # maximal-rectangles pass that would otherwise run per event
-        if cfg.frag_threshold >= 1.0:
             return
         if self.fragmentation() <= cfg.frag_threshold:
             return

@@ -350,13 +350,13 @@ class TestBooking:
         # residual region offers no free cell
         assert not mgr.residual_region().reconfigurable.any()
 
-    def test_next_departure_sees_reservation_starts(self):
+    def test_next_due_sees_reservation_starts(self):
         mgr = RuntimePlacementManager(tiny_region(), resv_config())
         mgr.submit(req("a", 1, 5))
         mgr.submit(req("b", 1, 7))
         c = mgr.submit(req("c", 2, 4, deadline=20))
         assert c.status == "reserved"
-        assert mgr.next_departure() == 6  # min(departure 6, start 6)
+        assert mgr.next_due() == 6  # min(departure 6, start 6)
 
 
 class TestCommitAndExpiry:

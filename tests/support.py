@@ -42,6 +42,11 @@ the length of a block.
 probes, read off its ledger, with the residual region the ``cp`` backend
 would have placed them on.
 
+:func:`eager_clock` makes every runtime manager's
+:meth:`~repro.core.runtime.RuntimePlacementManager.next_due` answer its
+own clock, so each ``advance_to`` runs the full event loop and queue
+upkeep: the oracle of the due-tick early return.
+
 :class:`BoolBankKernel` is the placement kernel before packed words: one
 boolean ``(H * W)`` row per (module, shape), narrowed after each imprint
 by a difference-of-coordinates collision scatter, with batched and
@@ -1415,6 +1420,21 @@ def recorded_cp_probes(
     finally:
         RuntimePlacementManager._ledger_rung = rung
     return recorded[:: max(1, len(recorded) // keep)][:keep]
+
+
+@contextmanager
+def eager_clock() -> Iterator[None]:
+    """Advance every runtime manager eagerly inside this block: its
+    ``next_due()`` answers the clock itself, as if every tick had
+    something due, so no ``advance_to`` takes the early return."""
+    from repro.core.runtime import RuntimePlacementManager
+
+    next_due = RuntimePlacementManager.next_due
+    RuntimePlacementManager.next_due = lambda self: self.clock
+    try:
+        yield
+    finally:
+        RuntimePlacementManager.next_due = next_due
 
 
 @contextmanager
