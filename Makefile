@@ -25,10 +25,12 @@ test-fast:
 ## baseline placers' ledger state against the boolean-grid state it
 ## replaced, the placement kernel's packed words against the
 ## boolean-bank kernel they replaced, the runtime manager's one-module
-## ledger cp rung against the CP placer's full model, the ledger cp
-## rung against the residual-region greedy rung on whole serving
-## replays, and the runtime manager's due-tick early return against the
-## eager clock that runs every advance in full, too).  The eager clock
+## cp pick rule against the CP placer's full model, every pick rule
+## against its baseline placer on the residual region of the same
+## ledger, the cp, greedy and (cp, greedy) chains against each other on
+## whole serving replays, and the runtime manager's due-tick early
+## return against the eager clock that runs every advance in full,
+## too).  The eager clock
 ## (eager_clock), the wholesale and the boolean-bank kernels live in
 ## tests/support.py; the backend-level differentials reach them under
 ## cp/lns/portfolio through the tests/support.py kernel_mode injection
@@ -43,6 +45,7 @@ test-oracle:
 	  tests/core/test_defrag_occupancy_oracle.py \
 	  tests/core/test_occupancy_oracle.py \
 	  tests/core/test_one_module_oracle.py \
+	  tests/core/test_pick_rule_oracle.py \
 	  tests/core/test_chain_differential.py \
 	  tests/core/test_due_tick_oracle.py \
 	  tests/placer/test_baseline_state_oracle.py
@@ -62,11 +65,11 @@ bench-geost:
 	$(PY) -m pytest benchmarks/test_bench_geost_incremental.py -q -s
 
 ## the anchor-kernel ratio gates, each a same-machine ratio: the run
-## kernel vs the per-cell slice-AND oracle, the ledger cp rung's
+## kernel vs the per-cell slice-AND oracle, the cp pick rule's
 ## packed-word mask stage vs the prefix-count kernel it replaced, the
-## runtime manager's cp rung on its free-space ledger vs the residual
-## region + greedy rung the (cp, greedy) chain falls back to (both on
-## recorded serving probes; the latter reads its threshold from
+## runtime manager's pick on its free-space ledger vs the residual
+## region + greedy backend it replaced (both on recorded serving
+## probes; the latter reads its threshold from
 ## BENCH_runtime.json), no-break defrag planning with one
 ## batched relocation probe per step vs the per-cell rebuild oracle (on
 ## recorded contended shard floorplans), and the baseline placers on the

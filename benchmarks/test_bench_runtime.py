@@ -28,8 +28,9 @@ from repro.modules.generator import GeneratorConfig, ModuleGenerator
 from tests.support import (
     PerCellRelocationProbe,
     blocked_prefix_counts,
+    ledger_residual,
     prefix_count_anchor_mask,
-    recorded_cp_probes,
+    recorded_probes,
 )
 
 GATES_PATH = (
@@ -42,7 +43,7 @@ GATES_PATH = (
 #: same floorplans; measured 4.45-4.56x over five runs on a 2-core x86
 #: host: the gate is 2/3 of that)
 DEFRAG_PLAN_SPEEDUP_MIN = 3.0
-#: the ledger rung's mask stage on packed column words (region words +
+#: the cp rule's mask stage on packed column words (region words +
 #: shape words + pick) must beat the prefix-count kernel + pick by this
 #: factor (same host, same recorded probes; measured 1.79-1.95x over ten
 #: runs on a 2-core x86 host, median 1.85x: the gate is 2/3 of that)
@@ -188,8 +189,8 @@ class TestDefragPlanOccupancy:
 
 @pytest.fixture(scope="module")
 def serving_probes():
-    """The ``cp``-rung probes of a serve-contended style replay."""
-    probes = recorded_cp_probes(n_requests=400, keep=200)
+    """The ``cp``-rule probes of a serve-contended style replay."""
+    probes = recorded_probes(n_requests=400, keep=200)
     assert len(probes) >= 150
     return probes
 
@@ -198,7 +199,7 @@ class TestPackedAnchorWords:
     def test_packed_words_beat_prefix_count_kernel(
         self, report, serving_probes
     ):
-        """Ratio gate: the ledger rung's mask stage — the region's
+        """Ratio gate: the cp rule's mask stage — the region's
         column words, every shape's anchor words, the bottom-left pick —
         vs the prefix-count kernel it replaced (region planes, one mask
         per shape, the same pick) on recorded serving probes.  Both
@@ -251,12 +252,12 @@ class TestPackedAnchorWords:
 
 class TestLedgerAdmission:
     def test_ledger_pick_beats_backend_probe(self, report, serving_probes):
-        """Ratio gate: the runtime manager's ``cp`` rung, the bottom-left
+        """Ratio gate: the runtime manager's ``cp`` rule, the bottom-left
         pick over anchor words read off the free-space ledger, vs the
-        residual-region rung the ``("cp", "greedy")`` chain falls back
-        to: residual region, ``PlacementRequest`` and the ``greedy``
-        backend's ``place``, with no model.  Both sides must give the
-        answers the replay recorded.  The threshold is
+        backend path it replaced: the residual region
+        (:func:`tests.support.ledger_residual`), ``PlacementRequest`` and
+        the ``greedy`` backend's ``place``, with no model.  Both sides
+        must give the answers the replay recorded.  The threshold is
         ``ledger_admission_speedup_min`` in ``BENCH_runtime.json``: both
         sides pick the same bottom-left anchor, so the ratio is what the
         residual region, request, adapter and result cost on top."""
@@ -279,7 +280,7 @@ class TestLedgerAdmission:
             results = [
                 backend.place(
                     PlacementRequest(
-                        region=p.ledger.residual(p.blocked),
+                        region=ledger_residual(p.ledger, p.blocked),
                         modules=[p.module],
                         first_solution_only=True,
                     )
@@ -327,8 +328,8 @@ class TestRuntimeManagerThroughput:
     def test_bench_runtime_manager_throughput(self, benchmark, report):
         """Serving throughput of the online placement manager.
 
-        The Table-I module distribution streamed through the full
-        fallback chain (budgeted CP probe backed by the greedy rung).
+        The Table-I module distribution streamed through the
+        ``("cp", "greedy")`` chain of pick rules.
         The pin: at least 50 requests/second end to end — admission has
         to stay cheap enough for a runtime system's serving loop.
         """
@@ -339,7 +340,7 @@ class TestRuntimeManagerThroughput:
 
         region = default_fabric()
         trace = generate_workload(100, seed=3)
-        config = RuntimeConfig(chain=("cp", "greedy"), probe_time_limit=0.05)
+        config = RuntimeConfig(chain=("cp", "greedy"))
 
         def serve():
             return RuntimePlacementManager(region, config).run(trace)

@@ -11,8 +11,8 @@ contract the registry promises:
   event pair and all events satisfy the published schema,
 * ``solved`` / ``proved_optimal`` flags are honest (solved means every
   module placed), and ``stats["backend"]`` names the backend,
-* capability flags are well-formed and the runtime's default chain
-  only names relocatable backends.
+* the runtime's default admission chain names only the manager's pick
+  rules on its free-space ledger (:data:`repro.core.runtime.PICK_RULES`).
 
 Exits non-zero on any problem, so it can gate CI (``make backends-smoke``).
 """
@@ -29,11 +29,10 @@ def main() -> int:
     from repro.core.backend import (
         PlacementRequest,
         available_backends,
-        backend_capabilities,
         create_backend,
     )
     from repro.core.portfolio import PortfolioConfig
-    from repro.core.runtime import RuntimeConfig
+    from repro.core.runtime import PICK_RULES, RuntimeConfig
     from repro.fabric.devices import irregular_device
     from repro.fabric.region import PartialRegion
     from repro.modules.generator import GeneratorConfig, ModuleGenerator
@@ -58,7 +57,6 @@ def main() -> int:
 
     t0 = time.monotonic()
     for name in names:
-        caps = backend_capabilities(name)
         tracer = RecordingTracer()
         try:
             backend = create_backend(name, configs.get(name))
@@ -100,8 +98,8 @@ def main() -> int:
 
     chain = tuple(RuntimeConfig().chain)
     for name in chain:
-        if not backend_capabilities(name).relocatable:
-            problems.append(f"default chain names non-relocatable {name!r}")
+        if name not in PICK_RULES:
+            problems.append(f"default chain names {name!r}, not a pick rule")
 
     print(
         f"exercised {len(names)} backends in "

@@ -2,8 +2,8 @@
 """Runtime smoke check: a ~2-second seeded serving run, validated end to end.
 
 Streams a seeded Table-I-style workload through the
-:class:`~repro.core.runtime.RuntimePlacementManager` (full fallback
-chain: CP probe, greedy rung, defrag on rejection), then checks
+:class:`~repro.core.runtime.RuntimePlacementManager` (the
+``("cp", "greedy")`` chain of pick rules, defrag on rejection), then checks
 the invariants a serving loop must uphold:
 
 * every request resolves to admitted or rejected (nothing left queued),
@@ -46,7 +46,7 @@ def main() -> int:
     tracer = RecordingTracer()
     manager = RuntimePlacementManager(
         region,
-        RuntimeConfig(chain=("cp", "greedy"), probe_time_limit=0.02, tracer=tracer),
+        RuntimeConfig(chain=("cp", "greedy"), tracer=tracer),
     )
     t0 = time.monotonic()
     log = manager.run(trace)

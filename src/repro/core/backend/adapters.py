@@ -10,7 +10,7 @@ registers the default fleet:
 ``cp``         exact CP kernel (B&B extent minimization)
 ``lns``        large-neighborhood search over the CP kernel
 ``portfolio``  best-of-N parallel LNS (process pool)
-``greedy``     alias of ``bottom-left`` — the runtime chain's classic rung
+``greedy``     alias of ``bottom-left``
 ``bottom-left``/``first-fit``/``best-fit``  greedy offline heuristics
 ``kamer``      Bazargan-style maximal-empty-rectangle placement
 ``annealing``  simulated annealing over (order, alternative) encodings
@@ -18,7 +18,7 @@ registers the default fleet:
                cap from the request budget instead of racing the clock)
 ``analytical`` force-directed relaxation + nearest-anchor legalization,
                also the ``warm_start`` seeder of ``cp`` and ``lns``
-``1d-slots``   historical fixed-slot model (not relocatable)
+``1d-slots``   historical fixed-slot model
 ``temporal-cp``  joint place-and-schedule over a bounded horizon
                  (``schedules=True``; spatial requests degrade to a
                  one-tick horizon)
@@ -64,7 +64,6 @@ class CPBackend(PlacementBackend):
         supports_alternatives=True,
         supports_objective=True,
         anytime=True,
-        relocatable=True,
     )
     session_self_recording = True  # CPPlacer feeds the session itself
 
@@ -101,7 +100,6 @@ class LNSBackend(PlacementBackend):
         supports_alternatives=True,
         supports_objective=True,
         anytime=True,
-        relocatable=True,
     )
     session_self_recording = True  # its CP subsolves feed the session
 
@@ -127,19 +125,13 @@ class LNSBackend(PlacementBackend):
 
 
 class PortfolioBackend(PlacementBackend):
-    """Best-of-N parallel LNS (per-request process pool).
-
-    Not relocatable: a portfolio answer is a whole-instance packing whose
-    quality comes from global restructuring, so it cannot serve the
-    runtime chain's incremental one-module requests economically.
-    """
+    """Best-of-N parallel LNS (per-request process pool)."""
 
     name = "portfolio"
     capabilities = BackendCapabilities(
         supports_alternatives=True,
         supports_objective=True,
         anytime=True,
-        relocatable=False,
     )
     session_self_recording = False  # workers can't reach this session
 
@@ -194,7 +186,6 @@ class TemporalCPBackend(PlacementBackend):
         supports_alternatives=True,
         supports_objective=False,
         anytime=False,
-        relocatable=True,
         schedules=True,
     )
     session_self_recording = False
@@ -313,7 +304,6 @@ class AnalyticalBackend(PlacementBackend):
         supports_alternatives=True,
         supports_objective=True,
         anytime=False,
-        relocatable=True,
     )
     session_self_recording = False
 
@@ -417,18 +407,14 @@ def _baseline_factory(
 
 _GREEDY_CAPS = BackendCapabilities()
 _BASELINES = (
-    # "greedy" is the runtime chain's historical name for the bottom-left
-    # rung; both names resolve to the same placer
+    # "greedy" is the historical name of the bottom-left placer; both
+    # names resolve to it
     ("greedy", BottomLeftPlacer, _GREEDY_CAPS),
     ("bottom-left", BottomLeftPlacer, _GREEDY_CAPS),
     ("first-fit", FirstFitPlacer, _GREEDY_CAPS),
     ("best-fit", BestFitPlacer, BackendCapabilities(supports_objective=True)),
     ("kamer", KamerPlacer, _GREEDY_CAPS),
-    (
-        "1d-slots",
-        SlotPlacer,
-        BackendCapabilities(relocatable=False),
-    ),
+    ("1d-slots", SlotPlacer, _GREEDY_CAPS),
 )
 
 

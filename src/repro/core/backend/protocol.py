@@ -15,8 +15,12 @@ request/response protocol:
   :func:`~repro.obs.context.profiling_session`), and stamps
   ``stats["backend"]``.  Concrete adapters only implement ``_solve``.
 * :class:`BackendCapabilities` declares what a backend can honestly do, so
-  orchestration layers (the runtime admission chain, the experiment
-  runner) can validate a configuration instead of failing at serve time.
+  orchestration layers (the portfolio, the experiment runner) can
+  validate a configuration instead of failing at run time.
+
+The runtime manager places one module per arrival with a pick rule on
+its free-space ledger (:data:`repro.core.runtime.PICK_RULES`), not
+through a backend: the backends serve whole-instance requests.
 """
 
 from __future__ import annotations
@@ -45,10 +49,6 @@ class BackendCapabilities:
     supports_objective: bool = False
     #: can be interrupted and still return its best incumbent
     anytime: bool = False
-    #: placements remain individually valid when neighbours move or leave,
-    #: so the backend can serve incremental residual-region requests (the
-    #: runtime admission chain requires this)
-    relocatable: bool = True
     #: places *and* schedules: honors ``PlacementRequest.horizon`` /
     #: ``durations`` and returns per-module start ticks (the schedule in
     #: ``stats["schedule"]``) instead of place-now-or-fail

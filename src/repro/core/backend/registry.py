@@ -2,9 +2,8 @@
 
 Backends register a *factory* (name → callable taking an optional engine
 config), so orchestration layers can be configured with plain strings:
-the runtime admission chain and the portfolio member list are declarative
-lists of registered names, and ``--backend`` on the experiment runner
-selects engines the same way.  Duplicate names are rejected loudly —
+the portfolio member list is a declarative list of registered names, and
+``--backend`` on the experiment runner selects engines the same way.  Duplicate names are rejected loudly —
 silently shadowing an engine is exactly the bug class a registry exists
 to prevent — and ``replace=True`` is the explicit escape hatch for tests
 and plugins.

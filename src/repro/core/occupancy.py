@@ -144,18 +144,3 @@ class Occupancy:
         """Each footprint's anchor words with the ``blocked`` cells taken:
         M_a ∧ M_b ∧ M_c in one kernel call."""
         return anchor_words(self.static & ~blocked, footprints)
-
-    def residual(self, blocked: np.ndarray) -> PartialRegion:
-        """The region with the ``blocked`` cells carved out of its
-        reconfigurable mask: the admission chain's input.  It carries its
-        column words, ``static & ~blocked``, so fit queries on it do not
-        pack the mask back."""
-        region = self.region
-        words = self.static & ~blocked
-        words.setflags(write=False)
-        return PartialRegion(
-            region.grid,
-            region.reconfigurable & ~self.mask(blocked),
-            f"{region.name}-residual",
-            words=words,
-        )

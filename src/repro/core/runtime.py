@@ -7,17 +7,15 @@ defragmentation, Ahmadinia et al. on online free-space management).
 :class:`RuntimePlacementManager` is the serving loop that drives the
 repo's existing parts under such a load:
 
-* **Admission** — each arrival goes down a deterministic fallback chain
-  of registered placement backends (:mod:`repro.core.backend`), named
-  declaratively by ``RuntimeConfig.chain``, then is rejected.  The
-  default chain is the one ``cp`` rung: one module at its first
-  solution under the min-extent objective, whose CP dive lands on the
-  bottom-left anchor over the shapes' anchor words.  The manager reads
-  that pick in closed form straight off its free-space ledger, with no
-  model, residual region or backend call; when no shape has an anchor
-  its ``"infeasible"`` is a proof that ends the sweep
-  (:meth:`RuntimePlacementManager._place_once`), so a rung after ``cp``
-  (``("cp", "greedy")``) only runs when ``cp`` raised.
+* **Admission** — each arrival goes down a deterministic chain of pick
+  rules on the free-space ledger, named by ``RuntimeConfig.chain``, then
+  is rejected.  A rule (:data:`PICK_RULES`) picks one ``(x, y, shape)``
+  from the shapes' anchor words: ``cp`` and ``greedy`` the bottom-left
+  anchor (a one-module, first-solution CP dive under the min-extent
+  objective lands there), ``first-fit`` the first shape that has an
+  anchor.  No anchor is the proof of no fit that ends the sweep
+  (:meth:`RuntimePlacementManager._place_once`), so a rule after the
+  first (``("cp", "greedy")``) only runs when the first one raised.
 * **Fragmentation control** — external fragmentation of the live
   floorplan is monitored (:mod:`repro.metrics.fragmentation`); crossing a
   threshold, or any rejection, triggers a pass of the configured
@@ -32,17 +30,15 @@ repo's existing parts under such a load:
   arrival that cannot run *now* is probed against the departures due
   within the horizon and booked at the first tick where its anchor
   masks fit the projected floorplan (:class:`Reservation`); the booked
-  cells are promised (subtracted from the residual region) until the
+  cells are promised (blocked for every other admission) until the
   reservation commits, replans, or expires with
   :attr:`RejectReason.RESERVATION_EXPIRED`.  At ``horizon == 0`` every
   reservation path is dormant and the manager replays bit-identically
   to the pre-reservation code — pinned by the differential tests.
 * **Free space** — one :class:`~repro.core.occupancy.Occupancy` ledger
   holds the placed, move-window and reserved cells as packed column
-  words; every fit query reads it, and only the chain's backend rungs
-  other than ``cp`` get a region
-  (:meth:`RuntimePlacementManager.residual_region`), built when one of
-  them runs.
+  words; every fit query is one anchor-word kernel call on it, with no
+  residual region or backend request.
 * **Observability** — every lifecycle step emits a structured trace event
   (``runtime.arrival`` / ``runtime.reject`` / ``runtime.defrag`` /
   ``runtime.depart``) and the per-request latency / occupancy counters
@@ -56,11 +52,9 @@ anything can happen: a departure, the end of a move window, a
 reservation start, a pending deadline, or every tick while
 ``frag_threshold < 1.0``.  An advance to an earlier tick only sets the
 clock, so a driver may advance a manager on every arrival at the cost of
-one comparison (the sharded service does, for every shard).  The
-solver budget ``probe_time_limit`` is wall-clock seconds, but it is a
-safety net only rungs that search (``lns`` or ``annealing``, say) read:
-the ledger's ``cp`` rung and the greedy rungs ignore it, so on the
-default ``("cp",)`` chain it decides no outcome.
+one comparison (the sharded service does, for every shard).  The wall
+clock feeds only the latency and defrag-time counters: no decision
+reads it.
 """
 
 from __future__ import annotations
@@ -70,15 +64,10 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.backend import (
-    PlacementRequest,
-    available_backends,
-    create_backend,
-)
 from repro.core.defrag import (
     Defragmenter,
     PlannedMove,
@@ -87,7 +76,7 @@ from repro.core.defrag import (
 )
 from repro.core.occupancy import Occupancy
 from repro.core.result import Placement, PlacementResult
-from repro.fabric.masks import bottom_left_pick, first_anchor
+from repro.fabric.masks import bottom_left_pick, first_anchor, first_fit_pick
 from repro.fabric.region import PartialRegion
 from repro.metrics.fragmentation import external_fragmentation
 from repro.metrics.utilization import region_utilization
@@ -109,8 +98,21 @@ from repro.obs.trace import (
     Tracer,
 )
 
-#: the chain rung the manager answers on its free-space ledger
-LEDGER_RUNG = "cp"
+#: one module's ``(x, y, shape index)`` from its per-shape anchor words,
+#: or None when no shape has an anchor
+PickRule = Callable[[Sequence[np.ndarray]], Optional[Tuple[int, int, int]]]
+
+#: the admission rules ``RuntimeConfig.chain`` names.  ``cp`` and
+#: ``greedy`` are both the bottom-left pick: a one-module, first-solution
+#: CP dive under the min-extent objective branches x, then y, then shape
+#: at the smallest value and lands there, and the greedy baseline places
+#: there by rule; both labels stay, as the admitted outcomes' ``method``.
+#: ``first-fit`` is the first-fit baseline's pick.
+PICK_RULES: Dict[str, PickRule] = {
+    "cp": bottom_left_pick,
+    "greedy": bottom_left_pick,
+    "first-fit": first_fit_pick,
+}
 
 
 # ----------------------------------------------------------------------
@@ -137,7 +139,7 @@ class RuntimeRequest:
 class RejectReason(str, Enum):
     """Machine-readable rejection codes (the manager never raises)."""
 
-    #: no fallback rung produced a feasible placement
+    #: no admission rule found an anchor
     NO_FIT = "no_fit"
     #: the pending queue was at capacity when the request arrived
     QUEUE_FULL = "queue_full"
@@ -165,9 +167,9 @@ class RequestOutcome:
     request: RuntimeRequest
     #: "admitted" | "queued" | "reserved" | "rejected"
     status: str = "rejected"
-    #: chain rung that produced the placement ("cp", "greedy"),
+    #: chain rule that produced the placement ("cp", "greedy"),
     #: suffixed "+defrag" after a reject-triggered pass, or
-    #: "reservation" / "reservation+<rung>" for a booking; None when
+    #: "reservation" / "reservation+<rule>" for a booking; None when
     #: rejected
     method: Optional[str] = None
     reason: Optional[RejectReason] = None
@@ -193,17 +195,11 @@ class RuntimeConfig:
 
     #: admit with the full alternative set (False = primary shape only)
     with_alternatives: bool = True
-    #: admission chain as registered backend names, tried in order.  The
-    #: ``cp`` rung is read off the ledger and its no-fit is a proof that
-    #: ends the sweep, so the default is that rung alone; a later rung
-    #: (("cp", "greedy")) only runs after ``cp`` raised.  Every name must
-    #: be registered and relocatable.
+    #: admission chain as :data:`PICK_RULES` names, tried in order.  A
+    #: rule's no-fit is a proof that ends the sweep, so the default is the
+    #: ``cp`` rule alone; a later rule (("cp", "greedy")) only runs after
+    #: an earlier one raised.
     chain: Sequence[str] = ("cp",)
-    #: wall-clock budget of one probe (seconds): a safety net that only
-    #: rungs that search (``lns`` or ``annealing``, say) read; the
-    #: ledger's ``cp`` rung and the greedy rungs ignore it, so it decides
-    #: no outcome on the default chain
-    probe_time_limit: float = 0.25
     #: bounded pending queue (0 = reject immediately, no queueing)
     queue_capacity: int = 8
     #: default per-request deadline: arrival + this many logical ticks
@@ -251,18 +247,12 @@ class RuntimeConfig:
     def validate(self) -> None:
         chain = tuple(self.chain)
         if not chain:
-            raise ValueError("admission chain must name at least one backend")
-        registered = set(available_backends())
+            raise ValueError("admission chain must name at least one rule")
         for name in chain:
-            if name not in registered:
+            if name not in PICK_RULES:
                 raise ValueError(
-                    f"unknown backend {name!r} in admission chain; "
-                    f"registered: {', '.join(sorted(registered))}"
-                )
-            if not create_backend(name).capabilities.relocatable:
-                raise ValueError(
-                    f"backend {name!r} is not relocatable and cannot serve "
-                    f"the runtime admission chain"
+                    f"unknown admission rule {name!r} in chain; "
+                    f"rules: {', '.join(sorted(PICK_RULES))}"
                 )
         if self.queue_capacity < 0:
             raise ValueError("queue_capacity must be >= 0")
@@ -422,19 +412,22 @@ class _ActiveMove:
     window: np.ndarray
 
 
-def _closed_form_profile(instance: str, elapsed: float) -> SolveProfile:
-    """The profile of one ledger-rung answer on region ``instance``."""
+def _closed_form_profile(
+    instance: str, rule: str, elapsed: float
+) -> SolveProfile:
+    """The profile of one admission rule's answer on region ``instance``."""
     return SolveProfile(
         elapsed=elapsed,
         stop_reason="closed-form",
-        meta={"instance": instance, "modules": 1, "placer": "cp"},
+        meta={"instance": instance, "modules": 1, "placer": rule,
+              "backend": rule},
     )
 
 
 def _closed_form_status(words: Sequence[np.ndarray]) -> str:
-    """The status of a bottom-left pick over the shapes' anchor words
-    (at least one bit set): ``"optimal"`` when it is the one anchor there
-    is, so the dive's root propagation would fix every variable, else
+    """The status of a pick over the shapes' anchor words (at least one
+    bit set): ``"optimal"`` when it is the one anchor there is, so a CP
+    dive's root propagation would fix every variable, else
     ``"feasible"``."""
     stacked = np.stack(words)
     set_words = stacked[stacked != 0]
@@ -487,13 +480,6 @@ class RuntimePlacementManager:
         #: the single move currently holding its window on the fabric
         self._move_queue: Deque[PlannedMove] = deque()
         self._active_move: Optional[_ActiveMove] = None
-        #: the backend rungs by name, instantiated once per manager (the
-        #: ``cp`` rung reads the ledger instead)
-        self._backends = {
-            name: create_backend(name)
-            for name in cfg.chain
-            if name != LEDGER_RUNG
-        }
         tracer = cfg.tracer
         self._tracer = tracer if tracer is not None and tracer.enabled else None
 
@@ -531,13 +517,6 @@ class RuntimePlacementManager:
     def occupied_cells(self) -> int:
         """Cells covered by placed modules."""
         return self._ledger.occupied_cells
-
-    def residual_region(
-        self, exclude: Optional[Reservation] = None
-    ) -> PartialRegion:
-        """The free region the chain's backend rungs other than ``cp``
-        place on (:meth:`_blocked` carved out of the region)."""
-        return self._ledger.residual(self._blocked(exclude))
 
     def _blocked(self, exclude: Optional[Reservation] = None) -> np.ndarray:
         """The ledger words an admission may not use: the held cells and
@@ -675,7 +654,7 @@ class RuntimePlacementManager:
     def _queue_or_reject(
         self, request: RuntimeRequest, outcome: RequestOutcome
     ) -> None:
-        """No rung fit right now: reserve ahead if the horizon allows,
+        """No rule fit right now: reserve ahead if the horizon allows,
         else queue under the backpressure rules."""
         if self.config.reservation_horizon > 0 and self._try_reserve(
             request, outcome
@@ -869,7 +848,7 @@ class RuntimePlacementManager:
         return log
 
     # ------------------------------------------------------------------
-    # Admission (the fallback chain)
+    # Admission (the chain of pick rules)
     # ------------------------------------------------------------------
     def _try_admit(
         self,
@@ -906,110 +885,84 @@ class RuntimePlacementManager:
         outcome: RequestOutcome,
         exclude: Optional[Reservation] = None,
     ) -> Tuple[Optional[Placement], str]:
-        """One sweep down the fallback chain.
+        """One sweep down the chain of pick rules.
 
-        The sweep ends at the first rung that places, or at the first one
-        whose status is ``"infeasible"``: that status is a proof that
-        nothing fits, so no later rung could place either.  A rung that
-        returns ``"unknown"`` or ``"partial"`` (out of budget, or a
-        heuristic miss) falls through, and one that raises is counted in
-        ``probe_errors``, recorded on the outcome and falls through too.
-        Returns the placement and the name of the rung that placed it, or
-        ``(None, "none")``.
-
-        The ``cp`` rung reads the ledger (:meth:`_ledger_rung`).  Every
-        other rung places on the residual region through its backend; the
-        region and the request are built once per sweep, when the first
-        such rung runs.  ``exclude`` is a reservation being replanned: its
-        own booked cells are free to it, its siblings' stay blocked.
+        The first rule that answers ends the sweep: with its placement, or
+        with no anchor, the proof that nothing fits, so no later rule
+        could place either.  A rule that raises is counted in
+        ``probe_errors``, recorded on the outcome and falls through to the
+        next one.  Returns the placement and the name of the rule that
+        placed it, or ``(None, "none")``.  ``exclude`` is a reservation
+        being replanned: its own booked cells are free to it, its
+        siblings' stay blocked.
         """
-        request: Optional[PlacementRequest] = None
         for name in self.config.chain:
             try:
-                if name == LEDGER_RUNG:
-                    placement, status = self._ledger_rung(module, exclude)
-                else:
-                    if request is None:
-                        request = PlacementRequest(
-                            region=self.residual_region(exclude),
-                            modules=[module],
-                            time_limit=self.config.probe_time_limit,
-                            first_solution_only=True,
-                            tracer=self._tracer,
-                        )
-                    result = self._backends[name].place(request)
-                    placement = (
-                        result.placements[0] if result.placements else None
-                    )
-                    status = result.status
-            except Exception as exc:  # graceful: fall through to the next rung
+                placement = self._pick(name, module, exclude)
+            except Exception as exc:  # graceful: fall through to the next rule
                 self.stats.probe_errors += 1
                 outcome.errors.append(f"{name}: {exc}")
                 continue
             if placement is not None:
                 return placement, name
-            if status == "infeasible":
-                break
+            break
         return None, "none"
 
-    def _ledger_rung(
-        self, module: Module, exclude: Optional[Reservation]
-    ) -> Tuple[Optional[Placement], str]:
-        """The chain's ``cp`` rung, read off the ledger in closed form.
+    def _pick(
+        self, name: str, module: Module, exclude: Optional[Reservation]
+    ) -> Optional[Placement]:
+        """Rule ``name``'s placement of ``module`` on the ledger, with the
+        :meth:`_blocked` cells taken (None: no anchor).
 
-        A one-module, first-solution CP dive under the min-extent
-        objective branches x, then y, then shape at the smallest value,
-        so it lands on the bottom-left ``(x, y, shape)`` over the shapes'
-        valid anchors.  The manager asks the ledger for that pick
-        directly, with the :meth:`_blocked` cells taken: no model,
-        residual region, request or result (the tests pin it against
-        ``CPPlacer`` on the residual region).  No anchor is the proof of
-        no fit (``"infeasible"``) that ends the sweep.  With a tracer or
-        a profiling session on, the rung reports as the ``cp`` backend
-        would: the ``backend.start`` / ``backend.result`` pair, with the
-        dive's status (:func:`_closed_form_status`), and one
-        ``"closed-form"`` profile.
+        With a tracer or a profiling session on, the rule reports as a
+        placement backend would: the ``backend.start`` /
+        ``backend.result`` pair under the rule's name, with the status of
+        the one-module CP dive (:func:`_closed_form_status`, or
+        ``"infeasible"``), and one ``"closed-form"`` profile.
         """
         tracer = self._tracer
         session = obs_context.current()
         observed = tracer is not None or session is not None
         if tracer is not None:
-            tracer.emit(BACKEND_START, backend=LEDGER_RUNG, modules=1)
+            tracer.emit(BACKEND_START, backend=name, modules=1)
         start = time.monotonic() if observed else 0.0
         try:
             words = self._ledger.anchors(module.shapes, self._blocked(exclude))
-            pick = bottom_left_pick(words)
+            pick = PICK_RULES[name](words)
         except Exception as exc:
             if tracer is not None:
                 tracer.emit(
                     BACKEND_RESULT,
-                    backend=LEDGER_RUNG,
+                    backend=name,
                     status="error",
                     placed=0,
                     elapsed=time.monotonic() - start,
                     error=f"{type(exc).__name__}: {exc}",
                 )
             raise
-        if pick is None:
-            placement, status = None, "infeasible"
-        else:
+        placement = None
+        if pick is not None:
             x, y, si = pick
-            placement, status = Placement(module, si, x, y), "feasible"
+            placement = Placement(module, si, x, y)
         if observed:
             elapsed = time.monotonic() - start
             if session is not None:
-                profile = _closed_form_profile(self.region.name, elapsed)
-                profile.meta["backend"] = LEDGER_RUNG
-                session.record(profile)
+                session.record(
+                    _closed_form_profile(self.region.name, name, elapsed)
+                )
             if tracer is not None:
                 tracer.emit(
                     BACKEND_RESULT,
-                    backend=LEDGER_RUNG,
-                    status=status if pick is None else _closed_form_status(words),
+                    backend=name,
+                    status=(
+                        "infeasible"
+                        if pick is None
+                        else _closed_form_status(words)
+                    ),
                     placed=int(pick is not None),
                     elapsed=elapsed,
                 )
-        return placement, status
+        return placement
 
     def _commit(
         self,
@@ -1189,12 +1142,12 @@ class RuntimePlacementManager:
             # window, an instant pass teleporting a module onto them):
             # replan on the live floorplan with the sibling bookings
             # still protected
-            placement, rung = self._place_once(
+            placement, rule = self._place_once(
                 self._admitted_shapes(r.request), r.outcome, exclude=r
             )
             if placement is None:
                 return False
-            method = f"reservation+{rung}"
+            method = f"reservation+{rule}"
         self._commit(r.request, r.outcome, placement, method, queued=False)
         self.stats.reservation_admits += 1
         self._emit(
@@ -1268,7 +1221,7 @@ class RuntimePlacementManager:
         """One defrag pass over the live floorplan; True when an instant
         plan moved modules, the only case in which an immediate admission
         retry can succeed (a started no-break plan only adds window
-        cells, so the residual region shrinks until its moves complete).
+        cells, so the free space shrinks until its moves complete).
 
         Every instant pass that moved modules retries the pending queue:
         compaction frees usable space exactly like a departure does.

@@ -10,8 +10,7 @@ single manager cannot express:
 
 * **Routing** — a pluggable policy ranks the shards per arrival
   (round-robin, least-loaded, least-fragmented, module-name affinity)
-  behind a small name-keyed registry mirroring the backend registry of
-  :mod:`repro.core.backend.registry`.  Routers return a *preference
+  behind a small name-keyed registry.  Routers return a *preference
   order*, not a single pick, which is what makes spill (below) a policy
   property rather than a hard-coded loop.  The least-fragmented policy
   keeps admission coupled to per-shard fragmentation — the router
@@ -24,9 +23,9 @@ single manager cannot express:
   (:meth:`RuntimePlacementManager.offer` /
   :meth:`~repro.core.runtime.RuntimePlacementManager.park`).
 
-Every admission runs in-process, down the owning shard's own admission
-chain, so queueing, deadlines and defrag semantics stay in the one
-manager code path.
+Every admission runs in-process, down the owning shard's own chain of
+pick rules on its free-space ledger, so queueing, deadlines and defrag
+semantics stay in the one manager code path.
 
 With **one** shard the service delegates :meth:`submit` straight to the
 shard's own :meth:`~repro.core.runtime.RuntimePlacementManager.submit`,

@@ -16,8 +16,8 @@ no-break run verifies every move transition against the full floorplan
 invariants (``verify_moves=True``), so a passing run is also a proof
 that no intermediate state ever overlapped a running module.
 
-Both runs use the greedy probe; the CP probe variant is exercised by
-``benchmarks/test_bench_runtime.py``.
+Both runs admit with the ``greedy`` pick rule, the same bottom-left pick
+as ``cp`` (:data:`repro.core.runtime.PICK_RULES`).
 
 The online service-level ablation (A5, :func:`online_comparison`) is the
 related-work setting of Section II — "the amount of module requests that

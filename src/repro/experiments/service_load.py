@@ -90,9 +90,11 @@ def serving_config(
 ) -> ServiceConfig:
     """The high-throughput serving profile used by the benchmark gate.
 
-    The manager's default chain (``RuntimeConfig().chain``, the ledger's
-    ``cp`` rung: deterministic, it reads no clock), timeline sampling
-    off — the configuration a latency-sensitive deployment would run.
+    The manager's default chain (``RuntimeConfig().chain``, the ``cp``
+    pick rule on the ledger: deterministic, it reads no clock), timeline
+    sampling off — the configuration a latency-sensitive deployment
+    would run.  ``chain`` names pick rules
+    (:data:`~repro.core.runtime.PICK_RULES`).
     ``defrag`` selects the strategy: "disabled" (the historical gate
     configuration: no reject-triggered pass), or a registered
     defragmenter name served at the *default cadence* — reject-triggered

@@ -31,13 +31,13 @@ cells must be normalized so ``min dx == min dy == 0``; anchors are then
 the footprint's lower-left bounding-box corner.  :func:`valid_anchor_mask`
 is the unpacked ``(H, W)`` boolean form of one footprint's words.
 
-Two queries read finished anchors: :func:`first_anchor` returns the
+Three queries read finished anchors: :func:`first_anchor` returns the
 bottom-left anchor of one mask or one footprint's words (first nonzero
-column, then its lowest set bit), and :func:`bottom_left_pick` the
-bottom-left ``(x, y, shape)`` over one module's per-shape masks or words.
-The baseline placers, the runtime manager's ledger rung (its one-module
-closed form) and reservation probe, and Figure 4 all pick anchors
-through them.
+column, then its lowest set bit), :func:`bottom_left_pick` the
+bottom-left ``(x, y, shape)`` over one module's per-shape masks or words,
+and :func:`first_fit_pick` the first shape's first anchor.  The baseline
+placers, the runtime manager's admission rules and reservation probe,
+and Figure 4 all pick anchors through them.
 Occupied cells are not filtered out of finished anchors: a fit query that
 must avoid them runs :func:`anchor_words` on ``static & ~held`` (the
 free-space ledger, :class:`repro.core.occupancy.Occupancy`).
@@ -436,4 +436,21 @@ def bottom_left_pick(
         if hit is not None and (best is None or hit < best[:2]):
             best = (*hit, si)
     return best
+
+
+def first_fit_pick(
+    masks: Iterable[np.ndarray],
+) -> Tuple[int, int, int] | None:
+    """The first shape, in index order, that has an anchor, at its
+    :func:`first_anchor`: ``(x, y, shape index)``, or None.
+
+    ``masks`` is as for :func:`bottom_left_pick`.  For one module this is
+    the first-fit baseline's placement
+    (:class:`~repro.placer.greedy.FirstFitPlacer`).
+    """
+    for si, valid in enumerate(masks):
+        hit = first_anchor(valid)
+        if hit is not None:
+            return (*hit, si)
+    return None
 

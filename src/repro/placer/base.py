@@ -10,7 +10,7 @@ tests.  Every placer reads the bottom-left anchor of each shape
 (:meth:`_State.first_anchors`) and writes cells through the ledger; the
 bottom-left pick across shapes is :meth:`_State.bottom_left`, the same
 :func:`~repro.fabric.masks.bottom_left_pick` the runtime manager's
-ledger rung calls.
+``cp`` and ``greedy`` pick rules are.
 
 Seeding and wall-clock budgets are owned here, once: ``BasePlacer.place``
 builds one :class:`_State` carrying the RNG, the deadline and the ledger,

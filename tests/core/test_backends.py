@@ -104,13 +104,15 @@ class TestCapabilities:
             assert not backend_capabilities(name).supports_objective, name
 
     def test_runtime_chain_eligibility(self):
-        for name in ("portfolio", "1d-slots"):
-            assert not backend_capabilities(name).relocatable, name
-        for name in (
-            "cp", "lns", "greedy", "kamer", "annealing", "analytical",
-            "temporal-cp",
+        """The runtime chain names pick rules on the ledger: ``cp``,
+        ``greedy`` and ``first-fit``.  No other backend serves it."""
+        for name in ("cp", "greedy", "first-fit"):
+            RuntimeConfig(chain=(name,)).validate()
+        for name in sorted(
+            set(available_backends()) - {"cp", "greedy", "first-fit"}
         ):
-            assert backend_capabilities(name).relocatable, name
+            with pytest.raises(ValueError, match="unknown admission rule"):
+                RuntimeConfig(chain=(name,)).validate()
 
     def test_temporal_cp_is_the_only_scheduling_backend(self):
         assert backend_capabilities("temporal-cp").schedules
@@ -278,9 +280,11 @@ class TestRuntimeChainConfig:
         assert out.admitted and out.method == "first-fit"
 
     def test_chain_validation(self):
-        with pytest.raises(ValueError, match="unknown backend"):
+        with pytest.raises(
+            ValueError, match="rules: cp, first-fit, greedy"
+        ):
             RuntimeConfig(chain=("not-a-backend",)).validate()
-        with pytest.raises(ValueError, match="not relocatable"):
+        with pytest.raises(ValueError, match="unknown admission rule"):
             RuntimeConfig(chain=("1d-slots",)).validate()
         with pytest.raises(ValueError, match="at least one"):
             RuntimeConfig(chain=()).validate()

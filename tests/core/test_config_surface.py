@@ -8,7 +8,10 @@ boolean-bank oracles and the spatio-temporal reference placer live in
 This guard keeps the oracles, and the knobs that only ever took their
 default, off the solver surface, and the baseline placers' single-rule
 options off their constructors.  No solver takes an anchor-mask cache:
-every placement model builds its anchor words fresh.
+every placement model builds its anchor words fresh.  The runtime
+manager's admission chain names pick rules on its free-space ledger, not
+backends, so it has no probe budget and no backend needs a relocatable
+flag.
 """
 
 from __future__ import annotations
@@ -21,11 +24,12 @@ import pytest
 import repro.core
 import repro.core.temporal
 from repro.core import portfolio
-from repro.core.backend.protocol import PlacementRequest
+from repro.core.backend.protocol import BackendCapabilities, PlacementRequest
 from repro.core.lns import LNSConfig
 from repro.core.placement_model import PlacementModel
 from repro.core.placer import PlacerConfig, warm_start_seed
 from repro.core.portfolio import PortfolioConfig
+from repro.core.runtime import RuntimeConfig
 from repro.core.temporal import TemporalCPPlacer
 from repro.fabric.cache import AnchorMaskCache
 from repro.geost.kernel import Geost
@@ -41,6 +45,10 @@ REMOVED_FIELDS = {
     LNSConfig: {"incremental", "bitboard", "warm_start_budget", "cache"},
     PortfolioConfig: {"incremental", "bitboard"},
     PlacementRequest: {"incremental", "bitboard", "cache"},
+    # admission is a pick rule on the ledger: nothing searches, nothing
+    # places on a residual region
+    RuntimeConfig: {"probe_time_limit"},
+    BackendCapabilities: {"relocatable"},
 }
 
 REMOVED_PARAMETERS = {
@@ -96,3 +104,9 @@ def test_solve_call_takes_no_cache(call):
 def test_reference_temporal_placer_is_a_test_oracle(module):
     assert not hasattr(module, "TemporalPlacer")
     assert "TemporalPlacer" not in getattr(module, "__all__", ())
+
+
+@pytest.mark.parametrize("backend", ["lns", "kamer"])
+def test_admission_chain_takes_no_searching_backend(backend):
+    with pytest.raises(ValueError, match="unknown admission rule"):
+        RuntimeConfig(chain=(backend,)).validate()

@@ -76,7 +76,6 @@ def interactive_manager(width, height):
         region,
         RuntimeConfig(
             chain=("cp",),
-            probe_time_limit=1.0,
             queue_capacity=0,
             defrag_on_reject=False,
             frag_threshold=1.0,

@@ -25,7 +25,7 @@ from repro.fabric.region import PartialRegion
 from repro.fabric.resource import ResourceType
 from repro.modules.footprint import Footprint
 from repro.modules.module import Module
-from tests.support import BoolGridLedger
+from tests.support import BoolGridLedger, ledger_residual
 
 OPS = ("commit", "commit", "depart", "hold", "release", "reserve",
        "unreserve", "lift")
@@ -94,7 +94,7 @@ def check_same(ledger: Occupancy, oracle: BoolGridLedger) -> None:
     np.testing.assert_array_equal(ledger.mask(ledger.reserved), oracle.reserved)
     assert ledger.occupied_cells == oracle.occupied_cells
     blocked = ledger.held | ledger.reserved
-    residual = ledger.residual(blocked)
+    residual = ledger_residual(ledger, blocked)
     np.testing.assert_array_equal(
         residual.reconfigurable,
         oracle.residual(oracle.held | oracle.reserved).reconfigurable,
@@ -225,7 +225,7 @@ def test_write_crosses_the_lane_boundary():
 
 
 def test_residual_words_equal_fresh_column_words():
-    """The admission chain's residual region hands the closed form its
+    """The oracles' residual region (:func:`ledger_residual`) carries its
     words, ``static & ~blocked``, instead of a mask to pack back: they
     equal a fresh ``kind_words & pack_columns(reconfigurable)``, across
     a lane boundary and with reserved cells carved out too."""
@@ -237,6 +237,6 @@ def test_residual_words_equal_fresh_column_words():
     ledger.place(Placement(Module("a", [fp]), 0, 3, 58))
     ledger.reserve([Placement(Module("b", [fp]), 0, 6, 61)])
     for blocked in (ledger.held, ledger.held | ledger.reserved):
-        residual = ledger.residual(blocked)
+        residual = ledger_residual(ledger, blocked)
         check_residual_words(residual)
         assert not residual.words.flags.writeable

@@ -1,14 +1,14 @@
-"""Differential suite: the runtime manager's ledger rung against the CP
+"""Differential suite: the runtime manager's ``cp`` rule against the CP
 placer.
 
 A one-module, first-solution, min-extent CP request builds the
 :class:`~repro.core.placement_model.PlacementModel` and dives.  The
-runtime manager's ``cp`` rung answers the same request in closed form
+runtime manager's ``cp`` rule answers the same request in closed form
 off its free-space ledger
-(:meth:`~repro.core.runtime.RuntimePlacementManager._ledger_rung`): the
+(:meth:`~repro.core.runtime.RuntimePlacementManager._pick`): the
 bottom-left ``(x, y, shape)`` over the shapes' anchor words, or a proven
 ``"infeasible"`` when no shape has an anchor.  Both must give the same
-placement, status and extent; the rung's status is the one its
+placement, status and extent; the rule's status is the one its
 ``backend.result`` event reports.
 
 Three input sets:
@@ -17,7 +17,7 @@ Three input sets:
   on an irregular fabric, the next module probed on the residual;
 * hypothesis residual regions on small fabrics, many with no anchor;
 * the probes a ``serve-contended`` style replay sends to the runtime
-  manager's ``cp`` rung: the answer the replay's ledger gave must equal
+  manager's ``cp`` rule: the answer the replay's ledger gave must equal
   the CP placer's on the residual region, and so must a fresh manager's
   on that region.
 """
@@ -41,7 +41,7 @@ from repro.modules.generator import GeneratorConfig, ModuleGenerator
 from repro.modules.module import Module
 from repro.obs.trace import BACKEND_RESULT, RecordingTracer
 from repro.placer.greedy import BottomLeftPlacer
-from tests.support import recorded_cp_probes
+from tests.support import recorded_probes
 
 #: the config of a one-module admission probe (the cp backend under
 #: ``PlacementRequest(first_solution_only=True)``)
@@ -67,19 +67,20 @@ def cp_answer(region, module):
 
 
 def ledger_answer(region, module):
-    """The ledger rung's answer on a fresh manager over ``region``."""
+    """The ``cp`` rule's answer on a fresh manager over ``region``."""
     tracer = RecordingTracer()
     manager = RuntimePlacementManager(region, RuntimeConfig(tracer=tracer))
-    placement, status = manager._ledger_rung(module, None)
+    placement = manager._pick("cp", module, None)
     [event] = tracer.by_kind(BACKEND_RESULT)
-    assert status == ("infeasible" if placement is None else "feasible")
+    assert (placement is None) == (event.data["status"] == "infeasible")
     if placement is None:
         return _answer(event.data["status"], [], [module], None)
     return _answer(event.data["status"], [placement], [], placement.right)
 
 
 def assert_same_as_cp_placer(region, module):
-    """Ledger rung and CP placer agree on the answer; returns it."""
+    """The ``cp`` rule and the CP placer agree on the answer; returns
+    it."""
     ledger = ledger_answer(region, module)
     assert ledger == cp_answer(region, module)
     return ledger
@@ -204,7 +205,7 @@ def test_ties_go_to_the_lowest_shape_index():
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def contended_probes():
-    return recorded_cp_probes()
+    return recorded_probes()
 
 
 def test_contended_probes(contended_probes):

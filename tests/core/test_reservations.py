@@ -29,6 +29,7 @@ from repro.modules.footprint import Footprint
 from repro.modules.generator import GeneratorConfig
 from repro.modules.module import Module
 from repro.obs import RecordingTracer, validate_event
+from tests.support import ledger_residual
 
 
 # ----------------------------------------------------------------------
@@ -348,7 +349,8 @@ class TestBooking:
         assert c.status == "reserved"
         # the whole fabric is promised to c once a/b depart: the
         # residual region offers no free cell
-        assert not mgr.residual_region().reconfigurable.any()
+        residual = ledger_residual(mgr._ledger, mgr._blocked())
+        assert not residual.reconfigurable.any()
 
     def test_next_due_sees_reservation_starts(self):
         mgr = RuntimePlacementManager(tiny_region(), resv_config())
@@ -523,9 +525,10 @@ class TestDefragOnBookedCells:
 
 
 class TestLedgerRung:
-    """The ``cp`` rung reads the free-space ledger: no residual region
-    and no backend request on the serving path, and a reservation replan
-    lands where the residual region + ``cp`` backend path lands it."""
+    """The ``cp`` rule reads the free-space ledger: the manager has no
+    residual region and builds no backend request, and a reservation
+    replan lands where the ``cp`` backend on the residual region lands
+    it."""
 
     @staticmethod
     def _replay(manager_cls=RuntimePlacementManager):
@@ -549,26 +552,19 @@ class TestLedgerRung:
     def test_no_residual_region_or_request(self, monkeypatch):
         from repro.core.backend import PlacementRequest
 
-        calls = {"residual": 0, "request": 0}
-        residual = RuntimePlacementManager.residual_region
+        assert not hasattr(RuntimePlacementManager, "residual_region")
+        requests = []
         init = PlacementRequest.__init__
 
-        def counted_residual(self, *args, **kwargs):
-            calls["residual"] += 1
-            return residual(self, *args, **kwargs)
-
         def counted_init(self, *args, **kwargs):
-            calls["request"] += 1
+            requests.append(1)
             init(self, *args, **kwargs)
 
-        monkeypatch.setattr(
-            RuntimePlacementManager, "residual_region", counted_residual
-        )
         monkeypatch.setattr(PlacementRequest, "__init__", counted_init)
         mgr, log = self._replay()
         methods = {o.method for o in log.outcomes}
         assert mgr.stats.reservations_booked and "reservation+cp" in methods
-        assert calls == {"residual": 0, "request": 0}
+        assert requests == []
 
     def test_replan_matches_the_residual_region_path(self):
         from repro.core.backend import CPBackend, PlacementRequest
@@ -581,7 +577,7 @@ class TestLedgerRung:
                     return super()._commit_reservation(r)
                 old = CPBackend().place(
                     PlacementRequest(
-                        self.residual_region(exclude=r),
+                        ledger_residual(self._ledger, self._blocked(r)),
                         [self._admitted_shapes(r.request)],
                         first_solution_only=True,
                     )

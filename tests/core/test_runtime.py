@@ -17,20 +17,14 @@ from repro.core.runtime import (
     RuntimeRequest,
     generate_workload,
 )
-from repro.core.backend import (
-    PlacementBackend,
-    register_backend,
-    unregister_backend,
-)
-from repro.core.result import PlacementResult
 from repro.modules.generator import GeneratorConfig
 from repro.fabric.devices import homogeneous_device
 from repro.fabric.region import PartialRegion
 from repro.modules.footprint import Footprint
 from repro.modules.module import Module
 from repro.obs import RecordingTracer, profiling_session, validate_event
-from repro.placer.greedy import BottomLeftPlacer
-from tests.support import SlowDecline, registered_rungs
+from repro.fabric.masks import bottom_left_pick
+from tests.support import SlowDecline, installed_rules
 
 
 def region_w(width: int, height: int = 2) -> PartialRegion:
@@ -340,8 +334,8 @@ class TestCrashInjection:
         def boom(masks):
             raise RuntimeError("injected solver crash")
 
-        # the cp rung's pick on the ledger
-        monkeypatch.setattr(runtime, "bottom_left_pick", boom)
+        # only the cp entry: greedy shares its pick
+        monkeypatch.setitem(runtime.PICK_RULES, "cp", boom)
         mgr = RuntimePlacementManager(region_w(6), RuntimeConfig(chain=("cp", "greedy")))
         out = mgr.submit(req(rect("a", 2), 1))
         assert out.admitted and out.method == "greedy"
@@ -354,7 +348,7 @@ class TestCrashInjection:
         def boom(masks):
             raise RuntimeError("injected solver crash")
 
-        monkeypatch.setattr(runtime, "bottom_left_pick", boom)
+        monkeypatch.setitem(runtime.PICK_RULES, "cp", boom)
         tracer = RecordingTracer()
         mgr = RuntimePlacementManager(
             region_w(6), RuntimeConfig(chain=("cp", "greedy"), tracer=tracer)
@@ -367,19 +361,16 @@ class TestCrashInjection:
             assert validate_event(e.to_dict()) == []
 
     def test_total_probe_failure_rejects_gracefully(self, monkeypatch):
-        import repro.core.backend.adapters as adapters
         import repro.core.runtime as runtime
 
         def boom(masks):
             raise RuntimeError("cp down")
 
-        def greedy_boom(self, request, tracer, profiling):
+        def greedy_boom(masks):
             raise RuntimeError("mask kernel down")
 
-        monkeypatch.setattr(runtime, "bottom_left_pick", boom)
-        monkeypatch.setattr(
-            adapters.BaselineBackend, "_solve", greedy_boom
-        )
+        monkeypatch.setitem(runtime.PICK_RULES, "cp", boom)
+        monkeypatch.setitem(runtime.PICK_RULES, "greedy", greedy_boom)
         mgr = RuntimePlacementManager(
             region_w(6), RuntimeConfig(chain=("cp", "greedy"), queue_capacity=0)
         )
@@ -391,46 +382,25 @@ class TestCrashInjection:
 
 
 class TestChainSweep:
-    """A rung's proof of no fit ends the sweep; running out of budget
-    does not."""
+    """A rule's proof of no fit ends the sweep."""
 
     @pytest.fixture
-    def rungs(self):
-        """Registers a ``spy`` rung (bottom-left, logging each call) and an
-        ``out-of-budget`` rung (always ``"unknown"``); yields the log."""
+    def rungs(self, monkeypatch):
+        """Installs a ``spy`` rule (the bottom-left pick) and logs the
+        name of every module it is asked to place; yields the log."""
+        import repro.core.runtime as runtime
+
         calls = []
+        pick = RuntimePlacementManager._pick
 
-        class Spy(PlacementBackend):
-            name = "spy"
+        def logged(self, name, module, exclude):
+            if name == "spy":
+                calls.append(module.name)
+            return pick(self, name, module, exclude)
 
-            def __init__(self, config=None):
-                pass
-
-            def _solve(self, request, tracer, profiling):
-                calls.append(request.modules[0].name)
-                return BottomLeftPlacer().place(
-                    request.region, list(request.modules)
-                )
-
-        class OutOfBudget(PlacementBackend):
-            name = "out-of-budget"
-
-            def __init__(self, config=None):
-                pass
-
-            def _solve(self, request, tracer, profiling):
-                return PlacementResult(
-                    request.region, [], list(request.modules),
-                    status="unknown",
-                )
-
-        register_backend("spy", Spy)
-        register_backend("out-of-budget", OutOfBudget)
-        try:
-            yield calls
-        finally:
-            unregister_backend("spy")
-            unregister_backend("out-of-budget")
+        monkeypatch.setitem(runtime.PICK_RULES, "spy", bottom_left_pick)
+        monkeypatch.setattr(RuntimePlacementManager, "_pick", logged)
+        yield calls
 
     @staticmethod
     def _submit(chain, module):
@@ -447,10 +417,6 @@ class TestChainSweep:
         out = self._submit(("cp", "spy"), big)
         assert out.reason == RejectReason.NO_FIT and not out.errors
         assert rungs == []
-        # a rung that ran out of budget falls through to the next one
-        out = self._submit(("out-of-budget", "spy"), rect("a", 2))
-        assert out.admitted and out.method == "spy"
-        assert rungs == ["a"]
 
     def test_each_cp_probe_records_one_profile(self):
         tracer = RecordingTracer()
@@ -508,7 +474,7 @@ class TestLatencyAccounting:
         """Every terminal outcome's ``latency_s`` is charged once, so
         ``mean_latency_s`` (divided by admitted + rejected) does not read
         low when requests are rejected."""
-        with registered_rungs(SlowDecline):
+        with installed_rules(SlowDecline):
             mgr = RuntimePlacementManager(
                 region_w(4),
                 RuntimeConfig(

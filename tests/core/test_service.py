@@ -7,8 +7,8 @@ The load-bearing guarantees:
   (submit delegates directly, so there is nothing to drift).
 * **Shard determinism** — the same seeded Table-I trace through N shards
   under affinity routing yields the same merged outcome multiset run to
-  run (stable content-hash routing, greedy chain: no wall-clock budgets
-  anywhere on the path).
+  run (stable content-hash routing, a pick rule on the ledger: no
+  wall-clock budgets anywhere on the path).
 
 Scenario tests run greedy-only so every admission decision is forced.
 """
@@ -48,7 +48,7 @@ from repro.fabric.region import PartialRegion
 from repro.modules.footprint import Footprint
 from repro.modules.module import Module
 from repro.obs import RecordingTracer, validate_event
-from tests.support import DownRung, SlowDecline, registered_rungs
+from tests.support import DownRung, SlowDecline, installed_rules
 
 
 def region_w(width: int, height: int = 2, name: str = "pr") -> PartialRegion:
@@ -280,8 +280,8 @@ class TestSpill:
         shard it was offered to, and the service's latency total is the
         sum over its outcomes."""
         pause = SlowDecline.pause_s
-        with registered_rungs(DownRung, SlowDecline):
-            # each shard's first rung raises (the error rides along) and
+        with installed_rules(DownRung, SlowDecline):
+            # each shard's first rule raises (the error rides along) and
             # its second sleeps, then proves no fit
             svc = ShardedPlacementService(
                 [region_w(4, name="s0"), region_w(1, name="s1")],
@@ -449,7 +449,7 @@ class TestContendedReplay:
 
     def test_makes_no_anchor_cache_lookups(self, monkeypatch):
         """Every fit query on the serving path reads the free-space
-        ledger or the chain's fresh residual words: nothing is looked up
+        ledger: nothing is looked up
         in, stored in or keyed for an anchor-mask cache."""
         import repro.fabric.cache as cache_mod
 
@@ -528,35 +528,6 @@ class TestDeterminism:
         assert first_shards == second_shards
         # and the merged multiset covers every submitted request
         assert len(first_outcomes) == len(trace)
-
-    def test_wall_clock_budget_decides_no_outcome_on_default_chain(self):
-        """The default ``("cp", "greedy")`` chain gives the same outcome
-        rows, method labels included, under a CP probe budget nobody can
-        meet as under the default one: CP answers one-module probes in
-        closed form and its no-fit is a proof that ends the chain."""
-        trace = generate_workload(
-            150, seed=3, mean_interarrival=1, mean_lifetime=40
-        )
-
-        def replay(probe_time_limit):
-            svc = ShardedPlacementService(
-                ShardedPlacementService.split(default_fabric(), 4),
-                greedy_service_cfg(
-                    router="affinity",
-                    runtime_kw={
-                        "chain": ("cp", "greedy"),
-                        "probe_time_limit": probe_time_limit,
-                    },
-                ),
-            )
-            log = svc.run(trace)
-            return log, [outcome_key(o) for o in log.outcomes]
-
-        log, default = replay(RuntimeConfig.probe_time_limit)
-        starved, rows = replay(1e-9)
-        assert rows == default
-        assert log.stats.admits_by_method.get("cp") and log.rejected
-        assert starved.stats.probe_errors == 0
 
     def test_one_vs_many_shards_serve_the_same_stream(self):
         """1 shard and N shards replay the same trace: arrivals conserved

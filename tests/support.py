@@ -34,13 +34,15 @@ footprint's cells.  It is the differential oracle of
 baseline placer on it.
 
 :class:`SlowDecline` (sleeps, then proves no fit) and :class:`DownRung`
-(always raises) are admission-chain rungs for latency and
-graceful-degradation tests; :func:`registered_rungs` registers them for
-the length of a block.
+(always raises) are admission rules for latency and graceful-degradation
+tests; :func:`installed_rules` installs them into the runtime manager's
+rule table for the length of a block.
 
-:func:`recorded_cp_probes` records the runtime manager's ``cp``-rung
-probes, read off its ledger, with the residual region the ``cp`` backend
-would have placed them on.
+:func:`ledger_residual` carves a free-space ledger's blocked cells out of
+its region: the free region the oracles of the runtime manager's pick
+rules (the CP placer, the baseline placers) place on.
+:func:`recorded_probes` records the pick-rule probes a serving replay
+sends, each with its ledger and blocked words.
 
 :func:`eager_clock` makes every runtime manager's
 :meth:`~repro.core.runtime.RuntimePlacementManager.next_due` answer its
@@ -113,11 +115,6 @@ import numpy as np
 import repro.core.placement_model
 import repro.core.temporal
 import repro.placer.base
-from repro.core.backend import (
-    PlacementBackend,
-    register_backend,
-    unregister_backend,
-)
 from repro.core.occupancy import Occupancy
 from repro.core.relocation import RelocationSite
 from repro.core.result import Placement, PlacementResult
@@ -1316,97 +1313,120 @@ def build_kernel(
     return kernel, xs, ys, ss
 
 
-class SlowDecline(PlacementBackend):
-    """An admission rung that sleeps ``pause_s`` seconds, then proves that
-    nothing fits (``"infeasible"``), which ends the chain's sweep."""
+class SlowDecline:
+    """An admission rule that sleeps ``pause_s`` seconds, then finds no
+    anchor: the proof of no fit that ends the chain's sweep."""
 
     name = "slow-decline"
     pause_s = 0.02
 
-    def __init__(self, config=None):
-        pass
-
-    def _solve(self, request, tracer, profiling):
+    def __call__(self, words):
         time.sleep(self.pause_s)
-        return PlacementResult(
-            request.region, [], list(request.modules), status="infeasible"
-        )
+        return None
 
 
-class DownRung(PlacementBackend):
-    """An admission rung that always raises, so the sweep falls through."""
+class DownRung:
+    """An admission rule that always raises, so the sweep falls through."""
 
     name = "down"
 
-    def __init__(self, config=None):
-        pass
-
-    def _solve(self, request, tracer, profiling):
+    def __call__(self, words):
         raise RuntimeError("rung down")
 
 
 @contextmanager
-def registered_rungs(*backends) -> Iterator[None]:
-    """Register each backend class under its ``name`` inside this block."""
-    for backend in backends:
-        register_backend(backend.name, backend)
+def installed_rules(*rules) -> Iterator[None]:
+    """Install each rule class, under its ``name``, into the runtime
+    manager's rule table (:data:`repro.core.runtime.PICK_RULES`) inside
+    this block."""
+    from repro.core.runtime import PICK_RULES
+
+    for rule in rules:
+        PICK_RULES[rule.name] = rule()
     try:
         yield
     finally:
-        for backend in backends:
-            unregister_backend(backend.name)
+        for rule in rules:
+            PICK_RULES.pop(rule.name, None)
+
+
+def ledger_residual(ledger: Occupancy, blocked: np.ndarray) -> PartialRegion:
+    """The ledger's region with the ``blocked`` cells carved out of its
+    reconfigurable mask: the free region a runtime admission sees, on
+    which the baseline placers and the CP placer are the oracles of the
+    manager's pick rules.  It carries its column words, ``static &
+    ~blocked``, so fit queries on it do not pack the mask back."""
+    region = ledger.region
+    words = ledger.static & ~blocked
+    words.setflags(write=False)
+    return PartialRegion(
+        region.grid,
+        region.reconfigurable & ~ledger.mask(blocked),
+        f"{region.name}-residual",
+        words=words,
+    )
 
 
 class LedgerProbe(NamedTuple):
-    """One ``cp``-rung probe of a runtime manager, as recorded by
-    :func:`recorded_cp_probes`."""
+    """One admission-rule probe of a runtime manager, as recorded by
+    :func:`recorded_probes`."""
 
-    #: the residual region the probe would have placed on through the
-    #: ``cp`` backend (``residual_region(...)``)
-    region: PartialRegion
+    #: the chain rule that answered
+    rule: str
     module: Module
-    #: the ledger rung's answer (None = the proof of no fit)
+    #: the rule's answer (None = the proof of no fit)
     placement: Optional[Placement]
-    #: the manager's ledger and the words the rung blocked; the ledger's
+    #: the manager's ledger and the words the rule blocked; the ledger's
     #: static words never change, so the probe can be asked again
     ledger: Occupancy
     blocked: np.ndarray
+    #: a reservation replan (its own booked cells free to it)
+    replan: bool
+
+    @property
+    def region(self) -> PartialRegion:
+        """The free region of the probe (:func:`ledger_residual`)."""
+        return ledger_residual(self.ledger, self.blocked)
 
 
-def recorded_cp_probes(
-    n_requests: int = 200, keep: int = 60, seed: int = 0
+def recorded_probes(
+    n_requests: int = 200,
+    keep: Optional[int] = 60,
+    seed: int = 0,
+    chain: Sequence[str] = ("cp", "greedy"),
 ) -> List[LedgerProbe]:
-    """The ``cp``-rung probes an overloaded Table-I replay sends, reservation
-    replans included: four shards, the ``("cp", "greedy")`` chain, queue,
-    reservations and no-break defrag (the ``serve-contended`` profile);
-    ``keep`` of them, evenly spaced."""
+    """The admission-rule probes an overloaded Table-I replay sends,
+    reservation replans included: four shards, the given ``chain``,
+    queue, reservations and no-break defrag (the ``serve-contended``
+    profile); ``keep`` of them, evenly spaced (None: all)."""
     from repro.core.runtime import RuntimePlacementManager, generate_workload
     from repro.core.service import ShardedPlacementService
     from repro.experiments.config import default_fabric
     from repro.experiments.service_load import serving_config
 
     recorded = []
-    rung = RuntimePlacementManager._ledger_rung
+    pick = RuntimePlacementManager._pick
 
-    def record(self, module, exclude):
-        placement, status = rung(self, module, exclude)
+    def record(self, name, module, exclude):
+        placement = pick(self, name, module, exclude)
         recorded.append(
             LedgerProbe(
-                self.residual_region(exclude),
+                name,
                 module,
                 placement,
                 self._ledger,
                 self._blocked(exclude),
+                exclude is not None,
             )
         )
-        return placement, status
+        return placement
 
-    RuntimePlacementManager._ledger_rung = record
+    RuntimePlacementManager._pick = record
     try:
         service = ShardedPlacementService(
             ShardedPlacementService.split(default_fabric(), 4),
             serving_config(
-                chain=("cp", "greedy"),
+                chain=tuple(chain),
                 defrag="no-break",
                 reservation_horizon=16,
             ),
@@ -1418,7 +1438,9 @@ def recorded_cp_probes(
             service.submit(request)
         service.close()
     finally:
-        RuntimePlacementManager._ledger_rung = rung
+        RuntimePlacementManager._pick = pick
+    if keep is None:
+        return recorded
     return recorded[:: max(1, len(recorded) // keep)][:keep]
 
 
