@@ -98,19 +98,19 @@ profile-smoke:
 runtime-smoke:
 	$(PY) scripts/runtime_smoke.py
 
-## every registered placement backend on one seeded instance; validates
+## every placement backend of BACKENDS on one seeded instance; validates
 ## placements, trace events and the honesty of the result flags
 backends-smoke:
 	$(PY) scripts/backends_smoke.py
 
-## both registered defrag strategies on the 60-event demo trace with
+## both defrag strategies of DEFRAGMENTERS on the 60-event demo trace with
 ## full move-transition verification; validates plans, step events,
 ## move accounting and the profile counters
 defrag-smoke:
 	$(PY) scripts/defrag_smoke.py
 
 ## the temporal surface end to end: the production scheduler's proven
-## makespan, the temporal-cp registry path, and a reservation-mode
+## makespan, the temporal-cp backend by name, and a reservation-mode
 ## serving replay with full event/profile validation
 temporal-smoke:
 	$(PY) scripts/temporal_smoke.py

@@ -31,8 +31,7 @@ def main() -> None:
         RuntimeConfig(
             chain=("cp",),
             queue_capacity=0,
-            defrag_on_reject=False,
-            frag_threshold=1.0,
+            defragmenter=None,
         ),
     )
     generator = ModuleGenerator(

@@ -1,10 +1,10 @@
 #!/usr/bin/env python
-"""Backend-registry smoke check: every registered backend, end to end.
+"""Backend smoke check: every named backend, end to end.
 
-Drives each name in :func:`repro.core.backend.available_backends` through
-the uniform :class:`~repro.core.backend.PlacementRequest` surface on one
+Drives each name in :data:`repro.core.backend.BACKENDS` through the
+uniform :class:`~repro.core.backend.PlacementRequest` surface on one
 small seeded instance (short budget, recording tracer) and checks the
-contract the registry promises:
+contract every backend promises:
 
 * ``place()`` returns without raising and the placements verify,
 * every backend emits a matching ``backend.start`` / ``backend.result``
@@ -26,11 +26,7 @@ BUDGET_S = 0.5
 
 
 def main() -> int:
-    from repro.core.backend import (
-        PlacementRequest,
-        available_backends,
-        create_backend,
-    )
+    from repro.core.backend import BACKENDS, PlacementRequest, create_backend
     from repro.core.portfolio import PortfolioConfig
     from repro.core.runtime import PICK_RULES, RuntimeConfig
     from repro.fabric.devices import irregular_device
@@ -50,10 +46,7 @@ def main() -> int:
     # structural knobs the request cannot carry
     configs = {"portfolio": PortfolioConfig(n_workers=1, time_limit=BUDGET_S)}
 
-    names = available_backends()
-    if not names:
-        print("FAIL: no backends registered", file=sys.stderr)
-        return 1
+    names = sorted(BACKENDS)
 
     t0 = time.monotonic()
     for name in names:
@@ -66,7 +59,7 @@ def main() -> int:
                     tracer=tracer,
                 )
             )
-        except Exception as exc:  # a registered backend must not crash
+        except Exception as exc:  # a backend must not crash
             problems.append(f"{name}: place() raised {type(exc).__name__}: {exc}")
             continue
         try:

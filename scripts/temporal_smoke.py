@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Temporal-placement smoke check: scheduler, registry and reservations.
+"""Temporal-placement smoke check: scheduler, backend and reservations.
 
 Drives the whole production temporal surface end to end:
 
@@ -8,10 +8,10 @@ Drives the whole production temporal surface end to end:
   (4, the value the reference placer in ``tests/core/test_temporal.py``
   proves on the same instance) and its schedule must ``verify``
   (including precedences),
-* the registry path: ``create_backend("temporal-cp")`` served a
+* the backend path: ``create_backend("temporal-cp")`` served a
   scheduling :class:`~repro.core.backend.PlacementRequest` (horizon,
-  durations, precedences) must report ``schedules=True`` capabilities,
-  place every module, and carry the schedule in ``stats``,
+  durations, precedences) must place every module, carry the schedule in
+  ``stats`` and keep the precedences,
 * a reservation-mode serving replay: a slack-heavy trace through
   :class:`~repro.core.runtime.RuntimePlacementManager` with a book-ahead
   horizon must resolve every request, balance its booking accounting
@@ -74,22 +74,14 @@ def check_scheduler(problems: list) -> str:
     )
 
 
-def check_registry(problems: list) -> str:
-    """The temporal-cp backend through the uniform registry surface."""
-    from repro.core.backend import (
-        PlacementRequest,
-        backend_capabilities,
-        create_backend,
-    )
+def check_backend(problems: list) -> str:
+    """The temporal-cp backend through the uniform request surface."""
+    from repro.core.backend import PlacementRequest, create_backend
     from repro.fabric.devices import homogeneous_device
     from repro.fabric.region import PartialRegion
     from repro.modules.footprint import Footprint
     from repro.modules.module import Module
     from repro.obs import RecordingTracer, validate_event
-
-    caps = backend_capabilities("temporal-cp")
-    if not caps.schedules:
-        problems.append("registry: temporal-cp does not declare schedules")
 
     region = PartialRegion.whole_device(homogeneous_device(4, 2))
     modules = [
@@ -109,11 +101,11 @@ def check_registry(problems: list) -> str:
         )
     )
     if res.unplaced or not res.solved:
-        problems.append(f"registry: unplaced modules {res.unplaced}")
+        problems.append(f"backend: unplaced modules {res.unplaced}")
     schedule = res.stats.get("schedule", [])
     if len(schedule) != len(modules):
         problems.append(
-            f"registry: stats schedule has {len(schedule)} rows, "
+            f"backend: stats schedule has {len(schedule)} rows, "
             f"expected {len(modules)}"
         )
     # placements may legally overlap *spatially* — the schedule must be
@@ -128,17 +120,17 @@ def check_registry(problems: list) -> str:
                     cell = (t, x + dx, y + dy)
                     if cell in occupied:
                         problems.append(
-                            f"registry: {name} and {occupied[cell]} "
+                            f"backend: {name} and {occupied[cell]} "
                             f"share cell {cell}"
                         )
                     occupied[cell] = name
     if span and span["c"][0] < span["a"][1]:
-        problems.append("registry: precedence a -> c violated")
+        problems.append("backend: precedence a -> c violated")
     for ev in tracer.events:
         for p in validate_event(ev.to_dict()):
-            problems.append(f"registry: event {ev.kind}: {p}")
+            problems.append(f"backend: event {ev.kind}: {p}")
     return (
-        f"          registry: temporal-cp placed {len(modules)} modules, "
+        f"           backend: temporal-cp placed {len(modules)} modules, "
         f"makespan {res.stats.get('makespan')}, "
         f"{len(tracer.events)} events"
     )
@@ -162,8 +154,7 @@ def check_reservations(problems: list) -> str:
             chain=("greedy",),
             queue_capacity=0,
             reservation_horizon=16,
-            frag_threshold=1.0,
-            defrag_on_reject=False,
+            defragmenter=None,
             tracer=tracer,
             sample_timeline=False,
         ),
@@ -227,7 +218,7 @@ def check_reservations(problems: list) -> str:
 
 def main() -> int:
     problems: list = []
-    for check in (check_scheduler, check_registry, check_reservations):
+    for check in (check_scheduler, check_backend, check_reservations):
         print(check(problems))
     if problems:
         print("\nFAIL:", file=sys.stderr)

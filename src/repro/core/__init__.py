@@ -21,17 +21,14 @@ from repro.core.relocation import (
     relocation_sites,
 )
 from repro.core.defrag import (
+    DEFRAGMENTERS,
     DefragPlan,
     Defragmenter,
     GreedyCompactionDefragmenter,
     NoBreakDefragmenter,
     PlannedMove,
-    available_defragmenters,
-    create_defragmenter,
     defragment,
     plan_states,
-    register_defragmenter,
-    unregister_defragmenter,
 )
 from repro.core.comm import CommAwarePlacer, CommConfig, CommResult
 from repro.core.portfolio import PortfolioConfig, PortfolioPlacer
@@ -59,6 +56,7 @@ from repro.core.runtime import (
     generate_workload,
 )
 from repro.core.service import (
+    ROUTERS,
     AffinityRouter,
     LeastFragmentedRouter,
     LeastLoadedRouter,
@@ -67,9 +65,6 @@ from repro.core.service import (
     ServiceConfig,
     ServiceLog,
     ShardedPlacementService,
-    available_routers,
-    create_router,
-    register_router,
 )
 from repro.core.report import placement_report, render_placement
 
@@ -88,17 +83,14 @@ __all__ = [
     "RelocationSite",
     "relocation_sites",
     "relocatability_report",
+    "DEFRAGMENTERS",
     "DefragPlan",
     "Defragmenter",
     "GreedyCompactionDefragmenter",
     "NoBreakDefragmenter",
     "PlannedMove",
-    "available_defragmenters",
-    "create_defragmenter",
     "defragment",
     "plan_states",
-    "register_defragmenter",
-    "unregister_defragmenter",
     "CommAwarePlacer",
     "CommConfig",
     "CommResult",
@@ -131,7 +123,5 @@ __all__ = [
     "LeastLoadedRouter",
     "LeastFragmentedRouter",
     "AffinityRouter",
-    "register_router",
-    "available_routers",
-    "create_router",
+    "ROUTERS",
 ]

@@ -1,43 +1,29 @@
-"""Uniform placement-backend protocol, registry and adapters.
+"""Uniform placement-backend protocol, adapters and the fleet by name.
 
-Importing this package registers the default backend fleet (``cp``,
-``lns``, ``portfolio``, ``greedy``, ``bottom-left``, ``first-fit``,
-``best-fit``, ``kamer``, ``annealing``, ``1d-slots``); orchestration
-layers address engines by registered name only.
+:data:`BACKENDS` names the fleet (``cp``, ``lns``, ``portfolio``,
+``temporal-cp``, ``analytical``, ``annealing``, ``greedy``,
+``bottom-left``, ``first-fit``, ``best-fit``, ``kamer``, ``1d-slots``);
+orchestration layers address engines by these names only, through
+:func:`create_backend`.
 """
 
-from repro.core.backend.protocol import (
-    BackendCapabilities,
-    PlacementBackend,
-    PlacementRequest,
-)
-from repro.core.backend.registry import (
-    available_backends,
-    backend_capabilities,
-    create_backend,
-    register_backend,
-    unregister_backend,
-)
+from repro.core.backend.protocol import PlacementBackend, PlacementRequest
 from repro.core.backend.adapters import (
+    BACKENDS,
     BaselineBackend,
     CPBackend,
     LNSBackend,
     PortfolioBackend,
-    register_default_backends,
+    create_backend,
 )
 
 __all__ = [
-    "BackendCapabilities",
     "PlacementBackend",
     "PlacementRequest",
-    "available_backends",
-    "backend_capabilities",
+    "BACKENDS",
     "create_backend",
-    "register_backend",
-    "unregister_backend",
     "BaselineBackend",
     "CPBackend",
     "LNSBackend",
     "PortfolioBackend",
-    "register_default_backends",
 ]

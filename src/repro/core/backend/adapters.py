@@ -4,7 +4,7 @@ Each adapter maps the uniform :class:`~repro.core.backend.protocol.PlacementRequ
 knobs onto one engine's native config and delegates; request overrides
 always win over the backend's construction-time config, and ``None``
 request fields leave the engine's defaults untouched.  The module tail
-registers the default fleet:
+names the fleet in :data:`BACKENDS`:
 
 =============  ===========================================================
 ``cp``         exact CP kernel (B&B extent minimization)
@@ -20,22 +20,17 @@ registers the default fleet:
                also the ``warm_start`` seeder of ``cp`` and ``lns``
 ``1d-slots``   historical fixed-slot model
 ``temporal-cp``  joint place-and-schedule over a bounded horizon
-                 (``schedules=True``; spatial requests degrade to a
-                 one-tick horizon)
+                 (honors ``horizon`` / ``durations`` / ``precedences``;
+                 spatial requests degrade to a one-tick horizon)
 =============  ===========================================================
 """
 
 from __future__ import annotations
 
 from dataclasses import replace as dc_replace
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
-from repro.core.backend.protocol import (
-    BackendCapabilities,
-    PlacementBackend,
-    PlacementRequest,
-)
-from repro.core.backend.registry import register_backend
+from repro.core.backend.protocol import PlacementBackend
 from repro.core.lns import LNSConfig, LNSPlacer
 from repro.core.placer import CPPlacer, PlacerConfig
 from repro.core.portfolio import PortfolioConfig, PortfolioPlacer
@@ -60,11 +55,6 @@ class CPBackend(PlacementBackend):
     """The exact CP kernel behind the uniform surface."""
 
     name = "cp"
-    capabilities = BackendCapabilities(
-        supports_alternatives=True,
-        supports_objective=True,
-        anytime=True,
-    )
     session_self_recording = True  # CPPlacer feeds the session itself
 
     def __init__(self, config: Optional[PlacerConfig] = None) -> None:
@@ -96,11 +86,6 @@ class LNSBackend(PlacementBackend):
     """LNS improvement loop over the CP kernel."""
 
     name = "lns"
-    capabilities = BackendCapabilities(
-        supports_alternatives=True,
-        supports_objective=True,
-        anytime=True,
-    )
     session_self_recording = True  # its CP subsolves feed the session
 
     def __init__(self, config: Optional[LNSConfig] = None) -> None:
@@ -128,11 +113,6 @@ class PortfolioBackend(PlacementBackend):
     """Best-of-N parallel LNS (per-request process pool)."""
 
     name = "portfolio"
-    capabilities = BackendCapabilities(
-        supports_alternatives=True,
-        supports_objective=True,
-        anytime=True,
-    )
     session_self_recording = False  # workers can't reach this session
 
     def __init__(self, config: Optional[PortfolioConfig] = None) -> None:
@@ -170,9 +150,8 @@ class TemporalCPBackend(PlacementBackend):
     x, y, start, duration)`` rows next to ``stats["makespan"]`` and
     ``stats["horizon"]``.  Status never claims ``"optimal"``: what the
     branch-and-bound proves optimal is the *makespan*, not the spatial
-    extent the rest of the registry optimizes (``supports_objective`` is
-    False); makespan optimality is reported honestly in
-    ``stats["makespan_optimal"]``.
+    extent the rest of the fleet optimizes; makespan optimality is
+    reported honestly in ``stats["makespan_optimal"]``.
 
     Note that with ``horizon > 1`` two placements may legitimately share
     fabric cells — they run at different ticks.  Such results satisfy
@@ -182,12 +161,6 @@ class TemporalCPBackend(PlacementBackend):
     """
 
     name = "temporal-cp"
-    capabilities = BackendCapabilities(
-        supports_alternatives=True,
-        supports_objective=False,
-        anytime=False,
-        schedules=True,
-    )
     session_self_recording = False
 
     #: horizon used when the request carries none (spatial degenerate mode)
@@ -195,7 +168,7 @@ class TemporalCPBackend(PlacementBackend):
 
     def __init__(self, config: Optional[int] = None) -> None:
         #: optional construction-time default horizon (an int, kept as
-        #: simple as the registry's config pass-through allows)
+        #: simple as the factories' config pass-through allows)
         if config is not None and config <= 0:
             raise ValueError("horizon must be positive")
         self.default_horizon = (
@@ -273,11 +246,9 @@ class BaselineBackend(PlacementBackend):
         self,
         factory: Callable[[], BasePlacer],
         name: str,
-        capabilities: BackendCapabilities = BackendCapabilities(),
     ) -> None:
         self._factory = factory
         self.name = name
-        self.capabilities = capabilities
 
     def _solve(self, request, tracer, profiling):
         placer = self._factory()
@@ -300,11 +271,6 @@ class AnalyticalBackend(PlacementBackend):
     """
 
     name = "analytical"
-    capabilities = BackendCapabilities(
-        supports_alternatives=True,
-        supports_objective=True,
-        anytime=False,
-    )
     session_self_recording = False
 
     def __init__(self, config: Optional[AnalyticalConfig] = None) -> None:
@@ -356,10 +322,6 @@ class AnnealingBackend(PlacementBackend):
     """
 
     name = "annealing"
-    capabilities = BackendCapabilities(
-        supports_objective=True,
-        anytime=True,
-    )
     session_self_recording = False
 
     #: decode throughput assumed when converting seconds to evaluations
@@ -393,41 +355,57 @@ class AnnealingBackend(PlacementBackend):
 
 
 # ----------------------------------------------------------------------
-# Default registrations
+# The fleet, by name
 # ----------------------------------------------------------------------
-def _baseline_factory(
-    placer_cls, name: str, capabilities: BackendCapabilities
-):
+#: factory signature: ``factory(config=None) -> PlacementBackend``
+BackendFactory = Callable[..., PlacementBackend]
+
+
+def _baseline_factory(placer_cls, name: str) -> BackendFactory:
     def factory(config=None) -> BaselineBackend:
         make = (lambda: placer_cls(config)) if config is not None else placer_cls
-        return BaselineBackend(make, name, capabilities)
+        return BaselineBackend(make, name)
 
     return factory
 
 
-_GREEDY_CAPS = BackendCapabilities()
-_BASELINES = (
+#: every placement backend by name; orchestration layers (the portfolio
+#: member list, the runner's ``--backend`` flag, warm-start seeders)
+#: address engines by these names only
+BACKENDS: Dict[str, BackendFactory] = {
+    "cp": CPBackend,
+    "lns": LNSBackend,
+    "portfolio": PortfolioBackend,
+    "temporal-cp": TemporalCPBackend,
+    "analytical": AnalyticalBackend,
+    "annealing": AnnealingBackend,
+}
+for _name, _cls in (
     # "greedy" is the historical name of the bottom-left placer; both
     # names resolve to it
-    ("greedy", BottomLeftPlacer, _GREEDY_CAPS),
-    ("bottom-left", BottomLeftPlacer, _GREEDY_CAPS),
-    ("first-fit", FirstFitPlacer, _GREEDY_CAPS),
-    ("best-fit", BestFitPlacer, BackendCapabilities(supports_objective=True)),
-    ("kamer", KamerPlacer, _GREEDY_CAPS),
-    ("1d-slots", SlotPlacer, _GREEDY_CAPS),
-)
+    ("greedy", BottomLeftPlacer),
+    ("bottom-left", BottomLeftPlacer),
+    ("first-fit", FirstFitPlacer),
+    ("best-fit", BestFitPlacer),
+    ("kamer", KamerPlacer),
+    ("1d-slots", SlotPlacer),
+):
+    BACKENDS[_name] = _baseline_factory(_cls, _name)
 
 
-def register_default_backends() -> None:
-    """Idempotently register the built-in fleet (module import does this)."""
-    register_backend("cp", CPBackend, replace=True)
-    register_backend("lns", LNSBackend, replace=True)
-    register_backend("portfolio", PortfolioBackend, replace=True)
-    register_backend("temporal-cp", TemporalCPBackend, replace=True)
-    register_backend("analytical", AnalyticalBackend, replace=True)
-    register_backend("annealing", AnnealingBackend, replace=True)
-    for name, cls, caps in _BASELINES:
-        register_backend(name, _baseline_factory(cls, name, caps), replace=True)
+def create_backend(name: str, config=None) -> PlacementBackend:
+    """Instantiate the backend ``name`` of :data:`BACKENDS`.
 
-
-register_default_backends()
+    ``config`` is handed to the factory verbatim (an engine-specific
+    config object such as ``PlacerConfig`` / ``LNSConfig`` /
+    ``PortfolioConfig`` / ``AnnealingConfig``); ``None`` means the
+    backend's defaults.
+    """
+    try:
+        factory = BACKENDS[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown placement backend {name!r}; backends: "
+            f"{', '.join(sorted(BACKENDS))}"
+        ) from None
+    return factory(config)

@@ -14,9 +14,6 @@ request/response protocol:
   profiling is requested (explicitly or by an active
   :func:`~repro.obs.context.profiling_session`), and stamps
   ``stats["backend"]``.  Concrete adapters only implement ``_solve``.
-* :class:`BackendCapabilities` declares what a backend can honestly do, so
-  orchestration layers (the portfolio, the experiment runner) can
-  validate a configuration instead of failing at run time.
 
 The runtime manager places one module per arrival with a pick rule on
 its free-space ledger (:data:`repro.core.runtime.PICK_RULES`), not
@@ -37,24 +34,6 @@ from repro.obs.profile import SolveProfile
 from repro.obs.trace import BACKEND_RESULT, BACKEND_START, Tracer
 
 
-@dataclass(frozen=True)
-class BackendCapabilities:
-    """What a backend can honestly claim to do."""
-
-    #: considers every design alternative of a module (False = primary
-    #: shape only, or the engine ignores the alternative set)
-    supports_alternatives: bool = True
-    #: optimizes the extent objective (Eq. 6) rather than just finding a
-    #: feasible packing
-    supports_objective: bool = False
-    #: can be interrupted and still return its best incumbent
-    anytime: bool = False
-    #: places *and* schedules: honors ``PlacementRequest.horizon`` /
-    #: ``durations`` and returns per-module start ticks (the schedule in
-    #: ``stats["schedule"]``) instead of place-now-or-fail
-    schedules: bool = False
-
-
 @dataclass
 class PlacementRequest:
     """One uniform placement request (any backend)."""
@@ -73,8 +52,9 @@ class PlacementRequest:
     profile: bool = False
     #: event sink for ``backend.*`` (and engine-level) trace events
     tracer: Optional[Tracer] = None
-    #: scheduling horizon in ticks for backends with ``schedules=True``
-    #: (None = degenerate single-tick horizon: a purely spatial request)
+    #: scheduling horizon in ticks, honored by the scheduling backend
+    #: ``temporal-cp`` (None = degenerate single-tick horizon: a purely
+    #: spatial request)
     horizon: Optional[int] = None
     #: per-module execution durations, aligned with ``modules`` (None =
     #: every module runs for one tick); requires ``horizon``
@@ -82,25 +62,24 @@ class PlacementRequest:
     #: precedence edges ``(a, b)`` — module a must finish before module b
     #: starts; only honored by scheduling backends
     precedences: Sequence = ()
-    #: name of a registered backend whose legalized placement seeds the
-    #: solve (honored by the optimizing backends: CP clamps its objective
-    #: below the seed, LNS adopts it as the bootstrap incumbent)
+    #: name of a backend (:data:`~repro.core.backend.adapters.BACKENDS`)
+    #: whose legalized placement seeds the solve (honored by the
+    #: optimizing backends: CP clamps its objective below the seed, LNS
+    #: adopts it as the bootstrap incumbent)
     warm_start: Optional[str] = None
 
 
 class PlacementBackend:
-    """Base class of every registered placement backend.
+    """Base class of every placement backend.
 
     ``place`` is the only public entry point; subclasses implement
-    ``_solve(request, tracer, profiling)`` and declare ``name`` /
-    ``capabilities``.  ``session_self_recording`` marks engines whose
+    ``_solve(request, tracer, profiling)`` and declare ``name``.  ``session_self_recording`` marks engines whose
     internals already feed the active profiling session (the CP kernel
     records each solve itself) so the shared scaffolding does not record
     their profile twice.
     """
 
     name: str = "backend"
-    capabilities: BackendCapabilities = BackendCapabilities()
     #: True when the wrapped engine records its own SolveProfile into the
     #: process profiling session (CP and LNS-over-CP do)
     session_self_recording: bool = False

@@ -36,9 +36,9 @@ unpacked only when the bottom-left site of one of its shapes is a
 candidate.  No residual region, no fingerprint, no cache.
 
 The engines differ only in the *move rule* that turns a mover's
-candidate sites into a move.  Both live behind a name-keyed registry
-(:func:`register_defragmenter` / :func:`create_defragmenter`, mirroring
-the backend and router registries):
+candidate sites into a move.  Both are named in :data:`DEFRAGMENTERS`
+(like the backends and routers), the table ``RuntimeConfig.defragmenter``
+selects from:
 
 * ``greedy-compaction`` (:func:`defragment`) — teleports the mover to its
   bottom-left-most candidate as an ``instant`` move costing
@@ -386,7 +386,7 @@ def _slide_anchors(
 
 
 # ----------------------------------------------------------------------
-# Defragmenter protocol and registry (mirrors backends and routers)
+# Defragmenter protocol and the strategies by name
 # ----------------------------------------------------------------------
 class Defragmenter:
     """Plans one defragmentation pass over a live floorplan.
@@ -443,52 +443,8 @@ class NoBreakDefragmenter(Defragmenter):
         return _compact(result, allow_shape_change, max_moves, _first_feasible)
 
 
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-#: factory signature: ``factory() -> Defragmenter``
-DefragmenterFactory = Callable[[], Defragmenter]
-
-_DEFRAGMENTERS: Dict[str, DefragmenterFactory] = {}
-
-
-def register_defragmenter(
-    name: str, factory: DefragmenterFactory, *, replace: bool = False
-) -> None:
-    """Register a defragmenter factory under ``name`` (loud on duplicates)."""
-    if not name or not isinstance(name, str):
-        raise ValueError(
-            f"defragmenter name must be a non-empty string, got {name!r}"
-        )
-    if not replace and name in _DEFRAGMENTERS:
-        raise ValueError(
-            f"defragmenter {name!r} is already registered; pass replace=True "
-            f"to override it deliberately"
-        )
-    _DEFRAGMENTERS[name] = factory
-
-
-def unregister_defragmenter(name: str) -> None:
-    """Remove a registered defragmenter (primarily for tests)."""
-    _DEFRAGMENTERS.pop(name, None)
-
-
-def create_defragmenter(name: str) -> Defragmenter:
-    """Instantiate the registered defragmenter ``name`` (loud when unknown)."""
-    try:
-        factory = _DEFRAGMENTERS[name]
-    except KeyError:
-        known = ", ".join(sorted(_DEFRAGMENTERS)) or "<none>"
-        raise ValueError(
-            f"unknown defragmenter {name!r}; registered: {known}"
-        ) from None
-    return factory()
-
-
-def available_defragmenters() -> List[str]:
-    """Sorted names of every registered defragmentation strategy."""
-    return sorted(_DEFRAGMENTERS)
-
-
-for _cls in (GreedyCompactionDefragmenter, NoBreakDefragmenter):
-    register_defragmenter(_cls.name, _cls)
+#: every defragmentation strategy by name (``RuntimeConfig.defragmenter``)
+DEFRAGMENTERS: Dict[str, Callable[[], Defragmenter]] = {
+    cls.name: cls
+    for cls in (GreedyCompactionDefragmenter, NoBreakDefragmenter)
+}

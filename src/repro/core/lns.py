@@ -56,7 +56,7 @@ class LNSConfig:
     #: structured event sink for LNS-level events (neighborhood chosen,
     #: incumbent improved) — also threaded into every CP subsolve
     tracer: Optional[Tracer] = None
-    #: name of a registered backend (usually ``"analytical"``) whose
+    #: name of a backend (usually ``"analytical"``) whose
     #: legalized placement replaces the CP-dive/greedy bootstrap as the
     #: initial incumbent (None = cold construction ladder)
     warm_start: Optional[str] = None

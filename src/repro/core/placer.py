@@ -60,7 +60,7 @@ class PlacerConfig:
     profile: bool = False
     #: structured event sink threaded into the engine (None = off)
     tracer: Optional[Tracer] = None
-    #: name of a registered backend (usually ``"analytical"``) whose
+    #: name of a backend (usually ``"analytical"``) whose
     #: legalized placement becomes the initial incumbent: the objective is
     #: clamped to beat it before search starts, so the branch-and-bound
     #: never spends nodes reaching feasibility (None = cold start)
@@ -82,8 +82,7 @@ def warm_start_seed(
     cold path, never to a wrong incumbent.
     """
     # function-local imports: the backend adapters import this module
-    from repro.core.backend.protocol import PlacementRequest
-    from repro.core.backend.registry import create_backend
+    from repro.core.backend import PlacementRequest, create_backend
 
     budget = time_limit * WARM_START_BUDGET if time_limit is not None else None
     result = create_backend(backend).place(

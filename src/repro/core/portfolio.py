@@ -2,8 +2,8 @@
 
 Packing search has a heavy-tailed runtime/quality distribution: different
 random seeds explore very different regions.  A *portfolio* runs several
-independent placement backends (all-LNS by default; any registered
-backend names via ``PortfolioConfig.members``) in parallel worker
+independent placement backends (all-LNS by default; any
+:data:`~repro.core.backend.BACKENDS` names via ``PortfolioConfig.members``) in parallel worker
 processes and keeps the best incumbent — near-linear
 quality-per-wall-clock scaling for free, and the natural way to use a
 multi-core workstation for the paper's workload.
@@ -89,7 +89,7 @@ class PortfolioConfig:
     #: per-member wall-clock budget in seconds
     time_limit: float = 8.0
     base_seed: int = 0
-    #: registered backend names cycled across the workers (worker k runs
+    #: :data:`~repro.core.backend.BACKENDS` names cycled across the workers (worker k runs
     #: ``members[k % len(members)]``); None = all-LNS, today's default
     members: Optional[Sequence[str]] = None
     #: collect per-member SolveProfiles (returned across the process
@@ -101,23 +101,22 @@ class PortfolioConfig:
 
 
 class PortfolioPlacer:
-    """Best-of-N parallel placement over registered backends (default LNS)."""
+    """Best-of-N parallel placement over named backends (default LNS)."""
 
     def __init__(self, config: Optional[PortfolioConfig] = None) -> None:
         self.config = config or PortfolioConfig()
         if self.config.n_workers < 1:
             raise ValueError("need at least one worker")
         if self.config.members is not None:
-            from repro.core.backend import available_backends
+            from repro.core.backend import BACKENDS
 
             if not self.config.members:
                 raise ValueError("members must name at least one backend")
-            registered = set(available_backends())
             for name in self.config.members:
-                if name not in registered:
+                if name not in BACKENDS:
                     raise ValueError(
                         f"unknown backend {name!r} in portfolio members; "
-                        f"registered: {', '.join(sorted(registered))}"
+                        f"backends: {', '.join(sorted(BACKENDS))}"
                     )
 
     def _member_names(self) -> List[str]:

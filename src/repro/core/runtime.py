@@ -20,7 +20,7 @@ repo's existing parts under such a load:
   floorplan is monitored (:mod:`repro.metrics.fragmentation`); crossing a
   threshold, or any rejection, triggers a pass of the configured
   defragmenter (:mod:`repro.core.defrag`) honoring either shape-change
-  policy.
+  policy; ``defragmenter=None`` turns both triggers off.
 * **Backpressure** — rejected arrivals wait in a bounded pending queue
   with per-request deadlines; the queue is retried after every departure
   and defrag pass, expired or overflowing requests are rejected
@@ -49,12 +49,12 @@ Time model: the manager runs on the *logical* clock carried by the
 requests (arrival/lifetime/deadline are simulation time units).
 :meth:`RuntimePlacementManager.next_due` is the earliest tick at which
 anything can happen: a departure, the end of a move window, a
-reservation start, a pending deadline, or every tick while
-``frag_threshold < 1.0``.  An advance to an earlier tick only sets the
-clock, so a driver may advance a manager on every arrival at the cost of
-one comparison (the sharded service does, for every shard).  The wall
-clock feeds only the latency and defrag-time counters: no decision
-reads it.
+reservation start, a pending deadline, or every tick while a
+defragmenter runs with ``frag_threshold < 1.0``.  An advance to an
+earlier tick only sets the clock, so a driver may advance a manager on
+every arrival at the cost of one comparison (the sharded service does,
+for every shard).  The wall clock feeds only the latency and defrag-time
+counters: no decision reads it.
 """
 
 from __future__ import annotations
@@ -68,12 +68,7 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.defrag import (
-    Defragmenter,
-    PlannedMove,
-    available_defragmenters,
-    create_defragmenter,
-)
+from repro.core.defrag import DEFRAGMENTERS, Defragmenter, PlannedMove
 from repro.core.occupancy import Occupancy
 from repro.core.result import Placement, PlacementResult
 from repro.fabric.masks import bottom_left_pick, first_anchor, first_fit_pick
@@ -213,22 +208,20 @@ class RuntimeConfig:
     reservation_capacity: int = 8
     #: trigger a defrag pass when external fragmentation exceeds this
     frag_threshold: float = 0.6
-    #: also defrag (once) when an arrival cannot be placed
-    defrag_on_reject: bool = True
     #: may defrag pick a different design alternative? (the paper's
     #: stateful-module assumption says no; True is valid for
     #: stateless/restartable modules)
     allow_shape_change: bool = False
-    #: hard cap on relocations per defrag pass (None = internal guard)
-    defrag_max_moves: Optional[int] = None
     #: minimum logical ticks between fragmentation-triggered passes
     defrag_cooldown: int = 4
-    #: registered defragmentation strategy; both built-ins run the same
-    #: compaction pass and differ in the move rule: "greedy-compaction"
-    #: teleports and the manager applies the whole plan atomically (the
-    #: oracle); "no-break" plans slides and copies that respect running
-    #: modules and executes them move by move on the logical clock
-    defragmenter: str = "greedy-compaction"
+    #: defragmentation strategy as a :data:`DEFRAGMENTERS` name, run once
+    #: when an arrival cannot be placed and whenever fragmentation exceeds
+    #: ``frag_threshold``; both run the same compaction pass and differ in
+    #: the move rule: "greedy-compaction" teleports and the manager
+    #: applies the whole plan atomically (the oracle); "no-break" plans
+    #: slides and copies that respect running modules and executes them
+    #: move by move on the logical clock.  None = no defrag at all
+    defragmenter: Optional[str] = "greedy-compaction"
     #: reconfiguration frames rewritten per logical tick — a planned
     #: move's window lasts ceil(frames / this) ticks, during which the
     #: mover occupies both source and target
@@ -264,10 +257,13 @@ class RuntimeConfig:
             raise ValueError("reservation_capacity must be >= 0")
         if not 0.0 <= self.frag_threshold <= 1.0:
             raise ValueError("frag_threshold must be within [0, 1]")
-        if self.defragmenter not in available_defragmenters():
+        if (
+            self.defragmenter is not None
+            and self.defragmenter not in DEFRAGMENTERS
+        ):
             raise ValueError(
-                f"unknown defragmenter {self.defragmenter!r}; registered: "
-                f"{', '.join(available_defragmenters())}"
+                f"unknown defragmenter {self.defragmenter!r}; defragmenters: "
+                f"{', '.join(sorted(DEFRAGMENTERS))} (or None)"
             )
         if self.defrag_frames_per_tick < 1:
             raise ValueError("defrag_frames_per_tick must be >= 1")
@@ -472,9 +468,11 @@ class RuntimePlacementManager:
         #: memoized fragmentation per view: "live"/"planning" -> (rev, value)
         self._frag_cache: Dict[str, Tuple[int, float]] = {}
         cfg = self.config
-        #: the registered defragmentation strategy (planner)
-        self._defragmenter: Defragmenter = create_defragmenter(
-            cfg.defragmenter
+        #: the defragmentation strategy (planner); None = defrag off
+        self._defragmenter: Optional[Defragmenter] = (
+            DEFRAGMENTERS[cfg.defragmenter]()
+            if cfg.defragmenter is not None
+            else None
         )
         #: no-break plan execution state: moves waiting their turn, and
         #: the single move currently holding its window on the fabric
@@ -697,10 +695,10 @@ class RuntimePlacementManager:
         an explicitly departed module only makes it earlier), the end of
         the active no-break move, the earliest reservation start (at or
         before the clock while a due booking is still uncommitted), the
-        earliest pending deadline — and the clock itself whenever
-        ``frag_threshold < 1.0``, since a fragmentation-triggered pass
-        may then fire on any tick."""
-        if self.config.frag_threshold < 1.0:
+        earliest pending deadline — and the clock itself whenever a
+        defragmenter runs with ``frag_threshold < 1.0``, since a
+        fragmentation-triggered pass may then fire on any tick."""
+        if self.config.frag_threshold < 1.0 and self._defragmenter is not None:
             return self.clock
         due = self._departures[0][0] if self._departures else None
         active = self._active_move
@@ -1202,7 +1200,7 @@ class RuntimePlacementManager:
         # a threshold of 1.0 can never be exceeded (external fragmentation
         # is a ratio in [0, 1]) — skip the metric, a pure-Python
         # maximal-rectangles pass that would otherwise run per event
-        if cfg.frag_threshold >= 1.0:
+        if self._defragmenter is None or cfg.frag_threshold >= 1.0:
             return
         if self._active_move is not None or self._move_queue:
             return
@@ -1237,10 +1235,7 @@ class RuntimePlacementManager:
         on the table itself, not on the ledger's revision, which
         reservation bookings bump although the planner never reads them.
         """
-        cfg = self.config
-        if trigger == "reject" and not cfg.defrag_on_reject:
-            return False
-        if not self._placements:
+        if self._defragmenter is None or not self._placements:
             return False
         if self._active_move is not None or self._move_queue:
             # one plan at a time: replanning mid-execution would move
@@ -1254,8 +1249,7 @@ class RuntimePlacementManager:
                 return False
             plan = self._defragmenter.plan(
                 self.result(),
-                allow_shape_change=cfg.allow_shape_change,
-                max_moves=cfg.defrag_max_moves,
+                allow_shape_change=self.config.allow_shape_change,
             )
             self._last_defrag_clock = self.clock
             if not plan.moves:

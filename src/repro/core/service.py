@@ -8,14 +8,13 @@ reconfigurable fabrics fed from one arrival stream.
 :class:`~repro.fabric.region.PartialRegion`) and adds the two things a
 single manager cannot express:
 
-* **Routing** — a pluggable policy ranks the shards per arrival
-  (round-robin, least-loaded, least-fragmented, module-name affinity)
-  behind a small name-keyed registry.  Routers return a *preference
-  order*, not a single pick, which is what makes spill (below) a policy
-  property rather than a hard-coded loop.  The least-fragmented policy
-  keeps admission coupled to per-shard fragmentation — the router
-  observes exactly the metric the defragmentation literature says
-  admission quality depends on.
+* **Routing** — a policy named in :data:`ROUTERS` ranks the shards per
+  arrival (round-robin, least-loaded, least-fragmented, module-name
+  affinity).  Routers return a *preference order*, not a single pick,
+  which is what makes spill (below) a policy property rather than a
+  hard-coded loop.  The least-fragmented policy keeps admission coupled
+  to per-shard fragmentation — the router observes exactly the metric
+  the defragmentation literature says admission quality depends on.
 * **Spill** — a request declined by its routed shard is *offered* to the
   next-best shards before it counts against anyone: only the shard that
   finally admits records the arrival, and only the primary shard queues
@@ -69,7 +68,7 @@ from repro.obs.trace import (
 
 
 # ----------------------------------------------------------------------
-# Routers: preference order over shards, behind a name-keyed registry
+# Routers: preference order over shards, named in ROUTERS
 # ----------------------------------------------------------------------
 class Router:
     """Ranks shards for one arrival; index 0 is the primary shard.
@@ -169,45 +168,16 @@ class AffinityRouter(Router):
         return [(first + k) % n for k in range(n)]
 
 
-_ROUTERS: Dict[str, Callable[[], Router]] = {}
-
-
-def register_router(
-    name: str, factory: Callable[[], Router], replace: bool = False
-) -> None:
-    """Register a router factory under ``name`` (loud on duplicates)."""
-    if not replace and name in _ROUTERS:
-        raise ValueError(
-            f"router {name!r} is already registered "
-            f"(pass replace=True to override)"
-        )
-    _ROUTERS[name] = factory
-
-
-def available_routers() -> List[str]:
-    """Sorted names of every registered routing policy."""
-    return sorted(_ROUTERS)
-
-
-def create_router(name: str) -> Router:
-    """Instantiate the registered router ``name`` (loud when unknown)."""
-    try:
-        factory = _ROUTERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown router {name!r}; registered: "
-            f"{', '.join(available_routers())}"
-        ) from None
-    return factory()
-
-
-for _cls in (
-    RoundRobinRouter,
-    LeastLoadedRouter,
-    LeastFragmentedRouter,
-    AffinityRouter,
-):
-    register_router(_cls.name, _cls)
+#: every routing policy by name (``ServiceConfig.router``)
+ROUTERS: Dict[str, Callable[[], Router]] = {
+    cls.name: cls
+    for cls in (
+        RoundRobinRouter,
+        LeastLoadedRouter,
+        LeastFragmentedRouter,
+        AffinityRouter,
+    )
+}
 
 
 # ----------------------------------------------------------------------
@@ -217,7 +187,7 @@ for _cls in (
 class ServiceConfig:
     """Knobs of the sharded placement service."""
 
-    #: registered router name picking the shard preference order
+    #: :data:`ROUTERS` name picking the shard preference order
     router: str = "round-robin"
     #: template for every shard's manager; each shard gets its own copy
     runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
@@ -228,10 +198,10 @@ class ServiceConfig:
     tracer: Optional[Tracer] = None
 
     def validate(self) -> None:
-        if self.router not in _ROUTERS:
+        if self.router not in ROUTERS:
             raise ValueError(
-                f"unknown router {self.router!r}; registered: "
-                f"{', '.join(available_routers())}"
+                f"unknown router {self.router!r}; routers: "
+                f"{', '.join(sorted(ROUTERS))}"
             )
         self.runtime.validate()
 
@@ -274,7 +244,7 @@ class ShardedPlacementService:
         self.config = config or ServiceConfig()
         self.config.validate()
         cfg = self.config
-        self._router = create_router(cfg.router)
+        self._router = ROUTERS[cfg.router]()
         self.shards: List[RuntimePlacementManager] = [
             RuntimePlacementManager(region, replace(cfg.runtime))
             for region in regions

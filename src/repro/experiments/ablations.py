@@ -155,7 +155,7 @@ def baseline_comparison(
 
 
 # ----------------------------------------------------------------------
-# A9 — uniform backend comparison (the registry-driven A3)
+# A9 — uniform backend comparison (the name-driven A3)
 # ----------------------------------------------------------------------
 def backend_comparison(
     names: Optional[Sequence[str]] = None,
@@ -163,23 +163,19 @@ def backend_comparison(
     seed: int = 5,
     time_limit: float = 3.0,
 ) -> List[SweepPoint]:
-    """A9: every registered backend on one instance, via the uniform
+    """A9: every backend of ``BACKENDS`` on one instance, via the uniform
     :class:`~repro.core.backend.PlacementRequest` surface.
 
     Unlike :func:`baseline_comparison` (which hand-wires each placer's
-    native config), this goes through the registry only — what the
+    native config), this goes through the backend names only — what the
     ``--backend`` runner flag selects from.
     """
-    from repro.core.backend import (
-        PlacementRequest,
-        available_backends,
-        create_backend,
-    )
+    from repro.core.backend import BACKENDS, PlacementRequest, create_backend
     from repro.core.portfolio import PortfolioConfig
 
     region = default_fabric()
     modules = ModuleGenerator(seed=seed).generate_set(n_modules)
-    selected = list(names) if names else available_backends()
+    selected = list(names) if names else sorted(BACKENDS)
     # structural knobs the request cannot carry (worker counts etc.)
     configs = {
         "portfolio": PortfolioConfig(n_workers=2, time_limit=time_limit),

@@ -128,7 +128,7 @@ def _a6() -> str:
     )
 
 
-#: backend names selected with --backend (None = every registered backend);
+#: backend names selected with --backend (None = every backend);
 #: set by main() before the experiments run
 _BACKEND_SELECTION: "list[str] | None" = None
 
@@ -193,19 +193,18 @@ def main(argv: list[str] | None = None) -> int:
         action="append",
         default=None,
         metavar="NAME",
-        help="restrict backend-driven experiments (a9) to this registered "
-        "backend; repeatable (default: every registered backend)",
+        help="restrict backend-driven experiments (a9) to this backend; "
+        "repeatable (default: every backend)",
     )
     args = parser.parse_args(argv)
     if args.backend is not None:
-        from repro.core.backend import available_backends
+        from repro.core.backend import BACKENDS
 
-        registered = set(available_backends())
         for name in args.backend:
-            if name not in registered:
+            if name not in BACKENDS:
                 parser.error(
-                    f"unknown backend {name!r}; registered: "
-                    f"{', '.join(sorted(registered))}"
+                    f"unknown backend {name!r}; backends: "
+                    f"{', '.join(sorted(BACKENDS))}"
                 )
         global _BACKEND_SELECTION
         _BACKEND_SELECTION = list(args.backend)

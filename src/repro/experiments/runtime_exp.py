@@ -197,8 +197,7 @@ def online_comparison(
             RuntimeConfig(
                 chain=(backend,),
                 queue_capacity=0,
-                defrag_on_reject=False,
-                frag_threshold=1.0,
+                defragmenter=None,
             ),
         )
         for backend in ("first-fit", "cp")
@@ -232,20 +231,13 @@ def _p99_ms(log: RuntimeLog) -> float:
 def defrag_strategy_config(strategy: str) -> RuntimeConfig:
     """The per-strategy serving knobs of the defrag comparison.
 
-    ``strategy`` is a registered defragmenter name, or ``"disabled"``
-    (no reject-triggered pass, fragmentation trigger off).  The
-    no-break run additionally verifies every move transition.
+    ``strategy`` is a :data:`~repro.core.defrag.DEFRAGMENTERS` name, or
+    ``"disabled"`` (``defragmenter=None``: no pass at all).  The no-break
+    run additionally verifies every move transition.
     """
-    if strategy == "disabled":
-        return RuntimeConfig(
-            chain=("greedy",),
-            defrag_on_reject=False,
-            frag_threshold=1.0,
-            sample_timeline=False,
-        )
     return RuntimeConfig(
         chain=("greedy",),
-        defragmenter=strategy,
+        defragmenter=None if strategy == "disabled" else strategy,
         verify_moves=(strategy == "no-break"),
         sample_timeline=False,
     )
@@ -377,8 +369,7 @@ def reservation_admission_config(horizon: int) -> RuntimeConfig:
         chain=("greedy",),
         queue_capacity=0,
         reservation_horizon=horizon,
-        frag_threshold=1.0,
-        defrag_on_reject=False,
+        defragmenter=None,
     )
 
 

@@ -96,22 +96,20 @@ def serving_config(
     would run.  ``chain`` names pick rules
     (:data:`~repro.core.runtime.PICK_RULES`).
     ``defrag`` selects the strategy: "disabled" (the historical gate
-    configuration: no reject-triggered pass), or a registered
-    defragmenter name served at the *default cadence* — reject-triggered
-    passes on, fragmentation-triggered passes off (``frag_threshold=1.0``
-    is short-circuited by the manager, keeping the pure-Python
-    fragmentation metric off the hot path).
+    configuration, ``defragmenter=None``: no pass at all), or a
+    :data:`~repro.core.defrag.DEFRAGMENTERS` name served at the *default
+    cadence* — reject-triggered passes on, fragmentation-triggered
+    passes off (``frag_threshold=1.0`` is short-circuited by the manager,
+    keeping the pure-Python fragmentation metric off the hot path).
     """
     runtime = RuntimeConfig(
         chain=tuple(chain),
         queue_capacity=queue_capacity,
         frag_threshold=1.0,
-        defrag_on_reject=defrag != "disabled",
+        defragmenter=None if defrag == "disabled" else defrag,
         sample_timeline=False,
         reservation_horizon=reservation_horizon,
     )
-    if defrag != "disabled":
-        runtime.defragmenter = defrag
     return ServiceConfig(
         router=router,
         spill=spill,
@@ -163,11 +161,7 @@ def run_load(
     stats = service.stats
     latencies.sort()
     total = stats.admitted + stats.rejected
-    defrag_label = (
-        cfg.runtime.defragmenter
-        if cfg.runtime.defrag_on_reject or cfg.runtime.frag_threshold < 1.0
-        else "disabled"
-    )
+    defrag_label = cfg.runtime.defragmenter or "disabled"
     return LoadReport(
         n_requests=n_requests,
         n_shards=n_shards,

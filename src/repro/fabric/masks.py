@@ -136,13 +136,10 @@ def column_words(region: Union[PartialRegion, FabricGrid]) -> np.ndarray:
     Indexed by ``int(kind)`` for every placeable kind: bit ``y`` of column
     ``x`` of plane ``k`` is set iff a module tile of kind ``k`` may occupy
     cell ``(x, y)`` (the cell holds kind ``k`` and is reconfigurable).
-    A bare grid is treated as fully reconfigurable; a region built with
-    its words (:attr:`PartialRegion.words`) returns them.
+    A bare grid is treated as fully reconfigurable.
     """
     if isinstance(region, FabricGrid):
         return kind_words(region)
-    if region.words is not None:
-        return region.words
     return kind_words(region.grid) & pack_columns(region.reconfigurable)
 
 

@@ -28,7 +28,7 @@ class PartialRegion:
 
     def __init__(
         self, grid: FabricGrid, reconfigurable: Optional[np.ndarray] = None,
-        name: str = "pr", words: Optional[np.ndarray] = None,
+        name: str = "pr",
     ) -> None:
         self.grid = grid
         self.name = name
@@ -41,10 +41,6 @@ class PartialRegion:
                 f"{(grid.height, grid.width)}"
             )
         self.reconfigurable = reconfigurable
-        #: the region's :func:`~repro.fabric.masks.column_words` when the
-        #: builder already holds them (a residual carved from a free-space
-        #: ledger), else None and computed on demand
-        self.words = words
 
     # ------------------------------------------------------------------
     # Constructors

@@ -12,9 +12,9 @@ under two policies:
 
 * **sticky** — one :class:`~repro.core.runtime.RuntimePlacementManager`
   lives across all phases: departures leave through ``depart()`` and
-  arrivals are CP-placed into the residual region through ``submit()``,
-  with the queue and every defrag trigger off, so modules present in
-  consecutive phases never move;
+  arrivals are placed by the ``cp`` pick rule on its free-space ledger
+  through ``submit()``, with the queue off and ``defragmenter=None``, so
+  modules present in consecutive phases never move;
 * **naive** — every phase is placed from scratch (each transition rewrites
   everything that moved).
 
@@ -147,8 +147,7 @@ class ReconfigurationScheduler:
             RuntimeConfig(
                 chain=("cp",),
                 queue_capacity=0,
-                defrag_on_reject=False,
-                frag_threshold=1.0,
+                defragmenter=None,
             ),
         )
 

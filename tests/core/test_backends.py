@@ -1,12 +1,12 @@
-"""The uniform placement-backend layer: protocol, registry, adapters.
+"""The uniform placement-backend layer: protocol, name table, adapters.
 
 Three layers of coverage:
 
-* registry semantics (duplicate rejection, unknown-name errors, replace),
-* adapter parity — the registered backends must behave exactly like the
+* the name table (the fleet it names, unknown-name errors),
+* adapter parity — the named backends must behave exactly like the
   engines they wrap (greedy ≡ bottom-left, annealing seeding, runtime
   chain and portfolio member configuration reproduce the defaults), and
-* the seeded cross-backend differential suite: every registered backend
+* the seeded cross-backend differential suite: every named backend
   placed on the same ~20-instance set must return placements that pass
   ``PlacementResult.verify``, respect its wall-clock budget, and report
   honest ``solved`` / ``proved_optimal`` flags.
@@ -17,14 +17,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.backend import (
-    BackendCapabilities,
+    BACKENDS,
     PlacementBackend,
     PlacementRequest,
-    available_backends,
-    backend_capabilities,
     create_backend,
-    register_backend,
-    unregister_backend,
 )
 from repro.core.lns import LNSConfig
 from repro.core.portfolio import PortfolioConfig, PortfolioPlacer
@@ -50,78 +46,30 @@ EXPECTED_BACKENDS = {
 
 
 # ----------------------------------------------------------------------
-# Registry semantics
+# The name table
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_default_fleet_registered(self):
-        assert EXPECTED_BACKENDS <= set(available_backends())
-
-    def test_duplicate_names_rejected_loudly(self):
-        register_backend("dup-probe", lambda config=None: PlacementBackend())
-        try:
-            with pytest.raises(ValueError, match="already registered"):
-                register_backend(
-                    "dup-probe", lambda config=None: PlacementBackend()
-                )
-        finally:
-            unregister_backend("dup-probe")
-
-    def test_replace_is_the_explicit_escape_hatch(self):
-        class _A(PlacementBackend):
-            name = "swap-probe"
-
-        class _B(PlacementBackend):
-            name = "swap-probe"
-
-        register_backend("swap-probe", lambda config=None: _A())
-        try:
-            register_backend(
-                "swap-probe", lambda config=None: _B(), replace=True
-            )
-            assert isinstance(create_backend("swap-probe"), _B)
-        finally:
-            unregister_backend("swap-probe")
+        assert set(BACKENDS) == EXPECTED_BACKENDS
+        for name in BACKENDS:
+            backend = create_backend(name)
+            assert isinstance(backend, PlacementBackend)
+            assert backend.name == name
 
     def test_unknown_name_lists_the_registry(self):
         with pytest.raises(KeyError, match="cp"):
             create_backend("definitely-not-a-backend")
 
-    def test_invalid_names_rejected(self):
-        with pytest.raises(ValueError):
-            register_backend("", lambda config=None: PlacementBackend())
-
 
 class TestCapabilities:
-    def test_objective_backends(self):
-        for name in (
-            "cp", "lns", "portfolio", "best-fit", "annealing", "analytical",
-        ):
-            assert backend_capabilities(name).supports_objective, name
-        for name in (
-            "greedy", "bottom-left", "first-fit", "kamer", "1d-slots",
-            "temporal-cp",
-        ):
-            assert not backend_capabilities(name).supports_objective, name
-
     def test_runtime_chain_eligibility(self):
         """The runtime chain names pick rules on the ledger: ``cp``,
         ``greedy`` and ``first-fit``.  No other backend serves it."""
         for name in ("cp", "greedy", "first-fit"):
             RuntimeConfig(chain=(name,)).validate()
-        for name in sorted(
-            set(available_backends()) - {"cp", "greedy", "first-fit"}
-        ):
+        for name in sorted(set(BACKENDS) - {"cp", "greedy", "first-fit"}):
             with pytest.raises(ValueError, match="unknown admission rule"):
                 RuntimeConfig(chain=(name,)).validate()
-
-    def test_temporal_cp_is_the_only_scheduling_backend(self):
-        assert backend_capabilities("temporal-cp").schedules
-        for name in sorted(EXPECTED_BACKENDS - {"temporal-cp"}):
-            assert not backend_capabilities(name).schedules, name
-
-    def test_all_backends_claim_alternatives(self):
-        for name in available_backends():
-            assert backend_capabilities(name).supports_alternatives, name
 
 
 # ----------------------------------------------------------------------
@@ -436,7 +384,7 @@ class TestTemporalBackend:
             PlacementRequest(region, modules, horizon=4, durations=[3])
         )
         # the BnB proves *makespan* optimality; the spatial extent the
-        # registry optimizes is untouched, so status stays "feasible"
+        # fleet optimizes is untouched, so status stays "feasible"
         assert res.status == "feasible"
         assert res.stats["makespan_optimal"] is True
         assert not res.proved_optimal

@@ -11,7 +11,9 @@ options off their constructors.  No solver takes an anchor-mask cache:
 every placement model builds its anchor words fresh.  The runtime
 manager's admission chain names pick rules on its free-space ledger, not
 backends, so it has no probe budget and no backend needs a relocatable
-flag.
+flag.  Backends, routers and defragmenters are plain name tables, with no
+plugin registry or capability flags, and ``defragmenter=None`` is the one
+way to turn defrag off.
 """
 
 from __future__ import annotations
@@ -22,9 +24,12 @@ import inspect
 import pytest
 
 import repro.core
+import repro.core.backend
+import repro.core.defrag
+import repro.core.service
 import repro.core.temporal
 from repro.core import portfolio
-from repro.core.backend.protocol import BackendCapabilities, PlacementRequest
+from repro.core.backend.protocol import PlacementRequest
 from repro.core.lns import LNSConfig
 from repro.core.placement_model import PlacementModel
 from repro.core.placer import PlacerConfig, warm_start_seed
@@ -32,6 +37,7 @@ from repro.core.portfolio import PortfolioConfig
 from repro.core.runtime import RuntimeConfig
 from repro.core.temporal import TemporalCPPlacer
 from repro.fabric.cache import AnchorMaskCache
+from repro.fabric.region import PartialRegion
 from repro.geost.kernel import Geost
 from repro.geost.placement import PlacementKernel
 from repro.placer import KamerPlacer
@@ -46,9 +52,11 @@ REMOVED_FIELDS = {
     PortfolioConfig: {"incremental", "bitboard"},
     PlacementRequest: {"incremental", "bitboard", "cache"},
     # admission is a pick rule on the ledger: nothing searches, nothing
-    # places on a residual region
-    RuntimeConfig: {"probe_time_limit"},
-    BackendCapabilities: {"relocatable"},
+    # places on a residual region; defragmenter=None turns defrag off,
+    # and a pass is bounded by the planner's own guard
+    RuntimeConfig: {
+        "probe_time_limit", "defrag_on_reject", "defrag_max_moves",
+    },
 }
 
 REMOVED_PARAMETERS = {
@@ -69,6 +77,8 @@ REMOVED_PARAMETERS = {
     KamerPlacer: {"fit"},
     # baselines answer fit queries from their own free-space ledger
     BasePlacer.place: {"cache"},
+    # a region's column words are always packed from its mask
+    PartialRegion: {"words"},
 }
 
 #: solve calls that once took an anchor-mask cache
@@ -104,6 +114,19 @@ def test_solve_call_takes_no_cache(call):
 def test_reference_temporal_placer_is_a_test_oracle(module):
     assert not hasattr(module, "TemporalPlacer")
     assert "TemporalPlacer" not in getattr(module, "__all__", ())
+
+
+@pytest.mark.parametrize(
+    "module",
+    [repro.core, repro.core.backend, repro.core.service, repro.core.defrag],
+    ids=lambda m: m.__name__,
+)
+def test_strategies_are_plain_name_tables(module):
+    names = set(vars(module)) | set(getattr(module, "__all__", ()))
+    assert not {
+        n for n in names if n.startswith(("register_", "unregister_"))
+    }
+    assert not names & {"BackendCapabilities", "backend_capabilities"}
 
 
 @pytest.mark.parametrize("backend", ["lns", "kamer"])

@@ -1,7 +1,7 @@
-"""The defragmenter registry and no-break execution on the runtime clock.
+"""The defragmenter table and no-break execution on the runtime clock.
 
-Covers the engine surface the property suite doesn't: the registry
-contract (mirroring backends/routers), config validation, the S2
+Covers the engine surface the property suite doesn't: the name table
+(like the backends' and routers'), config validation, the S2
 latency-accounting split, and deterministic no-break scenarios where
 move windows interact with admissions, departures and the drain.
 """
@@ -15,14 +15,11 @@ import numpy as np
 import pytest
 
 from repro.core.defrag import (
+    DEFRAGMENTERS,
     DefragPlan,
     Defragmenter,
     GreedyCompactionDefragmenter,
     NoBreakDefragmenter,
-    available_defragmenters,
-    create_defragmenter,
-    register_defragmenter,
-    unregister_defragmenter,
 )
 from repro.core.runtime import (
     RuntimeConfig,
@@ -59,44 +56,31 @@ def no_break_cfg(**kw):
 
 
 # ----------------------------------------------------------------------
-# Registry
+# The name table
 # ----------------------------------------------------------------------
 class TestDefragmenterRegistry:
     def test_builtins_registered(self):
-        names = available_defragmenters()
-        assert "greedy-compaction" in names
-        assert "no-break" in names
+        assert DEFRAGMENTERS == {
+            "greedy-compaction": GreedyCompactionDefragmenter,
+            "no-break": NoBreakDefragmenter,
+        }
 
     def test_create_returns_fresh_instances(self):
-        a = create_defragmenter("no-break")
-        b = create_defragmenter("no-break")
+        """Every manager plans with its own planner instance."""
+        cfg = RuntimeConfig(defragmenter="no-break")
+        a = RuntimePlacementManager(corridor(), cfg)._defragmenter
+        b = RuntimePlacementManager(corridor(), cfg)._defragmenter
         assert isinstance(a, NoBreakDefragmenter)
         assert a is not b
 
     def test_unknown_name_is_loud_and_lists_known(self):
         with pytest.raises(ValueError, match="no-break"):
-            create_defragmenter("definitely-not-registered")
-
-    def test_duplicate_registration_is_loud(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_defragmenter("no-break", NoBreakDefragmenter)
-
-    def test_replace_and_unregister(self):
-        try:
-            register_defragmenter("tmp-defrag", GreedyCompactionDefragmenter)
-            register_defragmenter(
-                "tmp-defrag", NoBreakDefragmenter, replace=True
-            )
-            assert isinstance(
-                create_defragmenter("tmp-defrag"), NoBreakDefragmenter
-            )
-        finally:
-            unregister_defragmenter("tmp-defrag")
-        assert "tmp-defrag" not in available_defragmenters()
+            RuntimeConfig(defragmenter="definitely-not-registered").validate()
 
     def test_config_validates_defragmenter_name(self):
         with pytest.raises(ValueError, match="unknown defragmenter"):
             RuntimeConfig(defragmenter="nope").validate()
+        RuntimeConfig(defragmenter=None).validate()
         with pytest.raises(ValueError, match="defrag_frames_per_tick"):
             RuntimeConfig(defrag_frames_per_tick=0).validate()
 
@@ -120,36 +104,35 @@ class _SlowNoopDefragmenter(Defragmenter):
 
 
 class TestDefragLatencyAccounting:
-    def test_reject_triggered_pass_charged_to_defrag_time(self):
+    def test_reject_triggered_pass_charged_to_defrag_time(self, monkeypatch):
         """Regression: ``_try_admit`` charged the whole reject-triggered
         defrag pass to the triggering request's ``latency_s``, skewing
         the p99 admission-latency gate.  The pass belongs in
         ``RuntimeStats.defrag_time_s``; the request's latency stays its
         own placement-probe time."""
-        try:
-            register_defragmenter("slow-noop-test", _SlowNoopDefragmenter)
-            mgr = RuntimePlacementManager(
-                corridor(8),
-                RuntimeConfig(
-                    chain=("greedy",),
-                    defragmenter="slow-noop-test",
-                    frag_threshold=1.0,
-                    queue_capacity=0,
-                    sample_timeline=False,
-                ),
-            )
-            assert mgr.submit(req(rect("a", 2), 0)).admitted
-            # 9 wide never fits the 8-wide corridor -> reject path,
-            # which triggers the (slow) defrag pass
-            outcome = mgr.submit(req(rect("big", 9), 1))
-            assert outcome.status == "rejected"
-            assert mgr.stats.defrag_time_s >= 0.08
-            assert outcome.latency_s < mgr.stats.defrag_time_s
-            # the split is exclusive: the request's own latency did not
-            # absorb the sleep
-            assert outcome.latency_s < 0.04
-        finally:
-            unregister_defragmenter("slow-noop-test")
+        monkeypatch.setitem(
+            DEFRAGMENTERS, "slow-noop-test", _SlowNoopDefragmenter
+        )
+        mgr = RuntimePlacementManager(
+            corridor(8),
+            RuntimeConfig(
+                chain=("greedy",),
+                defragmenter="slow-noop-test",
+                frag_threshold=1.0,
+                queue_capacity=0,
+                sample_timeline=False,
+            ),
+        )
+        assert mgr.submit(req(rect("a", 2), 0)).admitted
+        # 9 wide never fits the 8-wide corridor -> reject path,
+        # which triggers the (slow) defrag pass
+        outcome = mgr.submit(req(rect("big", 9), 1))
+        assert outcome.status == "rejected"
+        assert mgr.stats.defrag_time_s >= 0.08
+        assert outcome.latency_s < mgr.stats.defrag_time_s
+        # the split is exclusive: the request's own latency did not
+        # absorb the sleep
+        assert outcome.latency_s < 0.04
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,9 @@ of ``advance_to`` before it.
 ``next_due()`` is the earliest tick at which ``advance_to`` does more than
 set the clock.  Each case below builds one source of due work (a move
 window ending, a pending deadline, a due reservation whose commit is
-blocked, a fragmentation threshold below 1) and checks both the answer
-and that an advance to that tick does the work on that tick.  The last
+blocked, a fragmentation threshold below 1 with a defragmenter) and
+checks both the answer and that an advance to that tick does the work on
+that tick; without a defragmenter the threshold makes nothing due.  The last
 test counts the advances that reach the event loop on a
 ``serve-steady``-shaped replay: only the ones with something due do.
 """
@@ -47,7 +48,7 @@ def req(name, arrival, lifetime, deadline=None, w=2, h=2):
 def config(**kw):
     kw.setdefault("chain", ("greedy",))
     kw.setdefault("frag_threshold", 1.0)
-    kw.setdefault("defrag_on_reject", False)
+    kw.setdefault("defragmenter", None)
     kw.setdefault("sample_timeline", False)
     return RuntimeConfig(**kw)
 
@@ -76,7 +77,7 @@ class TestNextDue:
         # gap, whose window lasts one tick (4 frames at 8 per tick)
         mgr = RuntimePlacementManager(
             region(8, 1),
-            config(defragmenter="no-break", defrag_on_reject=True),
+            config(defragmenter="no-break"),
         )
         mgr.submit(req("a", 0, 100, w=2, h=1))
         mgr.submit(req("b", 0, 5, w=2, h=1))
@@ -128,10 +129,50 @@ class TestNextDue:
         assert mgr.next_due() == 51
 
     def test_fragmentation_threshold_below_one(self):
-        mgr = RuntimePlacementManager(region(4, 2), config(frag_threshold=0.6))
+        mgr = RuntimePlacementManager(
+            region(4, 2),
+            config(frag_threshold=0.6, defragmenter="greedy-compaction"),
+        )
         assert mgr.next_due() == 0
         mgr.advance_to(3)
         assert mgr.next_due() == 3
+
+    @staticmethod
+    def _fragmented(defragmenter):
+        """a(1)|b(1)|c(1)|d(1)|e(1) in a 6x1 corridor; b and d leave at
+        5, so the free cells 1, 3 and 5 are three 1-wide holes."""
+        mgr = RuntimePlacementManager(
+            region(6, 1),
+            config(
+                frag_threshold=0.6,
+                defrag_cooldown=0,
+                defragmenter=defragmenter,
+            ),
+        )
+        for name, lifetime in zip("abcde", (100, 5, 100, 5, 100)):
+            assert mgr.submit(req(name, 0, lifetime, w=1, h=1)).admitted
+        return mgr
+
+    def test_fragmented_floorplan_without_defragmenter(self):
+        """With ``defragmenter=None`` a fragmentation threshold below 1
+        runs no pass, and ``next_due()`` is the next departure, not the
+        clock on every tick.  The same floorplan with a defragmenter is
+        due every tick and compacts on the departures' tick."""
+        mgr = self._fragmented(None)
+        assert mgr.next_due() == 5
+        mgr.advance_to(5)
+        assert mgr.fragmentation() > 0.6
+        assert mgr.stats.defrags == 0
+        assert mgr.next_due() == 100
+        mgr.advance_to(50)
+        assert mgr.stats.defrags == 0
+        assert mgr.next_due() == 100
+
+        mgr = self._fragmented("greedy-compaction")
+        assert mgr.next_due() == 0
+        mgr.advance_to(5)
+        assert mgr.stats.defrags == 1
+        assert mgr.next_due() == 5
 
 
 def test_advances_reach_the_event_loop_only_when_due(monkeypatch):

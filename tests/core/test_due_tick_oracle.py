@@ -3,15 +3,16 @@
 
 ``advance_to(t)`` only sets the clock while ``t`` is before
 ``next_due()``, the earliest tick of a departure, a move completion, a
-reservation start or a pending deadline (or the clock itself when
-``frag_threshold < 1.0``).  The oracle, :func:`tests.support.eager_clock`,
-makes ``next_due()`` answer the clock, so every advance runs the full
-event loop and queue upkeep.  Both must serve a seeded trace alike: the
-same outcomes, the same counters of every shard and the same trace event
-stream, clocks included (a deadline expiry's ``runtime.reject`` carries
-the tick it landed on).  Only wall-clock fields are left out.
+reservation start or a pending deadline (or the clock itself when a
+defragmenter runs with ``frag_threshold < 1.0``).  The oracle,
+:func:`tests.support.eager_clock`, makes ``next_due()`` answer the
+clock, so every advance runs the full event loop and queue upkeep.  Both
+must serve a seeded trace alike: the same outcomes, the same counters
+of every shard and the same trace event stream, clocks included (a
+deadline expiry's ``runtime.reject`` carries the tick it landed on).
+Only wall-clock fields are left out.
 
-Every router on the 4-shard Table-I fabric, on seeds 0 and 7919, in three
+Every router on the 4-shard Table-I fabric, on seeds 0 and 7919, in four
 configurations:
 
 * ``serve-steady``: 500 requests, mean interarrival 2, mean lifetime 24,
@@ -22,7 +23,9 @@ configurations:
 * ``default``: the ``RuntimeConfig()`` defaults (``frag_threshold=0.6``,
   instant ``greedy-compaction`` defrag, queue) on 300 requests at mean
   interarrival 1 and mean lifetime 40, so fragmentation-triggered passes
-  and deadline expiries run.
+  and deadline expiries run;
+* ``defrag-off``: the same with ``defragmenter=None``: the threshold of
+  0.6 stays, but no pass runs and the clock is not due on every tick.
 """
 
 from __future__ import annotations
@@ -32,11 +35,7 @@ from dataclasses import asdict
 import pytest
 
 from repro.core.runtime import RuntimeConfig, generate_workload
-from repro.core.service import (
-    ServiceConfig,
-    ShardedPlacementService,
-    available_routers,
-)
+from repro.core.service import ROUTERS, ServiceConfig, ShardedPlacementService
 from repro.experiments.config import default_fabric
 from repro.experiments.service_load import serving_config
 from repro.obs import RecordingTracer
@@ -59,11 +58,18 @@ def _default(router):
     return ServiceConfig(router=router, runtime=RuntimeConfig())
 
 
+def _defrag_off(router):
+    return ServiceConfig(
+        router=router, runtime=RuntimeConfig(defragmenter=None)
+    )
+
+
 #: name -> (n_requests, mean interarrival, mean lifetime, config factory)
 CONFIGS = {
     "serve-steady": (500, 2, 24, _serving("disabled", 0)),
     "serve-contended": (1000, 1, 40, _serving("no-break", 16)),
     "default": (300, 1, 40, _default),
+    "defrag-off": (300, 1, 40, _defrag_off),
 }
 
 
@@ -116,13 +122,14 @@ def replay(config, router, seed):
 
 
 @pytest.mark.parametrize("seed", [0, 7919])
-@pytest.mark.parametrize("router", available_routers())
+@pytest.mark.parametrize("router", sorted(ROUTERS))
 @pytest.mark.parametrize(
     "config",
     [
         "serve-steady",
         pytest.param("serve-contended", marks=pytest.mark.slow),
         "default",
+        "defrag-off",
     ],
 )
 def test_due_tick_replays_like_the_eager_clock(config, router, seed):
@@ -150,3 +157,6 @@ def test_due_tick_replays_like_the_eager_clock(config, router, seed):
             kind == "runtime.defrag" and data["trigger"] == "fragmentation"
             for kind, data in events
         )
+    if config == "defrag-off":
+        assert service["defrags"] == 0
+        assert all(kind != "runtime.defrag" for kind, _ in events)

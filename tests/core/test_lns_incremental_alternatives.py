@@ -77,8 +77,7 @@ def interactive_manager(width, height):
         RuntimeConfig(
             chain=("cp",),
             queue_capacity=0,
-            defrag_on_reject=False,
-            frag_threshold=1.0,
+            defragmenter=None,
         ),
     )
 

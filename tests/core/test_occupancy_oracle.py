@@ -81,12 +81,14 @@ def unpacked(ledger: Occupancy, words):
     return [ledger.mask(w) for w in words]
 
 
-def check_residual_words(residual: PartialRegion) -> None:
-    """A ledger's residual carries the column words a fresh pack of its
-    reconfigurable mask gives, and ``column_words`` serves them."""
+def check_residual_words(
+    ledger: Occupancy, blocked: np.ndarray, residual: PartialRegion
+) -> None:
+    """Packing a ledger's residual mask gives the words the pick rules
+    read off the ledger, ``static & ~blocked``."""
     fresh = kind_words(residual.grid) & pack_columns(residual.reconfigurable)
-    np.testing.assert_array_equal(residual.words, fresh)
-    assert column_words(residual) is residual.words
+    np.testing.assert_array_equal(fresh, ledger.static & ~blocked)
+    np.testing.assert_array_equal(column_words(residual), fresh)
 
 
 def check_same(ledger: Occupancy, oracle: BoolGridLedger) -> None:
@@ -99,7 +101,7 @@ def check_same(ledger: Occupancy, oracle: BoolGridLedger) -> None:
         residual.reconfigurable,
         oracle.residual(oracle.held | oracle.reserved).reconfigurable,
     )
-    check_residual_words(residual)
+    check_residual_words(ledger, blocked, residual)
 
 
 def pick_anchor(masks, k):
@@ -225,10 +227,10 @@ def test_write_crosses_the_lane_boundary():
 
 
 def test_residual_words_equal_fresh_column_words():
-    """The oracles' residual region (:func:`ledger_residual`) carries its
-    words, ``static & ~blocked``, instead of a mask to pack back: they
-    equal a fresh ``kind_words & pack_columns(reconfigurable)``, across
-    a lane boundary and with reserved cells carved out too."""
+    """The oracles' residual region (:func:`ledger_residual`) packs to
+    the ledger's free words, ``static & ~blocked``: a fresh
+    ``kind_words & pack_columns(reconfigurable)`` equals them, across a
+    lane boundary and with reserved cells carved out too."""
     region = PartialRegion.with_static_box(
         irregular_device(10, 90, seed=4, bram_stride=4, jitter=1), 0, 0, 2, 30
     )
@@ -237,6 +239,4 @@ def test_residual_words_equal_fresh_column_words():
     ledger.place(Placement(Module("a", [fp]), 0, 3, 58))
     ledger.reserve([Placement(Module("b", [fp]), 0, 6, 61)])
     for blocked in (ledger.held, ledger.held | ledger.reserved):
-        residual = ledger_residual(ledger, blocked)
-        check_residual_words(residual)
-        assert not residual.words.flags.writeable
+        check_residual_words(ledger, blocked, ledger_residual(ledger, blocked))

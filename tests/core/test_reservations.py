@@ -263,7 +263,7 @@ def resv_config(**kw):
     kw.setdefault("queue_capacity", 0)
     kw.setdefault("reservation_horizon", 10)
     kw.setdefault("frag_threshold", 1.0)
-    kw.setdefault("defrag_on_reject", False)
+    kw.setdefault("defragmenter", None)
     return RuntimeConfig(**kw)
 
 
@@ -385,7 +385,7 @@ class TestCommitAndExpiry:
 
     def test_expired_reservation_rejects_with_reason(self):
         region = tiny_region()
-        cfg = resv_config(defrag_on_reject=False)
+        cfg = resv_config(defragmenter=None)
         mgr = RuntimePlacementManager(region, cfg)
         mgr.submit(req("a", 1, 5))
         mgr.submit(req("b", 1, 5))
@@ -504,7 +504,6 @@ class TestDefragOnBookedCells:
             resv_config(
                 queue_capacity=8,
                 reservation_horizon=8,
-                defrag_on_reject=True,
                 defragmenter="no-break",
                 verify_moves=True,
             ),
@@ -538,7 +537,6 @@ class TestLedgerRung:
                 chain=("cp", "greedy"),
                 queue_capacity=8,
                 reservation_horizon=8,
-                defrag_on_reject=True,
                 defragmenter="no-break",
                 verify_moves=True,
             ),

@@ -80,7 +80,7 @@ class TestAdmissionBasics:
                 region_w(4),
                 greedy_cfg(
                     with_alternatives=with_alts, queue_capacity=0,
-                    defrag_on_reject=False,
+                    defragmenter=None,
                 ),
             )
             assert mgr.submit(req(blocker, 1)).admitted
@@ -123,7 +123,7 @@ class TestDefragAdmission:
         mgr = RuntimePlacementManager(
             region_w(6),
             greedy_cfg(
-                defrag_on_reject=False, frag_threshold=1.0, queue_capacity=0,
+                defragmenter=None, queue_capacity=0,
             ),
         )
         assert mgr.submit(req(rect("a", 2), 1, lifetime=100)).admitted
@@ -257,7 +257,6 @@ class TestQueueRegressions:
                 queue_capacity=4,
                 max_queue_wait=100,
                 frag_threshold=1.0,  # never fragmentation-triggered
-                defrag_on_reject=True,
                 defrag_cooldown=0,
             ),
         )
@@ -300,7 +299,7 @@ class TestQueueRegressions:
         known departure (A's, t=10) and left B placed at clock 10."""
         mgr = RuntimePlacementManager(
             PartialRegion.whole_device(homogeneous_device(4, 4)),
-            greedy_cfg(queue_capacity=4, defrag_on_reject=False),
+            greedy_cfg(queue_capacity=4, defragmenter=None),
         )
         a = mgr.submit(req(rect("A", 4, 4), 0, lifetime=10))
         b = mgr.submit(req(rect("B", 4, 4), 1, lifetime=50))
@@ -407,7 +406,7 @@ class TestChainSweep:
         mgr = RuntimePlacementManager(
             region_w(4),
             RuntimeConfig(
-                chain=chain, queue_capacity=0, defrag_on_reject=False
+                chain=chain, queue_capacity=0, defragmenter=None
             ),
         )
         return mgr.submit(req(module, 1))
@@ -424,7 +423,7 @@ class TestChainSweep:
             mgr = RuntimePlacementManager(
                 region_w(8),
                 RuntimeConfig(
-                    chain=("cp",), queue_capacity=0, defrag_on_reject=False,
+                    chain=("cp",), queue_capacity=0, defragmenter=None,
                     tracer=tracer,
                 ),
             )

@@ -30,15 +30,13 @@ from repro.core.runtime import (
     generate_workload,
 )
 from repro.core.service import (
+    ROUTERS,
     AffinityRouter,
     LeastFragmentedRouter,
     LeastLoadedRouter,
     RoundRobinRouter,
     ServiceConfig,
     ShardedPlacementService,
-    available_routers,
-    create_router,
-    register_router,
 )
 from repro.experiments.config import default_fabric
 from repro.experiments.service_load import serving_config
@@ -90,28 +88,20 @@ def outcome_multiset(outcomes):
 
 
 # ----------------------------------------------------------------------
-# Router registry + policies
+# Router table + policies
 # ----------------------------------------------------------------------
 class TestRouterRegistry:
     def test_default_policies_registered(self):
-        assert {"round-robin", "least-loaded", "least-fragmented",
-                "affinity"} <= set(available_routers())
+        assert ROUTERS == {
+            "round-robin": RoundRobinRouter,
+            "least-loaded": LeastLoadedRouter,
+            "least-fragmented": LeastFragmentedRouter,
+            "affinity": AffinityRouter,
+        }
 
     def test_create_unknown_router_is_loud(self):
-        with pytest.raises(ValueError, match="unknown router"):
-            create_router("definitely-not-registered")
-
-    def test_duplicate_registration_is_loud_unless_replaced(self):
-        register_router("test-dup", RoundRobinRouter, replace=True)
-        try:
-            with pytest.raises(ValueError, match="already registered"):
-                register_router("test-dup", RoundRobinRouter)
-            register_router("test-dup", AffinityRouter, replace=True)
-            assert isinstance(create_router("test-dup"), AffinityRouter)
-        finally:
-            from repro.core import service
-
-            service._ROUTERS.pop("test-dup", None)
+        with pytest.raises(ValueError, match="unknown router.*round-robin"):
+            ServiceConfig(router="definitely-not-registered").validate()
 
     def test_config_validates_router_name(self):
         with pytest.raises(ValueError, match="unknown router"):
@@ -596,6 +586,23 @@ class TestObservability:
         assert merged.meta["runtime.arrivals"] == sum(
             p.meta["runtime.arrivals"] for p in per_shard
         ) == 12
+
+    def test_profile_names_the_defragmenter_or_none(self):
+        """``meta["defragmenter"]`` is the strategy the shards run: None
+        for a service built with defrag disabled."""
+        regions = ShardedPlacementService.split(default_fabric(40, 8), 2)
+        for defrag, expected in (
+            ("disabled", None),
+            ("no-break", "no-break"),
+        ):
+            svc = ShardedPlacementService(
+                regions, serving_config(defrag=defrag)
+            )
+            assert svc.profile().meta["defragmenter"] == expected
+            assert all(
+                (s._defragmenter is None) == (expected is None)
+                for s in svc.shards
+            )
 
     def test_shard_stats_merge_matches_service_stats(self):
         svc = ShardedPlacementService(

@@ -11,11 +11,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.backend import (
+    BACKENDS,
     PlacementBackend,
     PlacementRequest,
     create_backend,
-    register_backend,
-    unregister_backend,
 )
 from repro.core.lns import LNSConfig, LNSPlacer
 from repro.core.placer import CPPlacer, PlacerConfig
@@ -85,7 +84,7 @@ class TestWarmStartedCP:
         assert res.status == "optimal"
         assert res.stats["first_incumbent_nodes"] == 0
 
-    def test_unusable_seed_falls_back_to_cold_search(self):
+    def test_unusable_seed_falls_back_to_cold_search(self, monkeypatch):
         class _Partial(PlacementBackend):
             name = "partial-seeder"
 
@@ -97,19 +96,18 @@ class TestWarmStartedCP:
                     status="partial",
                 )
 
-        register_backend("partial-seeder", lambda config=None: _Partial())
-        try:
-            region, modules = instance(n=4)
-            res = CPPlacer(
-                PlacerConfig(time_limit=3.0, warm_start="partial-seeder")
-            ).place(region, modules)
-            res.verify()
-            assert res.solved
-            # cold-path bookkeeping: the incumbent cost real nodes
-            assert "warm_start" not in res.stats
-            assert res.stats["first_incumbent_nodes"] > 0
-        finally:
-            unregister_backend("partial-seeder")
+        monkeypatch.setitem(
+            BACKENDS, "partial-seeder", lambda config=None: _Partial()
+        )
+        region, modules = instance(n=4)
+        res = CPPlacer(
+            PlacerConfig(time_limit=3.0, warm_start="partial-seeder")
+        ).place(region, modules)
+        res.verify()
+        assert res.solved
+        # cold-path bookkeeping: the incumbent cost real nodes
+        assert "warm_start" not in res.stats
+        assert res.stats["first_incumbent_nodes"] > 0
 
     def test_request_threads_warm_start_through_backend(self):
         region, modules = instance(n=5)
@@ -136,7 +134,7 @@ class TestWarmStartedLNS:
         assert res.stats["initial_extent"] == warm["objective"]
         assert res.extent <= warm["objective"]
 
-    def test_unusable_seed_falls_back_to_the_ladder(self):
+    def test_unusable_seed_falls_back_to_the_ladder(self, monkeypatch):
         class _Broken(PlacementBackend):
             name = "broken-seeder"
 
@@ -148,14 +146,13 @@ class TestWarmStartedLNS:
                     status="partial",
                 )
 
-        register_backend("broken-seeder", lambda config=None: _Broken())
-        try:
-            region, modules = instance(n=4)
-            res = LNSPlacer(
-                LNSConfig(time_limit=2.0, warm_start="broken-seeder", seed=3)
-            ).place(region, modules)
-            res.verify()
-            assert res.all_placed
-            assert "warm_start" not in res.stats
-        finally:
-            unregister_backend("broken-seeder")
+        monkeypatch.setitem(
+            BACKENDS, "broken-seeder", lambda config=None: _Broken()
+        )
+        region, modules = instance(n=4)
+        res = LNSPlacer(
+            LNSConfig(time_limit=2.0, warm_start="broken-seeder", seed=3)
+        ).place(region, modules)
+        res.verify()
+        assert res.all_placed
+        assert "warm_start" not in res.stats

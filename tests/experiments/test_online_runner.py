@@ -25,8 +25,7 @@ def online_config(backend):
     return RuntimeConfig(
         chain=(backend,),
         queue_capacity=0,
-        defrag_on_reject=False,
-        frag_threshold=1.0,
+        defragmenter=None,
         sample_timeline=False,
     )
 

@@ -1354,16 +1354,12 @@ def ledger_residual(ledger: Occupancy, blocked: np.ndarray) -> PartialRegion:
     """The ledger's region with the ``blocked`` cells carved out of its
     reconfigurable mask: the free region a runtime admission sees, on
     which the baseline placers and the CP placer are the oracles of the
-    manager's pick rules.  It carries its column words, ``static &
-    ~blocked``, so fit queries on it do not pack the mask back."""
+    manager's pick rules."""
     region = ledger.region
-    words = ledger.static & ~blocked
-    words.setflags(write=False)
     return PartialRegion(
         region.grid,
         region.reconfigurable & ~ledger.mask(blocked),
         f"{region.name}-residual",
-        words=words,
     )
 
 
