@@ -22,6 +22,7 @@ test-fast:
 ## bottom_left_pick queries against the lexsort pick, the defrag
 ## planners' maintained ledger against per-cell floorplan rebuilds, the
 ## free-space ledger's packed words against per-cell boolean grids, the
+## reject-triggered defrag pass's goal rule against a per-cell end state, the
 ## baseline placers' ledger state against the boolean-grid state it
 ## replaced, the placement kernel's packed words against the
 ## boolean-bank kernel they replaced, the runtime manager's one-module
@@ -43,6 +44,7 @@ test-oracle:
 	  tests/fabric/test_anchor_mask_oracle.py \
 	  tests/fabric/test_first_anchor_oracle.py \
 	  tests/core/test_defrag_occupancy_oracle.py \
+	  tests/core/test_defrag_goal_oracle.py \
 	  tests/core/test_occupancy_oracle.py \
 	  tests/core/test_one_module_oracle.py \
 	  tests/core/test_pick_rule_oracle.py \
@@ -84,9 +86,12 @@ bench-masks:
 
 ## sharded-service trace replay on the seeded Table-I workload: reads
 ## its req/s and p99-latency gates from the committed BENCH_runtime.json
-## and writes the measured values to bench_runtime_latest.json
+## and writes the measured values to bench_runtime_latest.json; plus the
+## count gate of the reject-triggered defrag pass (planner calls <=
+## parked requests on the seed-0 contended replay)
 bench-runtime:
-	$(PY) -m pytest benchmarks/test_bench_service.py -q -s
+	$(PY) -m pytest -q -s benchmarks/test_bench_service.py \
+	  "benchmarks/test_bench_runtime.py::TestDefragTrigger"
 
 ## one instrumented solve; exports a profile JSON and validates it
 ## against the published schema — fails non-zero on any mismatch

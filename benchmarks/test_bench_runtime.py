@@ -187,6 +187,63 @@ class TestDefragPlanOccupancy:
         )
 
 
+class TestDefragTrigger:
+    def test_plans_at_most_once_per_parked_request(self, monkeypatch, report):
+        """Count gate: on a seed-0 replay of the contended serving profile
+        (1000 requests; reservations, queue, no-break defrag), a declined
+        spill probe plans nothing, so the no-break planner runs at most
+        once per request that every shard declined (parked on its primary
+        shard).  A count, not a time: it holds on any host."""
+        from repro.core.runtime import RuntimePlacementManager, generate_workload
+        from repro.core.service import ShardedPlacementService
+        from repro.experiments.config import default_fabric
+        from repro.experiments.service_load import serving_config
+
+        counts = {"plans": 0, "parked": 0, "declined": 0}
+        plan = NoBreakDefragmenter.plan
+        park = RuntimePlacementManager.park
+        offer = RuntimePlacementManager.offer
+
+        def counted_plan(self, *args, **kwargs):
+            counts["plans"] += 1
+            return plan(self, *args, **kwargs)
+
+        def counted_park(self, *args, **kwargs):
+            counts["parked"] += 1
+            return park(self, *args, **kwargs)
+
+        def counted_offer(self, *args, **kwargs):
+            answer = offer(self, *args, **kwargs)
+            counts["declined"] += answer is None
+            return answer
+
+        monkeypatch.setattr(NoBreakDefragmenter, "plan", counted_plan)
+        monkeypatch.setattr(RuntimePlacementManager, "park", counted_park)
+        monkeypatch.setattr(RuntimePlacementManager, "offer", counted_offer)
+        service = ShardedPlacementService(
+            ShardedPlacementService.split(default_fabric(), 4),
+            serving_config(
+                router="affinity", chain=("cp", "greedy"), queue_capacity=8,
+                defrag="no-break", reservation_horizon=16,
+            ),
+        )
+        stats = service.run(
+            generate_workload(1000, seed=0, mean_interarrival=1, mean_lifetime=40)
+        ).stats
+        monkeypatch.undo()
+        report(
+            "reject-triggered defrag: planner calls per parked request",
+            f"seed 0, 1000 requests, 4 shards\n"
+            f"  declined spill probes {counts['declined']:6d}\n"
+            f"  parked requests       {counts['parked']:6d}\n"
+            f"  planner calls         {counts['plans']:6d}  "
+            "(gate <= parked requests)\n"
+            f"  plans started         {stats.defrags:6d}",
+        )
+        assert stats.defrags > 0
+        assert counts["plans"] <= counts["parked"] < counts["declined"]
+
+
 @pytest.fixture(scope="module")
 def serving_probes():
     """The ``cp``-rule probes of a serve-contended style replay."""

@@ -161,6 +161,7 @@ class TemporalCPBackend(PlacementBackend):
     """
 
     name = "temporal-cp"
+    schedules = True
     session_self_recording = False
 
     #: horizon used when the request carries none (spatial degenerate mode)

@@ -8,7 +8,9 @@ request/response protocol:
   the uniform knobs every engine understands a subset of: seed, wall-clock
   / node budget, first-solution mode and a
   :class:`~repro.obs.trace.Tracer`.
-* :class:`PlacementBackend.place` normalizes the tracer, emits the
+* :class:`PlacementBackend.place` refuses a scheduling request
+  (``horizon``, ``durations`` or ``precedences``) unless the backend
+  schedules, normalizes the tracer, emits the
   ``backend.start`` / ``backend.result`` event pair, guarantees a
   per-backend :class:`~repro.obs.profile.SolveProfile` section whenever
   profiling is requested (explicitly or by an active
@@ -83,9 +85,23 @@ class PlacementBackend:
     #: True when the wrapped engine records its own SolveProfile into the
     #: process profiling session (CP and LNS-over-CP do)
     session_self_recording: bool = False
+    #: True for a scheduling backend, the only kind that honors
+    #: ``horizon`` / ``durations`` / ``precedences``
+    schedules: bool = False
 
     # ------------------------------------------------------------------
     def place(self, request: PlacementRequest) -> PlacementResult:
+        if not self.schedules and (
+            request.horizon is not None
+            or request.durations is not None
+            or request.precedences
+        ):
+            # answering the spatial problem alone would drop the schedule
+            # without saying so
+            raise ValueError(
+                f"backend {self.name!r} places, it does not schedule: "
+                "horizon, durations and precedences need 'temporal-cp'"
+            )
         tracer = request.tracer
         if tracer is not None and not tracer.enabled:
             tracer = None

@@ -24,12 +24,13 @@ its relocation sites strictly left of its current right edge, and move it
 to the bottom-left-most reachable one; when the frontier is stuck,
 squeeze interior modules left (never past the current extent — a squeeze
 move may change shape, and an unguarded wider alternative could *grow*
-the floorplan); stop when no module can move or the move budget is
-exhausted.  Each pass keeps one free-space ledger
-(:class:`~repro.core.occupancy.Occupancy`): built once from the input
-floorplan, read by one :class:`~repro.core.relocation.RelocationProbe`
-per step, and updated after each simulated move by removing the mover's
-old cells and placing its new ones.  The probe answers every placement's
+the floorplan); stop when no module can move or the move budget (four
+moves per placement) is exhausted.  Each pass keeps one free-space
+ledger (:class:`~repro.core.occupancy.Occupancy`) and one
+:class:`~repro.core.relocation.RelocationProbe`, both built once from
+the input floorplan.  After each simulated move the ledger removes the
+mover's old cells and places its new ones, and the probe rewrites the
+mover's own-cell words.  Per step, the probe answers every placement's
 sites, each with itself lifted, from one anchor-word kernel call on the
 ledger's words, and both phases of the step read it; a mover's sites are
 unpacked only when the bottom-left site of one of its shapes is a
@@ -142,7 +143,6 @@ MoveRule = Callable[
 def _compact(
     result: PlacementResult,
     allow_shape_change: bool,
-    max_moves: Optional[int],
     reach: MoveRule,
 ) -> DefragPlan:
     """Greedy left-compaction of a placed system under move rule ``reach``.
@@ -156,16 +156,17 @@ def _compact(
     ``0..k-1``.
     """
     placements = list(result.placements)
-    current = PlacementResult(result.region, placements, list(result.unplaced))
-    initial_extent = current.extent or 0
+    initial_extent = result.extent or 0
     occupied = Occupancy(result.region, placements)
+    # one probe of every placement per pass, answered again after each move
+    probe = RelocationProbe(result, placements, allow_shape_change, occupied)
     moves: List[PlannedMove] = []
-    # one move budget for both phases: the explicit cap, or a termination
-    # guard — shape-changing moves may trade width for x, so bound the
-    # pass length instead of relying on a monotone metric
-    budget = max_moves if max_moves is not None else 4 * max(1, len(placements))
+    # one move budget for both phases, a termination guard: shape-changing
+    # moves may trade width for x, so bound the pass length instead of
+    # relying on a monotone metric
+    budget = 4 * max(1, len(placements))
 
-    def first_move(probe, movers, squeeze_cap=None):
+    def first_move(movers, squeeze_cap=None):
         """The first of ``movers`` that ``reach`` can move, on the sites
         of ``probe``.  Frontier phase: to a site that strictly shrinks
         its right edge.  Squeeze phase (``squeeze_cap`` = the current
@@ -194,16 +195,11 @@ def _compact(
     while len(moves) < budget:
         extent = max((p.right for p in placements), default=0)
         frontier = [(i, p) for i, p in enumerate(placements) if p.right == extent]
-        # one probe of every placement serves both phases of the step
-        probe = RelocationProbe(
-            current, placements, allow_shape_change, occupied
-        )
         # the extent-defining modules, largest first; when none can move,
-        # squeeze any module, in x order
+        # squeeze any module, in x order; both phases read the one probe
         found = first_move(
-            probe, sorted(frontier, key=lambda t: -t[1].footprint.area)
+            sorted(frontier, key=lambda t: -t[1].footprint.area)
         ) or first_move(
-            probe,
             sorted(enumerate(placements), key=lambda t: t[1].x),
             squeeze_cap=extent,
         )
@@ -216,7 +212,7 @@ def _compact(
         occupied.remove(old)
         occupied.place(new)
         placements[i] = new
-        current = PlacementResult(result.region, placements, list(result.unplaced))
+        probe.relocate(i, new)
 
     final = PlacementResult(result.region, placements, list(result.unplaced))
     return DefragPlan(
@@ -318,19 +314,16 @@ def _plan_move(
 
 
 def defragment(
-    result: PlacementResult,
-    allow_shape_change: bool = False,
-    max_moves: Optional[int] = None,
+    result: PlacementResult, allow_shape_change: bool = False
 ) -> DefragPlan:
     """Greedy left-compaction of a placed system (instant moves).
 
     Returns an instant :class:`DefragPlan`: a new :class:`PlacementResult`
     (the input is not modified) plus the move list with per-move
-    reconfiguration frame costs.  ``max_moves`` is a hard cap on
-    relocations; when None an internal termination guard bounds the pass
-    instead.
+    reconfiguration frame costs.  A termination guard of four moves per
+    placement bounds the pass.
     """
-    return _compact(result, allow_shape_change, max_moves, _teleport)
+    return _compact(result, allow_shape_change, _teleport)
 
 
 def plan_states(
@@ -400,10 +393,7 @@ class Defragmenter:
     name = "defragmenter"
 
     def plan(
-        self,
-        result: PlacementResult,
-        allow_shape_change: bool = False,
-        max_moves: Optional[int] = None,
+        self, result: PlacementResult, allow_shape_change: bool = False
     ) -> DefragPlan:
         raise NotImplementedError
 
@@ -414,12 +404,9 @@ class GreedyCompactionDefragmenter(Defragmenter):
     name = "greedy-compaction"
 
     def plan(
-        self,
-        result: PlacementResult,
-        allow_shape_change: bool = False,
-        max_moves: Optional[int] = None,
+        self, result: PlacementResult, allow_shape_change: bool = False
     ) -> DefragPlan:
-        return defragment(result, allow_shape_change, max_moves)
+        return defragment(result, allow_shape_change)
 
 
 class NoBreakDefragmenter(Defragmenter):
@@ -435,12 +422,9 @@ class NoBreakDefragmenter(Defragmenter):
     name = "no-break"
 
     def plan(
-        self,
-        result: PlacementResult,
-        allow_shape_change: bool = False,
-        max_moves: Optional[int] = None,
+        self, result: PlacementResult, allow_shape_change: bool = False
     ) -> DefragPlan:
-        return _compact(result, allow_shape_change, max_moves, _first_feasible)
+        return _compact(result, allow_shape_change, _first_feasible)
 
 
 #: every defragmentation strategy by name (``RuntimeConfig.defragmenter``)

@@ -73,6 +73,11 @@ class RelocationProbe(Sequence):
     first use: shape by shape, each row by row (y, then x);
     :meth:`bottom_left` gives each shape's bottom-left site without
     unpacking them.
+
+    The term rows and the stack of the movers' own-cell words are built
+    once.  A defrag plan keeps one probe for its whole pass: after each
+    simulated move, :meth:`relocate` rewrites the mover's own words, and
+    the next read answers every mover on the updated ledger.
     """
 
     def __init__(
@@ -84,20 +89,22 @@ class RelocationProbe(Sequence):
     ) -> None:
         if occupied is None:
             occupied = Occupancy(result.region, result.placements)
+        self._occupied = occupied
         self._height = occupied.region.height
         self._sites: List[Optional[List[RelocationSite]]] = [None] * len(movers)
         #: per mover, its shape indices and the slice of their rows
         self._shapes: List[Tuple[List[int], slice]] = []
-        #: per shape row, its bottom-left site (None = no site)
-        self._corners: List[Optional[RelocationSite]] = []
+        #: per shape row, its bottom-left site (None = no site); None
+        #: until the words are answered
+        self._corners: Optional[List[Optional[RelocationSite]]] = []
         if not movers:
             return
-        static = occupied.static
-        K, W, L = static.shape
-        own = np.zeros((len(movers), W, L), dtype=np.uint64)
-        footprints, terms, sids = [], [], []
+        K, W, L = occupied.static.shape
+        #: per mover, its own cells as words
+        self._own = np.zeros((len(movers), W, L), dtype=np.uint64)
+        footprints, terms, self._sids = [], [], []
         for m, p in enumerate(movers):
-            occupied.write(own[m], p, True)
+            occupied.write(self._own[m], p, True)
             mine = (
                 list(range(len(p.module.shapes)))
                 if consider_alternatives
@@ -108,18 +115,39 @@ class RelocationProbe(Sequence):
                 (mine, slice(len(footprints), len(footprints) + len(fps)))
             )
             footprints += fps
-            sids += mine
+            self._sids += mine
             terms.append(sum(fp.run_index().shape[1] for fp in fps))
+        self._rows, self._starts = term_rows(footprints)
+        self._rows[1] += np.repeat(np.arange(0, len(movers) * K, K), terms)
+        self._corners = None
+
+    def relocate(self, m: int, placement: Placement) -> None:
+        """Mover ``m`` now stands at ``placement``, and the ledger already
+        says so: rewrite mover ``m``'s own-cell words, and answer every
+        mover again on first use.  The term rows stay: with alternatives
+        they cover every shape, and without them a move keeps the shape."""
+        own = self._own[m]
+        own[:] = 0
+        self._occupied.write(own, placement, True)
+        self._corners = None
+
+    def _answer(self) -> List[Optional[RelocationSite]]:
+        """One anchor-word kernel call over every mover's lifted view;
+        returns the per-shape bottom-left sites."""
+        if self._corners is not None:
+            return self._corners
+        occupied, own = self._occupied, self._own
+        static = occupied.static
+        K, W, L = static.shape
         # static & ~(held & ~own) == (static & ~held) | (static & own)
         free = (static & ~occupied.held)[None] | (static[None] & own[:, None])
-        rows, starts = term_rows(footprints)
-        rows[1] += np.repeat(np.arange(0, len(movers) * K, K), terms)
         self._words = words = anchor_word_stack(
-            free.reshape(len(movers) * K, W, L), rows, starts
+            free.reshape(len(own) * K, W, L), self._rows, self._starts
         )
+        self._sites = [None] * len(own)
         # a shape's bottom-left site: its first nonzero column, the first
         # nonzero lane there, and that word's lowest set bit
-        row = np.arange(len(footprints))
+        row = np.arange(len(self._sids))
         xs = words.any(axis=2).argmax(axis=1)
         lanes = (words[row, xs] != 0).argmax(axis=1)
         self._corners = [
@@ -127,10 +155,11 @@ class RelocationProbe(Sequence):
                 sid, x, lane * LANE_BITS + (word & -word).bit_length() - 1
             ) if word else None
             for sid, x, lane, word in zip(
-                sids, xs.tolist(), lanes.tolist(),
+                self._sids, xs.tolist(), lanes.tolist(),
                 words[row, xs, lanes].tolist(),
             )
         ]
+        return self._corners
 
     def __len__(self) -> int:
         return len(self._sites)
@@ -139,9 +168,10 @@ class RelocationProbe(Sequence):
         """Mover ``m``'s bottom-left site (smallest x, then y) of each
         shape that has one, without unpacking its sites."""
         _, block = self._shapes[m]
-        return [s for s in self._corners[block] if s is not None]
+        return [s for s in self._answer()[block] if s is not None]
 
     def __getitem__(self, m: int) -> List[RelocationSite]:
+        self._answer()
         sites = self._sites[m]
         if sites is None:
             sids, block = self._shapes[m]

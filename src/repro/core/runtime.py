@@ -18,9 +18,12 @@ repo's existing parts under such a load:
   first (``("cp", "greedy")``) only runs when the first one raised.
 * **Fragmentation control** — external fragmentation of the live
   floorplan is monitored (:mod:`repro.metrics.fragmentation`); crossing a
-  threshold, or any rejection, triggers a pass of the configured
-  defragmenter (:mod:`repro.core.defrag`) honoring either shape-change
-  policy; ``defragmenter=None`` turns both triggers off.
+  threshold triggers a pass of the configured defragmenter
+  (:mod:`repro.core.defrag`) honoring either shape-change policy.  An
+  arrival that no rule places gets one reject-triggered pass for it,
+  which starts only a plan whose end state has an anchor for it
+  (:meth:`RuntimePlacementManager._admit_by_defrag`);
+  ``defragmenter=None`` turns both triggers off.
 * **Backpressure** — rejected arrivals wait in a bounded pending queue
   with per-request deadlines; the queue is retried after every departure
   and defrag pass, expired or overflowing requests are rejected
@@ -68,7 +71,12 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.defrag import DEFRAGMENTERS, Defragmenter, PlannedMove
+from repro.core.defrag import (
+    DEFRAGMENTERS,
+    DefragPlan,
+    Defragmenter,
+    PlannedMove,
+)
 from repro.core.occupancy import Occupancy
 from repro.core.result import Placement, PlacementResult
 from repro.fabric.masks import bottom_left_pick, first_anchor, first_fit_pick
@@ -215,12 +223,13 @@ class RuntimeConfig:
     #: minimum logical ticks between fragmentation-triggered passes
     defrag_cooldown: int = 4
     #: defragmentation strategy as a :data:`DEFRAGMENTERS` name, run once
-    #: when an arrival cannot be placed and whenever fragmentation exceeds
-    #: ``frag_threshold``; both run the same compaction pass and differ in
-    #: the move rule: "greedy-compaction" teleports and the manager
-    #: applies the whole plan atomically (the oracle); "no-break" plans
-    #: slides and copies that respect running modules and executes them
-    #: move by move on the logical clock.  None = no defrag at all
+    #: for an arrival that no shard can place (a plan starts only if it
+    #: opens an anchor for that arrival) and whenever fragmentation
+    #: exceeds ``frag_threshold``; both run the same compaction pass and
+    #: differ in the move rule: "greedy-compaction" teleports and the
+    #: manager applies the whole plan atomically (the oracle); "no-break"
+    #: plans slides and copies that respect running modules and executes
+    #: them move by move on the logical clock.  None = no defrag at all
     defragmenter: Optional[str] = "greedy-compaction"
     #: reconfiguration frames rewritten per logical tick — a planned
     #: move's window lasts ceil(frames / this) ticks, during which the
@@ -457,10 +466,12 @@ class RuntimePlacementManager:
         #: outstanding reservations, kept sorted by start tick
         self._reservations: List[Reservation] = []
         self._last_defrag_clock: Optional[int] = None
-        #: the placement table of the last empty defrag plan: the planner
-        #: is a pure function of it, so while it is unchanged a replan
-        #: would come back empty again
-        self._empty_plan_key: Optional[Tuple[Placement, ...]] = None
+        #: the last defrag plan and the placement table it was made on:
+        #: the planner is a pure function of the table, so while it is
+        #: unchanged a replan would give the same plan
+        self._last_plan: Optional[
+            Tuple[Tuple[Placement, ...], DefragPlan]
+        ] = None
         #: the live free-space ledger; its revision stamp covers the whole
         #: plannable floorplan, so the fragmentation memo invalidates
         #: without grid comparisons
@@ -591,7 +602,9 @@ class RuntimePlacementManager:
         if self._is_duplicate(request.module.name):
             self._reject(outcome, RejectReason.DUPLICATE)
             return outcome
-        if self._try_admit(request, outcome, allow_defrag=True):
+        if self._try_admit(request, outcome) or self._admit_by_defrag(
+            request, outcome
+        ):
             return outcome
         self._queue_or_reject(request, outcome)
         return outcome
@@ -603,10 +616,11 @@ class RuntimePlacementManager:
 
         Advances the clock and attempts the full admission chain, but —
         unlike :meth:`submit` — a failure records nothing: no arrival, no
-        queueing, no rejection.  The sharded service probes spill-over
-        shards through this, so a declined probe does not distort the
-        shard's log.  On success the admitted outcome is recorded exactly
-        as a submitted arrival would be.
+        defrag pass, no queueing, no rejection.  The sharded service
+        probes spill-over shards through this, so a declined probe does
+        not distort the shard's log or start a plan on a shard the
+        request may never land on.  On success the admitted outcome is
+        recorded exactly as a submitted arrival would be.
 
         ``outcome`` carries the request across the spill walk: a
         declined probe still adds its latency and errors to it.
@@ -614,7 +628,7 @@ class RuntimePlacementManager:
         self.advance_to(request.arrival)
         if self._is_duplicate(request.module.name):
             return None
-        if not self._try_admit(request, outcome, allow_defrag=True):
+        if not self._try_admit(request, outcome):
             return None
         return self._record(outcome)
 
@@ -624,14 +638,18 @@ class RuntimePlacementManager:
         """Record an arrival that failed its spill probes (service hook).
 
         The request already failed :meth:`offer` on every candidate shard
-        — including this one — so the admission chain is *not* re-run;
-        the request goes straight under the backpressure rules (queue,
-        or reject honestly).  ``outcome`` is the one the declined offers
+        — including this one — so the admission chain is *not* re-run.
+        The request gets its one reject-triggered defrag pass here, the
+        same rule :meth:`submit` runs after its failed pick; if that does
+        not admit it, it goes under the backpressure rules (queue, or
+        reject honestly).  ``outcome`` is the one the declined offers
         filled in.
         """
         self._record(outcome)
         if self._is_duplicate(request.module.name):
             self._reject(outcome, RejectReason.DUPLICATE)
+            return outcome
+        if self._admit_by_defrag(request, outcome):
             return outcome
         self._queue_or_reject(request, outcome)
         return outcome
@@ -777,7 +795,7 @@ class RuntimePlacementManager:
         self._expire_pending()
         if self._reservations:
             self._commit_due_reservations()
-        self._maybe_defrag(trigger="fragmentation")
+        self._maybe_defrag()
 
     def _play_out(self) -> None:
         """Advance until no departure or move completion is scheduled.
@@ -852,30 +870,39 @@ class RuntimePlacementManager:
         self,
         request: RuntimeRequest,
         outcome: RequestOutcome,
-        allow_defrag: bool,
         queued: bool = False,
+        suffix: str = "",
     ) -> bool:
-        module = self._admitted_shapes(request)
+        """One sweep of the chain; on a placement, commit it under the
+        placing rule's name plus ``suffix``."""
         start = time.monotonic()
-        defrag_before = self.stats.defrag_time_s
-        placement, method = self._place_once(module, outcome)
-        if placement is None and allow_defrag and self._defrag(
-            trigger="reject"
-        ):
-            placement, method = self._place_once(module, outcome)
-            method = f"{method}+defrag" if placement is not None else method
-        # a reject-triggered defrag pass is floorplan maintenance, not
-        # this request's work: charge it to stats.defrag_time_s (already
-        # accumulated inside _defrag), not to the request's latency —
-        # the old accounting skewed the p99 admission-latency gate
-        elapsed = time.monotonic() - start
-        outcome.latency_s += max(
-            0.0, elapsed - (self.stats.defrag_time_s - defrag_before)
+        placement, method = self._place_once(
+            self._admitted_shapes(request), outcome
         )
+        outcome.latency_s += time.monotonic() - start
         if placement is None:
             return False
-        self._commit(request, outcome, placement, method, queued)
+        self._commit(request, outcome, placement, method + suffix, queued)
         return True
+
+    def _admit_by_defrag(
+        self, request: RuntimeRequest, outcome: RequestOutcome
+    ) -> bool:
+        """The reject-triggered pass: one defrag pass for a request no
+        rule placed, with its module as the goal.  True when an instant
+        plan opened it an anchor and it was admitted there (method
+        ``<rule>+defrag``); the pending queue is retried after it.
+
+        The pass is floorplan maintenance, not this request's work: its
+        time goes to ``stats.defrag_time_s``, not to the request's
+        latency (charging it there skewed the p99 admission-latency
+        gate).
+        """
+        if not self._defrag(goal=self._admitted_shapes(request)):
+            return False
+        admitted = self._try_admit(request, outcome, suffix="+defrag")
+        self._retry_pending()
+        return admitted
 
     def _place_once(
         self,
@@ -1181,9 +1208,7 @@ class RuntimePlacementManager:
             if item.deadline <= self.clock:
                 self._reject(item.outcome, RejectReason.DEADLINE)
                 continue
-            if not self._try_admit(
-                item.request, item.outcome, allow_defrag=False, queued=True
-            ):
+            if not self._try_admit(item.request, item.outcome, queued=True):
                 remaining.append(item)
         self._pending = remaining
 
@@ -1193,9 +1218,9 @@ class RuntimePlacementManager:
         if self._reservations:
             self._commit_due_reservations()
         self._retry_pending()
-        self._maybe_defrag(trigger="fragmentation")
+        self._maybe_defrag()
 
-    def _maybe_defrag(self, trigger: str) -> None:
+    def _maybe_defrag(self) -> None:
         cfg = self.config
         # a threshold of 1.0 can never be exceeded (external fragmentation
         # is a ratio in [0, 1]) — skip the metric, a pure-Python
@@ -1213,27 +1238,32 @@ class RuntimePlacementManager:
             return
         if self.fragmentation() <= cfg.frag_threshold:
             return
-        self._defrag(trigger=trigger)
+        if self._defrag():
+            self._retry_pending()
 
-    def _defrag(self, trigger: str) -> bool:
+    def _defrag(self, goal: Optional[Module] = None) -> bool:
         """One defrag pass over the live floorplan; True when an instant
         plan moved modules, the only case in which an immediate admission
         retry can succeed (a started no-break plan only adds window
-        cells, so the free space shrinks until its moves complete).
+        cells, so the free space shrinks until its moves complete).  The
+        caller then retries the pending queue: compaction frees usable
+        space exactly like a departure does (a pass that left queued
+        requests starving until the next departure is pinned in the
+        tests).
 
-        Every instant pass that moved modules retries the pending queue:
-        compaction frees usable space exactly like a departure does.
-        Without this, a reject-triggered pass inside :meth:`submit` left
-        queued requests starving until the next departure even when they
-        fit the compacted floorplan (the retry lived only on the
-        departure path) — the regression is pinned in the tests.
+        A pass for a ``goal`` module (the reject trigger) starts or
+        applies its plan only if the plan's end state has an anchor for
+        the goal (:meth:`_opens_anchor`); otherwise the plan is dropped
+        and no window cell is held.  A pass without a goal (the
+        fragmentation trigger) starts every plan that moves something.
 
-        The planner is a pure function of the placement table, so a
-        table whose last plan came back empty is not planned again: the
-        pass returns at once (still stamping the cooldown clock) until a
-        departure, admission or move changes the table.  The memo is keyed
-        on the table itself, not on the ledger's revision, which
-        reservation bookings bump although the planner never reads them.
+        The planner is a pure function of the placement table, so the
+        last plan is kept with the table it was made on and reused while
+        the table is unchanged: the pass then does not plan again (still
+        stamping the cooldown clock) until a departure, admission or move
+        changes the table.  The memo is keyed on the table itself, not on
+        the ledger's revision, which reservation bookings bump although
+        the planner never reads them.
         """
         if self._defragmenter is None or not self._placements:
             return False
@@ -1243,24 +1273,26 @@ class RuntimePlacementManager:
             return False
         t0 = time.monotonic()
         try:
-            key = tuple(self._placements.values())
-            if key == self._empty_plan_key:
-                self._last_defrag_clock = self.clock
-                return False
-            plan = self._defragmenter.plan(
-                self.result(),
-                allow_shape_change=self.config.allow_shape_change,
-            )
+            table = tuple(self._placements.values())
+            if self._last_plan is not None and self._last_plan[0] == table:
+                plan = self._last_plan[1]
+            else:
+                plan = self._defragmenter.plan(
+                    self.result(),
+                    allow_shape_change=self.config.allow_shape_change,
+                )
+                self._last_plan = (table, plan)
             self._last_defrag_clock = self.clock
-            if not plan.moves:
-                self._empty_plan_key = key
+            if not plan.moves or (
+                goal is not None and not self._opens_anchor(plan, goal)
+            ):
                 return False
             self.stats.defrags += 1
             self.stats.defrag_planned_moves += len(plan.moves)
             self._emit(
                 RUNTIME_DEFRAG,
                 clock=self.clock,
-                trigger=trigger,
+                trigger="fragmentation" if goal is None else "reject",
                 moves=len(plan.moves),
                 extent_before=plan.initial_extent,
                 extent_after=plan.final_extent,
@@ -1273,7 +1305,6 @@ class RuntimePlacementManager:
                 self._note_peak()
                 self.stats.defrag_moves += len(plan.moves)
                 self.stats.defrag_executed_moves += len(plan.moves)
-                self._retry_pending()
                 return True
             # incremental: the plan starts holding its first window now
             # and completes move by move as the clock advances; space is
@@ -1283,6 +1314,13 @@ class RuntimePlacementManager:
             return False
         finally:
             self.stats.defrag_time_s += time.monotonic() - t0
+
+    def _opens_anchor(self, plan: DefragPlan, goal: Module) -> bool:
+        """Does ``goal`` have an anchor in the plan's simulated end
+        state, with its placed cells and the booked ones blocked?"""
+        ledger = self._ledger
+        blocked = ledger.words_of(plan.result.placements) | ledger.reserved
+        return any(w.any() for w in ledger.anchors(goal.shapes, blocked))
 
     # ------------------------------------------------------------------
     # No-break move execution

@@ -17,8 +17,9 @@ single manager cannot express:
   the defragmentation literature says admission quality depends on.
 * **Spill** — a request declined by its routed shard is *offered* to the
   next-best shards before it counts against anyone: only the shard that
-  finally admits records the arrival, and only the primary shard queues
-  or rejects it after every candidate declined
+  finally admits records the arrival.  A declined offer runs no defrag
+  pass; after every candidate declined, the primary shard runs the
+  request's one reject-triggered pass, then queues or rejects it
   (:meth:`RuntimePlacementManager.offer` /
   :meth:`~repro.core.runtime.RuntimePlacementManager.park`).
 
@@ -410,7 +411,8 @@ class ShardedPlacementService:
                 return outcome
             prev = shard.region.name
         # nobody admitted: the request belongs to its primary shard,
-        # which queues or rejects it under the backpressure rules
+        # which runs its one reject-triggered defrag pass, then queues or
+        # rejects it under the backpressure rules
         primary = self.shards[order[0]]
         self._emit(
             SERVICE_ROUTE,

@@ -426,6 +426,34 @@ class TestTemporalBackend:
         assert not res.placements
         assert len(res.unplaced) == 3
 
+    @pytest.mark.parametrize("backend", ["cp", "greedy"])
+    @pytest.mark.parametrize(
+        "schedule",
+        [{"horizon": 4}, {"durations": [1, 1, 1]}, {"precedences": [(0, 2)]}],
+        ids=["horizon", "durations", "precedences"],
+    )
+    def test_spatial_backend_refuses_a_scheduling_request(
+        self, backend, schedule
+    ):
+        """Three 2x2 modules on a 4x2 fabric fit only over time.  Before
+        the refusal a spatial backend answered the spatial problem and
+        dropped the schedule without a word: ``cp`` "infeasible",
+        ``greedy`` two placed and one unplaced."""
+        region = _tight_region(4, 2)
+        modules = [
+            Module(f"m{i}", [Footprint.rectangle(2, 2)]) for i in range(3)
+        ]
+        tracer = RecordingTracer()
+        with pytest.raises(ValueError, match="temporal-cp"):
+            create_backend(backend).place(
+                PlacementRequest(region, modules, tracer=tracer, **schedule)
+            )
+        assert tracer.events == []
+        res = create_backend("temporal-cp").place(
+            PlacementRequest(region, modules, horizon=4)
+        )
+        assert res.solved and len(res.placements) == 3
+
     def test_misaligned_durations_rejected(self):
         region = _tight_region()
         modules = [Module("m", [Footprint.rectangle(1, 1)])]

@@ -94,7 +94,7 @@ class _SlowNoopDefragmenter(Defragmenter):
     name = "slow-noop-test"
     instant = True
 
-    def plan(self, result, allow_shape_change=False, max_moves=None):
+    def plan(self, result, allow_shape_change=False):
         time.sleep(0.08)
         extent = result.extent or 0
         return DefragPlan(
@@ -259,8 +259,9 @@ class TestInvariantCheckTrips:
     the placements: each drift it guards against raises its own error."""
 
     def _mid_slide(self):
-        # x = 7 is static; at t = 6 b has left, d(4) does not fit, and the
-        # reject starts a slide of c from x = 4 to x = 2 (window x = 2..5)
+        # x = 7 is static; at t = 6 b has left, d(3) does not fit, and the
+        # reject starts a slide of c from x = 4 to x = 2 (window x = 2..5),
+        # which frees x = 4..6 for d
         mask = np.ones((1, 8), dtype=bool)
         mask[0, 7] = False
         mgr = RuntimePlacementManager(
@@ -270,7 +271,7 @@ class TestInvariantCheckTrips:
         assert mgr.submit(req(rect("a", 2), 0)).admitted
         assert mgr.submit(req(rect("b", 2), 0, lifetime=5)).admitted
         assert mgr.submit(req(rect("c", 2), 0)).admitted
-        assert mgr.submit(req(rect("d", 4), 6)).status == "queued"
+        assert mgr.submit(req(rect("d", 3), 6)).status == "queued"
         assert mgr.moves_in_flight == 1
         mgr.check_invariants()
         return mgr

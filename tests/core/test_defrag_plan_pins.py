@@ -4,9 +4,12 @@ Each pin is a digest over every seeded floorplan of
 :func:`tests.core.test_defrag_occupancy_oracle.seeded_floorplan`: per
 floorplan, every :class:`~repro.core.defrag.PlannedMove` field (the
 move-window cells included) plus the plan's initial and final extent.
-The pins cover both shape-change policies and three move budgets, so a
-refactor of the shared compaction pass that changes any move, kind,
-frame cost, window or extent shows up here.
+The pins cover both shape-change policies, and each plan whole and as
+its first one and three moves with the extent they leave, so a refactor
+of the shared compaction pass that changes any move, kind, frame cost,
+window or extent shows up here.  (The prefix pins are the digests the
+planners' old ``max_moves`` cap gave: a capped pass was the prefix of the
+whole one.)
 """
 
 from __future__ import annotations
@@ -16,11 +19,13 @@ import hashlib
 import pytest
 
 from repro.core.defrag import GreedyCompactionDefragmenter, NoBreakDefragmenter
+from repro.core.result import Placement, PlacementResult
 from tests.core.test_defrag_occupancy_oracle import seeded_floorplan
 
 SEEDS = range(6)
 
-#: (planner, allow_shape_change, max_moves) -> (digest, total moves)
+#: (planner, allow_shape_change, prefix) -> (digest, total moves); a
+#: prefix of k pins a plan's first k moves, None the whole plan
 PINS = {
     ("greedy-compaction", False, None): ("0a66a2ca513aa708", 57),
     ("greedy-compaction", False, 1): ("a9f2b82b31557e55", 6),
@@ -41,31 +46,33 @@ PLANNERS = {
 }
 
 
-def plan_fingerprint(plan) -> tuple:
-    moves = tuple(
-        (
+def plan_fingerprint(result, plan, prefix=None) -> tuple:
+    """The first ``prefix`` moves of ``plan`` on ``result`` (None: all),
+    the initial extent and the extent those moves leave."""
+    placements = {p.module.name: p for p in result.placements}
+    moves = []
+    for m in plan.moves[:prefix]:
+        p = placements[m.module]
+        placements[m.module] = Placement(p.module, m.to_shape, *m.to_pos)
+        moves.append((
             m.module, m.from_shape, m.from_pos, m.to_shape, m.to_pos,
             m.kind, m.frames, m.window_cells,
-        )
-        for m in plan.moves
-    )
-    return moves, plan.initial_extent, plan.final_extent
+        ))
+    extent = PlacementResult(result.region, list(placements.values())).extent
+    if prefix is None:
+        assert extent == plan.final_extent
+    return tuple(moves), plan.initial_extent, extent or 0
 
 
 @pytest.mark.parametrize(
-    "planner,allow,max_moves", sorted(PINS, key=repr)
+    "planner,allow,prefix", sorted(PINS, key=repr)
 )
-def test_plan_pins(planner, allow, max_moves):
-    prints = [
-        plan_fingerprint(
-            PLANNERS[planner]().plan(
-                seeded_floorplan(seed),
-                allow_shape_change=allow,
-                max_moves=max_moves,
-            )
-        )
-        for seed in SEEDS
-    ]
+def test_plan_pins(planner, allow, prefix):
+    prints = []
+    for seed in SEEDS:
+        result = seeded_floorplan(seed)
+        plan = PLANNERS[planner]().plan(result, allow_shape_change=allow)
+        prints.append(plan_fingerprint(result, plan, prefix))
     digest = hashlib.sha256(repr(prints).encode()).hexdigest()[:16]
     moves = sum(len(p[0]) for p in prints)
-    assert (digest, moves) == PINS[(planner, allow, max_moves)]
+    assert (digest, moves) == PINS[(planner, allow, prefix)]

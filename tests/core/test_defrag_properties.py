@@ -66,28 +66,6 @@ class TestDefragProperties:
             p.module.name for p in state.placements
         }
 
-    @given(
-        st.integers(0, 25), st.integers(1, 31),
-        st.integers(0, 3), st.booleans(),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_max_moves_is_a_hard_cap(
-        self, seed, evict_mask, max_moves, allow_shape_change
-    ):
-        """Regression: ``max_moves`` once only bounded the squeeze phase
-        (dead guard), so compaction could exceed it."""
-        state = fragmented_state(seed, evict_mask)
-        if state is None:
-            return
-        out = defragment(
-            state,
-            allow_shape_change=allow_shape_change,
-            max_moves=max_moves,
-        )
-        assert len(out.moves) <= max_moves
-        out.result.verify()
-        assert out.final_extent <= out.initial_extent
-
     @given(st.integers(0, 25), st.integers(1, 31))
     @settings(max_examples=10, deadline=None)
     def test_default_budget_terminates_with_shape_change(
@@ -154,24 +132,6 @@ class TestDefragProperties:
         plan.result.verify()
         assert plan.final_extent <= plan.initial_extent
         assert len(plan.moves) <= 4 * max(1, len(state.placements))
-
-    @given(st.integers(0, 25), st.integers(1, 31), st.booleans())
-    @settings(max_examples=10, deadline=None)
-    def test_no_break_max_moves_edge_cases(
-        self, seed, evict_mask, allow_shape_change
-    ):
-        state = fragmented_state(seed, evict_mask)
-        if state is None:
-            return
-        zero = NoBreakDefragmenter().plan(
-            state, allow_shape_change=allow_shape_change, max_moves=0
-        )
-        assert zero.moves == []
-        assert zero.final_extent == zero.initial_extent
-        unbounded = NoBreakDefragmenter().plan(
-            state, allow_shape_change=allow_shape_change, max_moves=None
-        )
-        assert len(unbounded.moves) <= 4 * max(1, len(state.placements))
 
     @given(st.integers(0, 25), st.integers(1, 31))
     @settings(max_examples=15, deadline=None)

@@ -135,9 +135,9 @@ class TestDefragAdmission:
 
 
 class TestEmptyPlanMemo:
-    """A floorplan whose last defrag plan came back empty is not planned
-    again until its placement table changes; the cooldown clock is
-    still stamped on every pass."""
+    """The last defrag plan is kept with the placement table it was made
+    on, and a pass on an unchanged table reuses it instead of planning
+    again; the cooldown clock is still stamped on every pass."""
 
     def manager(self):
         mgr = RuntimePlacementManager(
@@ -159,8 +159,8 @@ class TestEmptyPlanMemo:
 
     @staticmethod
     def decline(mgr, name, width, arrival):
-        request = req(rect(name, width), arrival)
-        assert mgr.offer(request, RequestOutcome(request)) is None
+        out = mgr.submit(req(rect(name, width), arrival))
+        assert out.reason == RejectReason.NO_FIT
         assert mgr._last_defrag_clock == arrival
 
     def test_unchanged_floorplan_plans_once(self):
@@ -181,12 +181,88 @@ class TestEmptyPlanMemo:
     def test_admission_replans(self):
         mgr, calls = self.manager()
         self.decline(mgr, "x", 3, 2)
-        request = req(rect("f", 1), 3)
-        assert mgr.offer(request, RequestOutcome(request)) is not None
+        assert mgr.submit(req(rect("f", 1), 3)).admitted
         self.decline(mgr, "y", 3, 4)
         self.decline(mgr, "z", 3, 5)
         assert calls == [2, 4]
 
+
+def shattered(config: RuntimeConfig):
+    """An 8x2 manager whose free columns are {2, 5, 6, 7}: a at 0-1, c at
+    3-4 after b (column 2) departed.  Compaction slides c to 2-3 and
+    frees columns 4-7, room for a 4-wide module but not a 5-wide one.
+    Returns the manager and the list of clocks the planner ran at."""
+    mgr = RuntimePlacementManager(region_w(8), config)
+    planner = mgr._defragmenter
+    plan = planner.plan
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(mgr.clock)
+        return plan(*args, **kwargs)
+
+    planner.plan = counted
+    assert mgr.submit(req(rect("a", 2), 1)).admitted
+    assert mgr.submit(req(rect("b", 1), 1)).admitted
+    assert mgr.submit(req(rect("c", 2), 1)).admitted
+    assert mgr.depart("b") is not None
+    assert calls == []
+    return mgr, calls
+
+
+class TestGoalRule:
+    """A reject-triggered pass plans for the rejected module: it starts
+    or applies a plan only if the plan's end state has an anchor for
+    that module, and a declined spill probe runs no pass at all."""
+
+    def test_plan_that_cannot_admit_the_goal_is_dropped(self):
+        mgr, calls = shattered(greedy_cfg(frag_threshold=1.0, queue_capacity=0))
+        before = mgr.placements
+        out = mgr.submit(req(rect("x", 5), 2))
+        assert out.reason == RejectReason.NO_FIT
+        assert calls == [2]
+        # the plan moves c, but not far enough for x: nothing moved
+        assert mgr._last_plan[1].moves
+        assert mgr.placements == before
+        assert mgr.stats.defrags == 0 and mgr.stats.defrag_planned_moves == 0
+
+    def test_dropped_plan_is_reused_for_a_goal_it_admits(self):
+        mgr, calls = shattered(greedy_cfg(frag_threshold=1.0, queue_capacity=0))
+        assert mgr.submit(req(rect("x", 5), 2)).reason == RejectReason.NO_FIT
+        out = mgr.submit(req(rect("y", 4), 3))
+        assert out.admitted and out.method == "greedy+defrag"
+        assert calls == [2]  # the memo answered the second pass
+        assert mgr.stats.defrags == 1
+        mgr.check_invariants()
+
+    def test_no_break_plan_for_an_unreachable_goal_holds_no_window(self):
+        mgr, calls = shattered(
+            greedy_cfg(
+                defragmenter="no-break", frag_threshold=1.0, queue_capacity=0
+            )
+        )
+        held = mgr.occupancy_mask()
+        assert mgr.submit(req(rect("x", 5), 2)).reason == RejectReason.NO_FIT
+        assert calls == [2] and mgr.moves_in_flight == 0
+        assert (mgr.occupancy_mask() == held).all()
+        # a goal the plan admits starts it: c's slide holds its window
+        out = mgr.submit(req(rect("y", 4), 3))
+        assert out.status == "rejected" and mgr.moves_in_flight == 1
+        assert mgr.occupancy_mask().sum() > held.sum()
+
+    def test_declined_offer_runs_no_pass_and_park_admits(self):
+        mgr, calls = shattered(
+            RuntimeConfig(chain=("cp",), frag_threshold=1.0, queue_capacity=0)
+        )
+        request = req(rect("y", 4), 2)
+        outcome = RequestOutcome(request)
+        assert mgr.offer(request, outcome) is None
+        assert calls == [] and mgr.stats.arrivals == 3
+        assert mgr.park(request, outcome) is outcome
+        assert outcome.admitted and outcome.method == "cp+defrag"
+        assert calls == [2]
+        assert mgr.stats.admits_by_method == {"cp": 3, "cp+defrag": 1}
+        mgr.check_invariants()
 
 class TestBackpressure:
     def test_queue_full_rejects_immediately(self):
@@ -244,12 +320,13 @@ class TestQueueRegressions:
     def test_reject_triggered_defrag_retries_the_pending_queue(self):
         """Starvation regression: defrag frees space, queue must be retried.
 
-        8x2 fabric. a(3)|b(2)|c(2) leave col 7 free; q(3) queues. b
+        8x2 fabric. a(3)|b(2)|c(2) leave col 7 free; q (3x1) queues. b
         departs -> free cols {3,4,7}, still no 3-wide window, q stays
-        queued.  e(4) arrives, cannot fit, and its reject-triggered
-        defrag compacts a+c -> cols 5-7 free and contiguous.  q now
-        fits — but pre-fix only departures retried the queue, so q sat
-        starving until drain despite fitting the compacted floorplan.
+        queued.  e (3x1) arrives, cannot fit, and its reject-triggered
+        defrag compacts a+c -> cols 5-7 free and contiguous.  The pass
+        was made for e, so e takes the bottom row; q fits the top row —
+        but pre-fix only departures retried the queue, so q sat starving
+        until drain despite fitting the compacted floorplan.
         """
         mgr = RuntimePlacementManager(
             region_w(8),
@@ -263,17 +340,19 @@ class TestQueueRegressions:
         assert mgr.submit(req(rect("a", 3), 1, lifetime=100)).admitted
         assert mgr.submit(req(rect("b", 2), 1, lifetime=4)).admitted
         assert mgr.submit(req(rect("c", 2), 2, lifetime=100)).admitted
-        q = mgr.submit(req(rect("q", 3), 3, lifetime=100))
+        q = mgr.submit(req(rect("q", 3, 1), 3, lifetime=100))
         assert q.status == "queued"
         mgr.advance_to(6)  # b departed at t=5; {3,4,7} free, q still queued
         assert q.status == "queued"
-        e = mgr.submit(req(rect("e", 4), 6, lifetime=100))
+        e = mgr.submit(req(rect("e", 3, 1), 6, lifetime=100))
         assert mgr.stats.defrags >= 1  # e's rejection triggered a pass
-        assert not e.admitted
+        assert e.admitted and e.method == "greedy+defrag"
+        assert (e.placement.x, e.placement.y) == (5, 0)
         # the defrag pass freed a 3-wide window: q must be admitted NOW,
         # not at the next departure (pre-fix: still "queued" here)
         assert q.admitted
         assert q.admitted_at == 6
+        assert (q.placement.x, q.placement.y) == (5, 1)
         assert mgr.stats.queued_admits == 1
         mgr.result().verify()
 

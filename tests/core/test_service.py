@@ -20,7 +20,7 @@ import json
 
 import pytest
 
-from repro.core.defrag import NoBreakDefragmenter
+from repro.core.defrag import DEFRAGMENTERS
 from repro.core.runtime import (
     RejectReason,
     RuntimeConfig,
@@ -377,13 +377,15 @@ class TestServiceLog:
 # ----------------------------------------------------------------------
 # Determinism (the satellite pins)
 # ----------------------------------------------------------------------
-#: outcome digest of the contended replay below, recorded before the
-#: serving path lost its anchor-mask cache
-CONTENDED_FP = "51dd130808095a0cc8a438a0b566091d"
+#: outcome digest of the contended replay below, re-pinned when the
+#: reject-triggered defrag pass left the spill probe: it runs once per
+#: parked request, on the primary shard, and starts only a plan whose end
+#: state has an anchor for the request
+CONTENDED_FP = "5305c6ca7566a87fec49a88d199f57ba"
 
 
-def contended_replay():
-    """120 requests of the overloaded benchmark profile on the 4-shard
+def contended_replay(seed: int = 0):
+    """300 requests of the overloaded benchmark profile on the 4-shard
     Table-I fabric: CP chain, no-break defrag, queue and a 16-tick
     reservation horizon all run."""
     cfg = serving_config(
@@ -393,7 +395,9 @@ def contended_replay():
     svc = ShardedPlacementService(
         ShardedPlacementService.split(default_fabric(), 4), cfg
     )
-    trace = generate_workload(120, seed=0, mean_interarrival=1, mean_lifetime=40)
+    trace = generate_workload(
+        300, seed=seed, mean_interarrival=1, mean_lifetime=40
+    )
     return svc.run(trace)
 
 
@@ -401,6 +405,21 @@ def replay_digest(outcomes) -> str:
     rows = [(*outcome_key(o), o.shard) for o in outcomes]
     blob = json.dumps(rows, sort_keys=True, default=str).encode()
     return hashlib.blake2b(blob, digest_size=16).hexdigest()
+
+
+@pytest.fixture
+def plan_calls(monkeypatch):
+    """Counts every call of the no-break planner; yields the count list."""
+    calls = []
+    planner = DEFRAGMENTERS["no-break"]
+
+    class Counted(planner):
+        def plan(self, *args, **kwargs):
+            calls.append(1)
+            return super().plan(*args, **kwargs)
+
+    monkeypatch.setitem(DEFRAGMENTERS, "no-break", Counted)
+    yield calls
 
 
 class TestContendedReplay:
@@ -413,29 +432,21 @@ class TestContendedReplay:
         assert stats.queued_admits > 0
         assert replay_digest(slog.outcomes) == CONTENDED_FP
 
-    def test_empty_plan_memo_moves_no_outcome(self, monkeypatch):
-        """The replay with every floorplan replanned (the empty-plan memo
+    def test_empty_plan_memo_moves_no_outcome(self, monkeypatch, plan_calls):
+        """The replay with every floorplan replanned (the plan memo
         cleared before each pass) serves exactly the pinned outcomes;
         the memo only saves planner calls."""
-        calls = []
-        plan = NoBreakDefragmenter.plan
-
-        def counted(self, *args, **kwargs):
-            calls.append(self)
-            return plan(self, *args, **kwargs)
-
-        monkeypatch.setattr(NoBreakDefragmenter, "plan", counted)
         assert replay_digest(contended_replay().outcomes) == CONTENDED_FP
-        with_memo = len(calls)
+        with_memo = len(plan_calls)
         defrag = RuntimePlacementManager._defrag
 
-        def forgetful(self, trigger):
-            self._empty_plan_key = None
-            return defrag(self, trigger)
+        def forgetful(self, goal=None):
+            self._last_plan = None
+            return defrag(self, goal)
 
         monkeypatch.setattr(RuntimePlacementManager, "_defrag", forgetful)
         assert replay_digest(contended_replay().outcomes) == CONTENDED_FP
-        assert 0 < with_memo < len(calls) - with_memo
+        assert 0 < with_memo < len(plan_calls) - with_memo
 
     def test_makes_no_anchor_cache_lookups(self, monkeypatch):
         """Every fit query on the serving path reads the free-space
@@ -461,6 +472,37 @@ class TestContendedReplay:
         slog = contended_replay()
         assert slog.stats.defrag_planned_moves > 0
         assert calls == []
+
+
+class TestRejectTrigger:
+    """A declined spill probe runs no defrag pass: the request that no
+    shard admits gets one pass, on its primary shard, when it is parked."""
+
+    @pytest.mark.parametrize("seed", [0, 7919])
+    def test_at_most_one_plan_per_parked_request(
+        self, monkeypatch, plan_calls, seed
+    ):
+        parked = []
+        park = RuntimePlacementManager.park
+
+        def counted(self, request, outcome):
+            parked.append(request.module.name)
+            return park(self, request, outcome)
+
+        monkeypatch.setattr(RuntimePlacementManager, "park", counted)
+        offer = RuntimePlacementManager.offer
+        declined = []
+
+        def probe(self, request, outcome):
+            answer = offer(self, request, outcome)
+            declined.append(answer is None)
+            return answer
+
+        monkeypatch.setattr(RuntimePlacementManager, "offer", probe)
+        contended_replay(seed)
+        # the spill walk declines many more probes than it parks requests
+        assert len(parked) < sum(declined)
+        assert 0 < len(plan_calls) <= len(parked)
 
 
 class TestDeterminism:

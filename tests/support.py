@@ -397,8 +397,10 @@ class PerCellRelocationProbe:
     Each call snapshots the floorplan and rebuilds a mover's
     :func:`per_cell_relocation_masks` on first use, lazily like the
     product; ``probe[m]`` and ``probe.bottom_left(m)`` read them.
-    ``calls`` counts the probes served, so a test can assert the patched
-    name is the one the planner reads.
+    ``probe.relocate(m, placement)`` moves mover ``m`` in the snapshot and
+    forgets every mask.  ``calls`` counts the probes served (a relocation
+    serves a new one), so a test can assert the patched name is the one
+    the planner reads.
     """
 
     def __init__(self) -> None:
@@ -413,6 +415,7 @@ class PerCellRelocationProbe:
     ) -> "_PerCellSites":
         self.calls += 1
         return _PerCellSites(
+            self,
             PlacementResult(result.region, list(result.placements)),
             list(movers),
             consider_alternatives,
@@ -420,10 +423,20 @@ class PerCellRelocationProbe:
 
 
 class _PerCellSites:
-    def __init__(self, result, movers, consider_alternatives) -> None:
-        self.result, self.movers = result, movers
+    def __init__(self, owner, result, movers, consider_alternatives) -> None:
+        self.owner, self.result, self.movers = owner, result, movers
         self.consider_alternatives = consider_alternatives
         self.masks: Dict[int, List[Tuple[int, np.ndarray]]] = {}
+
+    def relocate(self, m: int, placement: Placement) -> None:
+        old = self.movers[m]
+        self.movers[m] = placement
+        self.result = PlacementResult(
+            self.result.region,
+            [placement if p is old else p for p in self.result.placements],
+        )
+        self.masks.clear()
+        self.owner.calls += 1
 
     def __len__(self) -> int:
         return len(self.movers)
